@@ -35,6 +35,7 @@ int main() {
       ApproxCholOptions opts;
       opts.droptol = droptol;
       opts.complete_factorization = droptol == 0.0;
+      opts.parallel.num_threads = 1;  // T(s) is a one-thread time
       Timer t;
       const ApproxCholEffRes engine(c.graph, opts);
       for (const auto& e : c.graph.edges()) (void)engine.resistance(e.u, e.v);

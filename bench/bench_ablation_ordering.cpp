@@ -46,6 +46,7 @@ int main() {
     for (const auto& o : orderings) {
       ApproxCholOptions opts;
       opts.ordering = o.ord;
+      opts.parallel.num_threads = 1;  // T(s) is a one-thread time
       Timer t;
       const ApproxCholEffRes engine(c.graph, opts);
       for (const auto& e : c.graph.edges()) (void)engine.resistance(e.u, e.v);

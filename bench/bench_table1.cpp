@@ -7,8 +7,10 @@
 // Ea/Em are measured on 1000 random edges against exact values (direct
 // solves), exactly as in the paper.
 //
-// Batch queries are chunked across --threads worker threads (default 1);
-// results are identical at any thread count.
+// --threads N (default 1) sets both methods' thread count: Alg. 3 builds
+// its approximate inverse on N threads, the baseline's row solves and
+// both methods' batch queries chunk across an N-thread pool. Results are
+// identical at any thread count.
 #include <cstdio>
 #include <memory>
 
@@ -62,6 +64,9 @@ int main(int argc, char** argv) {
     // --- Alg. 3 (droptol = 1e-3, epsilon = 1e-3: the paper's settings). ---
     Timer t;
     ApproxCholOptions ac;  // defaults are the paper's settings
+    // Same pool as the baseline, so Speedup compares like runs.
+    ac.pool = pool.get();
+    ac.parallel.num_threads = 1;
     const ApproxCholEffRes alg3(c.graph, ac);
     (void)alg3.resistances(queries, pool.get());
     MethodRow alg3_row;

@@ -1,6 +1,7 @@
 #include "effres/approx_chol.hpp"
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 #include "approxinv/depth.hpp"
@@ -34,8 +35,16 @@ ApproxCholEffRes::ApproxCholEffRes(const Graph& g,
   stats_.max_depth = max_filled_graph_depth(factor_);
 
   t.reset();
+  ThreadPool* pool = opts.pool;
+  std::unique_ptr<ThreadPool> owned_pool;
+  if (pool == nullptr && !ThreadPool::on_worker_thread() &&
+      resolve_num_threads(opts.parallel.num_threads) > 1) {
+    owned_pool = std::make_unique<ThreadPool>(opts.parallel.num_threads);
+    pool = owned_pool.get();
+  }
   ApproxInverseOptions zi;
   zi.epsilon = opts.epsilon;
+  zi.pool = pool;
   z_ = ApproxInverse::build(factor_, zi);
   stats_.inverse_seconds = t.seconds();
   stats_.inverse_nnz = z_.nnz();

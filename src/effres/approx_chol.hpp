@@ -21,6 +21,15 @@ struct ApproxCholOptions {
   Ordering ordering = Ordering::kMinDeg;
   /// Use the complete factorization instead of ICT (small graphs / tests).
   bool complete_factorization = false;
+  /// Optional pool for the Alg. 2 level sweep (null = honor `parallel`
+  /// below). Callers already running on a pool worker (reduce_block) may
+  /// pass the same pool: the levels then run inline. Z is bit-identical at
+  /// any thread count (DESIGN.md §3).
+  ThreadPool* pool = nullptr;
+  /// When `pool` is null: threads for the Alg. 2 level sweep (0 = all
+  /// cores). The constructor starts a pool for the build only when this
+  /// asks for > 1 thread and it is not already running on a pool worker.
+  ParallelOptions parallel{0};
 };
 
 /// Timing/size diagnostics mirroring the columns of the paper's Table I.

@@ -36,6 +36,9 @@ ThreadPool::ThreadPool(int num_threads, obs::MetricsRegistry* registry) {
   queue_depth_ = &reg.gauge("er_pool_queue_depth", {},
                             "Tasks enqueued but not yet started");
   threads_gauge_ = &reg.gauge("er_pool_threads", {}, "Live worker threads");
+  obs::Counter& started =
+      reg.counter("er_pool_threads_started_total", {},
+                  "Worker threads spawned (transient pools show as churn)");
   queue_wait_hist_ =
       &reg.histogram("er_pool_task_queue_wait_seconds", {},
                      "Submit-to-start wait per task (queue pressure)");
@@ -44,6 +47,7 @@ ThreadPool::ThreadPool(int num_threads, obs::MetricsRegistry* registry) {
                              "of the queue-wait/compute split)");
   const int n = resolve_num_threads(num_threads);
   threads_gauge_->add(n);
+  started.add(static_cast<std::uint64_t>(n));
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     workers_.emplace_back([this] { worker_loop(); });

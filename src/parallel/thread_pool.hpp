@@ -33,7 +33,12 @@ class Gauge;
 class Histogram;
 }  // namespace obs
 
-/// Threading knob carried by ReductionOptions (and bench flags).
+/// Threading knob carried by ReductionOptions, RandomProjectionOptions,
+/// ApproxCholOptions (and bench flags). Results are bit-identical at any
+/// setting; the defaults differ by site: ReductionOptions keeps 1 (the
+/// caller opts in to a pool), ApproxCholOptions uses 0 (its transient
+/// pool only lives for the Alg. 2 build and is skipped when the caller
+/// passes a pool or is on a pool worker).
 struct ParallelOptions {
   /// 0 = auto (hardware concurrency), 1 = serial, n = exactly n threads.
   int num_threads = 1;
@@ -46,13 +51,15 @@ int resolve_num_threads(int requested);
 /// submit() is thread-safe, including from inside a worker task.
 ///
 /// Observability (DESIGN.md §6): every pool reports a queue-depth gauge
-/// (`er_pool_queue_depth`), a worker-count gauge (`er_pool_threads`),
-/// per-task queue-wait and run-time histograms
-/// (`er_pool_task_queue_wait_seconds` / `er_pool_task_run_seconds` — the
-/// queue-wait vs compute split of anything fanned across the pool), and a
-/// busy-time counter (`er_pool_busy_us_total`; utilization =
-/// busy_us / threads / elapsed). The cost is three steady_clock reads
-/// per *task* (tasks are chunk-granular), nothing per iteration.
+/// (`er_pool_queue_depth`), a worker-count gauge (`er_pool_threads`), a
+/// spawned-workers counter (`er_pool_threads_started_total`; its rate is
+/// the churn of transient pools such as the Alg. 2 build's), per-task
+/// queue-wait and run-time histograms (`er_pool_task_queue_wait_seconds`
+/// / `er_pool_task_run_seconds` — the queue-wait vs compute split of
+/// anything fanned across the pool), and a busy-time counter
+/// (`er_pool_busy_us_total`; utilization = busy_us / threads / elapsed).
+/// The cost is three steady_clock reads per *task* (tasks are
+/// chunk-granular), nothing per iteration.
 class ThreadPool {
  public:
   /// Spawns resolve_num_threads(num_threads) workers immediately.

@@ -27,6 +27,7 @@ std::unique_ptr<EffResEngine> make_block_engine(const Graph& g,
     ApproxCholOptions ac;
     ac.droptol = opts.engine_droptol;
     ac.epsilon = opts.engine_epsilon;
+    ac.parallel.num_threads = 1;  // one task per block, like the reduction
     return std::make_unique<ApproxCholEffRes>(g, ac);
   } catch (const std::exception&) {
     return nullptr;

@@ -1,9 +1,15 @@
 // Tests for approxinv: depth (Eq. 11) vs brute force, Lemma 1
 // (nonnegativity of Z), exactness at epsilon=0, Theorem 1 error bound,
-// truncation semantics, log-n floor.
+// truncation semantics, log-n floor, and the level-scheduled build:
+// bitwise equal to a serial full-sort reference, with identical bytes at
+// every thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <sstream>
 
 #include "approxinv/approx_inverse.hpp"
 #include "approxinv/depth.hpp"
@@ -11,6 +17,8 @@
 #include "chol/ichol.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
+#include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sparse/dense.hpp"
 
 namespace er {
@@ -277,6 +285,230 @@ TEST_P(EpsilonScaling, ColumnErrorsScaleRoughlyLinearly) {
 
 INSTANTIATE_TEST_SUITE_P(Epsilons, EpsilonScaling,
                          ::testing::Values(1e-1, 1e-2, 1e-3, 1e-4));
+
+// ---------------- level-scheduled build vs the serial sweep ----------------
+
+/// Serial Alg. 2 exactly as first written: columns j = n-1 .. 0 and a full
+/// sort of the magnitudes for the Eq. (10) truncation. Column j of the
+/// result is z̃_j.
+std::vector<SparseVector> reference_build(const CholFactor& factor,
+                                          real_t epsilon) {
+  const index_t n = factor.n;
+  std::vector<SparseVector> cols(static_cast<std::size_t>(n));
+  const auto nnz_floor = static_cast<std::size_t>(
+      std::max(1.0, std::log2(static_cast<double>(std::max<index_t>(n, 2)))));
+  std::vector<real_t> w(static_cast<std::size_t>(n), 0.0);
+  std::vector<index_t> stamp(static_cast<std::size_t>(n), -1);
+  std::vector<index_t> pattern;
+  std::vector<real_t> mags;
+  for (index_t j = n; j-- > 0;) {
+    pattern.clear();
+    const offset_t cb = factor.col_ptr[static_cast<std::size_t>(j)];
+    const offset_t ce = factor.col_ptr[static_cast<std::size_t>(j) + 1];
+    const real_t inv_ljj = 1.0 / factor.values[static_cast<std::size_t>(cb)];
+    w[static_cast<std::size_t>(j)] = inv_ljj;
+    stamp[static_cast<std::size_t>(j)] = j;
+    pattern.push_back(j);
+    for (offset_t p = cb + 1; p < ce; ++p) {
+      const index_t i = factor.row_ind[static_cast<std::size_t>(p)];
+      const real_t coef = -factor.values[static_cast<std::size_t>(p)] * inv_ljj;
+      if (coef == 0.0) continue;
+      const SparseVector& zi = cols[static_cast<std::size_t>(i)];
+      for (std::size_t k = 0; k < zi.idx.size(); ++k) {
+        const index_t r = zi.idx[k];
+        if (stamp[static_cast<std::size_t>(r)] != j) {
+          stamp[static_cast<std::size_t>(r)] = j;
+          w[static_cast<std::size_t>(r)] = 0.0;
+          pattern.push_back(r);
+        }
+        w[static_cast<std::size_t>(r)] += coef * zi.val[k];
+      }
+    }
+    if (pattern.size() > nnz_floor && epsilon > 0.0) {
+      mags.clear();
+      real_t norm1 = 0.0;
+      for (index_t r : pattern) {
+        const real_t m = std::abs(w[static_cast<std::size_t>(r)]);
+        mags.push_back(m);
+        norm1 += m;
+      }
+      std::sort(mags.begin(), mags.end());
+      const real_t budget = epsilon * norm1;
+      real_t dropped = 0.0;
+      std::size_t k = 0;
+      while (k < mags.size() && dropped + mags[k] <= budget) {
+        dropped += mags[k];
+        ++k;
+      }
+      if (k > 0) {
+        const real_t cut = mags[k - 1];
+        std::size_t ties_to_drop = 0;
+        for (std::size_t t = 0; t < k; ++t)
+          if (mags[t] == cut) ++ties_to_drop;
+        std::size_t wpos = 0;
+        for (index_t r : pattern) {
+          const real_t m = std::abs(w[static_cast<std::size_t>(r)]);
+          if (m < cut) continue;
+          if (m == cut && ties_to_drop > 0) {
+            --ties_to_drop;
+            continue;
+          }
+          pattern[wpos++] = r;
+        }
+        pattern.resize(wpos);
+      }
+    }
+    std::sort(pattern.begin(), pattern.end());
+    SparseVector& out = cols[static_cast<std::size_t>(j)];
+    for (index_t r : pattern) {
+      out.idx.push_back(r);
+      out.val.push_back(w[static_cast<std::size_t>(r)]);
+    }
+  }
+  return cols;
+}
+
+std::string save_bytes(const ApproxInverse& z) {
+  std::ostringstream out;
+  z.save(out);
+  return out.str();
+}
+
+void expect_columns_bitwise(const ApproxInverse& z,
+                            const std::vector<SparseVector>& ref) {
+  for (index_t j = 0; j < z.dimension(); ++j) {
+    const auto rows = z.column_rows(j);
+    const auto vals = z.column_values(j);
+    const SparseVector& want = ref[static_cast<std::size_t>(j)];
+    ASSERT_EQ(rows.size(), want.idx.size()) << "column " << j;
+    ASSERT_TRUE(std::equal(rows.begin(), rows.end(), want.idx.begin()))
+        << "column " << j;
+    ASSERT_EQ(std::memcmp(vals.data(), want.val.data(),
+                          vals.size() * sizeof(real_t)),
+              0)
+        << "column " << j;  // bitwise, not approximately
+  }
+}
+
+struct LevelCase {
+  std::string name;
+  CholFactor factor;
+  real_t epsilon;
+};
+
+/// Builds the case at 1/2/3/4/8 threads: every column must equal the
+/// serial reference bit for bit and every build must save the same bytes.
+/// Returns the pool tasks the multi-thread builds submitted.
+std::uint64_t expect_level_build_matches_reference(const LevelCase& c) {
+  SCOPED_TRACE(c.name);
+  const std::vector<SparseVector> ref = reference_build(c.factor, c.epsilon);
+  std::string bytes_1;
+  std::uint64_t tasks = 0;
+  for (int threads : {1, 2, 3, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    obs::MetricsRegistry reg;
+    ThreadPool pool(threads, &reg);
+    ApproxInverseOptions opts;
+    opts.epsilon = c.epsilon;
+    opts.pool = &pool;
+    const ApproxInverse z = ApproxInverse::build(c.factor, opts);
+    tasks += reg.counter("er_pool_tasks_total").value();
+    EXPECT_EQ(z.nnz(), std::accumulate(ref.begin(), ref.end(), offset_t{0},
+                                       [](offset_t acc, const SparseVector& v) {
+                                         return acc + static_cast<offset_t>(v.nnz());
+                                       }));
+    expect_columns_bitwise(z, ref);
+    if (::testing::Test::HasFatalFailure()) return tasks;
+    const std::string bytes = save_bytes(z);
+    if (threads == 1)
+      bytes_1 = bytes;
+    else
+      EXPECT_TRUE(bytes == bytes_1) << "save() bytes differ from 1 thread";
+  }
+  return tasks;
+}
+
+CholFactor ict_factor(const Graph& g, real_t droptol) {
+  IcholOptions ic;
+  ic.droptol = droptol;
+  return ichol(grounded_laplacian(g), Ordering::kMinDeg, ic);
+}
+
+TEST(LevelSchedule, BaHubsDeepChainMatchesReference) {
+  LevelCase c{"ba-hubs",
+              ict_factor(barabasi_albert(1500, 3, WeightKind::kUnit, 41), 1e-3),
+              1e-3};
+  // A deep chain of one-column levels near the hubs...
+  const auto d = filled_graph_depths(c.factor);
+  const index_t max_depth = *std::max_element(d.begin(), d.end());
+  std::vector<index_t> level_size(static_cast<std::size_t>(max_depth) + 1, 0);
+  for (index_t v : d) ++level_size[static_cast<std::size_t>(v)];
+  EXPECT_GT(std::count(level_size.begin(), level_size.end(), 1), 10);
+  // ...and wide levels at the bottom, which must reach the pool.
+  EXPECT_GT(expect_level_build_matches_reference(c), 0u);
+}
+
+TEST(LevelSchedule, LogUniformGridMatchesReference) {
+  const LevelCase c{
+      "grid-loguniform",
+      ict_factor(grid_2d(40, 40, WeightKind::kLogUniform, 42), 1e-3), 1e-3};
+  EXPECT_GT(expect_level_build_matches_reference(c), 0u);
+}
+
+TEST(LevelSchedule, PathGraphMatchesReference) {
+  // Natural order: depth(p) = n-1-p, so every level holds one column.
+  const CscMatrix lg = grounded_laplacian(grid_2d(300, 1, WeightKind::kUniform, 43));
+  const LevelCase c{"path", cholesky(lg, identity_permutation(lg.cols())), 1e-3};
+  EXPECT_EQ(max_filled_graph_depth(c.factor), c.factor.n - 1);
+  expect_level_build_matches_reference(c);
+}
+
+TEST(LevelSchedule, IctWithDropsSeveralRootsMatchesReference) {
+  // A loose drop tolerance splits the filled graph into a forest: several
+  // columns have no off-diagonal entry (depth 0).
+  const LevelCase c{
+      "ict-drops",
+      ict_factor(multilayer_mesh(30, 30, 2, WeightKind::kLogUniform, 44), 0.2),
+      1e-3};
+  const auto d = filled_graph_depths(c.factor);
+  EXPECT_GT(std::count(d.begin(), d.end(), 0), 1);
+  expect_level_build_matches_reference(c);
+}
+
+TEST(LevelSchedule, UnitStarTiesAtCutMatchReference) {
+  // Hub first in natural order; ICT drops most of the leaf-clique fill, so
+  // the hub's column of Z is a long run of (nearly all) equal leaf
+  // entries and the truncation cut lands inside a run of ties.
+  Graph star(48);
+  for (index_t v = 1; v < 48; ++v) star.add_edge(0, v, 1.0);
+  const CscMatrix lg = grounded_laplacian(star);
+  IcholOptions ic;
+  ic.droptol = 0.1;
+  const CholFactor f = ichol(lg, identity_permutation(lg.cols()), ic);
+  const LevelCase c{"unit-star", f, 5e-2};
+  const std::vector<SparseVector> ref = reference_build(f, c.epsilon);
+  bool tie_at_cut = false;  // a column keeps only part of a run of equals
+  const std::vector<SparseVector> full = reference_build(f, 0.0);
+  for (index_t j = 0; j < f.n && !tie_at_cut; ++j) {
+    const SparseVector& kept = ref[static_cast<std::size_t>(j)];
+    const SparseVector& all = full[static_cast<std::size_t>(j)];
+    if (kept.nnz() == all.nnz() || kept.nnz() == 0) continue;
+    const real_t smallest_kept =
+        *std::min_element(kept.val.begin(), kept.val.end());
+    tie_at_cut = std::count(all.val.begin(), all.val.end(), smallest_kept) >
+                 std::count(kept.val.begin(), kept.val.end(), smallest_kept);
+  }
+  EXPECT_TRUE(tie_at_cut);
+  expect_level_build_matches_reference(c);
+}
+
+TEST(LevelSchedule, EpsilonZeroMatchesReference) {
+  const LevelCase c{
+      "epsilon-zero",
+      ict_factor(barabasi_albert(1500, 2, WeightKind::kLogUniform, 45), 1e-3),
+      0.0};
+  expect_level_build_matches_reference(c);
+}
 
 }  // namespace
 }  // namespace er

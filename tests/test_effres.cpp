@@ -1,9 +1,14 @@
 // Tests for effres: closed-form effective resistances (path, cycle,
 // complete graph, series/parallel), agreement between engines, metric
-// axioms, Rayleigh monotonicity, error-measurement harness.
+// axioms, Rayleigh monotonicity, error-measurement harness, and the
+// Alg. 3 build's thread handling (transient pool on the main thread,
+// inline on a pool worker, bit-identical either way).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "effres/approx_chol.hpp"
 #include "effres/engine.hpp"
@@ -12,7 +17,11 @@
 #include "effres/random_projection.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
+#include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
+#include "reduction/pipeline.hpp"
 #include "sparse/dense.hpp"
+#include "util/rng.hpp"
 
 namespace er {
 namespace {
@@ -188,6 +197,86 @@ TEST(ApproxChol, ErrorDecreasesWithEpsilon) {
     prev = rep.average_relative;
   }
   EXPECT_LT(prev, 1e-3);
+}
+
+std::string inverse_bytes(const ApproxCholEffRes& engine) {
+  std::ostringstream out;
+  engine.approximate_inverse().save(out);
+  return out.str();
+}
+
+std::uint64_t global_count(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
+TEST(ApproxCholParallel, NestedBuildRunsInlineAndMatchesMainThread) {
+  const Graph g = barabasi_albert(3000, 3, WeightKind::kUnit, 17);
+  ApproxCholOptions opts;
+  opts.parallel.num_threads = 4;
+
+  // From the main thread the build starts a transient 4-thread pool and
+  // fans the wide levels of Alg. 2 out over it.
+  const std::uint64_t started0 = global_count("er_pool_threads_started_total");
+  const std::uint64_t tasks0 = global_count("er_pool_tasks_total");
+  const ApproxCholEffRes main_build(g, opts);
+  EXPECT_EQ(global_count("er_pool_threads_started_total") - started0, 4u);
+  EXPECT_GT(global_count("er_pool_tasks_total"), tasks0);
+  const std::string want = inverse_bytes(main_build);
+
+  // On a worker of another pool the same build runs inline: no pool is
+  // started and no task submitted. The outer pool reports to a private
+  // registry, so the global counters see only the nested builds.
+  obs::MetricsRegistry outer_registry;
+  ThreadPool outer(4, &outer_registry);
+  std::vector<std::string> got(4);
+  std::vector<char> on_worker(4, 0);
+  const std::uint64_t started1 = global_count("er_pool_threads_started_total");
+  const std::uint64_t tasks1 = global_count("er_pool_tasks_total");
+  parallel_for(&outer, 0, 4, 1, [&](index_t lo, index_t hi) {
+    for (index_t i = lo; i < hi; ++i) {
+      on_worker[static_cast<std::size_t>(i)] = ThreadPool::on_worker_thread();
+      got[static_cast<std::size_t>(i)] = inverse_bytes(ApproxCholEffRes(g, opts));
+    }
+  });
+  EXPECT_EQ(global_count("er_pool_threads_started_total"), started1);
+  EXPECT_EQ(global_count("er_pool_tasks_total"), tasks1);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(on_worker[i]) << "build " << i;
+    EXPECT_TRUE(got[i] == want) << "build " << i << " differs bitwise";
+  }
+}
+
+TEST(ApproxCholParallel, ReductionBitIdenticalAtOneAndFourThreads) {
+  // One block: its engine builds on the calling thread over the
+  // reduction's pool. 32 blocks: the engines build inline on the workers.
+  ConductanceNetwork net;
+  net.graph = grid_2d(40, 40, WeightKind::kUniform, 18);
+  const index_t n = net.graph.num_nodes();
+  net.shunts.assign(static_cast<std::size_t>(n), 0.0);
+  std::vector<char> ports(static_cast<std::size_t>(n), 0);
+  Rng rng(19);
+  for (index_t placed = 0; placed < 96;) {
+    const index_t v = rng.uniform_int(n);
+    if (ports[static_cast<std::size_t>(v)]) continue;
+    ports[static_cast<std::size_t>(v)] = 1;
+    if (placed < 2) net.shunts[static_cast<std::size_t>(v)] = 50.0;
+    ++placed;
+  }
+  for (index_t blocks : {1, 32}) {
+    SCOPED_TRACE("blocks=" + std::to_string(blocks));
+    ReductionOptions opts;
+    opts.backend = ErBackend::kApproxChol;
+    opts.num_blocks = blocks;
+    opts.parallel.num_threads = 1;
+    const ReducedModel serial = reduce_network(net, ports, opts);
+    opts.parallel.num_threads = 4;
+    const std::uint64_t started = global_count("er_pool_threads_started_total");
+    const ReducedModel par = reduce_network(net, ports, opts);
+    // Only the reduction's own pool: the single block's engine fans its
+    // Alg. 2 levels out over that pool instead of starting another.
+    EXPECT_EQ(global_count("er_pool_threads_started_total") - started, 4u);
+    EXPECT_TRUE(models_identical(serial, par));
+  }
 }
 
 TEST(RandomProjection, ConvergesToExactWithManyDimensions) {
