@@ -2,7 +2,7 @@
 // (DESIGN.md §4). For each grid, the reduction runs once, a ModelSnapshot
 // is built and published, and a mixed 10k-query batch (port responses +
 // effective resistances, intra- and cross-block) is answered at 1/2/4/8
-// threads on each route mode. Enforced invariants (exit 1 on violation):
+// threads on both route modes. Enforced invariants (exit 1 on violation):
 //
 //   * every multi-thread batch is bit-identical to the 1-thread batch of
 //     the same mode (per-query slot writes, shared immutable snapshot), and
@@ -36,17 +36,6 @@
 // snapshot, the er_cache_* registry counters agree with the BatchStats
 // sums, and for S >= 1 the hit rate clears 50%.
 //
-// --policy-mix switches to the per-query QueryPolicy sweep (DESIGN.md
-// §4.3): one batch carrying a deterministic mix of accuracy tiers,
-// backend preferences, hedged queries, and deadlines is answered at
-// 1/2/4/8 threads, reporting per-tier latency percentiles, hedge win
-// fractions, and deadline misses. Enforced (exit 1 on violation): every
-// multi-thread batch is bit-identical to the 1-thread batch, every hedged
-// answer matches a serial two-backend twin selected with the pure rule in
-// serve/query_policy.hpp, deadline-carrying queries miss exactly when the
-// (fixed, injected) queue wait exceeds their budget, and the er_policy_*
-// counters agree with the returned BatchStats.
-//
 // Emits BENCH_serving.json (schema: bench/README.md). All modes also
 // report per-query latency percentiles (and, under churn, publish-latency
 // percentiles) extracted from the observability registry (DESIGN.md §6),
@@ -54,7 +43,7 @@
 // registry as Prometheus text exposition via --metrics.
 //
 //   bench_serving [--threads N] [--json PATH] [--metrics PATH] [--churn]
-//                 [--zipf S] [--loopback] [--policy-mix]
+//                 [--zipf S] [--loopback]
 //
 // N is the *maximum* thread count swept (default 8).
 #include <algorithm>
@@ -151,7 +140,7 @@ int run_churn(const bench::BenchOptions& bopts) {
   for (int t = 2; t <= bopts.threads; t *= 2) thread_counts.push_back(t);
 
   TablePrinter table({"Case", "Threads", "Mods", "Batches", "PubLat(ms)",
-                      "MaxStale", "Blocked", "CopiedKB", "kQPS", "Reused",
+                      "MaxStale", "Blocked", "kQPS", "Reused",
                       "Identical"});
   bench::BenchJson json;
   obs::MetricsSnapshot metrics_dump;
@@ -337,17 +326,6 @@ int run_churn(const bench::BenchOptions& bopts) {
                      name.c_str(), threads);
         all_ok = false;
       }
-      // The default serving configuration publishes zero-copy: the
-      // snapshot aliases the reducer's frozen model, so no publish may
-      // ever deep-copy model bytes.
-      if (reducer.publish_model_bytes_copied() != 0) {
-        std::fprintf(stderr,
-                     "ERROR: %s threads=%d publish copied %zu model bytes "
-                     "on the zero-copy path\n",
-                     name.c_str(), threads,
-                     reducer.publish_model_bytes_copied());
-        all_ok = false;
-      }
 
       const double qps =
           query_seconds > 0.0
@@ -381,11 +359,6 @@ int run_churn(const bench::BenchOptions& bopts) {
                      TablePrinter::fmt_int(static_cast<int>(stale_max)),
                      TablePrinter::fmt_int(
                          static_cast<int>(ustats.blocked_submits)),
-                     TablePrinter::fmt(
-                         static_cast<double>(
-                             reducer.publish_model_bytes_copied()) /
-                             1024.0,
-                         1),
                      TablePrinter::fmt(qps / 1000.0, 1),
                      TablePrinter::fmt(reused_fraction, 2),
                      identical ? "yes" : "NO"});
@@ -417,15 +390,11 @@ int run_churn(const bench::BenchOptions& bopts) {
           .set("queries_per_second", qps)
           .set("churn_wall_seconds", churn_seconds)
           .set("reused_block_fraction", reused_fraction)
-          .set("incremental_publish_seconds", reducer.publish_seconds())
+          .set("dirty_publish_seconds", reducer.publish_seconds())
           .set("full_snapshot_build_seconds", full_build_seconds)
-          // Zero-copy publish accounting: model bytes the last publish
-          // deep-copied (0 on the shared-model path) vs. the bytes of
-          // serving state it materialized (scales with the dirty set) vs.
-          // the whole model's footprint (what the pre-zero-copy publishes
-          // used to copy every time).
-          .set("publish_model_bytes_copied",
-               static_cast<long long>(reducer.publish_model_bytes_copied()))
+          // Publish accounting: the bytes of serving state the last
+          // publish materialized (scales with the dirty set) vs. the whole
+          // model's footprint (the model itself is aliased, never copied).
           .set("publish_bytes_materialized",
                static_cast<long long>(reducer.publish_bytes_materialized()))
           .set("model_footprint_bytes",
@@ -468,8 +437,7 @@ int run_zipf(const bench::BenchOptions& bopts) {
   constexpr int kZipfBatchesPerMod = 4;
   constexpr std::size_t kZipfBatch = 500;
   // Pool smaller than a mod-cycle's draw count (4 * 500), so a skewed
-  // working set revisits keys both within a version and across the clean
-  // blocks carried to the next one.
+  // working set revisits keys within a version.
   constexpr std::size_t kPoolPairs = 384;
 
   std::vector<int> thread_counts{1};
@@ -503,7 +471,7 @@ int run_zipf(const bench::BenchOptions& bopts) {
       sopts.build_monolithic_factor = false;
       reducer.attach_store(&store, sopts);
       // Attach after the initial publish: attach_cache registers the
-      // already-current snapshot, subsequent publishes carry/invalidate.
+      // already-current snapshot, each later publish a fresh scope.
       const auto cache =
           std::make_shared<ResultCache>(sopts.cache, &reg);
       store.attach_cache(cache);
@@ -579,7 +547,7 @@ int run_zipf(const bench::BenchOptions& bopts) {
           Timer ct;
           AnswerContext cached_ctx;
           cached_ctx.pool = qpool.get();
-          cached_ctx.mode = RouteMode::kLocalApprox;
+          cached_ctx.mode = RouteMode::kSharded;
           cached_ctx.stats = &cached_stats;
           cached_ctx.registry = &reg;
           cached_ctx.cache = cache.get();
@@ -590,7 +558,7 @@ int run_zipf(const bench::BenchOptions& bopts) {
           Timer ut;
           AnswerContext uncached_ctx;
           uncached_ctx.pool = qpool.get();
-          uncached_ctx.mode = RouteMode::kLocalApprox;
+          uncached_ctx.mode = RouteMode::kSharded;
           uncached_ctx.stats = &uncached_stats;
           uncached_ctx.registry = &uncached_reg;
           const auto uncached_answers =
@@ -701,7 +669,7 @@ int run_zipf(const bench::BenchOptions& bopts) {
           .set("queries_per_second", qps)
           .set("queries_per_second_uncached", qps_uncached)
           .set("identical", identical);
-      set_query_latency_fields(row, reg_snap, RouteMode::kLocalApprox);
+      set_query_latency_fields(row, reg_snap, RouteMode::kSharded);
       metrics_dump.merge(reg_snap);
     }
   }
@@ -1008,292 +976,6 @@ int run_loopback(const bench::BenchOptions& bopts) {
   return json_status != 0 ? json_status : metrics_status;
 }
 
-/// Deterministic policy mix over the standard mixed batch, cycling eight
-/// shapes by index: default, exact/kAuto with a generous deadline, reduced
-/// tiers through kAuto, explicit backend preferences, a hedged fast-tier
-/// query, and a deadline that the injected queue wait always expires.
-std::vector<PortQuery> make_policy_batch(const ReducedModel& model,
-                                         std::size_t count,
-                                         std::uint64_t seed,
-                                         std::uint32_t expired_deadline_us) {
-  std::vector<PortQuery> batch = make_batch(model, count, seed);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    QueryPolicy& pol = batch[i].policy;
-    switch (i % 8) {
-      case 0:  // default policy: the pre-policy serving path
-        break;
-      case 1:
-        pol.accuracy_tier = AccuracyTier::kExact;
-        pol.deadline_us = 1'000'000;  // generous: never expires
-        break;
-      case 2:
-        pol.accuracy_tier = AccuracyTier::kApprox;
-        break;
-      case 3:
-        pol.accuracy_tier = AccuracyTier::kFast;
-        break;
-      case 4:
-        pol.accuracy_tier = AccuracyTier::kFast;
-        pol.backend_pref = BackendPref::kLocalApprox;
-        break;
-      case 5:
-        pol.accuracy_tier = AccuracyTier::kApprox;
-        pol.backend_pref = BackendPref::kSharded;
-        break;
-      case 6:
-        pol.accuracy_tier = AccuracyTier::kFast;
-        pol.hedge = true;
-        break;
-      case 7:
-        pol.deadline_us = expired_deadline_us;  // always misses
-        break;
-    }
-  }
-  return batch;
-}
-
-/// Per-query policy sweep (--policy-mix, DESIGN.md §4.3): per (case,
-/// threads), answer one policy-mixed batch, validating bit-identity across
-/// thread counts, hedged answers against a serial two-backend twin, and
-/// the er_policy_* counters against the returned BatchStats.
-int run_policy_mix(const bench::BenchOptions& bopts) {
-  constexpr std::size_t kBatchSize = 4000;
-  // The deadline input is injected, not measured (AnswerContext::
-  // queue_wait_us), so the miss set is a pure function of the batch.
-  constexpr std::uint64_t kQueueWaitUs = 50;
-
-  std::vector<int> thread_counts{1};
-  for (int t = 2; t <= bopts.threads; t *= 2) thread_counts.push_back(t);
-
-  TablePrinter table({"Case", "Threads", "kQPS", "Exact", "Approx", "Fast",
-                      "Hedged", "EngWin", "Miss", "Identical"});
-  bench::BenchJson json;
-  obs::MetricsSnapshot metrics_dump;
-  bool all_ok = true;
-
-  for (const auto& [name, pg] : bench::table2_suite()) {
-    const ConductanceNetwork net = pg.to_network();
-    std::fprintf(stderr, "[serving --policy-mix] %s: n=%d resistors=%zu\n",
-                 name.c_str(), pg.num_nodes, pg.resistors.size());
-
-    ReductionOptions ropts;
-    ropts.num_blocks = 32;
-    ropts.sparsify_quality = 1.0;
-    const ReductionArtifacts art =
-        reduce_network_artifacts(net, pg.port_mask(), ropts);
-    ModelStore store;
-    store.publish(ModelSnapshot::build(art));
-    const SnapshotPtr snap = store.acquire();
-    const auto batch =
-        make_policy_batch(*art.model, kBatchSize, 2027,
-                          static_cast<std::uint32_t>(kQueueWaitUs / 2));
-    std::size_t miss_slots = 0;  // slots make_policy_batch gave an
-    for (std::size_t i = 7; i < batch.size(); i += 8) ++miss_slots;  // expired deadline
-
-    // Serial two-backend twin for the hedged slots: evaluate each leg
-    // through its own un-hedged batch (engine-preferring and
-    // exact-preferring), then apply the selection rule by hand. Ineligible
-    // hedged queries collapse to the same exact answer on both legs, so
-    // the comparison is well-defined for every hedged slot.
-    std::vector<PortQuery> engine_leg = batch, exact_leg = batch;
-    for (auto& query : engine_leg) {
-      query.policy.hedge = false;
-      query.policy.backend_pref = BackendPref::kLocalApprox;
-    }
-    for (auto& query : exact_leg) {
-      query.policy.hedge = false;
-      query.policy.backend_pref = BackendPref::kSharded;
-    }
-    obs::MetricsRegistry twin_reg;
-    AnswerContext twin_ctx;
-    twin_ctx.mode = RouteMode::kSharded;
-    twin_ctx.registry = &twin_reg;
-    twin_ctx.queue_wait_us = kQueueWaitUs;
-    const auto engine_answers =
-        QueryFrontEnd::answer_on(*snap, engine_leg, twin_ctx);
-    const auto exact_answers =
-        QueryFrontEnd::answer_on(*snap, exact_leg, twin_ctx);
-
-    std::vector<real_t> serial_answers;
-    for (int threads : thread_counts) {
-      obs::MetricsRegistry reg;
-      std::unique_ptr<ThreadPool> pool;
-      if (threads > 1) pool = std::make_unique<ThreadPool>(threads, &reg);
-      BatchStats stats;
-      std::vector<QueryStatus> statuses;
-      AnswerContext ctx;
-      ctx.pool = pool.get();
-      ctx.mode = RouteMode::kSharded;
-      ctx.stats = &stats;
-      ctx.registry = &reg;
-      ctx.queue_wait_us = kQueueWaitUs;
-      ctx.statuses = &statuses;
-      Timer t;
-      const auto answers = QueryFrontEnd::answer_on(*snap, batch, ctx);
-      const double seconds = t.seconds();
-      pool.reset();
-
-      bool identical = true;
-      if (threads == 1) {
-        serial_answers = answers;
-        // Hedged slots must match the serial two-backend twin selected
-        // with the pure rule (serve/query_policy.hpp).
-        for (std::size_t i = 6; i < batch.size(); i += 8) {
-          const real_t want =
-              hedge_prefers_engine(batch[i].policy.accuracy_tier,
-                                   engine_answers[i])
-                  ? engine_answers[i]
-                  : exact_answers[i];
-          if (!(answers[i] == want) &&
-              !(answers[i] != answers[i] && want != want)) {
-            std::fprintf(stderr,
-                         "ERROR: %s hedged query %zu diverged from the "
-                         "serial two-backend twin\n",
-                         name.c_str(), i);
-            identical = false;
-          }
-        }
-        // Deadline misses: exactly the slots whose budget the injected
-        // queue wait expires, answered NaN, flagged kDeadlineMiss.
-        std::size_t observed_misses = 0;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          if (statuses[i] == QueryStatus::kDeadlineMiss) {
-            ++observed_misses;
-            if (i % 8 != 7 || answers[i] == answers[i]) {
-              std::fprintf(stderr,
-                           "ERROR: %s query %zu misreported a deadline "
-                           "miss\n",
-                           name.c_str(), i);
-              identical = false;
-            }
-          }
-        }
-        if (observed_misses != miss_slots ||
-            stats.deadline_miss != miss_slots) {
-          std::fprintf(stderr,
-                       "ERROR: %s deadline misses %zu (stats %zu) != %zu "
-                       "expected\n",
-                       name.c_str(), observed_misses, stats.deadline_miss,
-                       miss_slots);
-          identical = false;
-        }
-      } else {
-        for (std::size_t i = 0; i < answers.size(); ++i)
-          identical = identical &&
-                      (answers[i] == serial_answers[i] ||
-                       (answers[i] != answers[i] &&
-                        serial_answers[i] != serial_answers[i]));
-        if (!identical)
-          std::fprintf(stderr,
-                       "ERROR: %s threads=%d policied batch diverged from "
-                       "the 1-thread batch\n",
-                       name.c_str(), threads);
-      }
-
-      // Registry cross-checks: the er_policy_* counters must tell the same
-      // story as the returned BatchStats.
-      const obs::MetricsSnapshot reg_snap = reg.snapshot();
-      const auto counter_value = [&reg_snap](const char* family,
-                                             obs::Labels labels) {
-        const obs::MetricSnapshot* c = reg_snap.find(family, labels);
-        return c ? c->counter : 0;
-      };
-      const std::uint64_t miss_counter =
-          counter_value("er_policy_deadline_miss_total", {});
-      const std::uint64_t hedge_counter =
-          counter_value("er_policy_hedges_total",
-                        {{"winner", "local-approx"}}) +
-          counter_value("er_policy_hedges_total", {{"winner", "sharded"}});
-      if (miss_counter != stats.deadline_miss ||
-          hedge_counter != stats.hedged) {
-        std::fprintf(stderr,
-                     "ERROR: %s threads=%d er_policy_* counters disagree "
-                     "with BatchStats (miss %llu/%zu, hedges %llu/%zu)\n",
-                     name.c_str(), threads,
-                     static_cast<unsigned long long>(miss_counter),
-                     stats.deadline_miss,
-                     static_cast<unsigned long long>(hedge_counter),
-                     stats.hedged);
-        identical = false;
-      }
-      const std::uint64_t served_exact =
-          counter_value("er_policy_served_total", {{"tier", "exact"}});
-      const std::uint64_t served_approx =
-          counter_value("er_policy_served_total", {{"tier", "approx"}});
-      const std::uint64_t served_fast =
-          counter_value("er_policy_served_total", {{"tier", "fast"}});
-      all_ok = all_ok && identical;
-
-      const double qps =
-          seconds > 0.0 ? static_cast<double>(batch.size()) / seconds : 0.0;
-      const double hedge_win_engine =
-          stats.hedged > 0 ? static_cast<double>(stats.hedge_won_engine) /
-                                 static_cast<double>(stats.hedged)
-                           : 0.0;
-      table.add_row(
-          {name, TablePrinter::fmt_int(threads),
-           TablePrinter::fmt(qps / 1000.0, 1),
-           TablePrinter::fmt_size(static_cast<long long>(served_exact)),
-           TablePrinter::fmt_size(static_cast<long long>(served_approx)),
-           TablePrinter::fmt_size(static_cast<long long>(served_fast)),
-           TablePrinter::fmt_size(static_cast<long long>(stats.hedged)),
-           TablePrinter::fmt(hedge_win_engine, 2),
-           TablePrinter::fmt_size(
-               static_cast<long long>(stats.deadline_miss)),
-           identical ? "yes" : "NO"});
-      auto& row = json.add_row();
-      row.set("bench", "serving")
-          .set("case", name)
-          .set("mode", "policy-mix")
-          .set("threads", threads)
-          .set("queries", batch.size())
-          .set("reduced_nodes",
-               static_cast<long long>(snap->model().stats.reduced_nodes))
-          .set("boundary_nodes",
-               static_cast<long long>(snap->num_boundary_nodes()))
-          .set("blocks", static_cast<int>(snap->num_blocks()))
-          .set("queries_per_second", qps)
-          .set("served_exact", static_cast<long long>(served_exact))
-          .set("served_approx", static_cast<long long>(served_approx))
-          .set("served_fast", static_cast<long long>(served_fast))
-          .set("hedged_queries", stats.hedged)
-          .set("hedge_win_fraction_engine", hedge_win_engine)
-          .set("deadline_misses", stats.deadline_miss)
-          .set("queue_wait_us_injected", kQueueWaitUs)
-          .set("identical", identical);
-      set_query_latency_fields(row, reg_snap, RouteMode::kSharded);
-      // Per-tier latency percentiles from the er_policy_latency_seconds
-      // histograms (zeros when a tier saw no traffic).
-      for (const char* tier : {"exact", "approx", "fast"}) {
-        const obs::MetricSnapshot* h = reg_snap.find(
-            "er_policy_latency_seconds", {{"tier", tier}});
-        const auto us = [h](double q) {
-          return h ? h->histogram.quantile(q) * 1e6 : 0.0;
-        };
-        const std::string prefix = std::string("policy_latency_") + tier;
-        row.set(prefix + "_p50_us", us(0.50))
-            .set(prefix + "_p95_us", us(0.95))
-            .set(prefix + "_p99_us", us(0.99));
-      }
-      metrics_dump.merge(reg_snap);
-    }
-  }
-
-  std::printf("\nServing with per-query policies — %zu-query batches mixing "
-              "tiers, hedges, and deadlines\n(batches must be bit-identical "
-              "across thread counts; hedged answers must match the serial "
-              "two-backend twin)\n\n",
-              kBatchSize);
-  table.print();
-  const int json_status = bench::write_json_or_report(json, bopts);
-  const int metrics_status = write_metrics_dump(metrics_dump, bopts);
-  if (!all_ok) {
-    std::fprintf(stderr, "ERROR: policy-mix serving scenario failed\n");
-    return 1;
-  }
-  return json_status != 0 ? json_status : metrics_status;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1301,7 +983,6 @@ int main(int argc, char** argv) {
       argc, argv, "BENCH_serving.json", /*default_threads=*/8,
       /*allow_churn=*/true);
   if (bopts.loopback) return run_loopback(bopts);
-  if (bopts.policy_mix) return run_policy_mix(bopts);
   if (bopts.zipf > 0.0) return run_zipf(bopts);
   if (bopts.churn) return run_churn(bopts);
   constexpr std::size_t kBatchSize = 10000;
@@ -1346,8 +1027,7 @@ int main(int argc, char** argv) {
     const obs::MetricsSnapshot reference_snap = reference_reg.snapshot();
     metrics_dump.merge(reference_snap);
 
-    for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic,
-                           RouteMode::kLocalApprox}) {
+    for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic}) {
       std::vector<real_t> serial_answers;
       double serial_seconds = 0.0;
       double max_rel_vs_reference = 0.0;
@@ -1393,14 +1073,13 @@ int main(int argc, char** argv) {
           serial_answers = answers;
           serial_seconds = seconds;
           // How far the mode strays from the serial single-model answers
-          // (exact modes: solver-roundoff; local-approx: model error).
+          // (solver roundoff).
           for (std::size_t i = 0; i < answers.size(); ++i) {
             const double rel = std::abs(answers[i] - reference[i]) /
                                (1.0 + std::abs(reference[i]));
             max_rel_vs_reference = std::max(max_rel_vs_reference, rel);
           }
-          if (mode != RouteMode::kLocalApprox &&
-              max_rel_vs_reference > 1e-8) {
+          if (max_rel_vs_reference > 1e-8) {
             std::fprintf(stderr,
                          "ERROR: %s/%s diverged from the serial single-model "
                          "reference (max rel %.3g)\n",
@@ -1440,7 +1119,6 @@ int main(int argc, char** argv) {
             .set("speedup", speedup)
             .set("identical", identical)
             .set("cross_block_queries", stats.cross_block)
-            .set("engine_answered", stats.engine_answered)
             .set("max_rel_vs_monolithic", max_rel_vs_reference);
         set_query_latency_fields(row, row_snap, mode);
       }

@@ -56,13 +56,6 @@ struct BenchOptions {
   /// LoopbackClient TCP connections, measuring end-to-end request QPS and
   /// client-observed latency percentiles instead of direct library calls.
   bool loopback = false;
-  /// Per-query policy mode (bench_serving only; set via --policy-mix):
-  /// answer a batch carrying a deterministic mix of QueryPolicy settings
-  /// (accuracy tiers, hedged queries, deadlines) at 1/2/4/8 threads,
-  /// reporting per-tier latency percentiles, hedge win fractions, and
-  /// deadline misses. Answers must stay bit-identical across thread counts
-  /// and match a serial two-backend twin.
-  bool policy_mix = false;
 };
 
 /// Zipf(s)-distributed sampler over ranks [0, n): P(k) proportional to
@@ -151,8 +144,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
       o.zipf = parse_zipf_exponent(argv[0], a.substr(7));
     } else if (allow_churn && a == "--loopback") {
       o.loopback = true;
-    } else if (allow_churn && a == "--policy-mix") {
-      o.policy_mix = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--threads N] [--json PATH] "
@@ -163,7 +154,7 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
                    "('' disables)\n%s",
                    argv[0],
                    allow_churn
-                       ? " [--churn] [--zipf S] [--loopback] [--policy-mix]"
+                       ? " [--churn] [--zipf S] [--loopback]"
                        : "",
                    allow_churn
                        ? "  --churn        mixed update+query mode "
@@ -172,8 +163,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
                          "queries through the result cache\n"
                          "  --loopback     serve over real loopback TCP "
                          "through the net/ daemon core\n"
-                         "  --policy-mix   per-query QueryPolicy sweep "
-                         "(tiers / hedging / deadlines)\n"
                        : "");
       std::exit(a == "--help" ? 0 : 2);
     }

@@ -50,10 +50,6 @@ class ApproxCholEffRes final : public EffResEngine {
   [[nodiscard]] real_t resistance(index_t p, index_t q) const override;
   [[nodiscard]] std::string name() const override { return "approx-chol"; }
 
-  /// Sparse approximate-inverse row products — the cheapest query path of
-  /// the three engines and the cost_hint() baseline (1.0).
-  [[nodiscard]] double cost_hint() const override { return 1.0; }
-
   [[nodiscard]] const ApproxCholStats& stats() const { return stats_; }
   [[nodiscard]] const ApproxInverse& approximate_inverse() const { return z_; }
   [[nodiscard]] const CholFactor& factor() const { return factor_; }

@@ -33,8 +33,7 @@ inline constexpr index_t kBatchQueryGrain = 64;
 /// no shared mutable query state, with no exceptions (the Monte-Carlo
 /// RandomWalkEffRes draws each batched query from its own
 /// mix_seed(seed, query_index) stream rather than a shared one). This is
-/// what lets a serving snapshot keep one resident engine per block and
-/// answer a query batch across a pool.
+/// what lets one engine answer a query batch across a pool.
 class EffResEngine {
  public:
   virtual ~EffResEngine() = default;
@@ -61,15 +60,6 @@ class EffResEngine {
 
   /// Engine name for reports.
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Relative per-query cost of this engine against the cheapest
-  /// practical engine (ApproxCholEffRes = 1.0). A dimensionless, static
-  /// property of the engine *type* — never measured at runtime, so
-  /// routing decisions that consult it stay deterministic. The serving
-  /// front-end's BackendPref::kAuto resolution routes reduced-accuracy
-  /// queries to a resident block engine only when its hint is at or under
-  /// kAutoEngineCostCeiling (serve/query_policy.hpp).
-  [[nodiscard]] virtual double cost_hint() const { return 1.0; }
 };
 
 /// All graph edges as queries (the paper's Qr = E workload).

@@ -29,11 +29,6 @@ class ExactEffRes final : public EffResEngine {
 
   [[nodiscard]] std::string name() const override { return "exact"; }
 
-  /// Two full triangular solves per query against the complete factor —
-  /// far above the kAuto ceiling, so auto-routed reduced-tier queries
-  /// never treat an exact block engine as a shortcut.
-  [[nodiscard]] double cost_hint() const override { return 64.0; }
-
   /// The underlying factor (e.g. for reuse as a solver).
   [[nodiscard]] const CholFactor& factor() const { return factor_; }
 

@@ -61,10 +61,6 @@ class RandomProjectionEffRes final : public EffResEngine {
   [[nodiscard]] real_t resistance(index_t p, index_t q) const override;
   [[nodiscard]] std::string name() const override { return "random-projection"; }
 
-  /// One k-dimensional embedding-difference norm per query — a few times
-  /// the approx-chol row product, still under the kAuto ceiling.
-  [[nodiscard]] double cost_hint() const override { return 4.0; }
-
   [[nodiscard]] const RandomProjectionStats& stats() const { return stats_; }
 
  private:

@@ -48,10 +48,6 @@ class RandomWalkEffRes final : public EffResEngine {
 
   [[nodiscard]] std::string name() const override { return "random-walk"; }
 
-  /// Monte-Carlo round trips per query — orders of magnitude above the
-  /// deterministic engines, and never an automatic routing target.
-  [[nodiscard]] double cost_hint() const override { return 256.0; }
-
  private:
   /// One walk from `from` until it hits `to`; returns the step count.
   std::size_t hitting_steps(index_t from, index_t to, Rng& rng) const;

@@ -93,6 +93,11 @@ class Cursor {
     return true;
   }
   [[nodiscard]] bool done() const { return pos_ == size_; }
+  /// Whether the unread bytes can hold `count` items of `item_bytes`
+  /// each — checked before a decoder reserves room for untrusted counts.
+  [[nodiscard]] bool holds(std::uint32_t count, std::size_t item_bytes) const {
+    return count <= (size_ - pos_) / item_bytes;
+  }
 
  private:
   const std::uint8_t* data_;
@@ -113,24 +118,21 @@ constexpr std::array<std::uint32_t, 256> make_crc_table() {
 }
 constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
 
+/// Wire bytes of one query in a query-batch payload.
+constexpr std::size_t kQueryWireBytes = 13;
+
 // Wire <-> enum maps (the wire bytes are part of the protocol, the enum
 // ordinals are not).
 bool route_from_wire(std::uint8_t v, RouteMode* out) {
   switch (v) {
     case 0: *out = RouteMode::kSharded; return true;
     case 1: *out = RouteMode::kMonolithic; return true;
-    case 2: *out = RouteMode::kLocalApprox; return true;
     default: return false;
   }
 }
 
 std::uint8_t route_to_wire(RouteMode m) {
-  switch (m) {
-    case RouteMode::kSharded: return 0;
-    case RouteMode::kMonolithic: return 1;
-    case RouteMode::kLocalApprox: return 2;
-  }
-  return 0;
+  return m == RouteMode::kMonolithic ? 1 : 0;
 }
 
 bool kind_from_wire(std::uint8_t v, QueryKind* out) {
@@ -143,35 +145,6 @@ bool kind_from_wire(std::uint8_t v, QueryKind* out) {
 
 std::uint8_t kind_to_wire(QueryKind k) {
   return k == QueryKind::kResponse ? 0 : 1;
-}
-
-// QueryPolicy enums travel by their fixed wire ordinal (which happens to
-// match the enum ordinal today; the map keeps them decoupled).
-bool tier_from_wire(std::uint8_t v, AccuracyTier* out) {
-  switch (v) {
-    case 0: *out = AccuracyTier::kExact; return true;
-    case 1: *out = AccuracyTier::kApprox; return true;
-    case 2: *out = AccuracyTier::kFast; return true;
-    default: return false;
-  }
-}
-
-std::uint8_t tier_to_wire(AccuracyTier t) {
-  return static_cast<std::uint8_t>(t);
-}
-
-bool pref_from_wire(std::uint8_t v, BackendPref* out) {
-  switch (v) {
-    case 0: *out = BackendPref::kAuto; return true;
-    case 1: *out = BackendPref::kSharded; return true;
-    case 2: *out = BackendPref::kMonolithic; return true;
-    case 3: *out = BackendPref::kLocalApprox; return true;
-    default: return false;
-  }
-}
-
-std::uint8_t pref_to_wire(BackendPref p) {
-  return static_cast<std::uint8_t>(p);
 }
 
 }  // namespace
@@ -197,11 +170,11 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
 
 std::vector<std::uint8_t> encode_frame(
     Opcode opcode, std::uint64_t request_id,
-    const std::vector<std::uint8_t>& payload, std::uint16_t version) {
+    const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderBytes + payload.size());
   put_u32(out, kMagic);
-  put_u16(out, version);
+  put_u16(out, kProtocolVersion);
   put_u16(out, static_cast<std::uint16_t>(opcode));
   put_u64(out, request_id);
   put_u32(out, static_cast<std::uint32_t>(payload.size()));
@@ -223,8 +196,7 @@ DecodeStatus FrameBuffer::next(Frame* out) {
   // Header validation happens before the payload is awaited: an attacker
   // cannot make the decoder buffer toward a bogus 4 GiB length.
   if (read_u32(h) != kMagic) return error_ = DecodeStatus::kBadMagic;
-  const std::uint16_t version = read_u16(h + 4);
-  if (version < kMinProtocolVersion || version > kProtocolVersion)
+  if (read_u16(h + 4) != kProtocolVersion)
     return error_ = DecodeStatus::kBadVersion;
   const std::uint32_t payload_len = read_u32(h + 16);
   if (payload_len > kMaxPayloadBytes) return error_ = DecodeStatus::kBadLength;
@@ -235,7 +207,6 @@ DecodeStatus FrameBuffer::next(Frame* out) {
     return error_ = DecodeStatus::kBadCrc;
 
   out->opcode = read_u16(h + 6);
-  out->version = version;
   out->request_id = read_u64(h + 8);
   out->payload.assign(payload, payload + payload_len);
   consumed_ += kHeaderBytes + payload_len;
@@ -251,11 +222,9 @@ DecodeStatus FrameBuffer::next(Frame* out) {
 
 // ---------------------------------------------------------------- payloads
 
-std::vector<std::uint8_t> encode_query_batch(const QueryBatchRequest& req,
-                                             std::uint16_t version) {
-  const bool with_policy = version >= 2;
+std::vector<std::uint8_t> encode_query_batch(const QueryBatchRequest& req) {
   std::vector<std::uint8_t> out;
-  out.reserve(1 + 4 + req.queries.size() * (with_policy ? 16 : 9));
+  out.reserve(1 + 4 + req.queries.size() * kQueryWireBytes);
   out.push_back(route_to_wire(req.route));
   put_u32(out, static_cast<std::uint32_t>(req.queries.size()));
   for (const PortQuery& q : req.queries) {
@@ -265,26 +234,19 @@ std::vector<std::uint8_t> encode_query_batch(const QueryBatchRequest& req,
     std::memcpy(&qq, &q.q, sizeof(qq));
     put_u32(out, p);
     put_u32(out, qq);
-    if (with_policy) {
-      put_u32(out, q.policy.deadline_us);
-      out.push_back(tier_to_wire(q.policy.accuracy_tier));
-      out.push_back(pref_to_wire(q.policy.backend_pref));
-      out.push_back(q.policy.hedge ? 1 : 0);
-    }
+    put_u32(out, q.policy.deadline_us);
   }
   return out;
 }
 
 bool decode_query_batch(const std::vector<std::uint8_t>& payload,
-                        QueryBatchRequest* out, std::uint16_t version) {
-  if (version < kMinProtocolVersion || version > kProtocolVersion)
-    return false;
-  const bool with_policy = version >= 2;
+                        QueryBatchRequest* out) {
   Cursor c(payload.data(), payload.size());
   std::uint8_t route = 0;
   std::uint32_t count = 0;
   if (!c.read_u8(&route) || !route_from_wire(route, &out->route)) return false;
-  if (!c.read_u32(&count) || count == 0 || count > kMaxBatchItems)
+  if (!c.read_u32(&count) || count == 0 || count > kMaxBatchItems ||
+      !c.holds(count, kQueryWireBytes))
     return false;
   out->queries.clear();
   out->queries.reserve(count);
@@ -293,18 +255,7 @@ bool decode_query_batch(const std::vector<std::uint8_t>& payload,
     PortQuery q;
     if (!c.read_u8(&kind) || !kind_from_wire(kind, &q.kind)) return false;
     if (!c.read_i32(&q.p) || !c.read_i32(&q.q)) return false;
-    if (with_policy) {
-      std::uint8_t tier = 0, pref = 0, hedge = 0;
-      if (!c.read_u32(&q.policy.deadline_us)) return false;
-      if (!c.read_u8(&tier) ||
-          !tier_from_wire(tier, &q.policy.accuracy_tier))
-        return false;
-      if (!c.read_u8(&pref) ||
-          !pref_from_wire(pref, &q.policy.backend_pref))
-        return false;
-      if (!c.read_u8(&hedge) || hedge > 1) return false;
-      q.policy.hedge = hedge != 0;
-    }
+    if (!c.read_u32(&q.policy.deadline_us)) return false;
     out->queries.push_back(q);
   }
   return c.done();
@@ -327,7 +278,8 @@ bool decode_modification(const std::vector<std::uint8_t>& payload,
                          WireModification* out) {
   Cursor c(payload.data(), payload.size());
   std::uint32_t count = 0;
-  if (!c.read_u32(&count) || count == 0 || count > kMaxBatchItems)
+  if (!c.read_u32(&count) || count == 0 || count > kMaxBatchItems ||
+      !c.holds(count, 4))
     return false;
   out->dirty_blocks.clear();
   out->dirty_blocks.reserve(count);
@@ -358,7 +310,8 @@ bool decode_answer(const std::vector<std::uint8_t>& payload,
   Cursor c(payload.data(), payload.size());
   std::uint32_t count = 0;
   if (!c.read_u64(&out->snapshot_version)) return false;
-  if (!c.read_u32(&count) || count > kMaxBatchItems) return false;
+  if (!c.read_u32(&count) || count > kMaxBatchItems || !c.holds(count, 8))
+    return false;
   out->answers.clear();
   out->answers.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

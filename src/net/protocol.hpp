@@ -7,7 +7,7 @@
 ///
 ///   offset  size  field
 ///        0     4  magic        kMagic; the wire bytes read 'E','R','V','1'
-///        4     2  version      kMinProtocolVersion..kProtocolVersion
+///        4     2  version      kProtocolVersion
 ///        6     2  opcode       Opcode
 ///        8     8  request_id   echoed verbatim in the response
 ///       16     4  payload_len  <= kMaxPayloadBytes
@@ -15,11 +15,8 @@
 ///                              payload bytes only
 ///       24     …  payload
 ///
-/// Versioning: the header version selects the payload dialect. Version 2
-/// added the per-query QueryPolicy fields to QueryBatchRequest; version-1
-/// frames from old clients still decode, with every policy defaulted —
-/// the server answers them exactly as before policies existed. Responses
-/// are version-independent (an AnswerReply reads the same either way).
+/// Versioning: the daemon speaks exactly one dialect, kProtocolVersion.
+/// A frame stamped with any other version is a sticky kBadVersion.
 ///
 /// Decoding is incremental and never over-reads: FrameBuffer::next()
 /// validates magic/version/length from the 24-byte header *before*
@@ -46,11 +43,9 @@ namespace er::net {
 
 /// 'E','R','V','1' as the little-endian u32 the header carries.
 inline constexpr std::uint32_t kMagic = 0x31565245u;
-/// Current dialect (2: per-query QueryPolicy fields in query batches).
-inline constexpr std::uint16_t kProtocolVersion = 2;
-/// Oldest dialect still accepted; v1 query batches carry no policy bytes
-/// and decode with default policies.
-inline constexpr std::uint16_t kMinProtocolVersion = 1;
+/// The one dialect (3: each query is kind u8, p i32, q i32, deadline_us
+/// u32).
+inline constexpr std::uint16_t kProtocolVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 24;
 /// Hard payload bound checked from the header alone (16 MiB — far above
 /// any realistic batch, far below an allocation-of-death).
@@ -89,9 +84,6 @@ enum class ErrorCode : std::uint32_t {
 /// One decoded frame.
 struct Frame {
   std::uint16_t opcode = 0;
-  /// Header version the frame arrived with (kMinProtocolVersion..
-  /// kProtocolVersion); payload decoders take it to pick the dialect.
-  std::uint16_t version = kProtocolVersion;
   std::uint64_t request_id = 0;
   std::vector<std::uint8_t> payload;
 };
@@ -112,12 +104,9 @@ enum class DecodeStatus {
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t len);
 
 /// Encode one complete frame (header + payload) ready for send_all().
-/// `version` stamps the header; pass kMinProtocolVersion together with a
-/// v1-encoded payload to impersonate an old client (tests do).
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(
     Opcode opcode, std::uint64_t request_id,
-    const std::vector<std::uint8_t>& payload,
-    std::uint16_t version = kProtocolVersion);
+    const std::vector<std::uint8_t>& payload);
 
 /// Incremental frame decoder: feed arbitrary byte slices (down to one byte
 /// at a time — slow-loris clients cost buffering, not correctness), pull
@@ -187,19 +176,17 @@ struct ErrorReply {
 
 // Encoders always succeed (inputs are trusted, produced in-process);
 // decoders return false on any malformed payload — wrong length, count
-// out of [1, kMaxBatchItems], out-of-range enum byte, non-finite scale —
-// without throwing and without reading past the payload.
+// out of [1, kMaxBatchItems] or beyond what the remaining payload bytes
+// can hold, out-of-range enum byte, non-finite scale — without throwing,
+// without reading past the payload, and without allocating for items the
+// payload does not carry.
 //
-// The query-batch codec is versioned: per query, v1 carries
-// (kind u8, p i32, q i32) and v2 appends the QueryPolicy as
-// (deadline_us u32, tier u8, pref u8, hedge u8). Encoding at v1 drops the
-// policies (old servers would ignore them anyway); decoding a v1 payload
-// yields default policies. Out-of-range version -> false.
+// Query-batch payload: route u8, count u32, then per query
+// (kind u8, p i32, q i32, deadline_us u32) — 13 bytes.
 [[nodiscard]] std::vector<std::uint8_t> encode_query_batch(
-    const QueryBatchRequest& req, std::uint16_t version = kProtocolVersion);
+    const QueryBatchRequest& req);
 [[nodiscard]] bool decode_query_batch(const std::vector<std::uint8_t>& payload,
-                                      QueryBatchRequest* out,
-                                      std::uint16_t version = kProtocolVersion);
+                                      QueryBatchRequest* out);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_modification(
     const WireModification& mod);

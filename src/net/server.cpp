@@ -236,7 +236,7 @@ bool Server::handle_frame(const std::shared_ptr<Session>& session,
       item.session = session;
       item.request_id = frame.request_id;
       item.opcode = opcode;
-      if (!decode_query_batch(frame.payload, &item.query, frame.version)) {
+      if (!decode_query_batch(frame.payload, &item.query)) {
         send_error(session, frame.request_id, ErrorCode::kBadPayload,
                    "malformed query batch");
         return true;  // per-request error; the stream is still framed

@@ -220,24 +220,14 @@ void IncrementalReducer::publish_current(const std::vector<index_t>* dirty) {
   // (DESIGN.md §4.1).
   SnapshotPtr snap;
   try {
-    // share_model (default) hands the snapshot the frozen version's shared
-    // handle — zero model bytes copied; the opt-out passes the model by
-    // reference so the snapshot deep-copies it (A/B cost measurement).
-    if (dirty && last_published_ && serving_opts_.incremental_publish) {
-      if (serving_opts_.share_model)
-        snap = ModelSnapshot::rebuild(*last_published_, blocks_, model_,
-                                      *dirty, pool_.get(), revision_);
-      else
-        snap = ModelSnapshot::rebuild(*last_published_, blocks_, *model_,
-                                      *dirty, pool_.get(), revision_);
-    } else {
-      if (serving_opts_.share_model)
-        snap = ModelSnapshot::build(blocks_, model_, serving_opts_,
+    // The snapshot aliases the frozen model version through its shared
+    // handle: a publish copies zero model bytes (DESIGN.md §4.1).
+    if (dirty && last_published_)
+      snap = ModelSnapshot::rebuild(*last_published_, blocks_, model_, *dirty,
                                     pool_.get(), revision_);
-      else
-        snap = ModelSnapshot::build(blocks_, *model_, serving_opts_,
-                                    pool_.get(), revision_);
-    }
+    else
+      snap = ModelSnapshot::build(blocks_, model_, serving_opts_, pool_.get(),
+                                  revision_);
     store_->publish(snap);
   } catch (...) {
     // A failed build/publish leaves last_published_ behind the reducer's
@@ -247,7 +237,6 @@ void IncrementalReducer::publish_current(const std::vector<index_t>* dirty) {
     last_published_.reset();
     throw;
   }
-  publish_model_bytes_copied_ = snap->model_bytes_copied();
   publish_bytes_materialized_ = snap->bytes_materialized();
   last_published_ = std::move(snap);
   publish_seconds_ = t.seconds();

@@ -8,7 +8,7 @@
 /// reduction cost ~10% of a full reduction. With a ModelStore attached,
 /// every re-stitch also publishes an immutable serving snapshot as a
 /// dirty-only rebuild — clean blocks share the previous snapshot's factors
-/// and resident engines (DESIGN.md §4, §4.1). To run updates off the
+/// (DESIGN.md §4, §4.1). To run updates off the
 /// serving threads, drive the reducer through serve/AsyncUpdater
 /// (docs/serving_guide.md).
 #pragma once
@@ -86,10 +86,9 @@ class IncrementalReducer {
   /// only batches started after the publish see the new model (the publish
   /// protocol of DESIGN.md §4). The published snapshot is a *dirty-only
   /// rebuild* (ModelSnapshot::rebuild): clean blocks share the previous
-  /// snapshot's factors and resident engines, and only the dirty blocks
-  /// plus the interface-Schur boundary factor are refactored — bit-identical
-  /// to a full rebuild (DESIGN.md §4.1; disable via
-  /// ServingOptions::incremental_publish).
+  /// snapshot's factors, and only the dirty blocks plus the interface-Schur
+  /// boundary factor are refactored — bit-identical to a full rebuild
+  /// (DESIGN.md §4.1).
   ///
   /// Thread-safety: external synchronization per reducer, like every other
   /// method — AsyncUpdater is the supported way to run update() off the
@@ -124,15 +123,10 @@ class IncrementalReducer {
   /// store is attached).
   [[nodiscard]] double publish_seconds() const { return publish_seconds_; }
 
-  // Publish-cost accounting of the most recent publish (0 until one
-  // happens): how many model bytes the snapshot deep-copied — 0 on the
-  // default zero-copy path, model_footprint_bytes(model()) with
-  // ServingOptions::share_model = false — and how many bytes of serving
-  // state it materialized in total (rebuilt block artifacts + global
-  // factors + any model copy; see ModelSnapshot::bytes_materialized).
-  [[nodiscard]] std::size_t publish_model_bytes_copied() const {
-    return publish_model_bytes_copied_;
-  }
+  /// Publish-cost accounting of the most recent publish (0 until one
+  /// happens): bytes of serving state it materialized (rebuilt block
+  /// artifacts + global factors; see ModelSnapshot::bytes_materialized).
+  /// The stitched model itself is aliased, never copied.
   [[nodiscard]] std::size_t publish_bytes_materialized() const {
     return publish_bytes_materialized_;
   }
@@ -141,7 +135,7 @@ class IncrementalReducer {
   /// Build + publish the snapshot of the current model. `dirty` (the
   /// deduplicated dirty set of the update that triggered the publish)
   /// selects the dirty-only rebuild path; null forces a full build (initial
-  /// attach, or incremental_publish disabled).
+  /// attach).
   void publish_current(const std::vector<index_t>* dirty);
 
   std::vector<char> is_port_;
@@ -172,7 +166,6 @@ class IncrementalReducer {
   double initial_seconds_ = 0.0;
   double update_seconds_ = 0.0;
   double publish_seconds_ = 0.0;
-  std::size_t publish_model_bytes_copied_ = 0;
   std::size_t publish_bytes_materialized_ = 0;
 };
 

@@ -36,8 +36,8 @@ void ModelStore::publish(SnapshotPtr snapshot) {
   // stall concurrent acquire() calls — the critical section stays a
   // pointer swap plus O(1) log bookkeeping. The cache hook also runs
   // outside the lock (it sweeps every cache stripe): racing publishes may
-  // then invoke hooks out of order, which at worst misses a carry (cold
-  // cache), never yields a stale hit — see ResultCache::on_publish.
+  // then invoke hooks out of order, which at worst leaves a cache cold,
+  // never yields a stale hit — see ResultCache::on_publish.
   SnapshotPtr displaced;
   std::shared_ptr<ResultCache> cache;
   {
@@ -51,7 +51,7 @@ void ModelStore::publish(SnapshotPtr snapshot) {
   }
   publishes_total_->add(1);
   current_version_gauge_->set(static_cast<std::int64_t>(version));
-  if (cache) cache->on_publish(displaced.get(), *snapshot);
+  if (cache) cache->on_publish(version);
 }
 
 void ModelStore::attach_cache(std::shared_ptr<ResultCache> cache) {
@@ -61,9 +61,8 @@ void ModelStore::attach_cache(std::shared_ptr<ResultCache> cache) {
     cache_ = cache;
     current = current_;
   }
-  // Register the already-published snapshot so its version resolves;
-  // nothing can carry into it (the cache has no scopes for its ancestry).
-  if (cache && current) cache->on_publish(nullptr, *current);
+  // Register the already-published snapshot so its version resolves.
+  if (cache && current) cache->on_publish(current->version());
 }
 
 std::shared_ptr<ResultCache> ModelStore::cache() const {

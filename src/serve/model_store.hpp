@@ -89,8 +89,8 @@ class ModelStore {
 
   /// Attach a result cache (serve/result_cache.hpp): the already-current
   /// snapshot (if any) is registered immediately, and every subsequent
-  /// publish() invokes the cache's carry/invalidate hook with the
-  /// displaced and new snapshots. Works for *any* publisher — the
+  /// publish() registers the new version with the cache's publish hook.
+  /// Works for *any* publisher — the
   /// IncrementalReducer / AsyncUpdater path publishes through here, so it
   /// needs no wiring of its own. Pass null to detach.
   void attach_cache(std::shared_ptr<ResultCache> cache) ER_EXCLUDES(mutex_);

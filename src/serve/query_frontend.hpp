@@ -35,8 +35,7 @@ const char* to_string(QueryKind kind);
 
 /// One query against the published model, in original (pre-reduction) node
 /// ids. Nodes that were eliminated by the reduction answer NaN. The
-/// per-query policy defaults to "no policy" — serve/query_policy.hpp —
-/// under which the batch behaves exactly as before policies existed.
+/// per-query policy (serve/query_policy.hpp) defaults to no deadline.
 struct PortQuery {
   QueryKind kind = QueryKind::kResistance;
   index_t p = 0;
@@ -52,10 +51,6 @@ enum class RouteMode {
   /// One factor of the whole stitched system — the "single-model" reference
   /// the sharded path is validated against.
   kMonolithic,
-  /// Same-block kResistance queries go to the resident block-local ER
-  /// engine (approximate: the block is served in isolation from the rest of
-  /// the grid). Everything else falls back to kSharded.
-  kLocalApprox,
 };
 
 const char* to_string(RouteMode m);
@@ -72,35 +67,24 @@ struct BatchStats {
   std::size_t invalid = 0;          ///< unmapped / out-of-range endpoints
   std::size_t same_block = 0;       ///< both endpoints owned by one block
   std::size_t cross_block = 0;      ///< endpoints in different blocks
-  std::size_t engine_answered = 0;  ///< *computed* by a block-local engine
   /// Result-cache figures (serve/result_cache.hpp), zero when no cache was
   /// consulted. hits + misses counts every cache probe of the batch;
   /// invalid queries are never probed or cached.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  /// Policy figures (serve/query_policy.hpp), zero for all-default
-  /// batches. A hedged query evaluates both legs; hedge_won_engine counts
-  /// the ones whose block-engine leg's answer was selected.
   std::size_t deadline_miss = 0;    ///< expired before evaluation (NaN)
-  std::size_t hedged = 0;           ///< queries racing two backends
-  std::size_t hedge_won_engine = 0; ///< hedges won by the block engine
   std::uint64_t snapshot_version = 0;
   double seconds = 0.0;
 };
 
-/// Per-batch evaluation parameters for answer()/answer_on() — the former
-/// loose parameter list of the static answer_on, folded into one value so
-/// policy-era inputs (queue wait, per-query statuses) have a place to
-/// live. Members are ordered like the old positional parameters, so
-/// existing call sites migrate by wrapping their arguments in braces.
+/// Per-batch evaluation parameters for answer()/answer_on().
 struct AnswerContext {
   ThreadPool* pool = nullptr;
-  /// Batch-default route; each query's QueryPolicy may override it.
   RouteMode mode = RouteMode::kSharded;
   BatchStats* stats = nullptr;
   /// Metrics sink (null = the process-wide global registry).
   obs::MetricsRegistry* registry = nullptr;
-  /// Consulted per its ResultCacheOptions mode knobs; may be null.
+  /// Consulted and filled for every batch; may be null.
   ResultCache* cache = nullptr;
   /// Queue wait already consumed before evaluation starts, in
   /// microseconds: the value per-query deadlines are compared against.
@@ -124,9 +108,8 @@ class QueryFrontEnd {
 
   /// Answer a batch against the currently-published snapshot. Throws
   /// std::runtime_error if nothing has been published yet. When the store
-  /// carries an attached ResultCache whose per-mode knob is on, answers
-  /// are served from / inserted into it (bit-identical either way —
-  /// DESIGN.md §4.2).
+  /// carries an attached ResultCache, answers are served from / inserted
+  /// into it (bit-identical either way — DESIGN.md §4.2).
   [[nodiscard]] std::vector<real_t> answer(const std::vector<PortQuery>& batch,
                                            ThreadPool* pool = nullptr,
                                            RouteMode mode = RouteMode::kSharded,
@@ -139,8 +122,7 @@ class QueryFrontEnd {
                                            const AnswerContext& ctx) const;
 
   /// Answer a batch against an explicitly pinned snapshot (tests, replay).
-  /// ctx.registry null means the global registry; ctx.cache (may be null)
-  /// is consulted per its ResultCacheOptions mode knobs.
+  /// ctx.registry null means the global registry; ctx.cache may be null.
   [[nodiscard]] static std::vector<real_t> answer_on(
       const ModelSnapshot& snapshot, const std::vector<PortQuery>& batch,
       const AnswerContext& ctx = {});

@@ -38,12 +38,9 @@ ResultCache::ResultCache(const ResultCacheOptions& opts,
   shards_.reserve(nshards);
   for (std::size_t s = 0; s < nshards; ++s)
     shards_.push_back(std::make_unique<Shard>());
-  // The tighter of the entry and byte bounds, split across stripes. At
-  // least one entry per shard so a tiny bound still caches something.
-  const std::size_t cap = std::min(
-      opts_.max_entries, std::max<std::size_t>(1, opts_.max_bytes) /
-                             kEntryBytes);
-  shard_cap_entries_ = std::max<std::size_t>(1, cap / nshards);
+  // The entry bound split across stripes. At least one entry per shard so
+  // a tiny bound still caches something.
+  shard_cap_entries_ = std::max<std::size_t>(1, opts_.max_entries / nshards);
 
   obs::MetricsRegistry& reg = obs::registry_or_global(registry);
   hits_total_ = &reg.counter("er_cache_hits_total", {},
@@ -55,7 +52,7 @@ ResultCache::ResultCache(const ResultCacheOptions& opts,
                    "Entries dropped by the per-shard LRU capacity bound");
   invalidations_total_ = &reg.counter(
       "er_cache_invalidations_total", {},
-      "Entries dropped at publish (dirty-block or aged-out scopes)");
+      "Entries dropped at publish (aged-out versions)");
   entries_gauge_ =
       &reg.gauge("er_cache_entries", {}, "Resident result-cache entries");
   bytes_gauge_ = &reg.gauge("er_cache_bytes", {},
@@ -72,71 +69,42 @@ ResultCache::Shard& ResultCache::shard_for(const Key& key) {
   return *shards_[(h >> 17) & (shards_.size() - 1)];
 }
 
-void ResultCache::on_publish(const ModelSnapshot* previous,
-                             const ModelSnapshot& next) {
+void ResultCache::on_publish(std::uint64_t version) {
   std::vector<std::uint64_t> live;
   {
     util::MutexLock lock(&scope_mutex_);
-    const ScopeView* prev_view = nullptr;
-    if (previous) {
-      for (const auto& [version, view] : versions_)
-        if (version == previous->version()) prev_view = view.get();
-    }
-    auto view = std::make_shared<ScopeView>();
-    view->exact_scope = next_scope_++;
-    const auto nb = static_cast<std::size_t>(next.num_blocks());
-    view->block_scopes.resize(nb);
-    for (std::size_t b = 0; b < nb; ++b) {
-      // Pointer identity of the CoW artifact is the carry test: aliased
-      // (clean) blocks keep their scope — every cached engine answer of
-      // the block stays reachable under the new version — while rebuilt
-      // (dirty) blocks scope fresh. Both snapshots are alive here, so
-      // equal pointers can only mean genuinely shared state.
-      const bool carried =
-          prev_view && b < prev_view->block_scopes.size() &&
-          previous->block_artifact(static_cast<index_t>(b)) ==
-              next.block_artifact(static_cast<index_t>(b));
-      view->block_scopes[b] =
-          carried ? prev_view->block_scopes[b] : next_scope_++;
-    }
     // Re-registering a version replaces it (generic writers may republish
     // a version number; newest registration wins, matching the store).
     versions_.erase(std::remove_if(versions_.begin(), versions_.end(),
                                    [&](const auto& entry) {
-                                     return entry.first == next.version();
+                                     return entry.first == version;
                                    }),
                     versions_.end());
-    versions_.emplace_back(next.version(), std::move(view));
+    versions_.emplace_back(version, next_scope_++);
     const std::size_t cap = std::max<std::size_t>(1, opts_.version_cap);
     if (versions_.size() > cap)
       versions_.erase(versions_.begin(),
                       versions_.begin() +
                           static_cast<std::ptrdiff_t>(versions_.size() - cap));
-    for (const auto& [version, v] : versions_) {
-      live.push_back(v->exact_scope);
-      live.insert(live.end(), v->block_scopes.begin(),
-                  v->block_scopes.end());
-    }
+    for (const auto& [v, scope] : versions_) live.push_back(scope);
   }
-  std::sort(live.begin(), live.end());
-  live.erase(std::unique(live.begin(), live.end()), live.end());
+  // Scopes are handed out in increasing order and versions_ keeps
+  // registration order, so `live` is already sorted.
   sweep_dead_scopes(live);
 }
 
-ResultCache::ScopeViewPtr ResultCache::scopes_for(
+std::optional<std::uint64_t> ResultCache::scope_for(
     std::uint64_t version) const {
   util::MutexLock lock(&scope_mutex_);
-  // Newest-first: a republished version resolves to its latest scopes.
-  for (auto it = versions_.rbegin(); it != versions_.rend(); ++it)
-    if (it->first == version) return it->second;
-  return nullptr;
+  for (const auto& [v, scope] : versions_)
+    if (v == version) return scope;
+  return std::nullopt;
 }
 
 bool ResultCache::lookup(std::uint64_t scope, Path path, QueryKind kind,
-                         AccuracyTier tier, index_t p, index_t q,
-                         real_t* out) {
+                         index_t p, index_t q, real_t* out) {
   Timer timer;
-  const Key key{scope, make_tag(path, kind, tier), p, q};
+  const Key key{scope, make_tag(path, kind), p, q};
   Shard& shard = shard_for(key);
   bool hit = false;
   {
@@ -158,9 +126,8 @@ bool ResultCache::lookup(std::uint64_t scope, Path path, QueryKind kind,
 }
 
 void ResultCache::insert(std::uint64_t scope, Path path, QueryKind kind,
-                         AccuracyTier tier, index_t p, index_t q,
-                         real_t value) {
-  const Key key{scope, make_tag(path, kind, tier), p, q};
+                         index_t p, index_t q, real_t value) {
+  const Key key{scope, make_tag(path, kind), p, q};
   Shard& shard = shard_for(key);
   std::size_t evicted = 0;
   bool inserted = false;

@@ -1,34 +1,22 @@
 /// \file
-/// Version-keyed ER result cache with dirty-block invalidation
-/// (DESIGN.md §4.2).
+/// Version-keyed ER result cache (DESIGN.md §4.2).
 ///
-/// A sharded, lock-striped map from (scope, path, kind, accuracy tier,
-/// node-pair) to the cached answer, sitting between QueryFrontEnd and the
-/// snapshot's answer paths. A *scope* is an opaque epoch id resolved per
-/// snapshot version:
+/// A sharded, lock-striped map from (scope, path, kind, node-pair) to the
+/// cached answer, sitting between QueryFrontEnd and the snapshot's answer
+/// paths. A *scope* is an opaque epoch id: every published version gets a
+/// fresh one covering its sharded and monolithic answers. Both paths touch
+/// the interface-Schur boundary factor S, global state rebuilt by every
+/// publish, so an entry is never valid across versions — but stays valid
+/// for as long as its version is pinned and resolvable.
 ///
-///   * every version gets a fresh *exact scope* covering its sharded and
-///     monolithic answers (they touch the interface-Schur boundary factor
-///     S, global state rebuilt by every publish, so they are never valid
-///     across versions — but stay valid for as long as the version itself
-///     is pinned);
-///   * every (version, block) gets a *block scope* covering the block's
-///     resident-engine answers. On publish the hook compares the previous
-///     and next snapshot's BlockArtifact pointers: an aliased (clean)
-///     block *carries* its scope — all of its entries keep hitting under
-///     the new version at zero cost — while a rebuilt (dirty) block gets a
-///     fresh scope, making its old entries unreachable. A full build
-///     aliases nothing, so every block scope turns over and the whole
-///     engine-side cache drops (the full-stitch fallback contract).
-///
-/// Correctness does not depend on the invalidation protocol: snapshots are
+/// Correctness does not depend on the scope protocol: snapshots are
 /// immutable and every cacheable answer is a pure per-query function of
-/// (scope state, kind, node pair), so a resolvable scope can only ever
-/// yield the bitwise-identical answer the compute path would produce. The
+/// (snapshot, kind, node pair), so a resolvable scope can only ever yield
+/// the bitwise-identical answer the compute path would produce. The
 /// protocol only decides *warmth*; an unresolvable version (never
 /// registered, or past ResultCacheOptions::version_cap) simply misses
-/// through. Unreachable entries are swept eagerly at publish so the
-/// capacity isn't squatted by dead versions
+/// through. Entries of aged-out versions are swept eagerly at publish so
+/// the capacity isn't squatted by dead versions
 /// (`er_cache_invalidations_total`).
 ///
 /// Thread-safety: all methods are safe for any number of concurrent
@@ -39,6 +27,7 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -66,23 +55,13 @@ class Histogram;
 /// registered at construction so the families export even before traffic.
 class ResultCache {
  public:
-  /// Which answer path produced (and may re-serve) an entry. Distinct
-  /// paths cache under distinct keys even for the same pair: sharded and
-  /// monolithic answers differ in roundoff, and engine answers are
-  /// approximate.
+  /// Which answer path produced (and may re-serve) an entry. Sharded and
+  /// monolithic answers differ in roundoff, so they cache under distinct
+  /// keys even for the same pair.
   enum class Path : std::uint8_t {
     kExact = 0,       ///< sharded domain-decomposition answers
     kMonolithic = 1,  ///< whole-system-factor answers
-    kEngine = 2,      ///< block-local resident-engine answers
   };
-
-  /// Scope resolution of one registered version: immutable once published
-  /// from on_publish, so readers share it lock-free via shared_ptr.
-  struct ScopeView {
-    std::uint64_t exact_scope = 0;
-    std::vector<std::uint64_t> block_scopes;  ///< block -> scope id
-  };
-  using ScopeViewPtr = std::shared_ptr<const ScopeView>;
 
   /// Metrics go to `registry` (null = the process-wide global registry).
   explicit ResultCache(const ResultCacheOptions& opts = {},
@@ -94,37 +73,30 @@ class ResultCache {
   [[nodiscard]] const ResultCacheOptions& options() const { return opts_; }
 
   /// Publish hook (ModelStore calls this after every snapshot swap, and
-  /// once at attach_cache for the already-current snapshot with
-  /// previous = null). Registers `next`'s scopes — carrying the scope of
-  /// every block whose artifact pointer `next` shares with `previous` —
-  /// ages versions past ResultCacheOptions::version_cap out of the scope
-  /// table, and sweeps entries of dead scopes.
-  ///
-  /// Hooks of *racing* publishes may run in either order; the worst case
-  /// is a missed carry (fresh scopes, cold cache), never a stale hit,
-  /// because a carry needs pointer identity against the registered
-  /// previous snapshot.
-  void on_publish(const ModelSnapshot* previous, const ModelSnapshot& next)
-      ER_EXCLUDES(scope_mutex_);
+  /// once at attach_cache for the already-current snapshot). Registers a
+  /// fresh scope for `version`, ages versions past
+  /// ResultCacheOptions::version_cap out of the scope table, and sweeps
+  /// entries of dead scopes. Hooks of racing publishes may run in either
+  /// order: a scope is only ever fresh, so the worst case is a cold cache,
+  /// never a stale hit.
+  void on_publish(std::uint64_t version) ER_EXCLUDES(scope_mutex_);
 
-  /// Scope resolution for a snapshot version; null when the version was
-  /// never registered or has aged out (callers then skip the cache for
-  /// the batch). Resolve once per batch — the view is immutable.
-  [[nodiscard]] ScopeViewPtr scopes_for(std::uint64_t version) const
-      ER_EXCLUDES(scope_mutex_);
+  /// Scope of a snapshot version; nullopt when the version was never
+  /// registered or has aged out (callers then skip the cache for the
+  /// batch). Resolve once per batch.
+  [[nodiscard]] std::optional<std::uint64_t> scope_for(
+      std::uint64_t version) const ER_EXCLUDES(scope_mutex_);
 
   /// Probe for a cached answer; a hit refreshes the entry's LRU position
-  /// and records the hit-latency sample. Returns false on miss. `tier` is
-  /// part of the key (serve/query_policy.hpp): entries inserted under a
-  /// reduced tier can never serve an exact-tier probe, and vice versa.
-  bool lookup(std::uint64_t scope, Path path, QueryKind kind,
-              AccuracyTier tier, index_t p, index_t q, real_t* out);
+  /// and records the hit-latency sample. Returns false on miss.
+  bool lookup(std::uint64_t scope, Path path, QueryKind kind, index_t p,
+              index_t q, real_t* out);
 
   /// Store an answer under the scope, evicting per-shard LRU tails past
   /// the capacity bound. Inserting an existing key refreshes its value
   /// (idempotent: answers are deterministic per key).
-  void insert(std::uint64_t scope, Path path, QueryKind kind,
-              AccuracyTier tier, index_t p, index_t q, real_t value);
+  void insert(std::uint64_t scope, Path path, QueryKind kind, index_t p,
+              index_t q, real_t value);
 
   // Whole-cache probes (tests / introspection; the registry carries the
   // same figures as er_cache_* series).
@@ -141,7 +113,7 @@ class ResultCache {
  private:
   struct Key {
     std::uint64_t scope = 0;
-    std::uint32_t tag = 0;  ///< (tier << 3) | (path << 1) | kind
+    std::uint32_t tag = 0;  ///< (path << 1) | kind
     index_t p = 0;
     index_t q = 0;
     bool operator==(const Key& o) const {
@@ -164,10 +136,8 @@ class ResultCache {
         ER_GUARDED_BY(mutex);
   };
 
-  static std::uint32_t make_tag(Path path, QueryKind kind,
-                                AccuracyTier tier) {
-    return (static_cast<std::uint32_t>(tier) << 3) |
-           (static_cast<std::uint32_t>(path) << 1) |
+  static std::uint32_t make_tag(Path path, QueryKind kind) {
+    return (static_cast<std::uint32_t>(path) << 1) |
            static_cast<std::uint32_t>(kind);
   }
   Shard& shard_for(const Key& key);
@@ -184,9 +154,9 @@ class ResultCache {
   /// can never resurrect (unlike raw artifact pointers, which the
   /// allocator may recycle).
   std::uint64_t next_scope_ ER_GUARDED_BY(scope_mutex_) = 1;
-  /// (version, scopes) of the most recent registrations, oldest first,
+  /// (version, scope) of the most recent registrations, oldest first,
   /// bounded by ResultCacheOptions::version_cap.
-  std::vector<std::pair<std::uint64_t, ScopeViewPtr>> versions_
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> versions_
       ER_GUARDED_BY(scope_mutex_);
 
   obs::Counter* hits_total_;

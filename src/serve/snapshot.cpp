@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "chol/cholesky.hpp"
-#include "effres/approx_chol.hpp"
-#include "effres/exact.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sparse/coo.hpp"
 #include "util/timer.hpp"
@@ -15,25 +13,6 @@ namespace er {
 
 namespace {
 
-std::unique_ptr<EffResEngine> make_block_engine(const Graph& g,
-                                                const ServingOptions& opts) {
-  if (g.num_nodes() < 2 || g.num_edges() == 0) return nullptr;
-  // A block whose local system resists factorization (e.g. pathological
-  // weights) must not take the whole snapshot down: the exact sharded path
-  // still serves its queries, so the fast path just stays unavailable.
-  try {
-    if (opts.engine_backend == ErBackend::kExact)
-      return std::make_unique<ExactEffRes>(g);
-    ApproxCholOptions ac;
-    ac.droptol = opts.engine_droptol;
-    ac.epsilon = opts.engine_epsilon;
-    ac.parallel.num_threads = 1;  // one task per block, like the reduction
-    return std::make_unique<ApproxCholEffRes>(g, ac);
-  } catch (const std::exception&) {
-    return nullptr;
-  }
-}
-
 /// Factor one block into its local artifact. Pure function of the block's
 /// own reduction output and its local interior/boundary classification —
 /// never of global (snapshot-wide) numbering — so the result is
@@ -41,7 +20,7 @@ std::unique_ptr<EffResEngine> make_block_engine(const Graph& g,
 /// lets ModelSnapshot::rebuild alias artifacts of clean blocks.
 std::shared_ptr<const BlockArtifact> build_block_artifact(
     const BlockReduced& blk, std::vector<index_t> interior_locals,
-    std::vector<index_t> boundary_locals, const ServingOptions& opts) {
+    std::vector<index_t> boundary_locals) {
   auto art = std::make_shared<BlockArtifact>();
   art->interior_locals = std::move(interior_locals);
   art->boundary_locals = std::move(boundary_locals);
@@ -63,9 +42,6 @@ std::shared_ptr<const BlockArtifact> build_block_artifact(
     art->intra_wdeg[static_cast<std::size_t>(e.u)] += e.weight;
     art->intra_wdeg[static_cast<std::size_t>(e.v)] += e.weight;
   }
-
-  if (opts.build_block_engines)
-    art->engine = make_block_engine(blk.sparse_graph, opts);
 
   // Classify the block's edges: interior-interior entries go into A_II,
   // interior-boundary edges become A_IB couplings, boundary-boundary edges
@@ -133,8 +109,7 @@ std::shared_ptr<const BlockArtifact> build_block_artifact(
 }
 
 /// Validated clean-block mask of a dirty-only rebuild: clean[b] == 0 for
-/// the listed dirty blocks. Shared by both rebuild overloads so the two
-/// publish paths cannot diverge on dirty-set validation.
+/// the listed dirty blocks.
 std::vector<char> clean_mask(index_t nb,
                              const std::vector<index_t>& dirty_blocks) {
   std::vector<char> clean(static_cast<std::size_t>(nb), 1);
@@ -147,8 +122,8 @@ std::vector<char> clean_mask(index_t nb,
 }
 
 /// Approximate resident bytes of one block's serving state (factor + the
-/// coupling/correction/classification arrays). Engines are opaque and
-/// excluded — see ModelSnapshot::bytes_materialized().
+/// coupling/correction/classification arrays) — see
+/// ModelSnapshot::bytes_materialized().
 std::size_t artifact_footprint_bytes(const BlockArtifact& a) {
   return (a.interior_locals.size() + a.boundary_locals.size()) *
              sizeof(index_t) +
@@ -206,22 +181,6 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::rebuild(
                     prev ? &clean : nullptr, /*model_bytes_copied=*/0);
 }
 
-std::shared_ptr<const ModelSnapshot> ModelSnapshot::rebuild(
-    const ModelSnapshot& previous,
-    const std::vector<BlockReduced>& reduced_blocks,
-    const ReducedModel& input_model,
-    const std::vector<index_t>& dirty_blocks, ThreadPool* pool,
-    std::uint64_t version) {
-  auto copy = std::make_shared<const ReducedModel>(input_model);
-  const auto nb = static_cast<index_t>(copy->block_kept.size());
-  const std::vector<char> clean = clean_mask(nb, dirty_blocks);
-  const ModelSnapshot* prev =
-      previous.num_blocks() == nb ? &previous : nullptr;
-  return build_impl(reduced_blocks, std::move(copy), previous.options(),
-                    pool, version, prev, prev ? &clean : nullptr,
-                    model_footprint_bytes(input_model));
-}
-
 std::shared_ptr<const ModelSnapshot> ModelSnapshot::build_impl(
     const std::vector<BlockReduced>& reduced_blocks, ModelPtr input_model,
     const ServingOptions& opts, ThreadPool* pool, std::uint64_t version,
@@ -244,17 +203,16 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::build_impl(
   const index_t n = rg.num_nodes();
   const auto nb_blocks = static_cast<index_t>(model.block_kept.size());
 
-  // Reduced node -> owning block and engine-local id (block_kept[b][m] is
+  // Reduced node -> owning block and block-local id (block_kept[b][m] is
   // the reduced id of the block's m-th merged node, matching the node ids
   // of BlockReduced::sparse_graph).
   snap->block_of_reduced_.assign(static_cast<std::size_t>(n), -1);
-  snap->block_local_.assign(static_cast<std::size_t>(n), -1);
+  std::vector<index_t> local_id(static_cast<std::size_t>(n), -1);
   for (index_t b = 0; b < nb_blocks; ++b) {
     const auto& kept = model.block_kept[static_cast<std::size_t>(b)];
     for (std::size_t m = 0; m < kept.size(); ++m) {
       snap->block_of_reduced_[static_cast<std::size_t>(kept[m])] = b;
-      snap->block_local_[static_cast<std::size_t>(kept[m])] =
-          static_cast<index_t>(m);
+      local_id[static_cast<std::size_t>(kept[m])] = static_cast<index_t>(m);
     }
   }
 
@@ -333,7 +291,7 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::build_impl(
         bs.artifact = build_block_artifact(
             reduced_blocks[static_cast<std::size_t>(b)],
             std::move(interior_locals[static_cast<std::size_t>(b)]),
-            std::move(boundary_locals[static_cast<std::size_t>(b)]), opts);
+            std::move(boundary_locals[static_cast<std::size_t>(b)]));
     }
   });
 
@@ -374,7 +332,7 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::build_impl(
           snap->block_of_reduced_[static_cast<std::size_t>(g)])];
       s.add(j, j,
             bs.artifact->intra_wdeg[static_cast<std::size_t>(
-                snap->block_local_[static_cast<std::size_t>(g)])] +
+                local_id[static_cast<std::size_t>(g)])] +
                 model.network.shunts[static_cast<std::size_t>(g)] +
                 cut_wdeg[static_cast<std::size_t>(j)]);
     }

@@ -12,8 +12,7 @@
 ///   * globally: the Cholesky factor of the stitched boundary system
 ///     S = A_BB - sum_b A_BI (A_II)^-1 A_IB (interface Schur complement),
 ///   * plus a monolithic factor of the whole of G (the single-model
-///     reference path) and an optional per-block EffResEngine for the
-///     approximate block-local fast path.
+///     reference path).
 ///
 /// A query touches only the owning block(s) of its endpoints and S, never
 /// another block's factors.
@@ -33,7 +32,6 @@
 #include <vector>
 
 #include "chol/factor.hpp"
-#include "effres/engine.hpp"
 #include "reduction/pipeline.hpp"
 #include "util/types.hpp"
 
@@ -42,29 +40,20 @@ namespace er {
 class ThreadPool;
 
 /// Knobs of the serving-layer ResultCache (serve/result_cache.hpp), the
-/// sharded (version, block, node-pair)-keyed answer cache in front of the
-/// query paths. Embedded in ServingOptions so one struct configures a
-/// serving deployment end to end; nothing constructs a cache implicitly —
-/// a deployment opts in by building a ResultCache from these knobs and
-/// attaching it to its ModelStore (ModelStore::attach_cache).
+/// sharded (version, node-pair)-keyed answer cache in front of the query
+/// paths. Embedded in ServingOptions so one struct configures a serving
+/// deployment end to end; nothing constructs a cache implicitly — a
+/// deployment opts in by building a ResultCache from these knobs and
+/// attaching it to its ModelStore (ModelStore::attach_cache), which then
+/// serves every batch of every route mode.
 struct ResultCacheOptions {
-  // Per-route-mode enables: a batch consults/fills the cache only when its
-  // RouteMode's flag is set. All answer paths are cache-safe (per-query
-  // pure functions of the snapshot — DESIGN.md §4.2); the per-mode knobs
-  // exist for A/B measurement and to shed cache memory on modes a
-  // deployment never repeats queries on.
-  bool cache_sharded = true;      ///< RouteMode::kSharded batches
-  bool cache_monolithic = true;   ///< RouteMode::kMonolithic batches
-  bool cache_local_approx = true; ///< RouteMode::kLocalApprox batches
   /// Lock stripes (rounded up to a power of two). More stripes = less
   /// contention between concurrent query chunks; each stripe owns an
   /// independent LRU list.
   std::size_t shards = 16;
   /// Whole-cache entry bound, split evenly across shards (per-shard LRU).
+  /// Resident bytes are max_entries * ResultCache::kEntryBytes.
   std::size_t max_entries = std::size_t{1} << 18;
-  /// Whole-cache resident-byte bound (entries are fixed-cost, so this is
-  /// an alternative expression of max_entries; the tighter bound wins).
-  std::size_t max_bytes = std::size_t{32} << 20;
   /// How many published versions stay resolvable at once. A snapshot
   /// pinned past the cap (or never registered) misses through and
   /// recomputes — never a wrong answer (DESIGN.md §4.2).
@@ -73,9 +62,6 @@ struct ResultCacheOptions {
 
 /// Knobs for ModelSnapshot::build.
 struct ServingOptions {
-  /// Build a resident per-block EffResEngine (block-local approximate ER
-  /// fast path; see QueryFrontEnd RouteMode::kLocalApprox).
-  bool build_block_engines = true;
   /// Also factor the whole stitched system (RouteMode::kMonolithic — the
   /// single-model reference the sharded path is validated against).
   /// Production sharded serving can turn this off to roughly halve the
@@ -83,27 +69,6 @@ struct ServingOptions {
   /// a snapshot throw. The monolithic factor is global state and is rebuilt
   /// by every publish, so churn-heavy serving should disable it.
   bool build_monolithic_factor = true;
-  /// With a ModelStore attached, IncrementalReducer publishes updates as
-  /// dirty-only snapshot rebuilds (ModelSnapshot::rebuild: clean blocks
-  /// share the previous snapshot's artifacts). Disable to force a full
-  /// rebuild per publish — the answers are bit-identical either way
-  /// (DESIGN.md §4.1 determinism argument); this knob exists for A/B
-  /// timing and as an escape hatch.
-  bool incremental_publish = true;
-  /// With a ModelStore attached, IncrementalReducer hands each snapshot the
-  /// stitched model through shared ownership (ModelPtr): the snapshot
-  /// aliases the reducer's frozen model version and a publish copies zero
-  /// model bytes (DESIGN.md §4.1). Disable to force the legacy deep-copy
-  /// publish (the snapshot owns a private model copy) — answers are
-  /// bit-identical either way; the knob exists for A/B cost measurement.
-  bool share_model = true;
-  /// Backend of the per-block engines (kApproxChol or kExact; a
-  /// kRandomProjection request falls back to kApproxChol, whose build cost
-  /// profile fits resident serving state better than k PCG solves).
-  ErBackend engine_backend = ErBackend::kApproxChol;
-  /// Alg. 3 parameters of the per-block engines.
-  real_t engine_droptol = 1e-3;
-  real_t engine_epsilon = 1e-3;
   /// Result-cache configuration (serve/result_cache.hpp). Only consulted
   /// by the deployment code that constructs the cache — ModelSnapshot
   /// itself never touches it.
@@ -153,7 +118,6 @@ struct BlockArtifact {
   std::vector<Coupling> couplings;
   std::vector<Correction> corrections;
   std::vector<BoundaryEdge> boundary_edges;
-  std::unique_ptr<EffResEngine> engine;  ///< block-local ER (may be null)
 };
 
 /// Read-only serving state for one published model version. Every method is
@@ -175,7 +139,7 @@ class ModelSnapshot {
   /// model bytes are copied, the snapshot just pins `model`. The model must
   /// never be mutated after this call (the pipeline's ModelPtr producers
   /// guarantee that by construction). `pool` (optional) parallelizes the
-  /// per-block factor/engine construction; the snapshot contents are
+  /// per-block factor construction; the snapshot contents are
   /// identical at any thread count (per-block slot writes, S assembled
   /// serially in block order). Throws std::runtime_error if the stitched
   /// system is not SPD (a connected component without any shunt).
@@ -216,12 +180,6 @@ class ModelSnapshot {
   static std::shared_ptr<const ModelSnapshot> rebuild(
       const ModelSnapshot& previous, const std::vector<BlockReduced>& blocks,
       ModelPtr model, const std::vector<index_t>& dirty_blocks,
-      ThreadPool* pool = nullptr, std::uint64_t version = 0);
-
-  /// Deep-copy rebuild overload (see the build deep-copy overload).
-  static std::shared_ptr<const ModelSnapshot> rebuild(
-      const ModelSnapshot& previous, const std::vector<BlockReduced>& blocks,
-      const ReducedModel& model, const std::vector<index_t>& dirty_blocks,
       ThreadPool* pool = nullptr, std::uint64_t version = 0);
 
   /// The stitched model the answers refer to.
@@ -267,8 +225,7 @@ class ModelSnapshot {
   /// Bytes of new serving state this build created: rebuilt BlockArtifacts
   /// (aliased ones count 0) + the boundary factor + the monolithic factor
   /// when enabled + any model copy. This is the per-publish cost that
-  /// scales with the dirty set once the model is shared. Resident engines
-  /// are opaque (no footprint API) and excluded.
+  /// scales with the dirty set once the model is shared.
   [[nodiscard]] std::size_t bytes_materialized() const {
     return bytes_materialized_;
   }
@@ -284,26 +241,6 @@ class ModelSnapshot {
   /// True when the reduced node is part of the stitched boundary system.
   [[nodiscard]] bool is_boundary(index_t reduced) const {
     return boundary_index_[static_cast<std::size_t>(reduced)] >= 0;
-  }
-
-  /// Resident block-local ER engine, or null when the block has none
-  /// (engines disabled, or the block is empty / edgeless).
-  [[nodiscard]] const EffResEngine* block_engine(index_t block) const {
-    return blocks_[static_cast<std::size_t>(block)].artifact->engine.get();
-  }
-  /// Reduced id -> local node id inside its block's engine graph.
-  [[nodiscard]] index_t block_local_id(index_t reduced) const {
-    return block_local_[static_cast<std::size_t>(reduced)];
-  }
-
-  /// Identity of a block's resident artifact — the copy-on-write unit.
-  /// Two snapshots returning the same pointer for block b share that
-  /// block's *entire* local state (interior factor, couplings, resident
-  /// engine, local numbering), which is what lets the ResultCache's
-  /// publish hook carry clean-block entries across versions by pointer
-  /// comparison (DESIGN.md §4.2). Valid only while the snapshot is alive.
-  [[nodiscard]] const BlockArtifact* block_artifact(index_t block) const {
-    return blocks_[static_cast<std::size_t>(block)].artifact.get();
   }
 
   // Sharded (domain-decomposition) query path — reduced node ids.
@@ -367,7 +304,6 @@ class ModelSnapshot {
   std::vector<index_t> block_of_reduced_;  // reduced -> block
   std::vector<index_t> boundary_index_;    // reduced -> boundary idx or -1
   std::vector<index_t> interior_index_;    // reduced -> interior idx or -1
-  std::vector<index_t> block_local_;       // reduced -> engine-local id
   std::vector<index_t> boundary_nodes_;    // boundary idx -> reduced id
   std::vector<BlockSystem> blocks_;
   CholFactor boundary_factor_;  // S (n == 0 when there is no boundary)

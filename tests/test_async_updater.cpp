@@ -75,8 +75,8 @@ TEST(ModelSnapshotRebuild, DirtyOnlyMatchesFullRebuildBitwise) {
       const auto full = ModelSnapshot::build(
           reducer.blocks(), reducer.model(), {}, p, reducer.revision());
       const auto incr = ModelSnapshot::rebuild(
-          *prev, reducer.blocks(), reducer.model(), mod.dirty_blocks, p,
-          reducer.revision());
+          *prev, reducer.blocks(), reducer.shared_model(), mod.dirty_blocks,
+          p, reducer.revision());
       ASSERT_GT(incr->reused_blocks(), 0);
       EXPECT_EQ(incr->reused_blocks() + incr->rebuilt_blocks(),
                 incr->num_blocks());
@@ -107,36 +107,39 @@ TEST(ModelSnapshotRebuild, DirtyOnlyMatchesFullRebuildBitwise) {
 }
 
 TEST(ModelSnapshotRebuild, IncrementalPublishMatchesFullPublish) {
-  // The store-attached reducer publishes dirty-only rebuilds; a twin with
-  // incremental_publish disabled must publish bitwise-identical snapshots.
+  // The store-attached reducer publishes dirty-only rebuilds; a from-scratch
+  // ModelSnapshot::build of a store-less twin's model must answer bitwise
+  // identically on both exact routes after every update.
   const ServeCase c = make_case(20, 20, 48, 223);
   ReductionOptions opts;
   opts.num_blocks = 8;
-  ModelStore store_incr, store_full;
+  ModelStore store;
   IncrementalReducer incr(c.net, c.ports, opts);
-  IncrementalReducer full(c.net, c.ports, opts);
-  ServingOptions sopts;
-  ServingOptions full_opts;
-  full_opts.incremental_publish = false;
-  incr.attach_store(&store_incr, sopts);
-  full.attach_store(&store_full, full_opts);
+  IncrementalReducer twin(c.net, c.ports, opts);
+  incr.attach_store(&store);
 
   const auto batch = mixed_batch(kept_originals(incr.model()), 200, 31);
   const ModStream stream =
       make_mod_stream(c.net, incr.structure(), 3, 0.2, 1.4, 500);
   for (std::size_t u = 0; u < stream.nets.size(); ++u) {
     incr.update(stream.nets[u], stream.mods[u].dirty_blocks);
-    full.update(stream.nets[u], stream.mods[u].dirty_blocks);
+    twin.update(stream.nets[u], stream.mods[u].dirty_blocks);
 
-    const SnapshotPtr si = store_incr.acquire();
-    const SnapshotPtr sf = store_full.acquire();
-    EXPECT_EQ(si->version(), sf->version());
-    EXPECT_GT(si->reused_blocks(), 0);
-    EXPECT_EQ(sf->reused_blocks(), 0);
-    const auto want = QueryFrontEnd::answer_on(*sf, batch);
-    const auto got = QueryFrontEnd::answer_on(*si, batch);
-    for (std::size_t i = 0; i < want.size(); ++i)
-      ASSERT_EQ(want[i], got[i]) << "update " << u << " query " << i;
+    const SnapshotPtr published = store.acquire();
+    const auto full = ModelSnapshot::build(twin.blocks(), twin.shared_model(),
+                                           {}, nullptr, twin.revision());
+    EXPECT_EQ(published->version(), full->version());
+    EXPECT_GT(published->reused_blocks(), 0);
+    EXPECT_EQ(full->reused_blocks(), 0);
+    for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic}) {
+      const auto want = QueryFrontEnd::answer_on(*full, batch, {nullptr, mode});
+      const auto got =
+          QueryFrontEnd::answer_on(*published, batch, {nullptr, mode});
+      ASSERT_EQ(want.size(), got.size());
+      for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(want[i], got[i])
+            << to_string(mode) << " update " << u << " query " << i;
+    }
   }
 }
 
@@ -311,60 +314,6 @@ TEST(AsyncUpdater, FlushOverridesConcurrentPause) {
   EXPECT_EQ(s.applied, 3u);
   EXPECT_EQ(s.pending, 0u);
   EXPECT_FALSE(s.update_in_flight);
-}
-
-// ---------------------------------------------------------------------------
-// Zero-copy publishes: the snapshot aliases the reducer's frozen model
-// (DESIGN.md §4.1) and the shared path is bitwise equal to the deep-copy
-// path at any thread count.
-// ---------------------------------------------------------------------------
-
-TEST(ModelSnapshotRebuild, ZeroCopyMatchesDeepCopyPublishBitwise) {
-  const ServeCase c = make_case(20, 20, 48, 269);
-  for (int threads : {1, 2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ReductionOptions opts;
-    opts.num_blocks = 8;
-    opts.parallel.num_threads = threads;
-    ModelStore store_shared, store_deep;
-    IncrementalReducer shared_r(c.net, c.ports, opts);
-    IncrementalReducer deep_r(c.net, c.ports, opts);
-    ServingOptions so_shared;  // share_model = true (the default)
-    ServingOptions so_deep;
-    so_deep.share_model = false;
-    shared_r.attach_store(&store_shared, so_shared);
-    deep_r.attach_store(&store_deep, so_deep);
-
-    // The shared publish copies zero model bytes and aliases the reducer's
-    // version; the deep-copy publish owns a private copy of the same size
-    // as the model footprint.
-    EXPECT_EQ(store_shared.acquire()->model_bytes_copied(), 0u);
-    EXPECT_EQ(store_shared.acquire()->shared_model().get(),
-              shared_r.shared_model().get());
-    EXPECT_EQ(store_deep.acquire()->model_bytes_copied(),
-              model_footprint_bytes(deep_r.model()));
-    EXPECT_NE(store_deep.acquire()->shared_model().get(),
-              deep_r.shared_model().get());
-
-    const auto batch = mixed_batch(kept_originals(shared_r.model()), 200, 71);
-    const ModStream stream =
-        make_mod_stream(c.net, shared_r.structure(), 3, 0.25, 1.3, 600);
-    for (std::size_t u = 0; u < stream.nets.size(); ++u) {
-      shared_r.update(stream.nets[u], stream.mods[u].dirty_blocks);
-      deep_r.update(stream.nets[u], stream.mods[u].dirty_blocks);
-
-      const SnapshotPtr ss = store_shared.acquire();
-      const SnapshotPtr sd = store_deep.acquire();
-      EXPECT_EQ(ss->model_bytes_copied(), 0u);
-      EXPECT_GT(sd->model_bytes_copied(), 0u);
-      EXPECT_LT(ss->bytes_materialized(), sd->bytes_materialized());
-      const auto want = QueryFrontEnd::answer_on(*sd, batch);
-      const auto got = QueryFrontEnd::answer_on(*ss, batch);
-      ASSERT_EQ(want.size(), got.size());
-      for (std::size_t i = 0; i < want.size(); ++i)
-        ASSERT_EQ(want[i], got[i]) << "update " << u << " query " << i;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/admission.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/stack.hpp"
@@ -354,6 +355,29 @@ TEST(NetDaemon, AdmissionOverflowAnswersRetryLater) {
   const auto* rejected = snap.find("er_net_rejected_total");
   ASSERT_NE(rejected, nullptr);
   EXPECT_EQ(rejected->counter, static_cast<std::uint64_t>(retries));
+}
+
+// Deadline-carrying batches dispatch from the admission queue's urgent
+// level; both levels share one capacity bound.
+TEST(NetDaemon, AdmissionQueueDispatchesUrgentItemsFirst) {
+  net::AdmissionQueue<int> queue(3);
+  EXPECT_TRUE(queue.try_push(1));
+  EXPECT_TRUE(queue.try_push(2));
+  EXPECT_TRUE(queue.try_push(3, /*urgent=*/true));
+  // Both levels draw on one capacity bound.
+  EXPECT_FALSE(queue.try_push(4));
+  EXPECT_FALSE(queue.try_push(5, /*urgent=*/true));
+  EXPECT_EQ(queue.depth(), 3u);
+
+  // Urgent first, admission order within a level.
+  EXPECT_EQ(queue.pop().value(), 3);
+  EXPECT_EQ(queue.pop().value(), 1);
+  EXPECT_TRUE(queue.try_push(6, /*urgent=*/true));
+  EXPECT_EQ(queue.pop().value(), 6);
+  EXPECT_EQ(queue.pop().value(), 2);
+
+  queue.close();
+  EXPECT_FALSE(queue.pop().has_value());
 }
 
 TEST(NetDaemon, ModFeedBackPressureAnswersRetryLater) {

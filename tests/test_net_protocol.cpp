@@ -2,18 +2,43 @@
 // properties (encode -> decode is bit-identical, including f64 payloads,
 // at any fragmentation granularity) and an adversarial-frame suite —
 // truncated headers, oversized declared lengths, bad magic/version/CRC,
-// zero-length batches, trailing garbage, mutated bytes. Decoders must
-// reject cleanly: no crash, no over-read (the ASan/UBSan CI jobs run this
-// suite), no resynchronization after a fatal framing error.
+// zero-length batches, trailing garbage, mutated bytes, item counts the
+// payload cannot hold. Decoders must reject cleanly: no crash, no
+// over-read (the ASan/UBSan CI jobs run this suite), no allocation sized
+// by an untrusted count, no resynchronization after a fatal framing error.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "net/protocol.hpp"
 #include "util/rng.hpp"
+
+namespace {
+
+// Largest single operator-new request made while g_track_allocations is
+// set; the decoders' allocation bound is checked against it.
+std::atomic<bool> g_track_allocations{false};
+std::atomic<std::size_t> g_largest_allocation{0};
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_track_allocations.load(std::memory_order_relaxed)) {
+    std::size_t prev = g_largest_allocation.load(std::memory_order_relaxed);
+    while (n > prev && !g_largest_allocation.compare_exchange_weak(prev, n)) {
+    }
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace er::net {
 namespace {
@@ -38,22 +63,16 @@ double random_finite(Rng& rng) {
 
 QueryBatchRequest random_batch(Rng& rng, std::size_t count) {
   QueryBatchRequest req;
-  const RouteMode routes[] = {RouteMode::kSharded, RouteMode::kMonolithic,
-                              RouteMode::kLocalApprox};
-  req.route = routes[rng.uniform_index(3)];
+  req.route =
+      rng.bernoulli(0.5) ? RouteMode::kSharded : RouteMode::kMonolithic;
   for (std::size_t i = 0; i < count; ++i) {
     PortQuery q;
     q.kind = rng.bernoulli(0.5) ? QueryKind::kResponse : QueryKind::kResistance;
     q.p = static_cast<index_t>(rng.next_u64());
     q.q = static_cast<index_t>(rng.next_u64());
-    // Half the queries carry a non-default policy so the v2 round-trip
-    // exercises every field; the rest stay at the v1-compatible default.
-    if (rng.bernoulli(0.5)) {
+    // Half the queries carry a deadline; the rest keep the default 0.
+    if (rng.bernoulli(0.5))
       q.policy.deadline_us = static_cast<std::uint32_t>(rng.next_u64());
-      q.policy.accuracy_tier = static_cast<AccuracyTier>(rng.uniform_index(3));
-      q.policy.backend_pref = static_cast<BackendPref>(rng.uniform_index(4));
-      q.policy.hedge = rng.bernoulli(0.5);
-    }
     req.queries.push_back(q);
   }
   return req;
@@ -81,41 +100,30 @@ TEST(NetProtocolRoundTrip, QueryBatchRandomized) {
       EXPECT_EQ(back.queries[i].q, req.queries[i].q);
       EXPECT_EQ(back.queries[i].policy.deadline_us,
                 req.queries[i].policy.deadline_us);
-      EXPECT_EQ(back.queries[i].policy.accuracy_tier,
-                req.queries[i].policy.accuracy_tier);
-      EXPECT_EQ(back.queries[i].policy.backend_pref,
-                req.queries[i].policy.backend_pref);
-      EXPECT_EQ(back.queries[i].policy.hedge, req.queries[i].policy.hedge);
     }
   }
 }
 
-TEST(NetProtocolRoundTrip, OldDialectDropsPoliciesToDefaults) {
-  // A v1 batch (old client or old server) carries no policy bytes:
-  // encoding at kMinProtocolVersion drops them, decoding a v1 payload
-  // yields the default policy for every query.
-  Rng rng(21);
-  QueryBatchRequest req = random_batch(rng, 12);
-  req.queries[0].policy = {250'000u, AccuracyTier::kFast,
-                           BackendPref::kLocalApprox, true};
-  const std::vector<std::uint8_t> v1 =
-      encode_query_batch(req, kMinProtocolVersion);
-  // v1 per-query layout is 9 bytes (kind + p + q); v2 is 16.
-  EXPECT_EQ(v1.size(), 1 + 4 + req.queries.size() * 9);
-  QueryBatchRequest back;
-  ASSERT_TRUE(decode_query_batch(v1, &back, kMinProtocolVersion));
-  ASSERT_EQ(back.queries.size(), req.queries.size());
-  for (std::size_t i = 0; i < back.queries.size(); ++i) {
-    EXPECT_EQ(back.queries[i].kind, req.queries[i].kind);
-    EXPECT_EQ(back.queries[i].p, req.queries[i].p);
-    EXPECT_EQ(back.queries[i].q, req.queries[i].q);
-    EXPECT_TRUE(is_default(back.queries[i].policy)) << "query " << i;
+TEST(NetProtocolRoundTrip, DeadlineRoundTripsAtEveryBitPattern) {
+  // Per-query layout: kind u8, p i32, q i32, deadline_us u32 (13 bytes).
+  // The deadline is a free u32: every bit pattern survives the round trip.
+  QueryBatchRequest req;
+  for (std::uint32_t d : {0u, 1u, 40u, 125'000u, 0x80000000u, 0xFFFFFFFFu}) {
+    PortQuery q;
+    q.p = 3;
+    q.q = 7;
+    q.policy.deadline_us = d;
+    req.queries.push_back(q);
   }
-  // Dialect mismatch is rejected rather than misparsed: a v1 payload does
-  // not decode as v2 and vice versa (the fixed per-query width differs).
-  EXPECT_FALSE(decode_query_batch(v1, &back, kProtocolVersion));
-  EXPECT_FALSE(decode_query_batch(encode_query_batch(req, kProtocolVersion),
-                                  &back, kMinProtocolVersion));
+  const std::vector<std::uint8_t> payload = encode_query_batch(req);
+  EXPECT_EQ(payload.size(), 1 + 4 + req.queries.size() * 13);
+  QueryBatchRequest back;
+  ASSERT_TRUE(decode_query_batch(payload, &back));
+  ASSERT_EQ(back.queries.size(), req.queries.size());
+  for (std::size_t i = 0; i < req.queries.size(); ++i)
+    EXPECT_EQ(back.queries[i].policy.deadline_us,
+              req.queries[i].policy.deadline_us)
+        << "query " << i;
 }
 
 TEST(NetProtocolRoundTrip, ModificationRandomized) {
@@ -218,15 +226,13 @@ TEST(NetProtocolFraming, ByteAtATimeRoundTrip) {
 }
 
 TEST(NetProtocolFraming, PolicyFrameSplitAcrossThreeFeeds) {
-  // A policy-bearing v2 frame delivered in three fragments: the first two
+  // A deadline-bearing frame delivered in three fragments: the first two
   // feeds end mid-header / mid-payload, the third completes the frame and
-  // every policy field survives intact.
+  // every deadline survives intact.
   Rng rng(22);
   QueryBatchRequest req = random_batch(rng, 6);
-  req.queries[0].policy = {125'000u, AccuracyTier::kApprox,
-                           BackendPref::kMonolithic, false};
-  req.queries[5].policy = {40u, AccuracyTier::kFast, BackendPref::kLocalApprox,
-                           true};
+  req.queries[0].policy.deadline_us = 125'000u;
+  req.queries[5].policy.deadline_us = 40u;
   const std::vector<std::uint8_t> wire =
       encode_frame(Opcode::kErBatch, 31, encode_query_batch(req));
   const std::size_t cut1 = kHeaderBytes / 2;      // mid-header
@@ -240,41 +246,33 @@ TEST(NetProtocolFraming, PolicyFrameSplitAcrossThreeFeeds) {
   ASSERT_EQ(buf.next(&frame), DecodeStatus::kNeedMore);
   buf.append(wire.data() + cut2, wire.size() - cut2);
   ASSERT_EQ(buf.next(&frame), DecodeStatus::kOk);
-  EXPECT_EQ(frame.version, kProtocolVersion);
   QueryBatchRequest back;
-  ASSERT_TRUE(decode_query_batch(frame.payload, &back, frame.version));
+  ASSERT_TRUE(decode_query_batch(frame.payload, &back));
   ASSERT_EQ(back.queries.size(), req.queries.size());
-  for (std::size_t i = 0; i < back.queries.size(); ++i) {
+  for (std::size_t i = 0; i < back.queries.size(); ++i)
     EXPECT_EQ(back.queries[i].policy.deadline_us,
               req.queries[i].policy.deadline_us);
-    EXPECT_EQ(back.queries[i].policy.accuracy_tier,
-              req.queries[i].policy.accuracy_tier);
-    EXPECT_EQ(back.queries[i].policy.backend_pref,
-              req.queries[i].policy.backend_pref);
-    EXPECT_EQ(back.queries[i].policy.hedge, req.queries[i].policy.hedge);
-  }
 }
 
-TEST(NetProtocolFraming, OldVersionFrameCarriesItsDialect) {
-  // A v1 frame from an old client passes framing (version within the
-  // accepted window) and reports version 1, so the server decodes the
-  // payload with the v1 dialect and queries get the default policy.
+TEST(NetProtocolFraming, OlderDialectFramesAreStickyBadVersion) {
+  // v1/v2 frames from old clients fail framing from the header alone; the
+  // error is sticky, so a well-formed frame appended afterwards is never
+  // decoded from the desynchronized stream.
   Rng rng(23);
-  const QueryBatchRequest req = random_batch(rng, 4);
-  const std::vector<std::uint8_t> wire =
-      encode_frame(Opcode::kErBatch, 8,
-                   encode_query_batch(req, kMinProtocolVersion),
-                   kMinProtocolVersion);
-  FrameBuffer buf;
-  buf.append(wire.data(), wire.size());
-  Frame frame;
-  ASSERT_EQ(buf.next(&frame), DecodeStatus::kOk);
-  EXPECT_EQ(frame.version, kMinProtocolVersion);
-  QueryBatchRequest back;
-  ASSERT_TRUE(decode_query_batch(frame.payload, &back, frame.version));
-  ASSERT_EQ(back.queries.size(), req.queries.size());
-  for (const PortQuery& q : back.queries)
-    EXPECT_TRUE(is_default(q.policy));
+  const std::vector<std::uint8_t> good =
+      encode_frame(Opcode::kErBatch, 8, encode_query_batch(random_batch(rng, 4)));
+  for (std::uint8_t old_version : {1, 2}) {
+    std::vector<std::uint8_t> wire = good;
+    wire[4] = old_version;
+    wire[5] = 0;
+    FrameBuffer buf;
+    buf.append(wire.data(), wire.size());
+    buf.append(good.data(), good.size());
+    Frame frame;
+    EXPECT_EQ(buf.next(&frame), DecodeStatus::kBadVersion)
+        << "version " << int{old_version};
+    EXPECT_EQ(buf.next(&frame), DecodeStatus::kBadVersion);
+  }
 }
 
 TEST(NetProtocolFraming, MultipleFramesOneAppend) {
@@ -425,47 +423,83 @@ TEST(NetProtocolPayload, QueryBatchRejectsMalformed) {
   EXPECT_FALSE(decode_query_batch({}, &out));
 }
 
-TEST(NetProtocolPayload, PolicyBytesOutOfRangeRejected) {
-  // v2 per-query layout: kind u8, p i32, q i32, deadline u32, tier u8,
-  // pref u8, hedge u8 (16 bytes). For the first query (payload offset 5)
-  // that puts tier at 18, pref at 19, hedge at 20. Every enum byte outside
-  // its wire range must fail decoding; the deadline is a free u32 and any
-  // value must pass.
+TEST(NetProtocolPayload, RouteByteTwoRejected) {
+  // Route bytes 0 (sharded) and 1 (monolithic) are the whole route space;
+  // any other byte, 2 included, is a payload error.
   Rng rng(24);
-  const QueryBatchRequest req = random_batch(rng, 4);
-  const std::vector<std::uint8_t> good = encode_query_batch(req);
+  std::vector<std::uint8_t> payload = encode_query_batch(random_batch(rng, 3));
+  QueryBatchRequest out;
+  for (std::uint8_t route : {0, 1}) {
+    payload[0] = route;
+    EXPECT_TRUE(decode_query_batch(payload, &out)) << "route " << int{route};
+  }
+  payload[0] = 2;
+  EXPECT_FALSE(decode_query_batch(payload, &out));
+}
+
+TEST(NetProtocolPayload, EveryTruncationRejected) {
+  // Cutting the payload at any byte — inside a kind, an endpoint or a
+  // deadline field of any query — fails decoding.
+  Rng rng(25);
+  const std::vector<std::uint8_t> good =
+      encode_query_batch(random_batch(rng, 3));
   QueryBatchRequest out;
   ASSERT_TRUE(decode_query_batch(good, &out));
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    const std::vector<std::uint8_t> cut(good.begin(),
+                                        good.begin() +
+                                            static_cast<std::ptrdiff_t>(len));
+    EXPECT_FALSE(decode_query_batch(cut, &out)) << "length " << len;
+  }
+}
 
-  constexpr std::size_t kTierAt = 18, kPrefAt = 19, kHedgeAt = 20;
-  for (int v = 3; v < 256; v += 41) {  // 3 is the first invalid tier
-    std::vector<std::uint8_t> bad = good;
-    bad[kTierAt] = static_cast<std::uint8_t>(v);
-    EXPECT_FALSE(decode_query_batch(bad, &out)) << "tier byte " << v;
-  }
-  for (int v = 4; v < 256; v += 41) {  // 4 is the first invalid pref
-    std::vector<std::uint8_t> bad = good;
-    bad[kPrefAt] = static_cast<std::uint8_t>(v);
-    EXPECT_FALSE(decode_query_batch(bad, &out)) << "pref byte " << v;
-  }
-  for (int v = 2; v < 256; v += 41) {  // hedge is strictly 0/1
-    std::vector<std::uint8_t> bad = good;
-    bad[kHedgeAt] = static_cast<std::uint8_t>(v);
-    EXPECT_FALSE(decode_query_batch(bad, &out)) << "hedge byte " << v;
-  }
+/// Largest single allocation while `decode` runs.
+template <typename F>
+std::size_t largest_allocation_during(F&& decode) {
+  g_largest_allocation = 0;
+  g_track_allocations = true;
+  decode();
+  g_track_allocations = false;
+  return g_largest_allocation.load();
+}
 
-  // All in-range enum bytes and any deadline bit pattern decode fine.
-  std::vector<std::uint8_t> tweaked = good;
-  tweaked[kTierAt] = 2;
-  tweaked[kPrefAt] = 3;
-  tweaked[kHedgeAt] = 1;
-  for (std::size_t i = 14; i < 18; ++i)  // deadline bytes of query 0
-    tweaked[i] = 0xFF;
-  ASSERT_TRUE(decode_query_batch(tweaked, &out));
-  EXPECT_EQ(out.queries[0].policy.deadline_us, 0xFFFFFFFFu);
-  EXPECT_EQ(out.queries[0].policy.accuracy_tier, AccuracyTier::kFast);
-  EXPECT_EQ(out.queries[0].policy.backend_pref, BackendPref::kLocalApprox);
-  EXPECT_TRUE(out.queries[0].policy.hedge);
+TEST(NetProtocolPayload, DecodersNeverAllocateForAbsentItems) {
+  // Short payloads announcing kMaxBatchItems items: each decoder must
+  // reject them before sizing anything by the announced count, so no
+  // single allocation outgrows a small multiple of the payload itself.
+  const auto announce = [](std::vector<std::uint8_t> payload,
+                           std::size_t count_at) {
+    const std::vector<std::uint8_t> count = u32_bytes(kMaxBatchItems);
+    std::memcpy(payload.data() + count_at, count.data(), 4);
+    return payload;
+  };
+  Rng rng(26);
+  const std::vector<std::uint8_t> batch =
+      announce(encode_query_batch(random_batch(rng, 2)), 1);
+  WireModification mod;
+  mod.dirty_blocks = {1, 2};
+  const std::vector<std::uint8_t> modification =
+      announce(encode_modification(mod), 0);
+  AnswerReply reply;
+  reply.answers = {1.0, 2.0};
+  const std::vector<std::uint8_t> answer = announce(encode_answer(reply), 8);
+
+  QueryBatchRequest batch_out;
+  WireModification mod_out;
+  AnswerReply answer_out;
+  bool ok = true;
+  const std::size_t batch_bytes = largest_allocation_during(
+      [&] { ok = decode_query_batch(batch, &batch_out); });
+  EXPECT_FALSE(ok);
+  EXPECT_LE(batch_bytes, 4 * batch.size());
+  const std::size_t mod_bytes = largest_allocation_during(
+      [&] { ok = decode_modification(modification, &mod_out); });
+  EXPECT_FALSE(ok);
+  EXPECT_LE(mod_bytes, 4 * modification.size());
+  const std::size_t answer_bytes = largest_allocation_during(
+      [&] { ok = decode_answer(answer, &answer_out); });
+  EXPECT_FALSE(ok);
+  EXPECT_LE(answer_bytes, 4 * answer.size());
 }
 
 TEST(NetProtocolPayload, ModificationRejectsMalformed) {

@@ -1,14 +1,14 @@
 // Result-cache tests (DESIGN.md §4.2). Four contracts:
 //
 //   (a) cached answers are bitwise identical to uncached ones over
-//       randomized query/publish interleavings, on every route mode, at
+//       randomized query/publish interleavings, on both route modes, at
 //       1/2/4/8 pool threads,
 //   (b) concurrent readers through a cache-attached store stay
 //       bit-consistent per pinned version while a publisher churns
 //       (runs under TSan in CI),
-//   (c) publish-time invalidation is precise: clean-block engine entries
-//       survive (hit), dirty-block entries miss, exact-path entries are
-//       version-scoped, and a no-aliasing full build drops everything,
+//   (c) every publish turns over the version scope: the new version
+//       starts cold, pinned versions keep hitting within version_cap, and
+//       a version aged past the cap is swept and bypassed,
 //   (d) a tiny capacity evicts without ever answering wrong, and pinned
 //       old versions keep resolving within version_cap and degrade to
 //       plain (still correct) compute past it.
@@ -78,9 +78,7 @@ TEST(ResultCache, CachedMatchesUncachedBitwiseAcrossInterleavings) {
       const auto batch = mixed_batch(
           kept, 120, static_cast<std::uint64_t>(700 + step % 3));
       const RouteMode mode =
-          step % 3 == 0   ? RouteMode::kSharded
-          : step % 3 == 1 ? RouteMode::kMonolithic
-                          : RouteMode::kLocalApprox;
+          step % 3 == 1 ? RouteMode::kMonolithic : RouteMode::kSharded;
       const SnapshotPtr snap = store.acquire();
       BatchStats cached_stats;
       const auto cached = QueryFrontEnd::answer_on(
@@ -175,34 +173,10 @@ TEST(ResultCache, ConcurrentReadersStayBitConsistentWithCacheAttached) {
 }
 
 // ---------------------------------------------------------------------------
-// (c) invalidation precision.
+// (c) version-scope turnover.
 // ---------------------------------------------------------------------------
 
-/// Same-block engine-eligible (kResistance) query batches, one per block,
-/// with distinct consecutive kept-node pairs (each insert is unique).
-std::vector<std::vector<PortQuery>> per_block_batches(
-    const ModelSnapshot& snap, const std::vector<index_t>& kept,
-    std::size_t pairs_per_block) {
-  std::vector<std::vector<index_t>> by_block(
-      static_cast<std::size_t>(snap.num_blocks()));
-  for (index_t v : kept) {
-    const index_t r = snap.reduced_id(v);
-    if (r >= 0)
-      by_block[static_cast<std::size_t>(snap.block_of_reduced(r))].push_back(
-          v);
-  }
-  std::vector<std::vector<PortQuery>> batches(by_block.size());
-  for (std::size_t b = 0; b < by_block.size(); ++b) {
-    const auto& nodes = by_block[b];
-    for (std::size_t i = 0;
-         i + 1 < nodes.size() && batches[b].size() < pairs_per_block; i += 2)
-      batches[b].push_back(
-          {QueryKind::kResistance, nodes[i], nodes[i + 1]});
-  }
-  return batches;
-}
-
-TEST(ResultCache, PublishInvalidatesDirtyBlocksOnlyAndFullBuildDropsAll) {
+TEST(ResultCache, PublishTurnsOverTheVersionScope) {
   const ServeCase c = make_case(20, 20, 48, 313);
   ReductionOptions opts;
   opts.num_blocks = 6;
@@ -210,96 +184,72 @@ TEST(ResultCache, PublishInvalidatesDirtyBlocksOnlyAndFullBuildDropsAll) {
   ModelStore store(&reg);
   IncrementalReducer reducer(c.net, c.ports, opts);
   reducer.attach_store(&store);
-  // version_cap = 1: only the newest version's scopes stay live, so every
-  // publish sweeps the stale scopes eagerly and the invalidations counter
-  // accounts for exactly the entries that became unreachable.
+  // version_cap = 2: the newest two versions' scopes stay live, so the
+  // third publish sweeps the first version's entries eagerly and the
+  // invalidations counter accounts for exactly those.
   ResultCacheOptions copts;
-  copts.version_cap = 1;
+  copts.version_cap = 2;
   const auto cache = std::make_shared<ResultCache>(copts, &reg);
   store.attach_cache(cache);
   const QueryFrontEnd frontend(&store, &reg);
 
-  const auto kept = kept_originals(reducer.model());
-  const SnapshotPtr snap0 = store.acquire();
-  const auto batches = per_block_batches(*snap0, kept, 12);
-
-  // Warm every block's engine entries (kLocalApprox routes same-block
-  // resistance queries to the block engine, keyed by the block's scope).
-  // A block without a resident engine falls back to the version-scoped
-  // exact path; only fully-engine-answered blocks carry across publishes,
-  // so track which those are.
-  std::size_t engine_entries = 0;
-  std::vector<char> engine_backed(batches.size(), 0);
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    if (batches[b].empty()) continue;
+  const auto batch = mixed_batch(kept_originals(reducer.model()), 80, 29);
+  const auto answer = [&](const ModelSnapshot& snap, RouteMode mode) {
     BatchStats stats;
-    (void)frontend.answer(batches[b], nullptr, RouteMode::kLocalApprox,
-                          &stats);
-    EXPECT_EQ(stats.cache_hits, 0u) << "block " << b;
-    engine_entries += stats.engine_answered;
-    engine_backed[b] = stats.engine_answered == batches[b].size() ? 1 : 0;
-  }
-  ASSERT_GT(engine_entries, 0u);
-  // Plus a version-scoped exact batch (distinct cross/sharded entries).
-  const auto exact_batch = mixed_batch(kept, 80, 29);
-  BatchStats exact_stats;
-  (void)frontend.answer(exact_batch, nullptr, RouteMode::kSharded,
-                        &exact_stats);
-  const std::size_t entries_before = cache->entries();
-  ASSERT_GT(entries_before, engine_entries);
+    (void)QueryFrontEnd::answer_on(
+        snap, batch, {nullptr, mode, &stats, &reg, cache.get()});
+    return stats;
+  };
 
-  // Publish with one known-dirty block.
+  // Warm version 0 on both exact paths; a repeat hits every probe.
+  const SnapshotPtr snap0 = store.acquire();
+  for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic}) {
+    const BatchStats cold = answer(*snap0, mode);
+    EXPECT_GT(cold.cache_misses, 0u) << to_string(mode);
+    const BatchStats warm = answer(*snap0, mode);
+    EXPECT_EQ(warm.cache_misses, 0u) << to_string(mode);
+    EXPECT_EQ(warm.cache_hits, warm.queries - warm.invalid)
+        << to_string(mode);
+  }
+  const std::size_t entries_v0 = cache->entries();
+  ASSERT_GT(entries_v0, 0u);
+
+  // A publish turns the scope over: the new version starts cold however
+  // few blocks the update dirtied.
   GridModification mod;
   mod.dirty_blocks = {0};
   mod.resistance_scale = 1.5;
-  const ConductanceNetwork net1 =
-      apply_modification(c.net, reducer.structure(), mod);
-  reducer.update(net1, mod.dirty_blocks);
+  reducer.update(apply_modification(c.net, reducer.structure(), mod),
+                 mod.dirty_blocks);
   const SnapshotPtr snap1 = store.acquire();
   ASSERT_NE(snap0->version(), snap1->version());
   ASSERT_GT(snap1->reused_blocks(), 0);
+  BatchStats fresh;
+  (void)frontend.answer(batch, nullptr, RouteMode::kSharded, &fresh);
+  EXPECT_EQ(fresh.snapshot_version, snap1->version());
+  EXPECT_EQ(fresh.cache_hits, 0u);
+  EXPECT_GT(fresh.cache_misses, 0u);
+  const std::size_t entries_v1 = cache->entries() - entries_v0;
 
-  // Clean blocks: every warmed engine entry survives the publish (carried
-  // scope). The dirty block: every probe misses (fresh scope).
-  std::size_t clean_blocks_checked = 0;
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    if (batches[b].empty() || !engine_backed[b]) continue;
-    BatchStats stats;
-    (void)frontend.answer(batches[b], nullptr, RouteMode::kLocalApprox,
-                          &stats);
-    if (b == 0) {
-      EXPECT_EQ(stats.cache_hits, 0u) << "dirty block must miss";
-      EXPECT_GT(stats.cache_misses, 0u);
-    } else {
-      EXPECT_EQ(stats.cache_misses, 0u)
-          << "clean block " << b << " must hit fully";
-      EXPECT_EQ(stats.cache_hits, batches[b].size());
-      ++clean_blocks_checked;
-    }
-  }
-  EXPECT_GT(clean_blocks_checked, 0u);
-  // Exact-path entries are version-scoped: the same batch misses through.
-  BatchStats exact_after;
-  (void)frontend.answer(exact_batch, nullptr, RouteMode::kSharded,
-                        &exact_after);
-  EXPECT_EQ(exact_after.cache_hits, 0u);
+  // The pinned version 0 still resolves within version_cap and keeps
+  // hitting its own entries.
+  const BatchStats pinned = answer(*snap0, RouteMode::kSharded);
+  EXPECT_EQ(pinned.cache_misses, 0u);
+  EXPECT_GT(pinned.cache_hits, 0u);
 
-  // A full from-scratch snapshot (no artifact aliasing) carries nothing:
-  // after its publish every prior entry is unreachable and swept.
-  const std::size_t entries_mid = cache->entries();
-  const std::uint64_t invalidated_mid = cache->invalidations();
-  store.publish(ModelSnapshot::build(reducer.blocks(), reducer.model(),
+  // A third version ages version 0 out: exactly its entries are swept and
+  // the pinned snapshot bypasses the cache (zero probes).
+  const std::uint64_t invalidated_before = cache->invalidations();
+  store.publish(ModelSnapshot::build(reducer.blocks(), reducer.shared_model(),
                                      snap1->options(), nullptr,
                                      snap1->version() + 1));
-  EXPECT_EQ(cache->entries(), 0u);
-  EXPECT_EQ(cache->invalidations(), invalidated_mid + entries_mid);
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    if (batches[b].empty()) continue;
-    BatchStats stats;
-    (void)frontend.answer(batches[b], nullptr, RouteMode::kLocalApprox,
-                          &stats);
-    EXPECT_EQ(stats.cache_hits, 0u) << "full build must drop block " << b;
-  }
+  EXPECT_EQ(cache->invalidations(), invalidated_before + entries_v0);
+  EXPECT_EQ(cache->entries(), entries_v1);
+  const BatchStats aged = answer(*snap0, RouteMode::kSharded);
+  EXPECT_EQ(aged.cache_hits + aged.cache_misses, 0u);
+  // Version 1 is still within the cap.
+  const BatchStats still = answer(*snap1, RouteMode::kSharded);
+  EXPECT_EQ(still.cache_misses, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -325,8 +275,7 @@ TEST(ResultCache, TinyCapacityEvictsWithoutEverAnsweringWrong) {
   for (int round = 0; round < 4; ++round) {
     const auto batch = mixed_batch(
         kept, 200, static_cast<std::uint64_t>(1300 + round % 2));
-    for (RouteMode mode :
-         {RouteMode::kSharded, RouteMode::kLocalApprox}) {
+    for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic}) {
       const auto cached = QueryFrontEnd::answer_on(
           *snap, batch, {nullptr, mode, nullptr, &reg, cache.get()});
       const auto plain = QueryFrontEnd::answer_on(

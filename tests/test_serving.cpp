@@ -10,11 +10,14 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 #include "pg/analysis.hpp"
 #include "pg/incremental.hpp"
 #include "reduction/pipeline.hpp"
@@ -94,8 +97,7 @@ TEST(QueryFrontEnd, BitIdenticalAcrossThreadCounts) {
   const auto snap = ModelSnapshot::build(art);
   const auto batch = mixed_batch(kept_originals(*art.model), 1500, 5);
 
-  for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic,
-                         RouteMode::kLocalApprox}) {
+  for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic}) {
     const auto serial =
         QueryFrontEnd::answer_on(*snap, batch, {nullptr, mode});
     for (int threads : {2, 4, 8}) {
@@ -171,26 +173,70 @@ TEST(QueryFrontEnd, InvalidQueriesAnswerNaN) {
   EXPECT_EQ(stats.queries, 4u);
 }
 
-TEST(QueryFrontEnd, LocalApproxRoutesThroughBlockEngines) {
-  const ServeCase c = make_case(24, 24, 64, 89);
+// Deadline-expired queries answer NaN with QueryStatus::kDeadlineMiss
+// without blocking the rest of the batch. Expiry is a pure function of
+// (policy.deadline_us, AnswerContext::queue_wait_us), never of a clock read.
+TEST(QueryFrontEnd, ExpiredDeadlinesMissWithoutBlockingTheBatch) {
+  const ServeCase c = make_case(18, 18, 40, 419);
   ReductionOptions opts;
-  opts.num_blocks = 8;
+  opts.num_blocks = 6;
   const ReductionArtifacts art =
       reduce_network_artifacts(c.net, c.ports, opts);
   const auto snap = ModelSnapshot::build(art);
-  const auto batch = mixed_batch(kept_originals(*art.model), 600, 7);
+  const auto kept = kept_originals(*art.model);
 
-  BatchStats stats;
-  const auto out = QueryFrontEnd::answer_on(
-      *snap, batch, {nullptr, RouteMode::kLocalApprox, &stats});
-  EXPECT_GT(stats.engine_answered, 0u);  // the fast path actually engaged
-  EXPECT_GT(stats.cross_block, 0u);      // and the fallback did too
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_TRUE(std::isfinite(out[i])) << "query " << i;
-    if (batch[i].kind == QueryKind::kResistance) {
-      EXPECT_GE(out[i], 0.0) << "query " << i;
-    }
+  const auto plain = mixed_batch(kept, 60, 17);
+  std::vector<PortQuery> batch = plain;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (i % 3 == 0) batch[i].policy.deadline_us = 10;        // expires
+    if (i % 3 == 1) batch[i].policy.deadline_us = 1'000'000; // never does
   }
+
+  obs::MetricsRegistry reg;
+  const auto reference = QueryFrontEnd::answer_on(
+      *snap, plain, {nullptr, RouteMode::kSharded, nullptr, &reg});
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::optional<ThreadPool> pool;
+    if (threads > 1) pool.emplace(threads, &reg);
+    BatchStats stats;
+    std::vector<QueryStatus> statuses;
+    AnswerContext ctx;
+    ctx.pool = pool ? &*pool : nullptr;
+    ctx.mode = RouteMode::kSharded;
+    ctx.stats = &stats;
+    ctx.registry = &reg;
+    ctx.queue_wait_us = 50;  // injected, not measured: 10 <= 50 expires
+    ctx.statuses = &statuses;
+    const auto answers = QueryFrontEnd::answer_on(*snap, batch, ctx);
+    ASSERT_EQ(statuses.size(), batch.size());
+    std::size_t misses = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (i % 3 == 0) {
+        EXPECT_EQ(statuses[i], QueryStatus::kDeadlineMiss) << "query " << i;
+        EXPECT_TRUE(std::isnan(answers[i])) << "query " << i;
+        ++misses;
+      } else {
+        // The rest of the batch answers exactly as the deadline-free twin.
+        const bool both_nan =
+            std::isnan(answers[i]) && std::isnan(reference[i]);
+        ASSERT_TRUE(answers[i] == reference[i] || both_nan)
+            << "query " << i;
+        EXPECT_NE(statuses[i], QueryStatus::kDeadlineMiss) << "query " << i;
+      }
+    }
+    EXPECT_EQ(stats.deadline_miss, misses);
+  }
+
+  // With no queue wait, nothing expires (deadline 10us > wait 0).
+  BatchStats relaxed;
+  AnswerContext relaxed_ctx;
+  relaxed_ctx.mode = RouteMode::kSharded;
+  relaxed_ctx.stats = &relaxed;
+  relaxed_ctx.registry = &reg;
+  (void)QueryFrontEnd::answer_on(*snap, batch, relaxed_ctx);
+  EXPECT_EQ(relaxed.deadline_miss, 0u);
 }
 
 TEST(ModelStore, PublishPinsInFlightSnapshots) {

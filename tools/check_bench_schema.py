@@ -6,7 +6,7 @@ bench_serving breaks the pipeline instead of downstream readers of the
 JSON trajectories (bench/README.md documents every field).
 
 usage: check_bench_schema.py BENCH_serving.json
-       {churn|standard|zipf|loopback|policy-mix}
+       {churn|standard|zipf|loopback}
 """
 import json
 import sys
@@ -29,10 +29,10 @@ MODE_FIELDS = {
         "staleness_mean_mods", "staleness_max_mods",
         "staleness_mean_versions", "staleness_max_versions",
         "queries_per_second", "churn_wall_seconds",
-        "reused_block_fraction", "incremental_publish_seconds",
+        "reused_block_fraction", "dirty_publish_seconds",
         "full_snapshot_build_seconds",
-        # Zero-copy publish accounting (PR 5).
-        "publish_model_bytes_copied", "publish_bytes_materialized",
+        # Publish accounting (PR 5).
+        "publish_bytes_materialized",
         "model_footprint_bytes",
         # Bounded-staleness back-pressure (PR 5).
         "staleness_bound_mods", "blocked_submits", "rejected_submits",
@@ -41,7 +41,7 @@ MODE_FIELDS = {
     },
     "standard": COMMON_FIELDS | {
         "snapshot_build_seconds", "wall_seconds", "queries_per_second",
-        "speedup", "identical", "cross_block_queries", "engine_answered",
+        "speedup", "identical", "cross_block_queries",
         "max_rel_vs_monolithic",
     },
     # Result-cache scenario (--churn --zipf S, PR 8).
@@ -60,22 +60,6 @@ MODE_FIELDS = {
         "request_latency_p99_us",
         "requests_total", "retry_later_responses",
         "mods_submitted", "mods_applied",
-        "identical",
-    },
-    # Per-query QueryPolicy scenario (--policy-mix, PR 10): tier mix,
-    # hedged racing, and deadline accounting, plus per-tier latency
-    # percentiles from the er_policy_latency_seconds{tier=...} histograms.
-    "policy-mix": COMMON_FIELDS | {
-        "queries_per_second",
-        "served_exact", "served_approx", "served_fast",
-        "hedged_queries", "hedge_win_fraction_engine",
-        "deadline_misses", "queue_wait_us_injected",
-        "policy_latency_exact_p50_us", "policy_latency_exact_p95_us",
-        "policy_latency_exact_p99_us",
-        "policy_latency_approx_p50_us", "policy_latency_approx_p95_us",
-        "policy_latency_approx_p99_us",
-        "policy_latency_fast_p50_us", "policy_latency_fast_p95_us",
-        "policy_latency_fast_p99_us",
         "identical",
     },
 }
@@ -104,7 +88,7 @@ def main() -> int:
             print(f"{path}[{i}]: missing fields {sorted(missing)}",
                   file=sys.stderr)
             ok = False
-        if mode in ("churn", "zipf", "loopback", "policy-mix") \
+        if mode in ("churn", "zipf", "loopback") \
                 and row.get("identical") is not True:
             print(f"{path}[{i}]: {mode} row not bit-identical",
                   file=sys.stderr)
@@ -121,25 +105,6 @@ def main() -> int:
             print(f"{path}[{i}]: cache hit rate "
                   f"{row.get('cache_hit_rate')} below the 0.5 floor at "
                   f"zipf_s {row.get('zipf_s')}", file=sys.stderr)
-            ok = False
-        if mode == "policy-mix":
-            frac = row.get("hedge_win_fraction_engine")
-            if not isinstance(frac, (int, float)) or not 0.0 <= frac <= 1.0:
-                print(f"{path}[{i}]: hedge_win_fraction_engine {frac!r} "
-                      "outside [0, 1]", file=sys.stderr)
-                ok = False
-            served = sum(row.get(k, 0) for k in
-                         ("served_exact", "served_approx", "served_fast"))
-            expected = row.get("queries", 0) - row.get("deadline_misses", 0)
-            if served != expected:
-                print(f"{path}[{i}]: per-tier served counts sum to {served}, "
-                      f"expected queries - deadline_misses = {expected}",
-                      file=sys.stderr)
-                ok = False
-        if mode == "churn" and row.get("publish_model_bytes_copied") != 0:
-            print(f"{path}[{i}]: zero-copy publish copied model bytes "
-                  f"({row.get('publish_model_bytes_copied')})",
-                  file=sys.stderr)
             ok = False
     if ok:
         print(f"{path}: {len(rows)} rows OK ({mode} schema)")

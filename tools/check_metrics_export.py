@@ -46,12 +46,8 @@ REQUIRED = [
     ("er_cache_entries", "gauge"),
     ("er_cache_bytes", "gauge"),
     ("er_cache_hit_latency_seconds", "histogram"),
-    # Per-query policy layer (serve/query_frontend.cpp, PR 10): families
-    # resolve on every answered batch — all tiers and hedge winners
-    # register eagerly, so they export even for default-policy traffic.
-    ("er_policy_served_total", "counter"),
-    ("er_policy_latency_seconds", "histogram"),
-    ("er_policy_hedges_total", "counter"),
+    # Deadline accounting (serve/query_frontend.cpp): the family resolves
+    # on every answered batch, so it exports even for deadline-free traffic.
     ("er_policy_deadline_miss_total", "counter"),
 ]
 # The daemon surface (src/net/server.cpp): families register eagerly at

@@ -37,7 +37,7 @@ CHECKS = ["determinism-lint", "determinism-lint-selftest",
           "workspace-clean", "bench-schema", "metrics-export",
           "loopback-smoke"]
 
-BENCH_MODES = ["churn", "standard", "zipf", "loopback", "policy-mix"]
+BENCH_MODES = ["churn", "standard", "zipf", "loopback"]
 METRICS_PROFILES = ["core", "net"]
 
 
