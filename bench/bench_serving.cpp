@@ -56,8 +56,10 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "chol/cholesky.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/stack.hpp"
@@ -70,6 +72,7 @@
 #include "serve/result_cache.hpp"
 #include "suite.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -107,6 +110,57 @@ void set_query_latency_fields(bench::BenchJson::Row& row,
   row.set("query_latency_p50_us", us(0.50))
       .set("query_latency_p95_us", us(0.95))
       .set("query_latency_p99_us", us(0.99));
+}
+
+/// Etree-reach statistics of the batch's monolithic reach solves
+/// (DESIGN.md §4): one solve of e_p - e_q per resistance query, one each of
+/// e_p and e_q per response query. Computed on a factor of the stitched
+/// system built here — the same matrix and ordering as the snapshot's
+/// monolithic factor — so the snapshot API stays unchanged.
+struct ReachStats {
+  double nodes_mean = 0.0;    ///< reach size (factor columns visited)
+  double nodes_p99 = 0.0;
+  double entries_mean = 0.0;  ///< factor entries in the visited columns
+};
+
+ReachStats reach_stats(const ReducedModel& model,
+                       const std::vector<PortQuery>& batch) {
+  const CholFactor g = cholesky(model.network.system_matrix());
+  ReachWorkspace ws;
+  std::vector<double> nodes;
+  RunningStats nodes_stats;
+  RunningStats entries;
+  const auto solve = [&](const index_t* idx, const real_t* val, int k) {
+    g.sparse_forward(idx, val, k, ws);
+    offset_t touched = 0;
+    for (const index_t j : ws.reach)
+      touched += g.col_ptr[static_cast<std::size_t>(j) + 1] -
+                 g.col_ptr[static_cast<std::size_t>(j)];
+    nodes.push_back(static_cast<double>(ws.reach.size()));
+    nodes_stats.add(nodes.back());
+    entries.add(static_cast<double>(touched));
+  };
+  const real_t one = 1.0;
+  for (const PortQuery& query : batch) {
+    const index_t p = g.inv_perm[static_cast<std::size_t>(
+        model.node_map[static_cast<std::size_t>(query.p)])];
+    const index_t q = g.inv_perm[static_cast<std::size_t>(
+        model.node_map[static_cast<std::size_t>(query.q)])];
+    if (query.kind == QueryKind::kResponse) {
+      solve(&p, &one, 1);
+      solve(&q, &one, 1);
+    } else if (p != q) {
+      const index_t idx[2] = {p, q};
+      const real_t val[2] = {1.0, -1.0};
+      solve(idx, val, 2);
+    }
+  }
+  ReachStats out;
+  if (nodes.empty()) return out;
+  out.nodes_mean = nodes_stats.mean();
+  out.nodes_p99 = quantile(std::move(nodes), 0.99);
+  out.entries_mean = entries.mean();
+  return out;
 }
 
 std::vector<PortQuery> make_batch(const ReducedModel& model,
@@ -1011,6 +1065,7 @@ int main(int argc, char** argv) {
     store.publish(ModelSnapshot::build(art));
     const SnapshotPtr snap = store.acquire();
     const auto batch = make_batch(*art.model, kBatchSize, 2027);
+    const ReachStats reach = reach_stats(*art.model, batch);
 
     // Serial single-model reference: the whole batch through the monolithic
     // factor on one thread. Doubles as the (monolithic, 1 thread) row so
@@ -1119,7 +1174,10 @@ int main(int argc, char** argv) {
             .set("speedup", speedup)
             .set("identical", identical)
             .set("cross_block_queries", stats.cross_block)
-            .set("max_rel_vs_monolithic", max_rel_vs_reference);
+            .set("max_rel_vs_monolithic", max_rel_vs_reference)
+            .set("reach_nodes_mean", reach.nodes_mean)
+            .set("reach_nodes_p99", reach.nodes_p99)
+            .set("factor_entries_touched_mean", reach.entries_mean);
         set_query_latency_fields(row, row_snap, mode);
       }
     }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "order/etree.hpp"
 
@@ -46,7 +47,7 @@ CholFactor cholesky(const CscMatrix& a, const std::vector<index_t>& perm) {
     throw std::invalid_argument("cholesky: invalid permutation");
 
   const CscMatrix ap = a.permute_symmetric(perm);
-  const std::vector<index_t> parent = etree(ap);
+  std::vector<index_t> parent = etree(ap);
 
   // --- Symbolic pass: column counts of L via per-row ereach. ---
   std::vector<index_t> s(static_cast<std::size_t>(n));
@@ -115,6 +116,7 @@ CholFactor cholesky(const CscMatrix& a, const std::vector<index_t>& perm) {
     f.row_ind[static_cast<std::size_t>(pos)] = k;  // diagonal first
     f.values[static_cast<std::size_t>(pos)] = std::sqrt(d);
   }
+  f.parent = std::move(parent);
   return f;
 }
 

@@ -57,6 +57,70 @@ std::vector<real_t> CholFactor::solve(const std::vector<real_t>& b) const {
   return out;
 }
 
+void CholFactor::sparse_forward(const index_t* idx, const real_t* val, int k,
+                                ReachWorkspace& ws) const {
+  if (parent.size() != static_cast<std::size_t>(n))
+    throw std::logic_error(
+        "sparse_forward: factor has no elimination tree (incomplete factor)");
+  for (int t = 0; t < k; ++t)
+    if (idx[t] < 0 || idx[t] >= n)
+      throw std::out_of_range("sparse_forward: rhs index out of range");
+  const auto un = static_cast<std::size_t>(n);
+  if (ws.x.size() != un) {
+    ws.x.assign(un, 0.0);
+    ws.mark.assign(un, 0);
+    ws.reach.reserve(un);
+    ws.y.reserve(un);
+  }
+
+  // Symbolic: scatter b and mark the etree path of each rhs index up to
+  // the first node already marked (or past a root). A path that runs past
+  // a root adds a tree. Each path ascends (parent[j] > j), so a one-entry
+  // rhs yields an ascending reach; a union of paths is sorted once.
+  ws.reach.clear();
+  ws.trees = 0;
+  for (int t = 0; t < k; ++t) {
+    ws.x[static_cast<std::size_t>(idx[t])] += val[t];
+    index_t j = idx[t];
+    while (j >= 0 && !ws.mark[static_cast<std::size_t>(j)]) {
+      ws.mark[static_cast<std::size_t>(j)] = 1;
+      ws.reach.push_back(j);
+      j = parent[static_cast<std::size_t>(j)];
+    }
+    if (j < 0) ++ws.trees;
+  }
+  if (k > 1) std::sort(ws.reach.begin(), ws.reach.end());
+
+  // Numeric: forward_solve's column update restricted to the reach, in the
+  // same (ascending) column order — every row a column updates is one of
+  // its etree ancestors, hence in the reach. Marks and x are reset as the
+  // sweep passes them.
+  ws.y.resize(ws.reach.size());
+  for (std::size_t t = 0; t < ws.reach.size(); ++t) {
+    const auto j = static_cast<std::size_t>(ws.reach[t]);
+    ws.mark[j] = 0;
+    const offset_t begin = col_ptr[j];
+    const offset_t end = col_ptr[j + 1];
+    const real_t xj = ws.x[j] / values[static_cast<std::size_t>(begin)];
+    ws.x[j] = 0.0;
+    ws.y[t] = xj;
+    if (xj == 0.0) continue;
+    // A column whose rows form one contiguous run (the dense top separator
+    // every reach ends in) is a plain axpy the compiler can vectorize: the
+    // same per-entry update, so the result is bitwise unchanged.
+    const index_t* rows = row_ind.data() + begin + 1;
+    const real_t* lv = values.data() + begin + 1;
+    const offset_t len = end - begin - 1;
+    if (len > 0 && rows[len - 1] - rows[0] == len - 1) {
+      real_t* xr = ws.x.data() + rows[0];
+      for (offset_t p = 0; p < len; ++p) xr[p] -= lv[p] * xj;
+    } else {
+      for (offset_t p = 0; p < len; ++p)
+        ws.x[static_cast<std::size_t>(rows[p])] -= lv[p] * xj;
+    }
+  }
+}
+
 CscMatrix CholFactor::to_csc() const {
   TripletMatrix t(n, n);
   t.reserve(static_cast<std::size_t>(nnz()));
@@ -72,12 +136,19 @@ bool CholFactor::check_invariants() const {
   if (col_ptr.size() != static_cast<std::size_t>(n) + 1) return false;
   if (!is_permutation(perm) || !is_permutation(inv_perm)) return false;
   if (perm.size() != static_cast<std::size_t>(n)) return false;
+  if (!parent.empty() && parent.size() != static_cast<std::size_t>(n))
+    return false;
   for (index_t j = 0; j < n; ++j) {
     const offset_t begin = col_ptr[static_cast<std::size_t>(j)];
     const offset_t end = col_ptr[static_cast<std::size_t>(j) + 1];
     if (begin >= end) return false;  // at least the diagonal
     if (row_ind[static_cast<std::size_t>(begin)] != j) return false;
     if (values[static_cast<std::size_t>(begin)] <= 0.0) return false;
+    // A complete factor's etree parent is its column's first subdiagonal row.
+    if (!parent.empty() &&
+        parent[static_cast<std::size_t>(j)] !=
+            (end - begin > 1 ? row_ind[static_cast<std::size_t>(begin) + 1] : -1))
+      return false;
     for (offset_t p = begin + 1; p < end; ++p) {
       if (row_ind[static_cast<std::size_t>(p)] <= j) return false;
       if (p > begin + 1 &&

@@ -1,5 +1,6 @@
 // Cholesky factor container shared by the complete and incomplete
-// factorizations, plus triangular solves.
+// factorizations, plus triangular solves: dense ones over all n columns and
+// a reach-limited sparse forward solve for complete factors.
 //
 // Storage layout: CSC with the *diagonal entry first* in every column,
 // followed by the off-diagonal rows in increasing order. This is the layout
@@ -19,6 +20,24 @@
 
 namespace er {
 
+/// Scratch and result of CholFactor::sparse_forward. Reuse one instance
+/// across queries; never share one across threads. The dense arrays are
+/// sized once (to the factor's n) and are all zero between calls: a call
+/// touches and resets them only along its reach.
+struct ReachWorkspace {
+  /// Result: the rows of y = L^{-1} b that can be nonzero (the etree
+  /// reach of b's support), ascending.
+  std::vector<index_t> reach;
+  /// Result: y[t] = (L^{-1} b)[reach[t]].
+  std::vector<real_t> y;
+  /// Result: etree roots in the reach — the number of connected
+  /// components of the factored matrix that b's support touches.
+  index_t trees = 0;
+
+  std::vector<real_t> x;   ///< dense accumulator (zero between calls)
+  std::vector<char> mark;  ///< reach marks (zero between calls)
+};
+
 struct CholFactor {
   index_t n = 0;
   std::vector<offset_t> col_ptr;  // size n+1
@@ -26,6 +45,10 @@ struct CholFactor {
   std::vector<real_t> values;
   std::vector<index_t> perm;      // new -> old
   std::vector<index_t> inv_perm;  // old -> new
+  /// Elimination tree of P A P^T (parent[j] > j, -1 at a root; one tree
+  /// per connected component). Kept by cholesky(); empty for incomplete
+  /// factors, whose dropped fill breaks the reach argument below.
+  std::vector<index_t> parent;
 
   [[nodiscard]] offset_t nnz() const {
     return col_ptr.empty() ? 0 : col_ptr.back();
@@ -48,12 +71,25 @@ struct CholFactor {
   /// Solve A x = b in original coordinates (applies perm / inv_perm).
   [[nodiscard]] std::vector<real_t> solve(const std::vector<real_t>& b) const;
 
+  /// Reach-limited forward solve (Gilbert-Peierls along the etree): y =
+  /// L^{-1} b for the sparse rhs b = sum_t val[t] e_{idx[t]} (permuted
+  /// space; duplicate indices add up). Only the etree paths from the k rhs
+  /// indices to their roots can be nonzero in y; they are visited in
+  /// ascending order with forward_solve's column update, so ws.y is
+  /// bitwise equal to forward_solve on ws.reach. The cost is the factor
+  /// entries of the reach's columns — no O(n) pass, no allocation once
+  /// `ws` is sized. Complete factors only: throws std::logic_error when
+  /// `parent` is missing (incomplete factors), std::out_of_range on a bad
+  /// index.
+  void sparse_forward(const index_t* idx, const real_t* val, int k,
+                      ReachWorkspace& ws) const;
+
   /// Approximate resident size in bytes (CSC arrays + permutations) — the
   /// unit of the serving layer's per-publish build-cost accounting.
   [[nodiscard]] std::size_t footprint_bytes() const {
     return col_ptr.size() * sizeof(offset_t) +
            row_ind.size() * sizeof(index_t) + values.size() * sizeof(real_t) +
-           (perm.size() + inv_perm.size()) * sizeof(index_t);
+           (perm.size() + inv_perm.size() + parent.size()) * sizeof(index_t);
   }
 
   /// Row-sorted CSC copy of L (tests and diagnostics).

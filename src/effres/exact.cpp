@@ -1,5 +1,6 @@
 #include "effres/exact.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "chol/cholesky.hpp"
@@ -14,28 +15,29 @@ ExactEffRes::ExactEffRes(const Graph& g, Ordering ordering)
   factor_ = cholesky(lg, ordering);
 }
 
-real_t ExactEffRes::resistance_with(std::vector<real_t>& work, index_t p,
+real_t ExactEffRes::resistance_with(ReachWorkspace& ws, index_t p,
                                     index_t q) const {
   if (p < 0 || p >= n_ || q < 0 || q >= n_)
     throw std::out_of_range("ExactEffRes::resistance: node out of range");
   if (p == q) return 0.0;
-  // Solve (in permuted space) L L^T x = e_p - e_q, then R = x_p - x_q.
-  std::fill(work.begin(), work.end(), 0.0);
-  const index_t pp = factor_.inv_perm[static_cast<std::size_t>(p)];
-  const index_t qq = factor_.inv_perm[static_cast<std::size_t>(q)];
-  work[static_cast<std::size_t>(pp)] = 1.0;
-  work[static_cast<std::size_t>(qq)] = -1.0;
-  factor_.solve_permuted(work);
-  return work[static_cast<std::size_t>(pp)] -
-         work[static_cast<std::size_t>(qq)];
+  // R = ||L^{-1} P (e_p - e_q)||^2, forward-only along the etree reach.
+  // One etree per connected component: a reach spanning two trees means p
+  // and q are disconnected, and no current flows between them.
+  const index_t idx[2] = {factor_.inv_perm[static_cast<std::size_t>(p)],
+                          factor_.inv_perm[static_cast<std::size_t>(q)]};
+  const real_t vals[2] = {1.0, -1.0};
+  factor_.sparse_forward(idx, vals, 2, ws);
+  if (ws.trees > 1) return std::numeric_limits<real_t>::infinity();
+  real_t r = 0.0;
+  for (const real_t y : ws.y) r += y * y;
+  return r;
 }
 
 real_t ExactEffRes::resistance(index_t p, index_t q) const {
-  // Thread-safe without per-call allocation: each thread reuses one scratch
-  // vector across queries (resistance_with zero-fills it itself).
-  static thread_local std::vector<real_t> work;
-  work.resize(static_cast<std::size_t>(n_));
-  return resistance_with(work, p, q);
+  // Thread-safe without per-call allocation: each thread reuses one reach
+  // workspace across queries (sparse_forward leaves it clean).
+  static thread_local ReachWorkspace ws;
+  return resistance_with(ws, p, q);
 }
 
 void ExactEffRes::resistances_into(const std::vector<ResistanceQuery>& queries,
@@ -45,10 +47,10 @@ void ExactEffRes::resistances_into(const std::vector<ResistanceQuery>& queries,
     throw std::invalid_argument("resistances_into: output under-sized");
   parallel_for(pool, 0, static_cast<index_t>(queries.size()), kBatchQueryGrain,
                [&](index_t lo, index_t hi) {
-                 std::vector<real_t> work(static_cast<std::size_t>(n_), 0.0);
+                 ReachWorkspace ws;
                  for (index_t i = lo; i < hi; ++i) {
                    const auto& [p, q] = queries[static_cast<std::size_t>(i)];
-                   out[static_cast<std::size_t>(i)] = resistance_with(work, p, q);
+                   out[static_cast<std::size_t>(i)] = resistance_with(ws, p, q);
                  }
                });
 }

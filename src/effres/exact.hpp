@@ -1,6 +1,8 @@
 // Exact effective resistances via a complete sparse Cholesky factorization
 // of the grounded Laplacian (paper Eq. (3) with the §II-A grounding trick,
-// which is exact for balanced injections e_p - e_q).
+// which is exact for balanced injections e_p - e_q). A query is one
+// forward-only reach solve: R(p, q) = ||L^{-1} P (e_p - e_q)||^2 over the
+// etree reach of {p, q} (CholFactor::sparse_forward).
 #pragma once
 
 #include <memory>
@@ -16,9 +18,12 @@ class ExactEffRes final : public EffResEngine {
  public:
   explicit ExactEffRes(const Graph& g, Ordering ordering = Ordering::kMinDeg);
 
-  /// Thread-safe single query: the solve vector is a thread-local scratch,
-  /// so concurrent callers never share state and serial query loops don't
-  /// allocate per call.
+  /// Thread-safe single query: the reach workspace is a thread-local
+  /// scratch, so concurrent callers never share state and serial query
+  /// loops don't allocate per call. For p and q in different connected
+  /// components the answer is +infinity (no path carries current between
+  /// them); the grounded factor has one etree per component, so the reach
+  /// detects this for free.
   [[nodiscard]] real_t resistance(index_t p, index_t q) const override;
 
   /// Batch override: each chunk solves with its own workspace, so queries
@@ -33,8 +38,7 @@ class ExactEffRes final : public EffResEngine {
   [[nodiscard]] const CholFactor& factor() const { return factor_; }
 
  private:
-  real_t resistance_with(std::vector<real_t>& work, index_t p,
-                         index_t q) const;
+  real_t resistance_with(ReachWorkspace& ws, index_t p, index_t q) const;
 
   index_t n_ = 0;
   CholFactor factor_;

@@ -383,101 +383,137 @@ index_t ModelSnapshot::reduced_id(index_t original) const {
   return model_->node_map[static_cast<std::size_t>(original)];
 }
 
-void ModelSnapshot::solve_sparse(const index_t* rhs_nodes,
-                                 const real_t* rhs_values, int nrhs,
-                                 const index_t* targets, real_t* out,
-                                 int ntargets, Workspace& ws) const {
-  const auto nbd = static_cast<index_t>(boundary_nodes_.size());
-  ws.boundary_rhs.assign(static_cast<std::size_t>(nbd), 0.0);
-
-  // Forward pass: boundary rhs entries land directly; interior entries are
-  // condensed through their block, rhs_B -= A_BI (A_II)^-1 rhs_I (a
-  // coupling entry A[j,i] is -weight, hence the += below).
-  for (int r = 0; r < nrhs; ++r) {
-    const index_t g = rhs_nodes[r];
-    const index_t bidx = boundary_index_[static_cast<std::size_t>(g)];
-    if (bidx >= 0) ws.boundary_rhs[static_cast<std::size_t>(bidx)] += rhs_values[r];
+real_t ModelSnapshot::condense_block(index_t b, const index_t* nodes,
+                                     const real_t* vals, int k,
+                                     Workspace& ws) const {
+  const BlockSystem& bs = blocks_[static_cast<std::size_t>(b)];
+  const CholFactor& f = bs.artifact->factor;
+  ws.block_rhs.assign(static_cast<std::size_t>(f.n), 0.0);
+  for (int r = 0; r < k; ++r) {
+    const index_t g = nodes[r];
+    if (boundary_index_[static_cast<std::size_t>(g)] < 0 &&
+        block_of_reduced_[static_cast<std::size_t>(g)] == b)
+      ws.block_rhs[static_cast<std::size_t>(f.inv_perm[static_cast<std::size_t>(
+          interior_index_[static_cast<std::size_t>(g)])])] += vals[r];
   }
-  for (int r = 0; r < nrhs; ++r) {
-    const index_t g = rhs_nodes[r];
-    if (boundary_index_[static_cast<std::size_t>(g)] >= 0) continue;
-    // Skip if this block was already condensed for an earlier rhs entry.
-    const index_t b = block_of_reduced_[static_cast<std::size_t>(g)];
-    bool done = false;
-    for (int r2 = 0; r2 < r; ++r2)
-      done = done ||
-             (boundary_index_[static_cast<std::size_t>(rhs_nodes[r2])] < 0 &&
-              block_of_reduced_[static_cast<std::size_t>(rhs_nodes[r2])] == b);
-    if (done) continue;
-    const BlockSystem& bs = blocks_[static_cast<std::size_t>(b)];
-    ws.block_rhs.assign(bs.artifact->interior_locals.size(), 0.0);
-    for (int r2 = r; r2 < nrhs; ++r2) {
-      const index_t g2 = rhs_nodes[r2];
-      if (boundary_index_[static_cast<std::size_t>(g2)] < 0 &&
-          block_of_reduced_[static_cast<std::size_t>(g2)] == b)
-        ws.block_rhs[static_cast<std::size_t>(
-            interior_index_[static_cast<std::size_t>(g2)])] += rhs_values[r2];
-    }
-    const std::vector<real_t> t = bs.artifact->factor.solve(ws.block_rhs);
-    for (const BlockArtifact::Coupling& c : bs.artifact->couplings)
-      ws.boundary_rhs[static_cast<std::size_t>(
-          bs.boundary_global[static_cast<std::size_t>(c.boundary)])] +=
-          c.weight * t[static_cast<std::size_t>(c.interior)];
+  // The block is small: dense forward and backward halves of its solve.
+  // The forward half alone gives the interior energy as a sum of squares.
+  f.forward_solve(ws.block_rhs);
+  real_t energy = 0.0;
+  for (const real_t y : ws.block_rhs) energy += y * y;
+  f.backward_solve(ws.block_rhs);
+  // c -= A_BI t; a coupling entry A[j,i] is -weight, hence the +weight.
+  for (const BlockArtifact::Coupling& c : bs.artifact->couplings) {
+    ws.rhs_idx.push_back(boundary_factor_.inv_perm[static_cast<std::size_t>(
+        bs.boundary_global[static_cast<std::size_t>(c.boundary)])]);
+    ws.rhs_val.push_back(c.weight *
+                         ws.block_rhs[static_cast<std::size_t>(
+                             f.inv_perm[static_cast<std::size_t>(c.interior)])]);
   }
+  return energy;
+}
 
-  // Global boundary solve S x_B = rhs_B.
-  std::vector<real_t> bx;
-  if (nbd > 0) bx = boundary_factor_.solve(ws.boundary_rhs);
-
-  // Back-substitution: boundary targets read x_B; interior targets solve
-  // their block once, x_I = (A_II)^-1 (rhs_I - A_IB x_B). The most recent
-  // block solution is kept so consecutive targets in one block (the
-  // resistance query's (p, q) pair) share a single solve.
-  index_t solved_block = -1;
-  for (int t = 0; t < ntargets; ++t) {
-    const index_t g = targets[t];
+real_t ModelSnapshot::condense(const index_t* nodes, const real_t* vals,
+                               int k, Workspace& ws) const {
+  ws.rhs_idx.clear();
+  ws.rhs_val.clear();
+  real_t energy = 0.0;
+  for (int r = 0; r < k; ++r) {
+    const index_t g = nodes[r];
     const index_t bidx = boundary_index_[static_cast<std::size_t>(g)];
     if (bidx >= 0) {
-      out[t] = bx[static_cast<std::size_t>(bidx)];
+      ws.rhs_idx.push_back(
+          boundary_factor_.inv_perm[static_cast<std::size_t>(bidx)]);
+      ws.rhs_val.push_back(vals[r]);
       continue;
     }
+    // Condense each block once, at its first interior rhs entry.
     const index_t b = block_of_reduced_[static_cast<std::size_t>(g)];
-    if (b != solved_block) {
-      const BlockSystem& bs = blocks_[static_cast<std::size_t>(b)];
-      ws.block_rhs.assign(bs.artifact->interior_locals.size(), 0.0);
-      for (int r = 0; r < nrhs; ++r) {
-        const index_t g2 = rhs_nodes[r];
-        if (boundary_index_[static_cast<std::size_t>(g2)] < 0 &&
-            block_of_reduced_[static_cast<std::size_t>(g2)] == b)
-          ws.block_rhs[static_cast<std::size_t>(
-              interior_index_[static_cast<std::size_t>(g2)])] += rhs_values[r];
-      }
-      for (const BlockArtifact::Coupling& c : bs.artifact->couplings)
-        ws.block_rhs[static_cast<std::size_t>(c.interior)] +=
-            c.weight * bx[static_cast<std::size_t>(bs.boundary_global[
-                static_cast<std::size_t>(c.boundary)])];
-      ws.block_solution = bs.artifact->factor.solve(ws.block_rhs);
-      solved_block = b;
-    }
-    out[t] = ws.block_solution[static_cast<std::size_t>(
-        interior_index_[static_cast<std::size_t>(g)])];
+    bool seen = false;
+    for (int r2 = 0; r2 < r; ++r2)
+      seen = seen ||
+             (boundary_index_[static_cast<std::size_t>(nodes[r2])] < 0 &&
+              block_of_reduced_[static_cast<std::size_t>(nodes[r2])] == b);
+    if (!seen) energy += condense_block(b, nodes, vals, k, ws);
   }
+  return energy;
 }
+
+namespace {
+
+/// Sum of squares of a reach solve: b^T (L L^T)^{-1} b = ||L^{-1} b||^2.
+real_t squared_norm(const ReachWorkspace& rw) {
+  real_t s = 0.0;
+  for (const real_t y : rw.y) s += y * y;
+  return s;
+}
+
+/// Dot product of two reach solves over the intersection of their
+/// (ascending) reaches — outside it one of the two factors is zero.
+real_t reach_dot(const std::vector<index_t>& ra, const std::vector<real_t>& ya,
+                 const ReachWorkspace& b) {
+  real_t s = 0.0;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < ra.size() && j < b.reach.size()) {
+    if (ra[i] < b.reach[j]) {
+      ++i;
+    } else if (b.reach[j] < ra[i]) {
+      ++j;
+    } else {
+      s += ya[i++] * b.y[j++];
+    }
+  }
+  return s;
+}
+
+/// Reach solve of the rhs condense() left in the workspace.
+void solve_condensed(const CholFactor& s, ModelSnapshot::Workspace& ws) {
+  s.sparse_forward(ws.rhs_idx.data(), ws.rhs_val.data(),
+                   static_cast<int>(ws.rhs_idx.size()), ws.reach);
+}
+
+/// Keep the result of a first reach solve while the workspace runs the
+/// second one.
+void save_first(ModelSnapshot::Workspace& ws) {
+  ws.first_reach.assign(ws.reach.reach.begin(), ws.reach.reach.end());
+  ws.first_y.assign(ws.reach.y.begin(), ws.reach.y.end());
+}
+
+}  // namespace
+
+// Block-LDL^T identity behind the sharded path: with c_x = x_B - A_BI
+// A_II^{-1} x_I, a^T G^{-1} b = a_I^T A_II^{-1} b_I + c_a^T S^{-1} c_b, and
+// c^T S^{-1} c = ||L_S^{-1} P_S c||^2 — a forward-only reach solve on S.
 
 real_t ModelSnapshot::response(index_t p, index_t q, Workspace& ws) const {
   const real_t one = 1.0;
-  real_t out = 0.0;
-  solve_sparse(&p, &one, 1, &q, &out, 1, ws);
-  return out;
+  condense(&p, &one, 1, ws);
+  // The interior term e_q^T A_II^{-1} e_p is nonzero only when both
+  // endpoints are interior to one block; condense() left t = A_II^{-1} e_p
+  // of p's block in ws.block_rhs (block-permuted).
+  real_t z = 0.0;
+  if (!is_boundary(p) && !is_boundary(q) &&
+      block_of_reduced(p) == block_of_reduced(q)) {
+    const CholFactor& f =
+        blocks_[static_cast<std::size_t>(block_of_reduced(p))].artifact->factor;
+    z = ws.block_rhs[static_cast<std::size_t>(f.inv_perm[static_cast<std::size_t>(
+        interior_index_[static_cast<std::size_t>(q)])])];
+  }
+  solve_condensed(boundary_factor_, ws);
+  save_first(ws);
+  condense(&q, &one, 1, ws);
+  solve_condensed(boundary_factor_, ws);
+  return z + reach_dot(ws.first_reach, ws.first_y, ws.reach);
 }
 
 real_t ModelSnapshot::resistance(index_t p, index_t q, Workspace& ws) const {
   if (p == q) return 0.0;
-  const index_t rhs_nodes[2] = {p, q};
-  const real_t rhs_values[2] = {1.0, -1.0};
-  real_t out[2] = {0.0, 0.0};
-  solve_sparse(rhs_nodes, rhs_values, 2, rhs_nodes, out, 2, ws);
-  return out[0] - out[1];
+  const index_t nodes[2] = {p, q};
+  const real_t vals[2] = {1.0, -1.0};
+  const real_t interior = condense(nodes, vals, 2, ws);
+  solve_condensed(boundary_factor_, ws);
+  return interior + squared_norm(ws.reach);
 }
 
 real_t ModelSnapshot::response_monolithic(index_t p, index_t q,
@@ -485,12 +521,13 @@ real_t ModelSnapshot::response_monolithic(index_t p, index_t q,
   if (!has_monolithic_factor())
     throw std::logic_error(
         "ModelSnapshot: built without the monolithic factor");
-  ws.mono_rhs.assign(static_cast<std::size_t>(global_factor_.n), 0.0);
+  const real_t one = 1.0;
   const index_t pp = global_factor_.inv_perm[static_cast<std::size_t>(p)];
   const index_t qq = global_factor_.inv_perm[static_cast<std::size_t>(q)];
-  ws.mono_rhs[static_cast<std::size_t>(pp)] = 1.0;
-  global_factor_.solve_permuted(ws.mono_rhs);
-  return ws.mono_rhs[static_cast<std::size_t>(qq)];
+  global_factor_.sparse_forward(&pp, &one, 1, ws.reach);
+  save_first(ws);
+  global_factor_.sparse_forward(&qq, &one, 1, ws.reach);
+  return reach_dot(ws.first_reach, ws.first_y, ws.reach);
 }
 
 real_t ModelSnapshot::resistance_monolithic(index_t p, index_t q,
@@ -499,14 +536,11 @@ real_t ModelSnapshot::resistance_monolithic(index_t p, index_t q,
     throw std::logic_error(
         "ModelSnapshot: built without the monolithic factor");
   if (p == q) return 0.0;
-  ws.mono_rhs.assign(static_cast<std::size_t>(global_factor_.n), 0.0);
-  const index_t pp = global_factor_.inv_perm[static_cast<std::size_t>(p)];
-  const index_t qq = global_factor_.inv_perm[static_cast<std::size_t>(q)];
-  ws.mono_rhs[static_cast<std::size_t>(pp)] = 1.0;
-  ws.mono_rhs[static_cast<std::size_t>(qq)] = -1.0;
-  global_factor_.solve_permuted(ws.mono_rhs);
-  return ws.mono_rhs[static_cast<std::size_t>(pp)] -
-         ws.mono_rhs[static_cast<std::size_t>(qq)];
+  const index_t idx[2] = {global_factor_.inv_perm[static_cast<std::size_t>(p)],
+                          global_factor_.inv_perm[static_cast<std::size_t>(q)]};
+  const real_t vals[2] = {1.0, -1.0};
+  global_factor_.sparse_forward(idx, vals, 2, ws.reach);
+  return squared_norm(ws.reach);
 }
 
 }  // namespace er

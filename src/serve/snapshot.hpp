@@ -15,7 +15,9 @@
 ///     reference path).
 ///
 /// A query touches only the owning block(s) of its endpoints and S, never
-/// another block's factors.
+/// another block's factors, and runs no backward solve on S or G: it is a
+/// forward-only reach solve (CholFactor::sparse_forward) along the
+/// factor's elimination tree (DESIGN.md §4).
 ///
 /// The per-block state lives in BlockArtifact objects expressed entirely
 /// in *block-local* indices and held through shared_ptr: successive
@@ -128,10 +130,12 @@ class ModelSnapshot {
   /// Per-caller scratch for the solve paths. Reuse one instance across the
   /// queries of a chunk; never share one across threads.
   struct Workspace {
-    std::vector<real_t> boundary_rhs;     ///< |boundary| right-hand side
-    std::vector<real_t> block_rhs;        ///< interior rhs of the active block
-    std::vector<real_t> block_solution;   ///< most recent block solve result
-    std::vector<real_t> mono_rhs;         ///< monolithic-path rhs
+    ReachWorkspace reach;          ///< reach solve on S or the monolithic factor
+    std::vector<index_t> rhs_idx;  ///< sparse rhs of that solve (permuted)
+    std::vector<real_t> rhs_val;
+    std::vector<index_t> first_reach;  ///< a response's first reach solve
+    std::vector<real_t> first_y;
+    std::vector<real_t> block_rhs;  ///< interior solve of one block
   };
 
   /// Build a snapshot that *aliases* a frozen stitched model version
@@ -286,12 +290,20 @@ class ModelSnapshot {
       const ModelSnapshot* previous, const std::vector<char>* clean,
       std::size_t model_bytes_copied);
 
-  /// Solve G x = rhs (rhs has nrhs sparse entries) and write x at the
-  /// `ntargets` target reduced nodes. The domain-decomposition driver
-  /// behind response/resistance.
-  void solve_sparse(const index_t* rhs_nodes, const real_t* rhs_values,
-                    int nrhs, const index_t* targets, real_t* out,
-                    int ntargets, Workspace& ws) const;
+  /// Block-LDL^T condensation of the interior rhs entries (nodes[r],
+  /// vals[r]) of block b: y = L_b^{-1} P_b b_I, then t = A_II^{-1} b_I
+  /// (left in ws.block_rhs, block-permuted), and the S-rhs entries
+  /// -A_BI t appended to ws.rhs_idx / ws.rhs_val. Returns ||y||^2 =
+  /// b_I^T A_II^{-1} b_I.
+  real_t condense_block(index_t b, const index_t* nodes, const real_t* vals,
+                        int k, Workspace& ws) const;
+
+  /// Condense the sparse rhs b = sum_r vals[r] e_{nodes[r]} (reduced ids)
+  /// onto S: ws.rhs_idx / ws.rhs_val := c = b_B - A_BI A_II^{-1} b_I in
+  /// S's permuted space. Returns the interior energy b_I^T A_II^{-1} b_I,
+  /// each touched block condensed once.
+  real_t condense(const index_t* nodes, const real_t* vals, int k,
+                  Workspace& ws) const;
 
   ModelPtr model_;
   std::uint64_t version_ = 0;

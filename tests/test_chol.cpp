@@ -1,9 +1,16 @@
 // Tests for chol: complete factorization vs dense reference, solve accuracy,
 // incomplete Cholesky (droptol behaviour, M-matrix robustness, shift
-// fallback), triangular solves, factor invariants.
+// fallback), triangular solves, factor invariants, and the reach-limited
+// sparse forward solve (bitwise against forward_solve, forests, workspace
+// hygiene).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include "chol/cholesky.hpp"
 #include "chol/ichol.hpp"
@@ -229,6 +236,183 @@ TEST_P(CholOrderingSweep, SolveAccuracyAcrossGraphFamilies) {
 INSTANTIATE_TEST_SUITE_P(AllOrderings, CholOrderingSweep,
                          ::testing::Values(Ordering::kNatural, Ordering::kRcm,
                                            Ordering::kMinDeg));
+
+/// Laplacian of `g` plus a shunt of random conductance on every
+/// `stride`-th node — SPD as long as each component gets a shunt.
+CscMatrix laplacian_plus_shunts(const Graph& g, index_t stride,
+                                std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<real_t> shunts(static_cast<std::size_t>(g.num_nodes()), 0.0);
+  for (index_t v = 0; v < g.num_nodes(); v += stride)
+    shunts[static_cast<std::size_t>(v)] = rng.uniform(0.1, 2.0);
+  return laplacian_with_shunts(g, shunts);
+}
+
+/// `copies` disjoint copies of a small grid, each with its own shunts: a
+/// matrix whose etree is a forest of `copies` trees.
+Graph grid_forest(index_t copies, index_t side) {
+  const Graph cell = grid_2d(side, side, WeightKind::kUniform, 5);
+  Graph g(copies * cell.num_nodes());
+  for (index_t c = 0; c < copies; ++c)
+    for (const Edge& e : cell.edges())
+      g.add_edge(c * cell.num_nodes() + e.u, c * cell.num_nodes() + e.v,
+                 e.weight);
+  return g;
+}
+
+bool same_bits(real_t a, real_t b) {
+  return std::memcmp(&a, &b, sizeof(real_t)) == 0;
+}
+
+/// sparse_forward against forward_solve of the same rhs accumulated densely
+/// in the same order: bitwise equal on the (strictly ascending) reach, and
+/// forward_solve is exactly zero off it.
+void expect_matches_forward_solve(const CholFactor& f,
+                                  const std::vector<index_t>& idx,
+                                  const std::vector<real_t>& val,
+                                  ReachWorkspace& ws) {
+  f.sparse_forward(idx.data(), val.data(), static_cast<int>(idx.size()), ws);
+  std::vector<real_t> x(static_cast<std::size_t>(f.n), 0.0);
+  for (std::size_t t = 0; t < idx.size(); ++t)
+    x[static_cast<std::size_t>(idx[t])] += val[t];
+  f.forward_solve(x);
+  ASSERT_EQ(ws.reach.size(), ws.y.size());
+  ASSERT_TRUE(std::adjacent_find(ws.reach.begin(), ws.reach.end(),
+                                 [](index_t a, index_t b) { return a >= b; }) ==
+              ws.reach.end());
+  std::vector<char> in_reach(static_cast<std::size_t>(f.n), 0);
+  for (std::size_t t = 0; t < ws.reach.size(); ++t) {
+    const auto j = static_cast<std::size_t>(ws.reach[t]);
+    in_reach[j] = 1;
+    EXPECT_TRUE(same_bits(ws.y[t], x[j]))
+        << "row " << j << ": " << ws.y[t] << " vs " << x[j];
+  }
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    if (!in_reach[j]) {
+      EXPECT_EQ(x[j], 0.0) << "row " << j << " off the reach";
+    }
+  }
+}
+
+TEST(SparseForward, BitwiseEqualToForwardSolveOnReach) {
+  const std::vector<Graph> graphs = {
+      grid_2d(12, 9, WeightKind::kUniform, 31),
+      barabasi_albert(120, 2, WeightKind::kUniform, 32),
+      random_geometric(150, 0.15, WeightKind::kUniform, 33),
+  };
+  for (const Graph& g : graphs) {
+    for (const Ordering ord : {Ordering::kNatural, Ordering::kMinDeg}) {
+      const CscMatrix a = laplacian_plus_shunts(g, 7, 34);
+      const CholFactor f = cholesky(a, ord);
+      ASSERT_EQ(f.parent.size(), static_cast<std::size_t>(f.n));
+      ReachWorkspace ws;
+      Rng rng(35);
+      const index_t n = f.n;
+      for (int trial = 0; trial < 20; ++trial) {
+        const index_t p = rng.uniform_int(n);
+        const index_t q = rng.uniform_int(n);
+        expect_matches_forward_solve(f, {p}, {1.0}, ws);
+        expect_matches_forward_solve(f, {p, q}, {1.0, -1.0}, ws);
+        // k entries with duplicate indices, which add up.
+        std::vector<index_t> idx;
+        std::vector<real_t> val;
+        for (int t = 0; t < 6; ++t) {
+          idx.push_back(rng.uniform_int(n));
+          val.push_back(rng.uniform(-1.0, 1.0));
+        }
+        idx.push_back(idx.front());
+        val.push_back(0.5);
+        expect_matches_forward_solve(f, idx, val, ws);
+      }
+    }
+  }
+}
+
+TEST(SparseForward, ForestCountsTreesPerComponent) {
+  const index_t copies = 4;
+  const index_t side = 5;
+  const Graph g = grid_forest(copies, side);
+  const CscMatrix a = laplacian_plus_shunts(g, side * side, 36);
+  const CholFactor f = cholesky(a);
+  EXPECT_TRUE(f.check_invariants());
+  EXPECT_EQ(std::count(f.parent.begin(), f.parent.end(), -1), copies);
+  ReachWorkspace ws;
+  const index_t cell = side * side;
+  for (index_t c = 0; c < copies; ++c) {
+    const index_t u = f.inv_perm[static_cast<std::size_t>(c * cell + 3)];
+    const index_t v = f.inv_perm[static_cast<std::size_t>(c * cell + 17)];
+    const index_t w = f.inv_perm[static_cast<std::size_t>(
+        ((c + 1) % copies) * cell + 8)];
+    expect_matches_forward_solve(f, {u, v}, {1.0, -1.0}, ws);
+    EXPECT_EQ(ws.trees, 1);  // one component
+    expect_matches_forward_solve(f, {u, w}, {1.0, -1.0}, ws);
+    EXPECT_EQ(ws.trees, 2);  // two components
+    expect_matches_forward_solve(f, {u, v, w, u}, {1.0, 2.0, 3.0, 4.0}, ws);
+    EXPECT_EQ(ws.trees, 2);
+  }
+}
+
+TEST(SparseForward, TinyFactors) {
+  // n = 1: y = b / sqrt(a).
+  TripletMatrix t1(1, 1);
+  t1.add(0, 0, 4.0);
+  const CholFactor f1 = cholesky(CscMatrix::from_triplets(t1));
+  ReachWorkspace ws;
+  const index_t zero = 0;
+  const real_t three = 3.0;
+  f1.sparse_forward(&zero, &three, 1, ws);
+  ASSERT_EQ(ws.reach, std::vector<index_t>{0});
+  EXPECT_EQ(ws.y, std::vector<real_t>{1.5});
+  EXPECT_EQ(ws.trees, 1);
+
+  // n = 0: only the empty rhs is valid; it has an empty reach.
+  const CholFactor f0 =
+      cholesky(CscMatrix::from_triplets(TripletMatrix(0, 0)),
+               std::vector<index_t>{});
+  ReachWorkspace ws0;
+  f0.sparse_forward(nullptr, nullptr, 0, ws0);
+  EXPECT_TRUE(ws0.reach.empty());
+  EXPECT_TRUE(ws0.y.empty());
+  EXPECT_EQ(ws0.trees, 0);
+  EXPECT_THROW(f0.sparse_forward(&zero, &three, 1, ws0), std::out_of_range);
+}
+
+TEST(SparseForward, WorkspaceIsAllZeroAfterReuse) {
+  const Graph g = grid_forest(3, 6);
+  const CscMatrix a = laplacian_plus_shunts(g, 9, 37);
+  const CholFactor f = cholesky(a);
+  ReachWorkspace ws;
+  Rng rng(38);
+  index_t idx[3];
+  real_t val[3];
+  for (int query = 0; query < 1000; ++query) {
+    const int k = 1 + query % 3;
+    for (int t = 0; t < k; ++t) {
+      idx[t] = rng.uniform_int(f.n);
+      val[t] = rng.uniform(-1.0, 1.0);
+    }
+    f.sparse_forward(idx, val, k, ws);
+  }
+  // A rejected rhs leaves the workspace clean too.
+  idx[1] = f.n;
+  EXPECT_THROW(f.sparse_forward(idx, val, 2, ws), std::out_of_range);
+  ASSERT_EQ(ws.x.size(), static_cast<std::size_t>(f.n));
+  ASSERT_EQ(ws.mark.size(), static_cast<std::size_t>(f.n));
+  EXPECT_TRUE(std::all_of(ws.x.begin(), ws.x.end(),
+                          [](real_t v) { return v == 0.0; }));
+  EXPECT_TRUE(std::all_of(ws.mark.begin(), ws.mark.end(),
+                          [](char m) { return m == 0; }));
+}
+
+TEST(SparseForward, IncompleteFactorThrows) {
+  const CscMatrix a = random_sdd(30, 60, 39);
+  const CholFactor f = ichol(a);
+  EXPECT_TRUE(f.parent.empty());
+  ReachWorkspace ws;
+  const index_t zero = 0;
+  const real_t one = 1.0;
+  EXPECT_THROW(f.sparse_forward(&zero, &one, 1, ws), std::logic_error);
+}
 
 }  // namespace
 }  // namespace er

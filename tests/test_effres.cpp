@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -109,6 +110,25 @@ TEST(ExactEffRes, GroundConductanceDoesNotMatter) {
   // Compare against pseudo-inverse reference (independent of grounding).
   EXPECT_NEAR(a.resistance(0, 17), pinv_resistance(g, 0, 17), 1e-8);
   EXPECT_NEAR(a.resistance(5, 23), pinv_resistance(g, 5, 23), 1e-8);
+}
+
+TEST(ExactEffRes, CrossComponentIsInfinite) {
+  // Two disjoint unit edges {0-1, 2-3}: no current flows from 0 to 3, so
+  // R(0, 3) is infinite whatever ground conductance the factor used.
+  Graph g(4);
+  g.add_edge(0, 1, 1.0);
+  g.add_edge(2, 3, 1.0);
+  const ExactEffRes engine(g);
+  constexpr real_t kInf = std::numeric_limits<real_t>::infinity();
+  EXPECT_NEAR(engine.resistance(0, 1), 1.0, 1e-12);
+  EXPECT_NEAR(engine.resistance(3, 2), 1.0, 1e-12);
+  EXPECT_EQ(engine.resistance(0, 3), kInf);
+  EXPECT_EQ(engine.resistance(2, 1), kInf);
+  const std::vector<ResistanceQuery> queries = {{0, 1}, {0, 3}, {1, 2}};
+  const std::vector<real_t> batch = engine.resistances(queries);
+  EXPECT_NEAR(batch[0], 1.0, 1e-12);
+  EXPECT_EQ(batch[1], kInf);
+  EXPECT_EQ(batch[2], kInf);
 }
 
 TEST(ExactEffRes, TriangleInequality) {

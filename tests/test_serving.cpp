@@ -14,8 +14,10 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "chol/cholesky.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "pg/analysis.hpp"
@@ -86,6 +88,105 @@ TEST(ModelSnapshot, ResponseMatchesDcSolve) {
                        snap->response(q_red, p_red, ws) +
                        snap->response(q_red, q_red, ws);
   EXPECT_NEAR(r, via_z, 1e-9 * (1.0 + std::abs(r)));
+}
+
+TEST(ModelSnapshot, ReachRoutesMatchSolvePermutedReference) {
+  // Both routes answer with forward-only reach solves; the reference is a
+  // full forward + backward solve_permuted on a factor of the stitched
+  // system (same matrix, same ordering as the monolithic route's factor).
+  const ServeCase c = make_case(24, 24, 64, 83);
+  ReductionOptions opts;
+  opts.num_blocks = 8;
+  const ReductionArtifacts art =
+      reduce_network_artifacts(c.net, c.ports, opts);
+  const auto snap = ModelSnapshot::build(art);
+  const CholFactor g = cholesky(art.model->network.system_matrix());
+  const index_t n = g.n;
+  const auto solve = [&](index_t p, real_t wp, index_t q, real_t wq) {
+    std::vector<real_t> x(static_cast<std::size_t>(n), 0.0);
+    x[static_cast<std::size_t>(g.inv_perm[static_cast<std::size_t>(p)])] += wp;
+    x[static_cast<std::size_t>(g.inv_perm[static_cast<std::size_t>(q)])] += wq;
+    g.solve_permuted(x);
+    return x;
+  };
+  const auto at = [&](const std::vector<real_t>& x, index_t v) {
+    return x[static_cast<std::size_t>(g.inv_perm[static_cast<std::size_t>(v)])];
+  };
+
+  // Reduced nodes by class, then pairs of every routing class.
+  std::vector<index_t> boundary;
+  std::vector<std::vector<index_t>> interior(
+      static_cast<std::size_t>(snap->num_blocks()));
+  for (index_t v = 0; v < n; ++v) {
+    if (snap->is_boundary(v))
+      boundary.push_back(v);
+    else
+      interior[static_cast<std::size_t>(snap->block_of_reduced(v))].push_back(v);
+  }
+  std::vector<index_t> blocks_with_interior;
+  for (index_t b = 0; b < snap->num_blocks(); ++b)
+    if (interior[static_cast<std::size_t>(b)].size() >= 2)
+      blocks_with_interior.push_back(b);
+  ASSERT_GE(boundary.size(), 2u);
+  ASSERT_GE(blocks_with_interior.size(), 2u);
+  Rng rng(84);
+  const auto pick = [&rng](const std::vector<index_t>& from) {
+    return from[static_cast<std::size_t>(
+        rng.uniform_int(static_cast<index_t>(from.size())))];
+  };
+  const auto pick_interior = [&]() {
+    return pick(interior[static_cast<std::size_t>(pick(blocks_with_interior))]);
+  };
+  std::vector<std::pair<index_t, index_t>> pairs;
+  for (int t = 0; t < 40; ++t) {
+    const index_t b = pick(blocks_with_interior);
+    pairs.emplace_back(pick(interior[static_cast<std::size_t>(b)]),
+                       pick(interior[static_cast<std::size_t>(b)]));  // same block
+    index_t u = pick_interior();
+    index_t v = pick_interior();
+    while (snap->block_of_reduced(u) == snap->block_of_reduced(v))
+      v = pick_interior();
+    pairs.emplace_back(u, v);                        // cross-block interior
+    pairs.emplace_back(pick_interior(), pick(boundary));  // interior-boundary
+    pairs.emplace_back(pick(boundary), pick_interior());  // boundary-interior
+    pairs.emplace_back(pick(boundary), pick(boundary));   // boundary-boundary
+  }
+
+  ModelSnapshot::Workspace ws;
+  for (const auto& [p, q] : pairs) {
+    SCOPED_TRACE("p=" + std::to_string(p) + " q=" + std::to_string(q));
+    const std::vector<real_t> xr = solve(p, 1.0, q, -1.0);
+    const real_t r_ref = p == q ? 0.0 : at(xr, p) - at(xr, q);
+    const std::vector<real_t> xz = solve(p, 1.0, p, 0.0);
+    const real_t z_ref = at(xz, q);
+    for (const real_t r :
+         {snap->resistance(p, q, ws), snap->resistance_monolithic(p, q, ws)})
+      EXPECT_NEAR(r, r_ref, 1e-12 * std::abs(r_ref));
+    for (const real_t z :
+         {snap->response(p, q, ws), snap->response_monolithic(p, q, ws)})
+      EXPECT_NEAR(z, z_ref, 1e-11 * std::abs(z_ref));
+  }
+}
+
+TEST(ModelSnapshot, ResistanceIsNeverNegative) {
+  // Every exact resistance is a sum of squares (block energies plus the
+  // squared norm of a reach solve), so roundoff cannot make it negative —
+  // not even across a single edge of a stiff grid.
+  const ServeCase c = make_case(20, 20, 48, 89);
+  ReductionOptions opts;
+  opts.num_blocks = 6;
+  const ReductionArtifacts art =
+      reduce_network_artifacts(c.net, c.ports, opts);
+  const auto snap = ModelSnapshot::build(art);
+  ModelSnapshot::Workspace ws;
+  for (const Edge& e : art.model->network.graph.edges()) {
+    EXPECT_GE(snap->resistance(e.u, e.v, ws), 0.0);
+    EXPECT_GE(snap->resistance_monolithic(e.u, e.v, ws), 0.0);
+  }
+  for (index_t v = 0; v < art.model->network.num_nodes(); v += 5) {
+    EXPECT_EQ(snap->resistance(v, v, ws), 0.0);
+    EXPECT_EQ(snap->resistance_monolithic(v, v, ws), 0.0);
+  }
 }
 
 TEST(QueryFrontEnd, BitIdenticalAcrossThreadCounts) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate a BENCH_serving.json file against the documented schema.
 
-CI runs this after the churn smoke invocation so a schema change in
+CI runs this after the serving smoke invocations so a schema change in
 bench_serving breaks the pipeline instead of downstream readers of the
 JSON trajectories (bench/README.md documents every field).
 
@@ -43,6 +43,8 @@ MODE_FIELDS = {
         "snapshot_build_seconds", "wall_seconds", "queries_per_second",
         "speedup", "identical", "cross_block_queries",
         "max_rel_vs_monolithic",
+        # Etree-reach statistics of the reach-limited query kernel.
+        "reach_nodes_mean", "reach_nodes_p99", "factor_entries_touched_mean",
     },
     # Result-cache scenario (--churn --zipf S, PR 8).
     "zipf": COMMON_FIELDS | {
@@ -88,8 +90,7 @@ def main() -> int:
             print(f"{path}[{i}]: missing fields {sorted(missing)}",
                   file=sys.stderr)
             ok = False
-        if mode in ("churn", "zipf", "loopback") \
-                and row.get("identical") is not True:
+        if row.get("identical") is not True:
             print(f"{path}[{i}]: {mode} row not bit-identical",
                   file=sys.stderr)
             ok = False
