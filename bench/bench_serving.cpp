@@ -112,11 +112,12 @@ void set_query_latency_fields(bench::BenchJson::Row& row,
       .set("query_latency_p99_us", us(0.99));
 }
 
-/// Etree-reach statistics of the batch's monolithic reach solves
+/// Etree-reach statistics of the batch's monolithic-route reach solves
 /// (DESIGN.md §4): one solve of e_p - e_q per resistance query, one each of
 /// e_p and e_q per response query. Computed on a factor of the stitched
-/// system built here — the same matrix and ordering as the snapshot's
-/// monolithic factor — so the snapshot API stays unchanged.
+/// system G built here — the same matrix and ordering as the snapshot's
+/// monolithic factor — so the snapshot API stays unchanged. Only the
+/// monolithic rows carry them: the sharded route solves on S instead.
 struct ReachStats {
   double nodes_mean = 0.0;    ///< reach size (factor columns visited)
   double nodes_p99 = 0.0;
@@ -1174,10 +1175,13 @@ int main(int argc, char** argv) {
             .set("speedup", speedup)
             .set("identical", identical)
             .set("cross_block_queries", stats.cross_block)
-            .set("max_rel_vs_monolithic", max_rel_vs_reference)
-            .set("reach_nodes_mean", reach.nodes_mean)
-            .set("reach_nodes_p99", reach.nodes_p99)
-            .set("factor_entries_touched_mean", reach.entries_mean);
+            .set("max_rel_vs_monolithic", max_rel_vs_reference);
+        // The reach figures describe solves on G, which only the monolithic
+        // route runs; the sharded route's reach solves are on S.
+        if (mode == RouteMode::kMonolithic)
+          row.set("reach_nodes_mean", reach.nodes_mean)
+              .set("reach_nodes_p99", reach.nodes_p99)
+              .set("factor_entries_touched_mean", reach.entries_mean);
         set_query_latency_fields(row, row_snap, mode);
       }
     }

@@ -77,8 +77,10 @@ struct CholFactor {
   /// indices to their roots can be nonzero in y; they are visited in
   /// ascending order with forward_solve's column update, so ws.y is
   /// bitwise equal to forward_solve on ws.reach. The cost is the factor
-  /// entries of the reach's columns — no O(n) pass, no allocation once
-  /// `ws` is sized. Complete factors only: throws std::logic_error when
+  /// entries of the reach's columns. A workspace pays one O(n) sizing on
+  /// its first call for a factor of this n; after that a call makes no
+  /// O(n) pass, and allocates only while ws.reach / ws.y grow to the
+  /// largest reach seen. Complete factors only: throws std::logic_error when
   /// `parent` is missing (incomplete factors), std::out_of_range on a bad
   /// index.
   void sparse_forward(const index_t* idx, const real_t* val, int k,

@@ -5,7 +5,6 @@
 
 #include "chol/cholesky.hpp"
 #include "graph/laplacian.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace er {
 
@@ -15,11 +14,13 @@ ExactEffRes::ExactEffRes(const Graph& g, Ordering ordering)
   factor_ = cholesky(lg, ordering);
 }
 
-real_t ExactEffRes::resistance_with(ReachWorkspace& ws, index_t p,
-                                    index_t q) const {
+real_t ExactEffRes::resistance(index_t p, index_t q) const {
   if (p < 0 || p >= n_ || q < 0 || q >= n_)
     throw std::out_of_range("ExactEffRes::resistance: node out of range");
   if (p == q) return 0.0;
+  // Thread-safe without per-call allocation: each thread reuses one reach
+  // workspace across queries (sparse_forward leaves it clean).
+  static thread_local ReachWorkspace ws;
   // R = ||L^{-1} P (e_p - e_q)||^2, forward-only along the etree reach.
   // One etree per connected component: a reach spanning two trees means p
   // and q are disconnected, and no current flows between them.
@@ -31,28 +32,6 @@ real_t ExactEffRes::resistance_with(ReachWorkspace& ws, index_t p,
   real_t r = 0.0;
   for (const real_t y : ws.y) r += y * y;
   return r;
-}
-
-real_t ExactEffRes::resistance(index_t p, index_t q) const {
-  // Thread-safe without per-call allocation: each thread reuses one reach
-  // workspace across queries (sparse_forward leaves it clean).
-  static thread_local ReachWorkspace ws;
-  return resistance_with(ws, p, q);
-}
-
-void ExactEffRes::resistances_into(const std::vector<ResistanceQuery>& queries,
-                                   std::vector<real_t>& out,
-                                   ThreadPool* pool) const {
-  if (out.size() < queries.size())
-    throw std::invalid_argument("resistances_into: output under-sized");
-  parallel_for(pool, 0, static_cast<index_t>(queries.size()), kBatchQueryGrain,
-               [&](index_t lo, index_t hi) {
-                 ReachWorkspace ws;
-                 for (index_t i = lo; i < hi; ++i) {
-                   const auto& [p, q] = queries[static_cast<std::size_t>(i)];
-                   out[static_cast<std::size_t>(i)] = resistance_with(ws, p, q);
-                 }
-               });
 }
 
 }  // namespace er

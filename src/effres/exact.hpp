@@ -20,17 +20,12 @@ class ExactEffRes final : public EffResEngine {
 
   /// Thread-safe single query: the reach workspace is a thread-local
   /// scratch, so concurrent callers never share state and serial query
-  /// loops don't allocate per call. For p and q in different connected
-  /// components the answer is +infinity (no path carries current between
-  /// them); the grounded factor has one etree per component, so the reach
-  /// detects this for free.
+  /// loops don't allocate per call. The inherited batch resistances_into
+  /// chunks over it, so each pool worker reuses its own workspace. For p
+  /// and q in different connected components the answer is +infinity (no
+  /// path carries current between them); the grounded factor has one etree
+  /// per component, so the reach detects this for free.
   [[nodiscard]] real_t resistance(index_t p, index_t q) const override;
-
-  /// Batch override: each chunk solves with its own workspace, so queries
-  /// chunk across a pool without sharing any mutable state.
-  void resistances_into(const std::vector<ResistanceQuery>& queries,
-                        std::vector<real_t>& out,
-                        ThreadPool* pool = nullptr) const override;
 
   [[nodiscard]] std::string name() const override { return "exact"; }
 
@@ -38,8 +33,6 @@ class ExactEffRes final : public EffResEngine {
   [[nodiscard]] const CholFactor& factor() const { return factor_; }
 
  private:
-  real_t resistance_with(ReachWorkspace& ws, index_t p, index_t q) const;
-
   index_t n_ = 0;
   CholFactor factor_;
 };

@@ -156,11 +156,13 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
   const ResultCache::Path path =
       monolithic ? ResultCache::Path::kMonolithic : ResultCache::Path::kExact;
 
-  // Chunked across the pool with one workspace per chunk; every query
-  // writes only its own slots, so the batch is bit-identical at any
-  // thread count.
+  // Chunked across the pool; every query writes only its own slots, so the
+  // batch is bit-identical at any thread count. Each thread keeps one
+  // workspace across chunks and batches: the reach solve leaves it clean,
+  // so its O(n) sizing is paid once per thread and factor size, not per
+  // request.
   parallel_for(ctx.pool, 0, n, kBatchQueryGrain, [&](index_t lo, index_t hi) {
-    ModelSnapshot::Workspace ws;
+    static thread_local ModelSnapshot::Workspace ws;
     std::size_t inv = 0, same = 0, cross = 0, hits = 0, missed = 0,
                 expired = 0;
     for (index_t i = lo; i < hi; ++i) {

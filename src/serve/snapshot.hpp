@@ -127,8 +127,9 @@ struct BlockArtifact {
 /// Workspace so concurrent callers never share mutable state.
 class ModelSnapshot {
  public:
-  /// Per-caller scratch for the solve paths. Reuse one instance across the
-  /// queries of a chunk; never share one across threads.
+  /// Per-caller scratch for the solve paths. Reuse one instance across
+  /// queries (every query leaves it reusable); never share one across
+  /// threads.
   struct Workspace {
     ReachWorkspace reach;          ///< reach solve on S or the monolithic factor
     std::vector<index_t> rhs_idx;  ///< sparse rhs of that solve (permuted)
