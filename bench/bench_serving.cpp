@@ -1,17 +1,17 @@
 // Serving bench: queries/sec through the ModelStore vs. thread count
 // (DESIGN.md §4). For each grid, the reduction runs once, a ModelSnapshot
 // is built and published, and a mixed 10k-query batch (port responses +
-// effective resistances, intra- and cross-block) is answered at 1/2/4/8
-// threads on both route modes. Enforced invariants (exit 1 on violation):
+// effective resistances) is answered at 1/2/4/8 threads. Enforced
+// invariants (exit 1 on violation):
 //
-//   * every multi-thread batch is bit-identical to the 1-thread batch of
-//     the same mode (per-query slot writes, shared immutable snapshot), and
-//   * the sharded domain-decomposition answers match the serial
-//     single-model (monolithic-factor) answers to 1e-8 relative.
+//   * every multi-thread batch is bit-identical to the 1-thread batch
+//     (per-query slot writes, shared immutable snapshot), and
+//   * a sample of the served answers matches a full forward + backward
+//     solve_permuted reference on a separate factor of G to 1e-8 relative.
 //
 // --churn switches to the mixed update+query mode (DESIGN.md §4.1): an
 // AsyncUpdater streams modification batches through the IncrementalReducer
-// (dirty-only snapshot rebuilds) while query batches keep hitting the
+// (one snapshot build per publish) while query batches keep hitting the
 // store, measuring publish latency, staleness (modifications behind), and
 // QPS under churn. Enforced there (exit 1 on violation): the final
 // asynchronously-published snapshot answers bit-identically to a
@@ -98,12 +98,11 @@ int write_metrics_dump(obs::MetricsSnapshot dump,
 }
 
 /// Set `query_latency_p50/p95/p99_us` on a JSON row from the iteration's
-/// `er_query_latency_seconds{mode=...}` histogram (zeros when absent).
+/// `er_query_latency_seconds` histogram (zeros when absent).
 void set_query_latency_fields(bench::BenchJson::Row& row,
-                              const obs::MetricsSnapshot& snap,
-                              RouteMode mode) {
+                              const obs::MetricsSnapshot& snap) {
   const obs::MetricSnapshot* h =
-      snap.find("er_query_latency_seconds", {{"mode", to_string(mode)}});
+      snap.find("er_query_latency_seconds", {{"mode", "sharded"}});
   const auto us = [h](double q) {
     return h ? h->histogram.quantile(q) * 1e6 : 0.0;
   };
@@ -112,21 +111,19 @@ void set_query_latency_fields(bench::BenchJson::Row& row,
       .set("query_latency_p99_us", us(0.99));
 }
 
-/// Etree-reach statistics of the batch's monolithic-route reach solves
-/// (DESIGN.md §4): one solve of e_p - e_q per resistance query, one each of
-/// e_p and e_q per response query. Computed on a factor of the stitched
-/// system G built here — the same matrix and ordering as the snapshot's
-/// monolithic factor — so the snapshot API stays unchanged. Only the
-/// monolithic rows carry them: the sharded route solves on S instead.
+/// Etree-reach statistics of the batch's reach solves (DESIGN.md §4): one
+/// solve of e_p - e_q per resistance query, one each of e_p and e_q per
+/// response query. Computed on `g`, a factor of the stitched system G built
+/// by the caller — the same matrix and ordering as the snapshot's factor —
+/// so the snapshot API stays unchanged.
 struct ReachStats {
   double nodes_mean = 0.0;    ///< reach size (factor columns visited)
   double nodes_p99 = 0.0;
   double entries_mean = 0.0;  ///< factor entries in the visited columns
 };
 
-ReachStats reach_stats(const ReducedModel& model,
+ReachStats reach_stats(const ReducedModel& model, const CholFactor& g,
                        const std::vector<PortQuery>& batch) {
-  const CholFactor g = cholesky(model.network.system_matrix());
   ReachWorkspace ws;
   std::vector<double> nodes;
   RunningStats nodes_stats;
@@ -164,6 +161,37 @@ ReachStats reach_stats(const ReducedModel& model,
   return out;
 }
 
+/// Largest |served - reference| / (1 + |reference|) over every
+/// kReferenceStride-th query of the batch. The reference is a full forward
+/// + backward solve_permuted on `g`, a separately built factor of G: its
+/// dense solves share no code with the served reach solves.
+double max_rel_vs_solve_reference(const ReducedModel& model,
+                                  const CholFactor& g,
+                                  const std::vector<PortQuery>& batch,
+                                  const std::vector<real_t>& served) {
+  constexpr std::size_t kReferenceStride = 20;
+  const auto permuted = [&](index_t original) {
+    return static_cast<std::size_t>(g.inv_perm[static_cast<std::size_t>(
+        model.node_map[static_cast<std::size_t>(original)])]);
+  };
+  double worst = 0.0;
+  std::vector<real_t> x;
+  for (std::size_t i = 0; i < batch.size(); i += kReferenceStride) {
+    const PortQuery& query = batch[i];
+    const std::size_t p = permuted(query.p);
+    const std::size_t q = permuted(query.q);
+    x.assign(static_cast<std::size_t>(g.n), 0.0);
+    x[p] += 1.0;
+    if (query.kind == QueryKind::kResistance) x[q] -= 1.0;
+    g.solve_permuted(x);
+    const double want =
+        query.kind == QueryKind::kResistance ? x[p] - x[q] : x[q];
+    worst = std::max(worst,
+                     std::abs(served[i] - want) / (1.0 + std::abs(want)));
+  }
+  return worst;
+}
+
 std::vector<PortQuery> make_batch(const ReducedModel& model,
                                   std::size_t count, std::uint64_t seed) {
   std::vector<index_t> kept;
@@ -195,8 +223,7 @@ int run_churn(const bench::BenchOptions& bopts) {
   for (int t = 2; t <= bopts.threads; t *= 2) thread_counts.push_back(t);
 
   TablePrinter table({"Case", "Threads", "Mods", "Batches", "PubLat(ms)",
-                      "MaxStale", "Blocked", "kQPS", "Reused",
-                      "Identical"});
+                      "MaxStale", "Blocked", "kQPS", "Identical"});
   bench::BenchJson json;
   obs::MetricsSnapshot metrics_dump;
   bool all_ok = true;
@@ -220,11 +247,7 @@ int run_churn(const bench::BenchOptions& bopts) {
       obs::MetricsRegistry reg;
       ModelStore store(&reg);
       IncrementalReducer reducer(net, pg.port_mask(), ropts);
-      ServingOptions sopts;
-      // Production churn configuration: no whole-system factor per publish.
-      sopts.build_monolithic_factor = false;
-      reducer.attach_store(&store, sopts);
-      const double full_build_seconds = store.acquire()->build_seconds();
+      reducer.attach_store(&store);
       const QueryFrontEnd frontend(&store, &reg);
       const auto batch = make_batch(reducer.model(), kChurnBatch, 2029);
       // The worker mutates reducer.structure() during updates; capture the
@@ -277,8 +300,7 @@ int run_churn(const bench::BenchOptions& bopts) {
                        mods[static_cast<std::size_t>(u)].dirty_blocks);
         BatchStats bstats;
         Timer bt;
-        (void)frontend.answer(batch, qpool.get(), RouteMode::kSharded,
-                              &bstats);
+        (void)frontend.answer(batch, qpool.get(), &bstats);
         query_seconds += bt.seconds();
         queries_answered += batch.size();
         const std::uint64_t submitted = static_cast<std::uint64_t>(u) + 1;
@@ -361,15 +383,14 @@ int run_churn(const bench::BenchOptions& bopts) {
 
       // Validation: a synchronous twin applies the same stream one update
       // at a time; the async final model must match it bit-for-bit, and
-      // the chain of dirty-only rebuilds must answer bit-identically to a
-      // from-scratch snapshot of the twin's model.
+      // the last published snapshot must answer bit-identically to a
+      // fresh snapshot of the twin's model.
       IncrementalReducer twin(net, pg.port_mask(), ropts);
       for (int u = 0; u < kChurnMods; ++u)
         twin.update(nets[static_cast<std::size_t>(u)],
                     mods[static_cast<std::size_t>(u)].dirty_blocks);
       bool identical = models_identical(reducer.model(), twin.model());
-      const auto twin_snap =
-          ModelSnapshot::build(twin.blocks(), twin.model(), sopts);
+      const auto twin_snap = ModelSnapshot::build(twin.model());
       const auto want = QueryFrontEnd::answer_on(*twin_snap, batch);
       const auto got = QueryFrontEnd::answer_on(*final_snap, batch);
       for (std::size_t i = 0; i < want.size(); ++i)
@@ -401,11 +422,6 @@ int run_churn(const bench::BenchOptions& bopts) {
               ? static_cast<double>(vstale_sum) /
                     static_cast<double>(stale_samples)
               : 0.0;
-      const double reused_fraction =
-          final_snap->num_blocks() > 0
-              ? static_cast<double>(final_snap->reused_blocks()) /
-                    static_cast<double>(final_snap->num_blocks())
-              : 0.0;
 
       table.add_row({name, TablePrinter::fmt_int(threads),
                      TablePrinter::fmt_int(kChurnMods),
@@ -415,7 +431,6 @@ int run_churn(const bench::BenchOptions& bopts) {
                      TablePrinter::fmt_int(
                          static_cast<int>(ustats.blocked_submits)),
                      TablePrinter::fmt(qps / 1000.0, 1),
-                     TablePrinter::fmt(reused_fraction, 2),
                      identical ? "yes" : "NO"});
       auto& row = json.add_row();
       row.set("bench", "serving")
@@ -428,7 +443,7 @@ int run_churn(const bench::BenchOptions& bopts) {
                    final_snap->model().stats.reduced_nodes))
           .set("boundary_nodes",
                static_cast<long long>(final_snap->num_boundary_nodes()))
-          .set("blocks", static_cast<int>(final_snap->num_blocks()))
+          .set("blocks", static_cast<int>(final_snap->model().block_kept.size()))
           .set("mods_submitted", ustats.submitted)
           .set("update_batches", ustats.batches)
           .set("mods_coalesced", ustats.coalesced)
@@ -444,12 +459,10 @@ int run_churn(const bench::BenchOptions& bopts) {
           .set("staleness_max_versions", vstale_max)
           .set("queries_per_second", qps)
           .set("churn_wall_seconds", churn_seconds)
-          .set("reused_block_fraction", reused_fraction)
-          .set("dirty_publish_seconds", reducer.publish_seconds())
-          .set("full_snapshot_build_seconds", full_build_seconds)
+          .set("publish_seconds", reducer.publish_seconds())
           // Publish accounting: the bytes of serving state the last
-          // publish materialized (scales with the dirty set) vs. the whole
-          // model's footprint (the model itself is aliased, never copied).
+          // publish materialized (the factor of G) vs. the whole model's
+          // footprint (the model itself is aliased, never copied).
           .set("publish_bytes_materialized",
                static_cast<long long>(reducer.publish_bytes_materialized()))
           .set("model_footprint_bytes",
@@ -462,7 +475,7 @@ int run_churn(const bench::BenchOptions& bopts) {
           .set("max_observed_staleness_mods",
                ustats.max_observed_staleness_mods)
           .set("identical", identical);
-      set_query_latency_fields(row, reg_snap, RouteMode::kSharded);
+      set_query_latency_fields(row, reg_snap);
       metrics_dump.merge(reg_snap);
     }
   }
@@ -522,13 +535,11 @@ int run_zipf(const bench::BenchOptions& bopts) {
       obs::MetricsRegistry uncached_reg;
       ModelStore store(&reg);
       IncrementalReducer reducer(net, pg.port_mask(), ropts);
-      ServingOptions sopts;
-      sopts.build_monolithic_factor = false;
-      reducer.attach_store(&store, sopts);
+      reducer.attach_store(&store);
       // Attach after the initial publish: attach_cache registers the
       // already-current snapshot, each later publish a fresh scope.
       const auto cache =
-          std::make_shared<ResultCache>(sopts.cache, &reg);
+          std::make_shared<ResultCache>(ResultCacheOptions{}, &reg);
       store.attach_cache(cache);
       const BlockStructure structure = reducer.structure();
 
@@ -602,7 +613,6 @@ int run_zipf(const bench::BenchOptions& bopts) {
           Timer ct;
           AnswerContext cached_ctx;
           cached_ctx.pool = qpool.get();
-          cached_ctx.mode = RouteMode::kSharded;
           cached_ctx.stats = &cached_stats;
           cached_ctx.registry = &reg;
           cached_ctx.cache = cache.get();
@@ -613,7 +623,6 @@ int run_zipf(const bench::BenchOptions& bopts) {
           Timer ut;
           AnswerContext uncached_ctx;
           uncached_ctx.pool = qpool.get();
-          uncached_ctx.mode = RouteMode::kSharded;
           uncached_ctx.stats = &uncached_stats;
           uncached_ctx.registry = &uncached_reg;
           const auto uncached_answers =
@@ -709,7 +718,7 @@ int run_zipf(const bench::BenchOptions& bopts) {
                    final_snap->model().stats.reduced_nodes))
           .set("boundary_nodes",
                static_cast<long long>(final_snap->num_boundary_nodes()))
-          .set("blocks", static_cast<int>(final_snap->num_blocks()))
+          .set("blocks", static_cast<int>(final_snap->model().block_kept.size()))
           .set("zipf_s", bopts.zipf)
           .set("pool_pairs", kPoolPairs)
           .set("mods_submitted", static_cast<std::size_t>(kChurnMods))
@@ -724,7 +733,7 @@ int run_zipf(const bench::BenchOptions& bopts) {
           .set("queries_per_second", qps)
           .set("queries_per_second_uncached", qps_uncached)
           .set("identical", identical);
-      set_query_latency_fields(row, reg_snap, RouteMode::kSharded);
+      set_query_latency_fields(row, reg_snap);
       metrics_dump.merge(reg_snap);
     }
   }
@@ -786,8 +795,6 @@ int run_loopback(const bench::BenchOptions& bopts) {
       net::StackOptions stack_opts;
       stack_opts.reduction.num_blocks = 32;
       stack_opts.reduction.sparsify_quality = 1.0;
-      // Sharded-only traffic: skip the dense global factor per publish.
-      stack_opts.serving.build_monolithic_factor = false;
       net::ServingStack stack(grid_net, is_port, stack_opts, &reg);
 
       net::ServerOptions server_opts;
@@ -806,8 +813,7 @@ int run_loopback(const bench::BenchOptions& bopts) {
       const SnapshotPtr snap0 = stack.store().acquire();
       const auto batch =
           make_batch(snap0->model(), kBatchPerRequest, 2027 + clients);
-      const std::vector<real_t> direct = stack.frontend().answer(
-          batch, nullptr, RouteMode::kSharded, nullptr);
+      const std::vector<real_t> direct = stack.frontend().answer(batch);
 
       const auto matches = [&](const std::vector<real_t>& answers,
                                const std::vector<real_t>& want) {
@@ -833,7 +839,7 @@ int run_loopback(const bench::BenchOptions& bopts) {
             for (std::size_t r = 0; r < kRequestsPerClient; ++r) {
               for (;;) {
                 Timer t;
-                const auto res = client.query(batch, RouteMode::kSharded);
+                const auto res = client.query(batch);
                 if (res.retry_later) {
                   ++retry_responses;
                   continue;
@@ -888,7 +894,7 @@ int run_loopback(const bench::BenchOptions& bopts) {
           try {
             net::LoopbackClient client("127.0.0.1", server.port());
             for (std::size_t r = 0; r < kRequestsPerClient / 4; ++r) {
-              const auto res = client.query(batch, RouteMode::kSharded);
+              const auto res = client.query(batch);
               if (res.retry_later) {
                 ++retry_responses;
               } else {
@@ -907,13 +913,12 @@ int run_loopback(const bench::BenchOptions& bopts) {
 
       // Post-churn validation: the wire answers on the final published
       // snapshot must be bit-identical to the direct call.
-      const std::vector<real_t> final_direct = stack.frontend().answer(
-          batch, nullptr, RouteMode::kSharded, nullptr);
+      const std::vector<real_t> final_direct = stack.frontend().answer(batch);
       bool identical = !failed.load();
       try {
         net::LoopbackClient verify_client("127.0.0.1", server.port());
         for (;;) {
-          const auto res = verify_client.query(batch, RouteMode::kSharded);
+          const auto res = verify_client.query(batch);
           if (res.retry_later) {
             ++retry_responses;
             continue;
@@ -999,7 +1004,7 @@ int run_loopback(const bench::BenchOptions& bopts) {
                    final_snap->model().stats.reduced_nodes))
           .set("boundary_nodes",
                static_cast<long long>(final_snap->num_boundary_nodes()))
-          .set("blocks", static_cast<int>(final_snap->num_blocks()))
+          .set("blocks", static_cast<int>(final_snap->model().block_kept.size()))
           .set("queries_per_second", qps)
           .set("request_latency_p50_us", percentile_us(sorted, 0.50))
           .set("request_latency_p95_us", percentile_us(sorted, 0.95))
@@ -1012,7 +1017,7 @@ int run_loopback(const bench::BenchOptions& bopts) {
           .set("mods_applied",
                static_cast<std::size_t>(stack.mods_accepted()))
           .set("identical", identical);
-      set_query_latency_fields(row, reg_snap, RouteMode::kSharded);
+      set_query_latency_fields(row, reg_snap);
       metrics_dump.merge(reg_snap);
     }
   }
@@ -1045,8 +1050,8 @@ int main(int argc, char** argv) {
   std::vector<int> thread_counts{1};
   for (int t = 2; t <= bopts.threads; t *= 2) thread_counts.push_back(t);
 
-  TablePrinter table({"Case", "|V_red|", "Boundary", "Mode", "Threads",
-                      "Batch(s)", "kQPS", "Speedup", "Identical"});
+  TablePrinter table({"Case", "|V_red|", "Boundary", "Threads", "Batch(s)",
+                      "kQPS", "Speedup", "Identical"});
   bench::BenchJson json;
   obs::MetricsSnapshot metrics_dump;
   bool all_ok = true;
@@ -1066,129 +1071,96 @@ int main(int argc, char** argv) {
     store.publish(ModelSnapshot::build(art));
     const SnapshotPtr snap = store.acquire();
     const auto batch = make_batch(*art.model, kBatchSize, 2027);
-    const ReachStats reach = reach_stats(*art.model, batch);
+    // A separate factor of G: the reach statistics and the full-solve
+    // reference both read it.
+    const CholFactor g = cholesky(art.model->network.system_matrix());
+    const ReachStats reach = reach_stats(*art.model, g, batch);
 
-    // Serial single-model reference: the whole batch through the monolithic
-    // factor on one thread. Doubles as the (monolithic, 1 thread) row so
-    // that configuration isn't computed twice. Each measured row gets its
-    // own registry, so its latency histogram covers exactly one batch.
-    obs::MetricsRegistry reference_reg;
-    BatchStats reference_stats;
-    Timer reference_timer;
-    const auto reference =
-        QueryFrontEnd(&store, &reference_reg)
-            .answer(batch, nullptr, RouteMode::kMonolithic,
-                    &reference_stats);
-    const double reference_seconds = reference_timer.seconds();
-    const obs::MetricsSnapshot reference_snap = reference_reg.snapshot();
-    metrics_dump.merge(reference_snap);
+    std::vector<real_t> serial_answers;
+    double serial_seconds = 0.0;
+    double max_rel_vs_reference = 0.0;
+    for (int threads : thread_counts) {
+      // Each row gets its own registry, so its latency histogram covers
+      // exactly one batch. Declared before the pool: the pool's destructor
+      // still updates its thread gauge.
+      obs::MetricsRegistry row_reg;
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 1) pool = std::make_unique<ThreadPool>(threads, &row_reg);
+      BatchStats stats;
+      Timer t;
+      const std::vector<real_t> answers =
+          QueryFrontEnd(&store, &row_reg).answer(batch, pool.get(), &stats);
+      const double seconds = t.seconds();
+      pool.reset();
+      const obs::MetricsSnapshot row_snap = row_reg.snapshot();
+      metrics_dump.merge(row_snap);
+      // Per-query latency coverage: every query of the batch must have
+      // recorded exactly one sample.
+      const obs::MetricSnapshot* row_hist = row_snap.find(
+          "er_query_latency_seconds", {{"mode", "sharded"}});
+      if (!row_hist || row_hist->histogram.count != batch.size()) {
+        std::fprintf(stderr,
+                     "ERROR: %s threads=%d er_query_latency_seconds count "
+                     "!= %zu batch queries\n",
+                     name.c_str(), threads, batch.size());
+        all_ok = false;
+      }
 
-    for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic}) {
-      std::vector<real_t> serial_answers;
-      double serial_seconds = 0.0;
-      double max_rel_vs_reference = 0.0;
-      for (int threads : thread_counts) {
-        BatchStats stats;
-        std::vector<real_t> answers;
-        double seconds = 0.0;
-        obs::MetricsSnapshot row_snap;
-        if (mode == RouteMode::kMonolithic && threads == 1) {
-          answers = reference;
-          stats = reference_stats;
-          seconds = reference_seconds;
-          row_snap = reference_snap;
-        } else {
-          // Registry declared before the pool: the pool's destructor
-          // still updates its thread gauge.
-          obs::MetricsRegistry row_reg;
-          std::unique_ptr<ThreadPool> pool;
-          if (threads > 1)
-            pool = std::make_unique<ThreadPool>(threads, &row_reg);
-          Timer t;
-          answers = QueryFrontEnd(&store, &row_reg)
-                        .answer(batch, pool.get(), mode, &stats);
-          seconds = t.seconds();
-          pool.reset();
-          row_snap = row_reg.snapshot();
-          metrics_dump.merge(row_snap);
-        }
-        // Per-query latency coverage: every query of the batch must have
-        // recorded exactly one sample on this route mode.
-        const obs::MetricSnapshot* row_hist = row_snap.find(
-            "er_query_latency_seconds", {{"mode", to_string(mode)}});
-        if (!row_hist || row_hist->histogram.count != batch.size()) {
+      bool identical = true;
+      if (threads == 1) {
+        serial_answers = answers;
+        serial_seconds = seconds;
+        max_rel_vs_reference = max_rel_vs_solve_reference(*art.model, g, batch,
+                                                          answers);
+        if (max_rel_vs_reference > 1e-8) {
           std::fprintf(stderr,
-                       "ERROR: %s/%s threads=%d er_query_latency_seconds "
-                       "count != %zu batch queries\n",
-                       name.c_str(), to_string(mode), threads, batch.size());
+                       "ERROR: %s diverged from the solve_permuted reference "
+                       "(max rel %.3g)\n",
+                       name.c_str(), max_rel_vs_reference);
           all_ok = false;
         }
-
-        bool identical = true;
-        if (threads == 1) {
-          serial_answers = answers;
-          serial_seconds = seconds;
-          // How far the mode strays from the serial single-model answers
-          // (solver roundoff).
-          for (std::size_t i = 0; i < answers.size(); ++i) {
-            const double rel = std::abs(answers[i] - reference[i]) /
-                               (1.0 + std::abs(reference[i]));
-            max_rel_vs_reference = std::max(max_rel_vs_reference, rel);
-          }
-          if (max_rel_vs_reference > 1e-8) {
-            std::fprintf(stderr,
-                         "ERROR: %s/%s diverged from the serial single-model "
-                         "reference (max rel %.3g)\n",
-                         name.c_str(), to_string(mode), max_rel_vs_reference);
-            all_ok = false;
-          }
-        } else {
-          for (std::size_t i = 0; i < answers.size(); ++i)
-            identical = identical && answers[i] == serial_answers[i];
-          all_ok = all_ok && identical;
-        }
-
-        const double qps =
-            seconds > 0.0 ? static_cast<double>(batch.size()) / seconds : 0.0;
-        const double speedup = seconds > 0.0 ? serial_seconds / seconds : 0.0;
-        table.add_row({name, TablePrinter::fmt_size(snap->model().stats.reduced_nodes),
-                       TablePrinter::fmt_size(snap->num_boundary_nodes()),
-                       to_string(mode), TablePrinter::fmt_int(threads),
-                       TablePrinter::fmt(seconds, 3),
-                       TablePrinter::fmt(qps / 1000.0, 1),
-                       TablePrinter::fmt(speedup, 2) + "x",
-                       identical ? "yes" : "NO"});
-        auto& row = json.add_row();
-        row.set("bench", "serving")
-            .set("case", name)
-            .set("mode", to_string(mode))
-            .set("threads", threads)
-            .set("queries", batch.size())
-            .set("reduced_nodes",
-                 static_cast<long long>(snap->model().stats.reduced_nodes))
-            .set("boundary_nodes",
-                 static_cast<long long>(snap->num_boundary_nodes()))
-            .set("blocks", static_cast<int>(snap->num_blocks()))
-            .set("snapshot_build_seconds", snap->build_seconds())
-            .set("wall_seconds", seconds)
-            .set("queries_per_second", qps)
-            .set("speedup", speedup)
-            .set("identical", identical)
-            .set("cross_block_queries", stats.cross_block)
-            .set("max_rel_vs_monolithic", max_rel_vs_reference);
-        // The reach figures describe solves on G, which only the monolithic
-        // route runs; the sharded route's reach solves are on S.
-        if (mode == RouteMode::kMonolithic)
-          row.set("reach_nodes_mean", reach.nodes_mean)
-              .set("reach_nodes_p99", reach.nodes_p99)
-              .set("factor_entries_touched_mean", reach.entries_mean);
-        set_query_latency_fields(row, row_snap, mode);
+      } else {
+        for (std::size_t i = 0; i < answers.size(); ++i)
+          identical = identical && answers[i] == serial_answers[i];
+        all_ok = all_ok && identical;
       }
+
+      const double qps =
+          seconds > 0.0 ? static_cast<double>(batch.size()) / seconds : 0.0;
+      const double speedup = seconds > 0.0 ? serial_seconds / seconds : 0.0;
+      table.add_row({name, TablePrinter::fmt_size(snap->model().stats.reduced_nodes),
+                     TablePrinter::fmt_size(snap->num_boundary_nodes()),
+                     TablePrinter::fmt_int(threads),
+                     TablePrinter::fmt(seconds, 3),
+                     TablePrinter::fmt(qps / 1000.0, 1),
+                     TablePrinter::fmt(speedup, 2) + "x",
+                     identical ? "yes" : "NO"});
+      auto& row = json.add_row();
+      row.set("bench", "serving")
+          .set("case", name)
+          .set("mode", "standard")
+          .set("threads", threads)
+          .set("queries", batch.size())
+          .set("reduced_nodes",
+               static_cast<long long>(snap->model().stats.reduced_nodes))
+          .set("boundary_nodes",
+               static_cast<long long>(snap->num_boundary_nodes()))
+          .set("blocks", static_cast<int>(art.model->block_kept.size()))
+          .set("snapshot_build_seconds", snap->build_seconds())
+          .set("wall_seconds", seconds)
+          .set("queries_per_second", qps)
+          .set("speedup", speedup)
+          .set("identical", identical)
+          .set("max_rel_vs_reference", max_rel_vs_reference)
+          .set("reach_nodes_mean", reach.nodes_mean)
+          .set("reach_nodes_p99", reach.nodes_p99)
+          .set("factor_entries_touched_mean", reach.entries_mean);
+      set_query_latency_fields(row, row_snap);
     }
   }
 
   std::printf("\nServing throughput — mixed %zu-query batches through the "
-              "ModelStore\n(speedup relative to the same mode at 1 thread; "
+              "ModelStore\n(speedup relative to 1 thread; "
               "batches must be bit-identical)\n\n",
               kBatchSize);
   table.print();

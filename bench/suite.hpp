@@ -38,7 +38,7 @@ struct BenchOptions {
   /// Mixed update+query mode (bench_serving only; set via --churn): stream
   /// modifications through an AsyncUpdater while querying, measuring
   /// publish latency / staleness / QPS-under-churn instead of the static
-  /// route-mode sweep.
+  /// thread sweep.
   bool churn = false;
   /// Prometheus text-exposition dump of the run's metrics registries
   /// (bench_serving only; set via --metrics PATH, empty disables). The

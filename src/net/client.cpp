@@ -59,9 +59,8 @@ namespace {
 }  // namespace
 
 LoopbackClient::QueryResult LoopbackClient::query(
-    const std::vector<PortQuery>& batch, RouteMode mode, Opcode opcode) {
+    const std::vector<PortQuery>& batch, Opcode opcode) {
   QueryBatchRequest req;
-  req.route = mode;
   req.queries = batch;
   const std::uint64_t id = send(opcode, encode_query_batch(req));
   const Frame reply = recv_frame();

@@ -38,7 +38,6 @@ class LoopbackClient {
   /// Round-trip one query batch. `opcode` must be kErBatch (kinds as
   /// given) or kPortResponse (server forces every kind to kResponse).
   [[nodiscard]] QueryResult query(const std::vector<PortQuery>& batch,
-                                  RouteMode mode = RouteMode::kSharded,
                                   Opcode opcode = Opcode::kErBatch);
 
   /// Round-trip one modification through the daemon's mod feed.

@@ -123,18 +123,6 @@ constexpr std::size_t kQueryWireBytes = 13;
 
 // Wire <-> enum maps (the wire bytes are part of the protocol, the enum
 // ordinals are not).
-bool route_from_wire(std::uint8_t v, RouteMode* out) {
-  switch (v) {
-    case 0: *out = RouteMode::kSharded; return true;
-    case 1: *out = RouteMode::kMonolithic; return true;
-    default: return false;
-  }
-}
-
-std::uint8_t route_to_wire(RouteMode m) {
-  return m == RouteMode::kMonolithic ? 1 : 0;
-}
-
 bool kind_from_wire(std::uint8_t v, QueryKind* out) {
   switch (v) {
     case 0: *out = QueryKind::kResponse; return true;
@@ -224,8 +212,7 @@ DecodeStatus FrameBuffer::next(Frame* out) {
 
 std::vector<std::uint8_t> encode_query_batch(const QueryBatchRequest& req) {
   std::vector<std::uint8_t> out;
-  out.reserve(1 + 4 + req.queries.size() * kQueryWireBytes);
-  out.push_back(route_to_wire(req.route));
+  out.reserve(4 + req.queries.size() * kQueryWireBytes);
   put_u32(out, static_cast<std::uint32_t>(req.queries.size()));
   for (const PortQuery& q : req.queries) {
     out.push_back(kind_to_wire(q.kind));
@@ -242,9 +229,7 @@ std::vector<std::uint8_t> encode_query_batch(const QueryBatchRequest& req) {
 bool decode_query_batch(const std::vector<std::uint8_t>& payload,
                         QueryBatchRequest* out) {
   Cursor c(payload.data(), payload.size());
-  std::uint8_t route = 0;
   std::uint32_t count = 0;
-  if (!c.read_u8(&route) || !route_from_wire(route, &out->route)) return false;
   if (!c.read_u32(&count) || count == 0 || count > kMaxBatchItems ||
       !c.holds(count, kQueryWireBytes))
     return false;

@@ -27,7 +27,7 @@
 /// but whose payload is malformed) are per-request: the decoder returns
 /// false, the server answers kError and keeps the connection.
 ///
-/// Layering: this header knows serve/ types (PortQuery, RouteMode) but
+/// Layering: this header knows serve/ types (PortQuery, QueryKind) but
 /// nothing of pg/ — modifications travel as WireModification, which
 /// src/net/stack.hpp translates into the pg-level GridModification.
 #pragma once
@@ -43,9 +43,9 @@ namespace er::net {
 
 /// 'E','R','V','1' as the little-endian u32 the header carries.
 inline constexpr std::uint32_t kMagic = 0x31565245u;
-/// The one dialect (3: each query is kind u8, p i32, q i32, deadline_us
-/// u32).
-inline constexpr std::uint16_t kProtocolVersion = 3;
+/// The one dialect (4: a query batch is count u32, then per query kind
+/// u8, p i32, q i32, deadline_us u32; version 3 led with a route byte).
+inline constexpr std::uint16_t kProtocolVersion = 4;
 inline constexpr std::size_t kHeaderBytes = 24;
 /// Hard payload bound checked from the header alone (16 MiB — far above
 /// any realistic batch, far below an allocation-of-death).
@@ -132,9 +132,8 @@ class FrameBuffer {
 
 // ---------------------------------------------------------------- payloads
 
-/// kPortResponse / kErBatch payload: a routed query batch.
+/// kPortResponse / kErBatch payload: a query batch.
 struct QueryBatchRequest {
-  RouteMode route = RouteMode::kSharded;
   std::vector<PortQuery> queries;  ///< never empty on a decoded request
 };
 
@@ -181,7 +180,7 @@ struct ErrorReply {
 // without reading past the payload, and without allocating for items the
 // payload does not carry.
 //
-// Query-batch payload: route u8, count u32, then per query
+// Query-batch payload: count u32, then per query
 // (kind u8, p i32, q i32, deadline_us u32) — 13 bytes.
 [[nodiscard]] std::vector<std::uint8_t> encode_query_batch(
     const QueryBatchRequest& req);

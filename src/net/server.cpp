@@ -318,7 +318,6 @@ void Server::process_query(WorkItem& item) {
     BatchStats stats;
     AnswerContext ctx;
     ctx.pool = pool_.get();
-    ctx.mode = item.query.route;
     ctx.stats = &stats;
     // The queue wait already consumed, handed to the front-end as the
     // explicit deadline input (serve/query_policy.hpp): expiry is decided

@@ -28,12 +28,12 @@ ServingStack::ServingStack(const ConductanceNetwork& grid_net,
           AsyncUpdater::Options{options_.staleness_bound, options_.fail_fast,
                                 /*version_log_cap=*/256, registry_}) {
   if (options_.attach_cache) {
-    cache_ = std::make_shared<ResultCache>(options_.serving.cache, registry_);
+    cache_ = std::make_shared<ResultCache>(options_.cache, registry_);
     store_.attach_cache(cache_);
   }
   // Publishes the initial snapshot (version 0) — the updater's worker is
   // already running but idle, so no update can race this.
-  reducer_.attach_store(&store_, options_.serving);
+  reducer_.attach_store(&store_);
 }
 
 ServingStack::~ServingStack() {

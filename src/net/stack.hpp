@@ -41,11 +41,9 @@ namespace er::net {
 
 struct StackOptions {
   ReductionOptions reduction;
-  /// Snapshot build policy; callers that never route kMonolithic should
-  /// clear build_monolithic_factor to skip the dense global factor.
-  ServingOptions serving;
-  /// Attach a ResultCache to the store (serving.cache holds its knobs).
+  /// Attach a ResultCache to the store, configured by `cache`.
   bool attach_cache = true;
+  ResultCacheOptions cache;
   /// AsyncUpdater back-pressure bound: accepted-but-unpublished
   /// modifications before submits are refused (see fail_fast).
   std::uint64_t staleness_bound = 6;

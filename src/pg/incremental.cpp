@@ -103,18 +103,11 @@ const ReducedModel& IncrementalReducer::update(
     const ConductanceNetwork& modified,
     const std::vector<index_t>& dirty_blocks) {
   Timer t;
-  // Disarm the snapshot-reuse source while the caches mutate: if anything
-  // below throws after blocks_ was partially rewritten and the caller
-  // recovers with another update, the next publish must not dirty-only
-  // rebuild against a snapshot predating the failed update (it would
-  // alias artifacts of blocks that update already rewrote). Restored once
-  // the mutations succeed, just in time for this update's publish.
-  SnapshotPtr reuse_source = std::move(last_published_);
-  // Same disarm dance for the copy-on-write stitch source: if this update
-  // throws after blocks_ was partially rewritten and the caller recovers
-  // with another update, the model must be re-stitched from blocks_ alone —
-  // carrying slices over from a version that predates the failed rewrite
-  // would mix stale node slices with fresh edge slices.
+  // Disarm the copy-on-write stitch source while the caches mutate: if
+  // this update throws after blocks_ was partially rewritten and the
+  // caller recovers with another update, the model must be re-stitched
+  // from blocks_ alone — carrying slices over from a version that predates
+  // the failed rewrite would mix stale node slices with fresh edge slices.
   const bool can_cow_stitch = model_matches_blocks_;
   model_matches_blocks_ = false;
   Timer phase;
@@ -194,51 +187,29 @@ const ReducedModel& IncrementalReducer::update(
   // Counted unconditionally so a model revision never reuses a version
   // number, even across detach_store / attach_store cycles.
   ++revision_;
-  last_published_ = std::move(reuse_source);
-  if (store_) publish_current(&dirty);
+  if (store_) publish_current();
   return *model_;
 }
 
-void IncrementalReducer::attach_store(ModelStore* store,
-                                      const ServingOptions& opts) {
+void IncrementalReducer::attach_store(ModelStore* store) {
   if (!store)
     throw std::invalid_argument("IncrementalReducer::attach_store: null store");
   store_ = store;
-  serving_opts_ = opts;
-  publish_current(nullptr);
+  publish_current();
 }
 
-void IncrementalReducer::publish_current(const std::vector<index_t>* dirty) {
+void IncrementalReducer::publish_current() {
   Timer t;
   OBS_SPAN("publish");
   // The snapshot is built completely off to the side and only then swapped
   // in, so queries racing with this publish never observe a half-built
-  // model (DESIGN.md §4 publish protocol). An update publish is a
-  // dirty-only rebuild: clean blocks alias the previous snapshot's
-  // artifacts, so only the dirty blocks and the boundary (plus optional
-  // monolithic) factors are recomputed — bit-identical to the full build
-  // (DESIGN.md §4.1).
-  SnapshotPtr snap;
-  try {
-    // The snapshot aliases the frozen model version through its shared
-    // handle: a publish copies zero model bytes (DESIGN.md §4.1).
-    if (dirty && last_published_)
-      snap = ModelSnapshot::rebuild(*last_published_, blocks_, model_, *dirty,
-                                    pool_.get(), revision_);
-    else
-      snap = ModelSnapshot::build(blocks_, model_, serving_opts_, pool_.get(),
-                                  revision_);
-    store_->publish(snap);
-  } catch (...) {
-    // A failed build/publish leaves last_published_ behind the reducer's
-    // state: a later dirty-only rebuild against it would alias artifacts
-    // of blocks dirtied by the unpublished updates. Drop it so the next
-    // publish falls back to a full build.
-    last_published_.reset();
-    throw;
-  }
-  publish_bytes_materialized_ = snap->bytes_materialized();
-  last_published_ = std::move(snap);
+  // model (DESIGN.md §4 publish protocol). It aliases the frozen model
+  // version through its shared handle: a publish copies zero model bytes
+  // and factors G once (DESIGN.md §4.1). A throwing build leaves the store
+  // on the previous version.
+  const SnapshotPtr snap = ModelSnapshot::build(model_, revision_);
+  store_->publish(snap);
+  publish_bytes_materialized_ = snap->factor_bytes();
   publish_seconds_ = t.seconds();
   // Snapshot build+publish latency: the reducer-side half of the
   // publish-latency picture (the updater's er_updater_publish_latency_

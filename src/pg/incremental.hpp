@@ -6,11 +6,10 @@
 /// caches per-block reductions; after a modification only the dirty blocks
 /// are re-reduced and the model re-stitched, making the incremental
 /// reduction cost ~10% of a full reduction. With a ModelStore attached,
-/// every re-stitch also publishes an immutable serving snapshot as a
-/// dirty-only rebuild — clean blocks share the previous snapshot's factors
-/// (DESIGN.md §4, §4.1). To run updates off the
-/// serving threads, drive the reducer through serve/AsyncUpdater
-/// (docs/serving_guide.md).
+/// every re-stitch also publishes an immutable serving snapshot: one fresh
+/// factor of the stitched system over the aliased model (DESIGN.md §4,
+/// §4.1). To run updates off the serving threads, drive the reducer
+/// through serve/AsyncUpdater (docs/serving_guide.md).
 #pragma once
 
 #include <memory>
@@ -73,7 +72,7 @@ class IncrementalReducer {
   /// (the zero-copy publish of DESIGN.md §4.1).
   ModelPtr shared_model() const { return model_; }
   const BlockStructure& structure() const { return structure_; }
-  /// Cached per-block reductions (the serving snapshot inputs).
+  /// Cached per-block reductions (the incremental re-reduction state).
   const std::vector<BlockReduced>& blocks() const { return blocks_; }
 
   /// Re-reduce only the dirty blocks against the modified network and
@@ -84,11 +83,11 @@ class IncrementalReducer {
   /// a fresh immutable snapshot *after* the stitch completes — in-flight
   /// query batches keep answering against the snapshot they pinned, and
   /// only batches started after the publish see the new model (the publish
-  /// protocol of DESIGN.md §4). The published snapshot is a *dirty-only
-  /// rebuild* (ModelSnapshot::rebuild): clean blocks share the previous
-  /// snapshot's factors, and only the dirty blocks plus the interface-Schur
-  /// boundary factor are refactored — bit-identical to a full rebuild
-  /// (DESIGN.md §4.1).
+  /// protocol of DESIGN.md §4). The published snapshot is a full
+  /// ModelSnapshot::build of the new model version (DESIGN.md §4.1). If
+  /// that build throws (the stitched system is not SPD), update() rethrows
+  /// after the model was updated: the store stays on the previous version
+  /// and the next update publishes from the reducer's current state.
   ///
   /// Thread-safety: external synchronization per reducer, like every other
   /// method — AsyncUpdater is the supported way to run update() off the
@@ -105,13 +104,9 @@ class IncrementalReducer {
   /// detach_store() call). Snapshot build time is reported by
   /// publish_seconds() and is *not* counted into update_seconds(), keeping
   /// the paper's incremental T_red comparable.
-  void attach_store(ModelStore* store, const ServingOptions& opts = {});
-  /// Stop publishing (and drop the cached last-published snapshot a future
-  /// re-attach would otherwise rebuild against).
-  void detach_store() {
-    store_ = nullptr;
-    last_published_.reset();
-  }
+  void attach_store(ModelStore* store);
+  /// Stop publishing.
+  void detach_store() { store_ = nullptr; }
 
   /// Model revision counter: 0 after construction, +1 per update(). The
   /// version number of the snapshot a publish at this state would carry.
@@ -124,19 +119,16 @@ class IncrementalReducer {
   [[nodiscard]] double publish_seconds() const { return publish_seconds_; }
 
   /// Publish-cost accounting of the most recent publish (0 until one
-  /// happens): bytes of serving state it materialized (rebuilt block
-  /// artifacts + global factors; see ModelSnapshot::bytes_materialized).
-  /// The stitched model itself is aliased, never copied.
+  /// happens): bytes of serving state it materialized — the factor of G
+  /// (ModelSnapshot::factor_bytes). The stitched model itself is aliased,
+  /// never copied.
   [[nodiscard]] std::size_t publish_bytes_materialized() const {
     return publish_bytes_materialized_;
   }
 
  private:
-  /// Build + publish the snapshot of the current model. `dirty` (the
-  /// deduplicated dirty set of the update that triggered the publish)
-  /// selects the dirty-only rebuild path; null forces a full build (initial
-  /// attach).
-  void publish_current(const std::vector<index_t>* dirty);
+  /// Build + publish the snapshot of the current model.
+  void publish_current();
 
   std::vector<char> is_port_;
   ReductionOptions opts_;
@@ -158,10 +150,6 @@ class IncrementalReducer {
   /// rewritten; the recovery update full-stitches from blocks_ alone).
   bool model_matches_blocks_ = true;
   ModelStore* store_ = nullptr;
-  ServingOptions serving_opts_;
-  /// Most recent published snapshot — the artifact-reuse source of the next
-  /// dirty-only rebuild (null when nothing was published yet).
-  SnapshotPtr last_published_;
   std::uint64_t revision_ = 0;
   double initial_seconds_ = 0.0;
   double update_seconds_ = 0.0;

@@ -135,12 +135,11 @@ struct ReducedModel {
 using ModelPtr = std::shared_ptr<const ReducedModel>;
 
 /// Everything Alg. 1 produces, with the per-block intermediates retained
-/// instead of discarded after the stitch. The serving layer (`serve/`,
-/// DESIGN.md §4) turns these into a resident, immutable ModelSnapshot:
-/// `structure` routes queries to blocks, `blocks` seeds the per-block
-/// engines, and `model` is the stitched network the answers refer to —
-/// held through ModelPtr so a snapshot built from these artifacts aliases
-/// the model instead of copying it.
+/// instead of discarded after the stitch (an incremental re-reduction
+/// starts from them). `model` is the stitched network the serving layer
+/// (`serve/`, DESIGN.md §4) turns into a resident, immutable ModelSnapshot
+/// — held through ModelPtr so the snapshot aliases the model instead of
+/// copying it.
 struct ReductionArtifacts {
   BlockStructure structure;
   std::vector<BlockReduced> blocks;  ///< per-block reductions, indexed by block
@@ -221,10 +220,10 @@ ReductionArtifacts reduce_network_artifacts(const ConductanceNetwork& input,
 
 /// Bit-exact equality of two per-block reductions (everything but the
 /// timing fields): kept nodes, merge map, local graph edges/weights, and
-/// shunts. The per-block determinism oracle behind the serving layer's
-/// copy-on-write snapshot sharing — a block untouched by an incremental
-/// update must reduce to a bit-identical BlockReduced, which is what lets
-/// successive snapshots alias its factors (DESIGN.md §4.1).
+/// shunts. The per-block determinism oracle behind the copy-on-write
+/// stitch — a block untouched by an incremental update must reduce to a
+/// bit-identical BlockReduced, which is what lets successive model
+/// versions carry its node slices over (DESIGN.md §4.1).
 bool blocks_identical(const BlockReduced& a, const BlockReduced& b);
 
 /// Bit-exact equality of everything but timing stats: node maps,

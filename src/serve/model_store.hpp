@@ -8,10 +8,9 @@
 /// against their pinned snapshot for as long as they hold it — a publish
 /// never invalidates in-flight queries, it only changes what the *next*
 /// acquire returns. Old snapshots are freed by shared_ptr refcounting once
-/// the last reader drops them; with copy-on-write rebuilds (DESIGN.md
-/// §4.1) successive snapshots share their clean blocks' artifacts and the
-/// stitched model itself, so a displaced snapshot's teardown releases only
-/// the per-version state no newer snapshot aliases.
+/// the last reader drops them. A snapshot aliases its stitched model
+/// version (DESIGN.md §4.1), so a displaced snapshot's teardown releases
+/// its factor and any model version no other holder still pins.
 #pragma once
 
 #include <chrono>

@@ -17,32 +17,28 @@ namespace {
 
 constexpr real_t kNaN = std::numeric_limits<real_t>::quiet_NaN();
 
-/// Per-route-mode registry handles, resolved once per batch (registration
-/// is get-or-create, so repeated batches hit the same series). Recording
+/// Registry handles, resolved once per batch (registration is
+/// get-or-create, so repeated batches hit the same series). Recording
 /// through them is lock-free.
 struct ServeMetrics {
   obs::Counter& batches;
   obs::Counter& queries;
   obs::Counter& invalid;
-  obs::Counter& same_block;
-  obs::Counter& cross_block;
   obs::Counter& deadline_miss;
   obs::Histogram& query_latency;
   obs::Histogram& batch_seconds;
 };
 
-ServeMetrics serve_metrics(obs::MetricsRegistry& reg, RouteMode mode) {
-  const obs::Labels labels{{"mode", to_string(mode)}};
+ServeMetrics serve_metrics(obs::MetricsRegistry& reg) {
+  // The `mode` label is frozen at its one value (DESIGN.md §6): perfbench's
+  // wire workloads select er_query_batch_seconds{mode="sharded"}.
+  const obs::Labels labels{{"mode", "sharded"}};
   return ServeMetrics{
       reg.counter("er_serve_batches_total", labels,
                   "Query batches answered"),
       reg.counter("er_serve_queries_total", labels, "Queries answered"),
       reg.counter("er_serve_invalid_queries_total", labels,
                   "Queries with unmapped/eliminated endpoints (answer NaN)"),
-      reg.counter("er_serve_same_block_queries_total", labels,
-                  "Queries with both endpoints in one block"),
-      reg.counter("er_serve_cross_block_queries_total", labels,
-                  "Queries spanning two blocks"),
       reg.counter("er_policy_deadline_miss_total", {},
                   "Queries whose deadline expired before evaluation"),
       reg.histogram("er_query_latency_seconds", labels,
@@ -53,30 +49,16 @@ ServeMetrics serve_metrics(obs::MetricsRegistry& reg, RouteMode mode) {
   };
 }
 
-/// Evaluate one query on the exact paths (sharded or monolithic), given
-/// its already-validated reduced endpoints. A pure per-query function of
-/// (snapshot, kind, p, q) — the property that makes the answer cacheable.
+/// Evaluate one query given its already-validated reduced endpoints. A
+/// pure per-query function of (snapshot, kind, p, q) — the property that
+/// makes the answer cacheable.
 real_t answer_exact(const ModelSnapshot& snap, QueryKind kind, index_t p,
-                    index_t q, bool monolithic,
-                    ModelSnapshot::Workspace& ws) {
-  if (kind == QueryKind::kResponse)
-    return monolithic ? snap.response_monolithic(p, q, ws)
-                      : snap.response(p, q, ws);
-  return monolithic ? snap.resistance_monolithic(p, q, ws)
-                    : snap.resistance(p, q, ws);
+                    index_t q, ModelSnapshot::Workspace& ws) {
+  return kind == QueryKind::kResponse ? snap.response(p, q, ws)
+                                      : snap.resistance(p, q, ws);
 }
 
 }  // namespace
-
-const char* to_string(RouteMode m) {
-  switch (m) {
-    case RouteMode::kSharded:
-      return "sharded";
-    case RouteMode::kMonolithic:
-      return "monolithic";
-  }
-  return "?";
-}
 
 const char* to_string(QueryKind kind) {
   switch (kind) {
@@ -108,11 +90,10 @@ QueryFrontEnd::QueryFrontEnd(const ModelStore* store,
 }
 
 std::vector<real_t> QueryFrontEnd::answer(const std::vector<PortQuery>& batch,
-                                          ThreadPool* pool, RouteMode mode,
+                                          ThreadPool* pool,
                                           BatchStats* stats) const {
   AnswerContext ctx;
   ctx.pool = pool;
-  ctx.mode = mode;
   ctx.stats = stats;
   return answer(batch, ctx);
 }
@@ -136,12 +117,11 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
                                              const std::vector<PortQuery>& batch,
                                              const AnswerContext& ctx) {
   Timer timer;
-  ServeMetrics metrics =
-      serve_metrics(obs::registry_or_global(ctx.registry), ctx.mode);
+  ServeMetrics metrics = serve_metrics(obs::registry_or_global(ctx.registry));
   const auto n = static_cast<index_t>(batch.size());
   std::vector<real_t> out(batch.size(), 0.0);
-  std::atomic<std::size_t> invalid{0}, same_block{0}, cross_block{0},
-      cache_hits{0}, cache_misses{0}, deadline_miss{0};
+  std::atomic<std::size_t> invalid{0}, cache_hits{0}, cache_misses{0},
+      deadline_miss{0};
   if (ctx.statuses) ctx.statuses->assign(batch.size(), QueryStatus::kOk);
 
   // Resolve the snapshot version's cache scope once per batch. An
@@ -152,9 +132,6 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
   const std::optional<std::uint64_t> scope =
       ctx.cache ? ctx.cache->scope_for(snap.version()) : std::nullopt;
   ResultCache* cache = scope ? ctx.cache : nullptr;
-  const bool monolithic = ctx.mode == RouteMode::kMonolithic;
-  const ResultCache::Path path =
-      monolithic ? ResultCache::Path::kMonolithic : ResultCache::Path::kExact;
 
   // Chunked across the pool; every query writes only its own slots, so the
   // batch is bit-identical at any thread count. Each thread keeps one
@@ -163,8 +140,7 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
   // request.
   parallel_for(ctx.pool, 0, n, kBatchQueryGrain, [&](index_t lo, index_t hi) {
     static thread_local ModelSnapshot::Workspace ws;
-    std::size_t inv = 0, same = 0, cross = 0, hits = 0, missed = 0,
-                expired = 0;
+    std::size_t inv = 0, hits = 0, missed = 0, expired = 0;
     for (index_t i = lo; i < hi; ++i) {
       const auto ui = static_cast<std::size_t>(i);
       const PortQuery& query = batch[ui];
@@ -191,27 +167,20 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
         metrics.query_latency.record(query_timer.seconds());
         continue;
       }
-      if (snap.block_of_reduced(p) == snap.block_of_reduced(q))
-        ++same;
-      else
-        ++cross;
       real_t value = 0.0;
-      if (cache &&
-          cache->lookup(*scope, path, query.kind, query.p, query.q, &value)) {
+      if (cache && cache->lookup(*scope, query.kind, query.p, query.q, &value)) {
         ++hits;
       } else {
-        value = answer_exact(snap, query.kind, p, q, monolithic, ws);
+        value = answer_exact(snap, query.kind, p, q, ws);
         if (cache) {
           ++missed;
-          cache->insert(*scope, path, query.kind, query.p, query.q, value);
+          cache->insert(*scope, query.kind, query.p, query.q, value);
         }
       }
       out[ui] = value;
       metrics.query_latency.record(query_timer.seconds());
     }
     invalid += inv;
-    same_block += same;
-    cross_block += cross;
     cache_hits += hits;
     cache_misses += missed;
     deadline_miss += expired;
@@ -221,16 +190,12 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
   metrics.batches.add(1);
   metrics.queries.add(batch.size());
   metrics.invalid.add(invalid.load());
-  metrics.same_block.add(same_block.load());
-  metrics.cross_block.add(cross_block.load());
   metrics.deadline_miss.add(deadline_miss.load());
   metrics.batch_seconds.record(batch_seconds);
   if (ctx.stats) {
     BatchStats* stats = ctx.stats;
     stats->queries = batch.size();
     stats->invalid = invalid.load();
-    stats->same_block = same_block.load();
-    stats->cross_block = cross_block.load();
     stats->cache_hits = cache_hits.load();
     stats->cache_misses = cache_misses.load();
     stats->deadline_miss = deadline_miss.load();

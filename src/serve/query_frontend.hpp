@@ -3,10 +3,9 @@
 ///
 /// Accepts batches of port-response / effective-resistance queries in
 /// *original* node ids, pins the store's current snapshot once per batch,
-/// routes each query to the owning block(s) through the snapshot's
-/// node->block map, and fans the batch out across a ThreadPool. Answers
-/// land in per-query slots, so a batch is bit-identical at any thread
-/// count.
+/// maps each endpoint to its reduced id, and fans the batch out across a
+/// ThreadPool. Answers land in per-query slots, so a batch is
+/// bit-identical at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -43,30 +42,16 @@ struct PortQuery {
   QueryPolicy policy;
 };
 
-/// Which evaluation path answers the batch.
-enum class RouteMode {
-  /// Exact two-level domain decomposition: per-block interior factors plus
-  /// the stitched boundary system. The default serving path.
-  kSharded,
-  /// One factor of the whole stitched system — the "single-model" reference
-  /// the sharded path is validated against.
-  kMonolithic,
-};
-
-const char* to_string(RouteMode m);
-
 /// Per-batch diagnostics, filled by answer()/answer_on() for the one
 /// batch that produced them. The same figures are simultaneously streamed
 /// into the metrics registry as cumulative counters and latency
-/// histograms per route mode (`er_serve_*{mode=...}`,
-/// `er_query_latency_seconds{mode=...}`, `er_query_batch_seconds{mode=
-/// ...}` — DESIGN.md §6), so BatchStats stays the per-call view while the
-/// registry carries the process-lifetime aggregates.
+/// histograms (`er_serve_*`, `er_query_latency_seconds`,
+/// `er_query_batch_seconds` — DESIGN.md §6), so BatchStats stays the
+/// per-call view while the registry carries the process-lifetime
+/// aggregates.
 struct BatchStats {
   std::size_t queries = 0;
   std::size_t invalid = 0;          ///< unmapped / out-of-range endpoints
-  std::size_t same_block = 0;       ///< both endpoints owned by one block
-  std::size_t cross_block = 0;      ///< endpoints in different blocks
   /// Result-cache figures (serve/result_cache.hpp), zero when no cache was
   /// consulted. hits + misses counts every cache probe of the batch;
   /// invalid queries are never probed or cached.
@@ -80,7 +65,6 @@ struct BatchStats {
 /// Per-batch evaluation parameters for answer()/answer_on().
 struct AnswerContext {
   ThreadPool* pool = nullptr;
-  RouteMode mode = RouteMode::kSharded;
   BatchStats* stats = nullptr;
   /// Metrics sink (null = the process-wide global registry).
   obs::MetricsRegistry* registry = nullptr;
@@ -112,7 +96,6 @@ class QueryFrontEnd {
   /// into it (bit-identical either way — DESIGN.md §4.2).
   [[nodiscard]] std::vector<real_t> answer(const std::vector<PortQuery>& batch,
                                            ThreadPool* pool = nullptr,
-                                           RouteMode mode = RouteMode::kSharded,
                                            BatchStats* stats = nullptr) const;
 
   /// Full-context overload: like the convenience form above but with every

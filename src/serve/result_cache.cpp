@@ -28,7 +28,7 @@ std::size_t ResultCache::KeyHash::operator()(const Key& k) const {
                             << 32) |
                            static_cast<std::uint32_t>(k.q);
   return static_cast<std::size_t>(
-      mix_seed(k.scope ^ (std::uint64_t{k.tag} << 56), pq));
+      mix_seed(k.scope ^ (std::uint64_t{k.kind} << 56), pq));
 }
 
 ResultCache::ResultCache(const ResultCacheOptions& opts,
@@ -101,10 +101,10 @@ std::optional<std::uint64_t> ResultCache::scope_for(
   return std::nullopt;
 }
 
-bool ResultCache::lookup(std::uint64_t scope, Path path, QueryKind kind,
-                         index_t p, index_t q, real_t* out) {
+bool ResultCache::lookup(std::uint64_t scope, QueryKind kind, index_t p,
+                         index_t q, real_t* out) {
   Timer timer;
-  const Key key{scope, make_tag(path, kind), p, q};
+  const Key key{scope, static_cast<std::uint32_t>(kind), p, q};
   Shard& shard = shard_for(key);
   bool hit = false;
   {
@@ -125,9 +125,9 @@ bool ResultCache::lookup(std::uint64_t scope, Path path, QueryKind kind,
   return false;
 }
 
-void ResultCache::insert(std::uint64_t scope, Path path, QueryKind kind,
-                         index_t p, index_t q, real_t value) {
-  const Key key{scope, make_tag(path, kind), p, q};
+void ResultCache::insert(std::uint64_t scope, QueryKind kind, index_t p,
+                         index_t q, real_t value) {
+  const Key key{scope, static_cast<std::uint32_t>(kind), p, q};
   Shard& shard = shard_for(key);
   std::size_t evicted = 0;
   bool inserted = false;

@@ -1,13 +1,12 @@
 /// \file
 /// Version-keyed ER result cache (DESIGN.md §4.2).
 ///
-/// A sharded, lock-striped map from (scope, path, kind, node-pair) to the
-/// cached answer, sitting between QueryFrontEnd and the snapshot's answer
-/// paths. A *scope* is an opaque epoch id: every published version gets a
-/// fresh one covering its sharded and monolithic answers. Both paths touch
-/// the interface-Schur boundary factor S, global state rebuilt by every
-/// publish, so an entry is never valid across versions — but stays valid
-/// for as long as its version is pinned and resolvable.
+/// A sharded, lock-striped map from (scope, kind, node-pair) to the cached
+/// answer, sitting between QueryFrontEnd and the snapshot's answer path. A
+/// *scope* is an opaque epoch id: every published version gets a fresh
+/// one. Every publish refactors the whole stitched system G, so an entry is
+/// never valid across versions — but stays valid for as long as its
+/// version is pinned and resolvable.
 ///
 /// Correctness does not depend on the scope protocol: snapshots are
 /// immutable and every cacheable answer is a pure per-query function of
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include "serve/query_frontend.hpp"
-#include "serve/snapshot.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/types.hpp"
 
@@ -45,7 +43,25 @@ class Gauge;
 class Histogram;
 }  // namespace obs
 
-/// Sharded LRU answer cache. Construct from ServingOptions::cache and
+/// Knobs of the ResultCache. Nothing constructs a cache implicitly — a
+/// deployment opts in by building one from these knobs and attaching it
+/// to its ModelStore (ModelStore::attach_cache), which then serves every
+/// batch through it.
+struct ResultCacheOptions {
+  /// Lock stripes (rounded up to a power of two). More stripes = less
+  /// contention between concurrent query chunks; each stripe owns an
+  /// independent LRU list.
+  std::size_t shards = 16;
+  /// Whole-cache entry bound, split evenly across shards (per-shard LRU).
+  /// Resident bytes are max_entries * ResultCache::kEntryBytes.
+  std::size_t max_entries = std::size_t{1} << 18;
+  /// How many published versions stay resolvable at once. A snapshot
+  /// pinned past the cap (or never registered) misses through and
+  /// recomputes — never a wrong answer (DESIGN.md §4.2).
+  std::size_t version_cap = 8;
+};
+
+/// Sharded LRU answer cache. Construct from ResultCacheOptions and
 /// attach to the deployment's ModelStore (which invokes on_publish);
 /// QueryFrontEnd::answer picks it up from the store automatically.
 ///
@@ -55,14 +71,6 @@ class Histogram;
 /// registered at construction so the families export even before traffic.
 class ResultCache {
  public:
-  /// Which answer path produced (and may re-serve) an entry. Sharded and
-  /// monolithic answers differ in roundoff, so they cache under distinct
-  /// keys even for the same pair.
-  enum class Path : std::uint8_t {
-    kExact = 0,       ///< sharded domain-decomposition answers
-    kMonolithic = 1,  ///< whole-system-factor answers
-  };
-
   /// Metrics go to `registry` (null = the process-wide global registry).
   explicit ResultCache(const ResultCacheOptions& opts = {},
                        obs::MetricsRegistry* registry = nullptr);
@@ -89,14 +97,14 @@ class ResultCache {
 
   /// Probe for a cached answer; a hit refreshes the entry's LRU position
   /// and records the hit-latency sample. Returns false on miss.
-  bool lookup(std::uint64_t scope, Path path, QueryKind kind, index_t p,
-              index_t q, real_t* out);
+  bool lookup(std::uint64_t scope, QueryKind kind, index_t p, index_t q,
+              real_t* out);
 
   /// Store an answer under the scope, evicting per-shard LRU tails past
   /// the capacity bound. Inserting an existing key refreshes its value
   /// (idempotent: answers are deterministic per key).
-  void insert(std::uint64_t scope, Path path, QueryKind kind, index_t p,
-              index_t q, real_t value);
+  void insert(std::uint64_t scope, QueryKind kind, index_t p, index_t q,
+              real_t value);
 
   // Whole-cache probes (tests / introspection; the registry carries the
   // same figures as er_cache_* series).
@@ -113,11 +121,11 @@ class ResultCache {
  private:
   struct Key {
     std::uint64_t scope = 0;
-    std::uint32_t tag = 0;  ///< (path << 1) | kind
+    std::uint32_t kind = 0;  ///< QueryKind ordinal
     index_t p = 0;
     index_t q = 0;
     bool operator==(const Key& o) const {
-      return scope == o.scope && tag == o.tag && p == o.p && q == o.q;
+      return scope == o.scope && kind == o.kind && p == o.p && q == o.q;
     }
   };
   struct KeyHash {
@@ -136,10 +144,6 @@ class ResultCache {
         ER_GUARDED_BY(mutex);
   };
 
-  static std::uint32_t make_tag(Path path, QueryKind kind) {
-    return (static_cast<std::uint32_t>(path) << 1) |
-           static_cast<std::uint32_t>(kind);
-  }
   Shard& shard_for(const Key& key);
   /// Drop every entry whose scope is not in `live` (sorted); counts into
   /// er_cache_invalidations_total.

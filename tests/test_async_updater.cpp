@@ -3,9 +3,10 @@
 //   (a) streaming concurrent modification batches against concurrent query
 //       batches keeps every pinned version internally bit-consistent (all
 //       answers of a version identical however often it is queried),
-//   (b) a dirty-only snapshot rebuild (ModelSnapshot::rebuild /
-//       IncrementalReducer's incremental publish) is bitwise identical to
-//       a full rebuild of the same model, at 1/2/4/8 threads,
+//   (b) every publish is a full snapshot build, bitwise identical to a
+//       fresh ModelSnapshot::build of the same model at 1/2/4/8 reduction
+//       threads, and a publish that throws leaves the store on the
+//       previous version,
 //   (c) coalesced batches converge to the same final model as applying the
 //       same modifications sequentially.
 //
@@ -16,7 +17,9 @@
 #include <cmath>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -36,111 +39,112 @@ namespace {
 // with test_serving.cpp and test_result_cache.cpp).
 
 // ---------------------------------------------------------------------------
-// (b) dirty-only rebuild == full rebuild, bitwise, across thread counts.
+// (b) every publish is a full build; a failed publish keeps the old version.
 // ---------------------------------------------------------------------------
 
-TEST(ModelSnapshotRebuild, DirtyOnlyMatchesFullRebuildBitwise) {
-  const ServeCase c = make_case(22, 22, 56, 211);
+TEST(IncrementalPublish, MatchesFreshBuildOfTwinAtAnyThreadCount) {
+  // The store-attached reducer publishes after every update; a fresh
+  // ModelSnapshot::build of a serial store-less twin's model must answer
+  // bitwise identically, whatever thread count the reducer ran at.
+  const ServeCase c = make_case(20, 20, 48, 223);
   ReductionOptions opts;
   opts.num_blocks = 8;
-  const auto batch_nodes = [&] {
-    IncrementalReducer probe(c.net, c.ports, opts);
-    return kept_originals(probe.model());
-  }();
-  const auto batch = mixed_batch(batch_nodes, 300, 23);
+  IncrementalReducer twin(c.net, c.ports, opts);
+  const auto batch = mixed_batch(kept_originals(twin.model()), 200, 31);
+  const ModStream stream =
+      make_mod_stream(c.net, twin.structure(), 3, 0.2, 1.4, 500);
+  std::vector<std::vector<real_t>> want;
+  for (std::size_t u = 0; u < stream.nets.size(); ++u) {
+    twin.update(stream.nets[u], stream.mods[u].dirty_blocks);
+    want.push_back(QueryFrontEnd::answer_on(
+        *ModelSnapshot::build(twin.shared_model(), twin.revision()), batch));
+  }
 
-  std::vector<std::vector<real_t>> per_thread_answers;
   for (int threads : {1, 2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ReductionOptions topts = opts;
     topts.parallel.num_threads = threads;
-    IncrementalReducer reducer(c.net, c.ports, topts);
-    ThreadPool pool(threads);
-    ThreadPool* p = threads > 1 ? &pool : nullptr;
-
-    auto prev = ModelSnapshot::build(reducer.blocks(), reducer.model(), {},
-                                     p, reducer.revision());
-    EXPECT_EQ(prev->reused_blocks(), 0);
-    EXPECT_EQ(prev->rebuilt_blocks(), prev->num_blocks());
-
-    ConductanceNetwork current = c.net;
-    std::vector<real_t> final_answers;
-    for (int u = 1; u <= 3; ++u) {
-      const GridModification mod = random_modification(
-          reducer.structure().num_blocks, 0.25, 1.3,
-          static_cast<std::uint64_t>(300 + u));
-      current = apply_modification(current, reducer.structure(), mod);
-      reducer.update(current, mod.dirty_blocks);
-
-      const auto full = ModelSnapshot::build(
-          reducer.blocks(), reducer.model(), {}, p, reducer.revision());
-      const auto incr = ModelSnapshot::rebuild(
-          *prev, reducer.blocks(), reducer.shared_model(), mod.dirty_blocks,
-          p, reducer.revision());
-      ASSERT_GT(incr->reused_blocks(), 0);
-      EXPECT_EQ(incr->reused_blocks() + incr->rebuilt_blocks(),
-                incr->num_blocks());
-      EXPECT_EQ(full->num_boundary_nodes(), incr->num_boundary_nodes());
-
-      // Bitwise equality on both exact routes (the monolithic factor is
-      // rebuilt either way; the sharded one mixes reused + fresh factors).
-      for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic}) {
-        const auto want = QueryFrontEnd::answer_on(*full, batch, {p, mode});
-        const auto got = QueryFrontEnd::answer_on(*incr, batch, {p, mode});
-        ASSERT_EQ(want.size(), got.size());
-        for (std::size_t i = 0; i < want.size(); ++i)
-          ASSERT_EQ(want[i], got[i])
-              << to_string(mode) << " query " << i << " update " << u;
-      }
-      prev = incr;
-      if (u == 3) final_answers = QueryFrontEnd::answer_on(*prev, batch);
+    ModelStore store;
+    IncrementalReducer incr(c.net, c.ports, topts);
+    incr.attach_store(&store);
+    for (std::size_t u = 0; u < stream.nets.size(); ++u) {
+      incr.update(stream.nets[u], stream.mods[u].dirty_blocks);
+      const SnapshotPtr published = store.acquire();
+      EXPECT_EQ(published->version(), u + 1);
+      EXPECT_EQ(incr.publish_bytes_materialized(), published->factor_bytes());
+      const auto got = QueryFrontEnd::answer_on(*published, batch);
+      ASSERT_EQ(want[u].size(), got.size());
+      for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(want[u][i], got[i]) << "update " << u << " query " << i;
     }
-    per_thread_answers.push_back(std::move(final_answers));
-  }
-  // The whole chain is also thread-count independent.
-  for (std::size_t t = 1; t < per_thread_answers.size(); ++t) {
-    ASSERT_EQ(per_thread_answers[0].size(), per_thread_answers[t].size());
-    for (std::size_t i = 0; i < per_thread_answers[0].size(); ++i)
-      ASSERT_EQ(per_thread_answers[0][i], per_thread_answers[t][i])
-          << "thread sweep " << t << " query " << i;
   }
 }
 
-TEST(ModelSnapshotRebuild, IncrementalPublishMatchesFullPublish) {
-  // The store-attached reducer publishes dirty-only rebuilds; a from-scratch
-  // ModelSnapshot::build of a store-less twin's model must answer bitwise
-  // identically on both exact routes after every update.
-  const ServeCase c = make_case(20, 20, 48, 223);
+TEST(IncrementalPublish, FailedPublishKeepsThePreviousVersion) {
+  // The fixture grid plus one isolated port: a connected component of its
+  // own, grounded only by its pad shunt.
+  ServeCase c = make_case(16, 16, 24, 239);
+  const index_t pad = c.net.graph.num_nodes();
+  Graph g(pad + 1);
+  for (const Edge& e : c.net.graph.edges()) g.add_edge(e.u, e.v, e.weight);
+  c.net.graph = std::move(g);
+  c.net.shunts.push_back(50.0);
+  c.ports.push_back(1);
   ReductionOptions opts;
-  opts.num_blocks = 8;
+  opts.num_blocks = 4;
   ModelStore store;
-  IncrementalReducer incr(c.net, c.ports, opts);
-  IncrementalReducer twin(c.net, c.ports, opts);
-  incr.attach_store(&store);
+  IncrementalReducer reducer(c.net, c.ports, opts);
+  reducer.attach_store(&store);
+  const BlockStructure structure = reducer.structure();
+  const index_t nb = structure.num_blocks;
+  const auto batch = mixed_batch(kept_originals(reducer.model()), 150, 61);
+  const auto expect_published_is_fresh_build = [&] {
+    const auto want = QueryFrontEnd::answer_on(
+        *ModelSnapshot::build(reducer.model()), batch);
+    const auto got = QueryFrontEnd::answer_on(*store.acquire(), batch);
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+      ASSERT_EQ(want[i], got[i]) << "query " << i;
+  };
 
-  const auto batch = mixed_batch(kept_originals(incr.model()), 200, 31);
-  const ModStream stream =
-      make_mod_stream(c.net, incr.structure(), 3, 0.2, 1.4, 500);
-  for (std::size_t u = 0; u < stream.nets.size(); ++u) {
-    incr.update(stream.nets[u], stream.mods[u].dirty_blocks);
-    twin.update(stream.nets[u], stream.mods[u].dirty_blocks);
+  // Removing the pad shunt leaves that component floating, so G has an
+  // exactly-zero column: the update re-reduces and re-stitches, then its
+  // publish throws, and the store keeps serving version 0.
+  const index_t pad_block = structure.block_of[static_cast<std::size_t>(pad)];
+  ConductanceNetwork broken = c.net;
+  broken.shunts[static_cast<std::size_t>(pad)] = 0.0;
+  EXPECT_THROW(reducer.update(broken, {pad_block}), std::runtime_error);
+  EXPECT_EQ(reducer.revision(), 1u);
+  EXPECT_EQ(store.publish_count(), 1u);
+  EXPECT_EQ(store.current_version(), std::optional<std::uint64_t>{0});
 
-    const SnapshotPtr published = store.acquire();
-    const auto full = ModelSnapshot::build(twin.blocks(), twin.shared_model(),
-                                           {}, nullptr, twin.revision());
-    EXPECT_EQ(published->version(), full->version());
-    EXPECT_GT(published->reused_blocks(), 0);
-    EXPECT_EQ(full->reused_blocks(), 0);
-    for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic}) {
-      const auto want = QueryFrontEnd::answer_on(*full, batch, {nullptr, mode});
-      const auto got =
-          QueryFrontEnd::answer_on(*published, batch, {nullptr, mode});
-      ASSERT_EQ(want.size(), got.size());
-      for (std::size_t i = 0; i < want.size(); ++i)
-        ASSERT_EQ(want[i], got[i])
-            << to_string(mode) << " update " << u << " query " << i;
-    }
-  }
+  // The next valid update (re-reducing the pad's block) publishes a
+  // snapshot bitwise equal to a fresh build of the reducer's model.
+  GridModification mod = random_modification(nb, 0.5, 1.3, 251);
+  mod.dirty_blocks.push_back(pad_block);
+  const ConductanceNetwork modified =
+      apply_modification(c.net, structure, mod);
+  reducer.update(modified, mod.dirty_blocks);
+  EXPECT_EQ(store.current_version(), std::optional<std::uint64_t>{2});
+  expect_published_is_fresh_build();
+
+  // A throwing update() disarms the copy-on-write stitch: the recovery
+  // update re-stitches the model from the block cache alone...
+  EXPECT_THROW(reducer.update(modified, {nb + 1}), std::out_of_range);
+  EXPECT_EQ(store.current_version(), std::optional<std::uint64_t>{2});
+  const GridModification mod2 = random_modification(nb, 0.25, 1.1, 257);
+  const ConductanceNetwork modified2 =
+      apply_modification(modified, structure, mod2);
+  reducer.update(modified2, mod2.dirty_blocks);
+  EXPECT_EQ(reducer.model().stats.stitch_reused_blocks, 0);
+  expect_published_is_fresh_build();
+
+  // ...and re-arms it for the update after.
+  const GridModification mod3 = random_modification(nb, 0.25, 1.2, 263);
+  reducer.update(apply_modification(modified2, structure, mod3),
+                 mod3.dirty_blocks);
+  EXPECT_GT(reducer.model().stats.stitch_reused_blocks, 0);
+  expect_published_is_fresh_build();
 }
 
 // ---------------------------------------------------------------------------
@@ -196,7 +200,7 @@ TEST(AsyncUpdater, CoalescedBatchesConvergeToSequentialModel) {
   EXPECT_EQ(updater.mods_reflected(published->version()),
             static_cast<std::uint64_t>(kMods));
   const auto want = QueryFrontEnd::answer_on(
-      *ModelSnapshot::build(twin.blocks(), twin.model()), batch);
+      *ModelSnapshot::build(twin.model()), batch);
   const auto got = QueryFrontEnd::answer_on(*published, batch);
   for (std::size_t i = 0; i < want.size(); ++i)
     ASSERT_EQ(want[i], got[i]) << "query " << i;
@@ -241,50 +245,6 @@ TEST(AsyncUpdater, FlushDrainAndErrorContracts) {
     EXPECT_EQ(s.applied, 0u);
     EXPECT_EQ(s.pending, 0u);
   }
-}
-
-TEST(ModelSnapshotRebuild, FailedUpdateDisarmsDirtyOnlyRebuild) {
-  // A throwing update() must not leave the previous published snapshot
-  // armed as a dirty-only reuse source: the next successful publish falls
-  // back to a full build (reused_blocks == 0) and stays correct.
-  const ServeCase c = make_case(16, 16, 24, 239);
-  ReductionOptions opts;
-  opts.num_blocks = 4;
-  ModelStore store;
-  IncrementalReducer reducer(c.net, c.ports, opts);
-  reducer.attach_store(&store);
-
-  EXPECT_THROW(reducer.update(c.net, {reducer.structure().num_blocks + 1}),
-               std::out_of_range);
-
-  const GridModification mod =
-      random_modification(reducer.structure().num_blocks, 0.5, 1.3, 251);
-  const ConductanceNetwork modified =
-      apply_modification(c.net, reducer.structure(), mod);
-  reducer.update(modified, mod.dirty_blocks);
-  const SnapshotPtr snap = store.acquire();
-  EXPECT_EQ(snap->reused_blocks(), 0);  // full-build fallback
-  // The failed update also disarmed the copy-on-write stitch: the
-  // recovery update re-stitched the model from the block cache alone.
-  EXPECT_EQ(reducer.model().stats.stitch_reused_blocks, 0);
-
-  // And the fallback publish re-arms reuse: the next update is dirty-only
-  // again (snapshot artifacts and model node slices) and still bitwise
-  // equal to a from-scratch build.
-  const GridModification mod2 =
-      random_modification(reducer.structure().num_blocks, 0.25, 1.1, 257);
-  const ConductanceNetwork modified2 =
-      apply_modification(modified, reducer.structure(), mod2);
-  reducer.update(modified2, mod2.dirty_blocks);
-  const SnapshotPtr snap2 = store.acquire();
-  EXPECT_GT(snap2->reused_blocks(), 0);
-  EXPECT_GT(reducer.model().stats.stitch_reused_blocks, 0);
-  const auto batch = mixed_batch(kept_originals(reducer.model()), 150, 61);
-  const auto want = QueryFrontEnd::answer_on(
-      *ModelSnapshot::build(reducer.blocks(), reducer.model()), batch);
-  const auto got = QueryFrontEnd::answer_on(*snap2, batch);
-  for (std::size_t i = 0; i < want.size(); ++i)
-    ASSERT_EQ(want[i], got[i]) << "query " << i;
 }
 
 TEST(AsyncUpdater, FlushOverridesConcurrentPause) {
@@ -514,7 +474,7 @@ TEST(AsyncUpdater, ConcurrentStreamsKeepPinnedVersionsBitConsistent) {
         const std::uint64_t submitted_before = updater.stats().submitted;
         BatchStats stats;
         const auto got =
-            frontend.answer(batch, nullptr, RouteMode::kSharded, &stats);
+            frontend.answer(batch, nullptr, &stats);
         // Internal bit-consistency: every batch answered at version v must
         // equal the first batch answered at v.
         {
@@ -550,7 +510,7 @@ TEST(AsyncUpdater, ConcurrentStreamsKeepPinnedVersionsBitConsistent) {
   EXPECT_EQ(s.batches + s.coalesced, s.applied);
 
   // After the stream settles, the final model equals a sequential replay,
-  // and the published snapshot is bitwise a full rebuild of it.
+  // and the published snapshot is bitwise a fresh build of it.
   IncrementalReducer twin(c.net, c.ports, opts);
   for (int u = 0; u < kMods; ++u)
     twin.update(nets[static_cast<std::size_t>(u)],
@@ -558,7 +518,7 @@ TEST(AsyncUpdater, ConcurrentStreamsKeepPinnedVersionsBitConsistent) {
   EXPECT_TRUE(models_identical(reducer.model(), twin.model()));
   const SnapshotPtr published = store.acquire();
   const auto want = QueryFrontEnd::answer_on(
-      *ModelSnapshot::build(twin.blocks(), twin.model()), batch);
+      *ModelSnapshot::build(twin.model()), batch);
   const auto got = QueryFrontEnd::answer_on(*published, batch);
   for (std::size_t i = 0; i < want.size(); ++i)
     ASSERT_EQ(want[i], got[i]) << "query " << i;

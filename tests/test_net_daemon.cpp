@@ -92,20 +92,14 @@ TEST(NetDaemon, AnswersMatchDirectCalls) {
   const auto batch = mixed_batch(kept, 16, 33);
 
   BatchStats direct_stats;
-  const std::vector<real_t> direct = d->stack.frontend().answer(
-      batch, nullptr, RouteMode::kSharded, &direct_stats);
+  const std::vector<real_t> direct =
+      d->stack.frontend().answer(batch, nullptr, &direct_stats);
 
   LoopbackClient client(kHost, d->server->port());
-  const auto result = client.query(batch, RouteMode::kSharded);
+  const auto result = client.query(batch);
   EXPECT_FALSE(result.retry_later);
   EXPECT_EQ(result.snapshot_version, direct_stats.snapshot_version);
   expect_bitwise_equal(result.answers, direct);
-
-  // The monolithic route answers over the same wire too.
-  const std::vector<real_t> direct_mono =
-      d->stack.frontend().answer(batch, nullptr, RouteMode::kMonolithic);
-  const auto mono = client.query(batch, RouteMode::kMonolithic);
-  expect_bitwise_equal(mono.answers, direct_mono);
 }
 
 TEST(NetDaemon, PortResponseOpcodeForcesResponseKind) {
@@ -117,11 +111,10 @@ TEST(NetDaemon, PortResponseOpcodeForcesResponseKind) {
   auto forced = batch;
   for (PortQuery& q : forced) q.kind = QueryKind::kResponse;
   const std::vector<real_t> direct =
-      d->stack.frontend().answer(forced, nullptr, RouteMode::kSharded);
+      d->stack.frontend().answer(forced);
 
   LoopbackClient client(kHost, d->server->port());
-  const auto result =
-      client.query(batch, RouteMode::kSharded, Opcode::kPortResponse);
+  const auto result = client.query(batch, Opcode::kPortResponse);
   expect_bitwise_equal(result.answers, direct);
 }
 
@@ -200,7 +193,7 @@ TEST(NetDaemon, ConcurrentClientsBitwiseEqualUnderChurn) {
     ModelStore ref_store(&ref_registry);
     IncrementalReducer ref_reducer(fixture.net, fixture.ports,
                                    stack_opts.reduction);
-    ref_reducer.attach_store(&ref_store, stack_opts.serving);
+    ref_reducer.attach_store(&ref_store);
     QueryFrontEnd ref_frontend(&ref_store, &ref_registry);
     batch = mixed_batch(kept_originals(ref_reducer.model()), 12, 44);
     stream = make_mod_stream(fixture.net, ref_reducer.structure(), kMods,
@@ -229,7 +222,7 @@ TEST(NetDaemon, ConcurrentClientsBitwiseEqualUnderChurn) {
       threads.emplace_back([&, c] {
         LoopbackClient client(kHost, d->server->port());
         for (int q = 0; q < kQueriesPerClient; ++q) {
-          const auto result = client.query(batch, RouteMode::kSharded);
+          const auto result = client.query(batch);
           ASSERT_FALSE(result.retry_later);
           records[static_cast<std::size_t>(c)].push_back(
               {result.snapshot_version, result.answers});
@@ -280,14 +273,14 @@ TEST(NetDaemon, GracefulShutdownDrainsAdmittedRequests) {
   const auto kept = kept_originals(d->stack.reducer().model());
   const auto batch = mixed_batch(kept, 8, 55);
   const std::vector<real_t> direct =
-      d->stack.frontend().answer(batch, nullptr, RouteMode::kSharded);
+      d->stack.frontend().answer(batch);
 
   LoopbackClient client(kHost, d->server->port());
   // Gate the dispatchers, pipeline a burst, then stop() mid-batch: the
   // drain must answer every admitted request exactly once.
   d->server->pause_dispatch();
   std::vector<std::uint64_t> ids;
-  const auto payload = net::encode_query_batch({RouteMode::kSharded, batch});
+  const auto payload = net::encode_query_batch({batch});
   for (int i = 0; i < kPipelined; ++i)
     ids.push_back(client.send(Opcode::kErBatch, payload));
   // All admitted (well under capacity) before the drain starts.
@@ -323,7 +316,7 @@ TEST(NetDaemon, AdmissionOverflowAnswersRetryLater) {
 
   LoopbackClient client(kHost, d->server->port());
   d->server->pause_dispatch();
-  const auto payload = net::encode_query_batch({RouteMode::kSharded, batch});
+  const auto payload = net::encode_query_batch({batch});
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < kBurst; ++i)
     ids.push_back(client.send(Opcode::kErBatch, payload));
@@ -444,8 +437,7 @@ TEST(NetDaemon, MalformedFramesRejectedAndServerSurvives) {
     LoopbackClient bad(kHost, d->server->port());
     auto wire = net::encode_frame(Opcode::kErBatch, 7,
                                   net::encode_query_batch(
-                                      {RouteMode::kSharded,
-                                       mixed_batch(kept, 4, 68)}));
+                                      {mixed_batch(kept, 4, 68)}));
     wire[net::kHeaderBytes + 2] ^= 0x40;
     bad.send_raw(wire.data(), wire.size());
     const net::Frame reply = bad.recv_frame();
@@ -467,7 +459,6 @@ TEST(NetDaemon, MalformedFramesRejectedAndServerSurvives) {
   {  // A well-framed but empty batch: per-request error, connection kept.
     LoopbackClient client(kHost, d->server->port());
     std::vector<std::uint8_t> payload;
-    payload.push_back(0);                       // route kSharded
     for (int i = 0; i < 4; ++i) payload.push_back(0);  // count = 0
     const std::uint64_t id = client.send(Opcode::kErBatch, payload);
     const net::Frame reply = client.recv_frame();
@@ -491,12 +482,12 @@ TEST(NetDaemon, SlowLorisPartialWritesStillAnswered) {
   const auto kept = kept_originals(d->stack.reducer().model());
   const auto batch = mixed_batch(kept, 6, 71);
   const std::vector<real_t> direct =
-      d->stack.frontend().answer(batch, nullptr, RouteMode::kSharded);
+      d->stack.frontend().answer(batch);
 
   LoopbackClient client(kHost, d->server->port());
   const auto wire = net::encode_frame(
       Opcode::kErBatch, 42,
-      net::encode_query_batch({RouteMode::kSharded, batch}));
+      net::encode_query_batch({batch}));
   for (std::size_t off = 0; off < wire.size(); off += 3) {
     const std::size_t n = std::min<std::size_t>(3, wire.size() - off);
     client.send_raw(wire.data() + off, n);

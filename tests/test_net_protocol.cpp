@@ -63,8 +63,6 @@ double random_finite(Rng& rng) {
 
 QueryBatchRequest random_batch(Rng& rng, std::size_t count) {
   QueryBatchRequest req;
-  req.route =
-      rng.bernoulli(0.5) ? RouteMode::kSharded : RouteMode::kMonolithic;
   for (std::size_t i = 0; i < count; ++i) {
     PortQuery q;
     q.kind = rng.bernoulli(0.5) ? QueryKind::kResponse : QueryKind::kResistance;
@@ -92,7 +90,6 @@ TEST(NetProtocolRoundTrip, QueryBatchRandomized) {
         random_batch(rng, 1 + rng.uniform_index(40));
     QueryBatchRequest back;
     ASSERT_TRUE(decode_query_batch(encode_query_batch(req), &back));
-    EXPECT_EQ(back.route, req.route);
     ASSERT_EQ(back.queries.size(), req.queries.size());
     for (std::size_t i = 0; i < req.queries.size(); ++i) {
       EXPECT_EQ(back.queries[i].kind, req.queries[i].kind);
@@ -116,7 +113,7 @@ TEST(NetProtocolRoundTrip, DeadlineRoundTripsAtEveryBitPattern) {
     req.queries.push_back(q);
   }
   const std::vector<std::uint8_t> payload = encode_query_batch(req);
-  EXPECT_EQ(payload.size(), 1 + 4 + req.queries.size() * 13);
+  EXPECT_EQ(payload.size(), 4 + req.queries.size() * 13);
   QueryBatchRequest back;
   ASSERT_TRUE(decode_query_batch(payload, &back));
   ASSERT_EQ(back.queries.size(), req.queries.size());
@@ -396,12 +393,12 @@ TEST(NetProtocolPayload, QueryBatchRejectsMalformed) {
   QueryBatchRequest out;
 
   std::vector<std::uint8_t> zero = good;
-  std::memset(zero.data() + 1, 0, 4);  // count = 0
+  std::memset(zero.data(), 0, 4);  // count = 0
   EXPECT_FALSE(decode_query_batch(zero, &out));
 
   std::vector<std::uint8_t> huge = good;
   const std::vector<std::uint8_t> count = u32_bytes(kMaxBatchItems + 1);
-  std::memcpy(huge.data() + 1, count.data(), 4);
+  std::memcpy(huge.data(), count.data(), 4);
   EXPECT_FALSE(decode_query_batch(huge, &out));
 
   std::vector<std::uint8_t> truncated = good;
@@ -412,29 +409,35 @@ TEST(NetProtocolPayload, QueryBatchRejectsMalformed) {
   trailing.push_back(0);
   EXPECT_FALSE(decode_query_batch(trailing, &out));
 
-  std::vector<std::uint8_t> bad_route = good;
-  bad_route[0] = 9;
-  EXPECT_FALSE(decode_query_batch(bad_route, &out));
-
   std::vector<std::uint8_t> bad_kind = good;
-  bad_kind[5] = 9;  // first query's kind byte
+  bad_kind[4] = 9;  // first query's kind byte
   EXPECT_FALSE(decode_query_batch(bad_kind, &out));
 
   EXPECT_FALSE(decode_query_batch({}, &out));
 }
 
-TEST(NetProtocolPayload, RouteByteTwoRejected) {
-  // Route bytes 0 (sharded) and 1 (monolithic) are the whole route space;
-  // any other byte, 2 included, is a payload error.
+TEST(NetProtocolFraming, RouteByteDialectIsStickyBadVersion) {
+  // A version-3 frame (its batch payload led with a route byte) fails
+  // framing from the header alone, before its payload is read; the error
+  // is sticky, so a current frame appended afterwards is never decoded.
   Rng rng(24);
-  std::vector<std::uint8_t> payload = encode_query_batch(random_batch(rng, 3));
-  QueryBatchRequest out;
-  for (std::uint8_t route : {0, 1}) {
-    payload[0] = route;
-    EXPECT_TRUE(decode_query_batch(payload, &out)) << "route " << int{route};
-  }
-  payload[0] = 2;
-  EXPECT_FALSE(decode_query_batch(payload, &out));
+  const QueryBatchRequest req = random_batch(rng, 3);
+  std::vector<std::uint8_t> v3_payload{0};  // route byte
+  const std::vector<std::uint8_t> body = encode_query_batch(req);
+  v3_payload.insert(v3_payload.end(), body.begin(), body.end());
+  std::vector<std::uint8_t> wire = encode_frame(Opcode::kErBatch, 5, v3_payload);
+  wire[4] = 3;
+  wire[5] = 0;
+  const std::vector<std::uint8_t> good =
+      encode_frame(Opcode::kErBatch, 6, body);
+  FrameBuffer buf;
+  buf.append(wire.data(), kHeaderBytes);
+  Frame frame;
+  EXPECT_EQ(buf.next(&frame), DecodeStatus::kBadVersion);
+  buf.append(wire.data() + kHeaderBytes, wire.size() - kHeaderBytes);
+  buf.append(good.data(), good.size());
+  EXPECT_EQ(buf.next(&frame), DecodeStatus::kBadVersion);
+  EXPECT_EQ(buf.next(&frame), DecodeStatus::kBadVersion);
 }
 
 TEST(NetProtocolPayload, EveryTruncationRejected) {
@@ -475,7 +478,7 @@ TEST(NetProtocolPayload, DecodersNeverAllocateForAbsentItems) {
   };
   Rng rng(26);
   const std::vector<std::uint8_t> batch =
-      announce(encode_query_batch(random_batch(rng, 2)), 1);
+      announce(encode_query_batch(random_batch(rng, 2)), 0);
   WireModification mod;
   mod.dirty_blocks = {1, 2};
   const std::vector<std::uint8_t> modification =

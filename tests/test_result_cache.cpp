@@ -1,8 +1,7 @@
 // Result-cache tests (DESIGN.md §4.2). Four contracts:
 //
 //   (a) cached answers are bitwise identical to uncached ones over
-//       randomized query/publish interleavings, on both route modes, at
-//       1/2/4/8 pool threads,
+//       randomized query/publish interleavings at 1/2/4/8 pool threads,
 //   (b) concurrent readers through a cache-attached store stay
 //       bit-consistent per pinned version while a publisher churns
 //       (runs under TSan in CI),
@@ -77,14 +76,12 @@ TEST(ResultCache, CachedMatchesUncachedBitwiseAcrossInterleavings) {
       }
       const auto batch = mixed_batch(
           kept, 120, static_cast<std::uint64_t>(700 + step % 3));
-      const RouteMode mode =
-          step % 3 == 1 ? RouteMode::kMonolithic : RouteMode::kSharded;
       const SnapshotPtr snap = store.acquire();
       BatchStats cached_stats;
       const auto cached = QueryFrontEnd::answer_on(
-          *snap, batch, {p, mode, &cached_stats, &reg, cache.get()});
+          *snap, batch, {p, &cached_stats, &reg, cache.get()});
       const auto uncached =
-          QueryFrontEnd::answer_on(*snap, batch, {p, mode, nullptr, &reg});
+          QueryFrontEnd::answer_on(*snap, batch, {p, nullptr, &reg});
       ASSERT_EQ(cached.size(), uncached.size());
       for (std::size_t i = 0; i < cached.size(); ++i) {
         // Bitwise comparison that treats the NaN of an invalid query as
@@ -92,7 +89,7 @@ TEST(ResultCache, CachedMatchesUncachedBitwiseAcrossInterleavings) {
         const bool both_nan =
             std::isnan(cached[i]) && std::isnan(uncached[i]);
         ASSERT_TRUE(cached[i] == uncached[i] || both_nan)
-            << to_string(mode) << " step " << step << " query " << i;
+            << "step " << step << " query " << i;
       }
       EXPECT_EQ(cached_stats.cache_hits + cached_stats.cache_misses,
                 cached_stats.queries - cached_stats.invalid);
@@ -124,14 +121,14 @@ TEST(ResultCache, ConcurrentReadersStayBitConsistentWithCacheAttached) {
     IncrementalReducer twin(c.net, c.ports, opts);
     batch = mixed_batch(kept_originals(twin.model()), 64, 19);
     reference[0] = QueryFrontEnd::answer_on(
-        *ModelSnapshot::build(twin.blocks(), twin.model()), batch);
+        *ModelSnapshot::build(twin.model()), batch);
     stream = make_mod_stream(c.net, twin.structure(), kUpdates, 0.25, 1.4,
                              1200);
     for (int u = 1; u <= kUpdates; ++u) {
       twin.update(stream.nets[static_cast<std::size_t>(u - 1)],
                   stream.mods[static_cast<std::size_t>(u - 1)].dirty_blocks);
       reference[static_cast<std::uint64_t>(u)] = QueryFrontEnd::answer_on(
-          *ModelSnapshot::build(twin.blocks(), twin.model()), batch);
+          *ModelSnapshot::build(twin.model()), batch);
     }
   }
 
@@ -152,7 +149,7 @@ TEST(ResultCache, ConcurrentReadersStayBitConsistentWithCacheAttached) {
       for (int i = 0; i < kBatchesPerReader; ++i) {
         BatchStats stats;
         const auto got =
-            frontend.answer(batch, nullptr, RouteMode::kSharded, &stats);
+            frontend.answer(batch, nullptr, &stats);
         const auto& want = reference.at(stats.snapshot_version);
         for (std::size_t j = 0; j < want.size(); ++j)
           if (got[j] != want[j]) {
@@ -194,23 +191,20 @@ TEST(ResultCache, PublishTurnsOverTheVersionScope) {
   const QueryFrontEnd frontend(&store, &reg);
 
   const auto batch = mixed_batch(kept_originals(reducer.model()), 80, 29);
-  const auto answer = [&](const ModelSnapshot& snap, RouteMode mode) {
+  const auto answer = [&](const ModelSnapshot& snap) {
     BatchStats stats;
-    (void)QueryFrontEnd::answer_on(
-        snap, batch, {nullptr, mode, &stats, &reg, cache.get()});
+    (void)QueryFrontEnd::answer_on(snap, batch,
+                                   {nullptr, &stats, &reg, cache.get()});
     return stats;
   };
 
-  // Warm version 0 on both exact paths; a repeat hits every probe.
+  // Warm version 0; a repeat hits every probe.
   const SnapshotPtr snap0 = store.acquire();
-  for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic}) {
-    const BatchStats cold = answer(*snap0, mode);
-    EXPECT_GT(cold.cache_misses, 0u) << to_string(mode);
-    const BatchStats warm = answer(*snap0, mode);
-    EXPECT_EQ(warm.cache_misses, 0u) << to_string(mode);
-    EXPECT_EQ(warm.cache_hits, warm.queries - warm.invalid)
-        << to_string(mode);
-  }
+  const BatchStats cold = answer(*snap0);
+  EXPECT_GT(cold.cache_misses, 0u);
+  const BatchStats warm = answer(*snap0);
+  EXPECT_EQ(warm.cache_misses, 0u);
+  EXPECT_EQ(warm.cache_hits, warm.queries - warm.invalid);
   const std::size_t entries_v0 = cache->entries();
   ASSERT_GT(entries_v0, 0u);
 
@@ -223,9 +217,8 @@ TEST(ResultCache, PublishTurnsOverTheVersionScope) {
                  mod.dirty_blocks);
   const SnapshotPtr snap1 = store.acquire();
   ASSERT_NE(snap0->version(), snap1->version());
-  ASSERT_GT(snap1->reused_blocks(), 0);
   BatchStats fresh;
-  (void)frontend.answer(batch, nullptr, RouteMode::kSharded, &fresh);
+  (void)frontend.answer(batch, nullptr, &fresh);
   EXPECT_EQ(fresh.snapshot_version, snap1->version());
   EXPECT_EQ(fresh.cache_hits, 0u);
   EXPECT_GT(fresh.cache_misses, 0u);
@@ -233,22 +226,21 @@ TEST(ResultCache, PublishTurnsOverTheVersionScope) {
 
   // The pinned version 0 still resolves within version_cap and keeps
   // hitting its own entries.
-  const BatchStats pinned = answer(*snap0, RouteMode::kSharded);
+  const BatchStats pinned = answer(*snap0);
   EXPECT_EQ(pinned.cache_misses, 0u);
   EXPECT_GT(pinned.cache_hits, 0u);
 
   // A third version ages version 0 out: exactly its entries are swept and
   // the pinned snapshot bypasses the cache (zero probes).
   const std::uint64_t invalidated_before = cache->invalidations();
-  store.publish(ModelSnapshot::build(reducer.blocks(), reducer.shared_model(),
-                                     snap1->options(), nullptr,
-                                     snap1->version() + 1));
+  store.publish(
+      ModelSnapshot::build(reducer.shared_model(), snap1->version() + 1));
   EXPECT_EQ(cache->invalidations(), invalidated_before + entries_v0);
   EXPECT_EQ(cache->entries(), entries_v1);
-  const BatchStats aged = answer(*snap0, RouteMode::kSharded);
+  const BatchStats aged = answer(*snap0);
   EXPECT_EQ(aged.cache_hits + aged.cache_misses, 0u);
   // Version 1 is still within the cap.
-  const BatchStats still = answer(*snap1, RouteMode::kSharded);
+  const BatchStats still = answer(*snap1);
   EXPECT_EQ(still.cache_misses, 0u);
 }
 
@@ -275,16 +267,14 @@ TEST(ResultCache, TinyCapacityEvictsWithoutEverAnsweringWrong) {
   for (int round = 0; round < 4; ++round) {
     const auto batch = mixed_batch(
         kept, 200, static_cast<std::uint64_t>(1300 + round % 2));
-    for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic}) {
-      const auto cached = QueryFrontEnd::answer_on(
-          *snap, batch, {nullptr, mode, nullptr, &reg, cache.get()});
-      const auto plain = QueryFrontEnd::answer_on(
-          *snap, batch, {nullptr, mode, nullptr, &reg});
-      for (std::size_t i = 0; i < cached.size(); ++i) {
-        const bool both_nan = std::isnan(cached[i]) && std::isnan(plain[i]);
-        ASSERT_TRUE(cached[i] == plain[i] || both_nan)
-            << to_string(mode) << " round " << round << " query " << i;
-      }
+    const auto cached = QueryFrontEnd::answer_on(
+        *snap, batch, {nullptr, nullptr, &reg, cache.get()});
+    const auto plain =
+        QueryFrontEnd::answer_on(*snap, batch, {nullptr, nullptr, &reg});
+    for (std::size_t i = 0; i < cached.size(); ++i) {
+      const bool both_nan = std::isnan(cached[i]) && std::isnan(plain[i]);
+      ASSERT_TRUE(cached[i] == plain[i] || both_nan)
+          << "round " << round << " query " << i;
     }
   }
   EXPECT_GT(cache->evictions(), 0u);
@@ -315,13 +305,13 @@ TEST(ResultCache, PinnedVersionsResolveWithinCapAndDegradePastIt) {
   BatchStats warm;
   (void)QueryFrontEnd::answer_on(
       *pinned, batch,
-      {nullptr, RouteMode::kSharded, &warm, &reg, cache.get()});
+      {nullptr, &warm, &reg, cache.get()});
   EXPECT_GT(warm.cache_misses, 0u);
   reducer.update(stream.nets[0], stream.mods[0].dirty_blocks);
   BatchStats still_cached;
   const auto hit_answers = QueryFrontEnd::answer_on(
       *pinned, batch,
-      {nullptr, RouteMode::kSharded, &still_cached, &reg, cache.get()});
+      {nullptr, &still_cached, &reg, cache.get()});
   EXPECT_GT(still_cached.cache_hits, 0u);
   EXPECT_EQ(still_cached.cache_misses, 0u);
 
@@ -332,7 +322,7 @@ TEST(ResultCache, PinnedVersionsResolveWithinCapAndDegradePastIt) {
   BatchStats past_cap;
   const auto plain_answers = QueryFrontEnd::answer_on(
       *pinned, batch,
-      {nullptr, RouteMode::kSharded, &past_cap, &reg, cache.get()});
+      {nullptr, &past_cap, &reg, cache.get()});
   EXPECT_EQ(past_cap.cache_hits, 0u);
   EXPECT_EQ(past_cap.cache_misses, 0u);
   ASSERT_EQ(hit_answers.size(), plain_answers.size());

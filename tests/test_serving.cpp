@@ -1,11 +1,14 @@
-// Serving subsystem tests (DESIGN.md §4): the sharded domain-decomposition
-// path must agree with the monolithic single-model path, answers must be
-// bit-identical at any thread count, and ModelStore's publish protocol must
-// let queries race with IncrementalReducer updates — every batch answers
-// exactly against the snapshot version it pinned (no torn reads; the
-// concurrent test is part of the CI TSan job).
+// Serving subsystem tests (DESIGN.md §4): served answers (R and Z) must
+// match an independent dense oracle — the pseudo-inverse of G = L +
+// diag(shunts) assembled from the model's edges, with no factor code — and
+// a full solve_permuted reference; answers must be bit-identical at any
+// thread count; and ModelStore's publish protocol must let queries race
+// with IncrementalReducer updates — every batch answers exactly against
+// the snapshot version it pinned (no torn reads; the concurrent test is
+// part of the CI TSan job).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -27,32 +30,219 @@
 #include "serve/query_frontend.hpp"
 #include "serve/snapshot.hpp"
 #include "serve_test_util.hpp"
+#include "sparse/dense.hpp"
 
 namespace er {
 namespace {
 
-TEST(ModelSnapshot, ShardedMatchesMonolithic) {
-  const ServeCase c = make_case(24, 24, 64, 71);
-  ReductionOptions opts;
-  opts.num_blocks = 8;
-  const ReductionArtifacts art =
-      reduce_network_artifacts(c.net, c.ports, opts);
-  const auto snap = ModelSnapshot::build(art);
-  ASSERT_GT(snap->num_boundary_nodes(), 0);
+// ---------------------------------------------------------------------------
+// Dense-oracle property sweep. Each case is a small stitched model (at most
+// ~300 reduced nodes). The oracle inverts its dense G by Jacobi
+// eigendecomposition (DenseMatrix::symmetric_pseudo_inverse), which shares
+// no code with the sparse Cholesky factor the snapshot serves from.
+// ---------------------------------------------------------------------------
 
-  const auto batch = mixed_batch(kept_originals(*art.model), 400, 3);
-  BatchStats sharded_stats, mono_stats;
-  const auto sharded = QueryFrontEnd::answer_on(
-      *snap, batch, {nullptr, RouteMode::kSharded, &sharded_stats});
-  const auto mono = QueryFrontEnd::answer_on(
-      *snap, batch, {nullptr, RouteMode::kMonolithic, &mono_stats});
-  ASSERT_EQ(sharded.size(), mono.size());
-  EXPECT_EQ(sharded_stats.invalid, 0u);
-  EXPECT_GT(sharded_stats.cross_block, 0u);  // the batch exercises routing
-  EXPECT_GT(sharded_stats.same_block, 0u);
-  for (std::size_t i = 0; i < sharded.size(); ++i)
-    EXPECT_NEAR(sharded[i], mono[i], 1e-8 * (1.0 + std::abs(mono[i])))
-        << "query " << i;
+/// A hand-built stitched model over `g` and `shunts`: reduced nodes are
+/// dealt round-robin into `blocks` partition blocks, and every
+/// `eliminate_every`-th original id is an eliminated node (node_map -1)
+/// interleaved with the surviving ones.
+ModelPtr hand_model(Graph g, std::vector<real_t> shunts, index_t blocks,
+                    index_t eliminate_every) {
+  ReducedModel m;
+  const index_t n = g.num_nodes();
+  m.network.graph = std::move(g);
+  m.network.shunts = std::move(shunts);
+  m.block_kept.resize(static_cast<std::size_t>(blocks));
+  for (index_t r = 0; r < n; ++r) {
+    if (static_cast<index_t>(m.node_map.size()) % eliminate_every ==
+        eliminate_every - 1) {
+      m.node_map.push_back(-1);
+      m.block_of.push_back(0);
+    }
+    m.representative.push_back(static_cast<index_t>(m.node_map.size()));
+    m.node_map.push_back(r);
+    m.block_of.push_back(r % blocks);
+    m.block_kept[static_cast<std::size_t>(r % blocks)].push_back(r);
+  }
+  m.stats.reduced_nodes = n;
+  return std::make_shared<const ReducedModel>(std::move(m));
+}
+
+/// nx-by-ny grid on nodes [base, base + nx*ny) of `g` with conductances
+/// 10^U(-spread, spread).
+void add_grid(Graph& g, index_t base, index_t nx, index_t ny, real_t spread,
+              Rng& rng) {
+  const auto w = [&] { return std::pow(10.0, rng.uniform(-spread, spread)); };
+  for (index_t y = 0; y < ny; ++y)
+    for (index_t x = 0; x < nx; ++x) {
+      const index_t v = base + y * nx + x;
+      if (x + 1 < nx) g.add_edge(v, v + 1, w());
+      if (y + 1 < ny) g.add_edge(v, v + nx, w());
+    }
+}
+
+struct OracleCase {
+  std::string name;
+  ModelPtr model;
+  /// Tolerance against the oracle, relative to the magnitude of the
+  /// inverse entries an answer is assembled from. At a 1e±8 spread G's
+  /// condition number is ~1e16, so every double-precision method is only
+  /// good to ~1e-6 there: the oracle, this factor and a dense Cholesky
+  /// inverse disagree pairwise by up to ~1.6e-6 of that magnitude.
+  real_t tol = 1e-10;
+};
+
+std::vector<OracleCase> oracle_cases() {
+  std::vector<OracleCase> cases;
+  Rng rng(4242);
+  {
+    // One grounded 12x12 grid, conductances within one decade.
+    Graph g(144);
+    add_grid(g, 0, 12, 12, 0.5, rng);
+    std::vector<real_t> sh(144, 0.0);
+    sh[0] = sh[77] = sh[143] = 25.0;
+    cases.push_back({"grid", hand_model(std::move(g), std::move(sh), 4, 5)});
+  }
+  {
+    // Two connected components, each grounded by its own shunt; every
+    // block mixes nodes of both.
+    Graph g(100 + 64);
+    add_grid(g, 0, 10, 10, 0.5, rng);
+    add_grid(g, 100, 8, 8, 0.5, rng);
+    std::vector<real_t> sh(164, 0.0);
+    sh[3] = 10.0;
+    sh[150] = 0.5;
+    cases.push_back(
+        {"two_components", hand_model(std::move(g), std::move(sh), 3, 4)});
+  }
+  {
+    // Parallel edges: a grid's edges added again (some twice) with other
+    // weights, in both orientations — conductances in parallel add.
+    Graph g(81);
+    add_grid(g, 0, 9, 9, 0.5, rng);
+    const std::vector<Edge> once = g.edges();
+    for (std::size_t i = 0; i < once.size(); ++i) {
+      g.add_edge(once[i].v, once[i].u, rng.uniform(0.5, 2.0));
+      if (i % 3 == 0) g.add_edge(once[i].u, once[i].v, rng.uniform(0.5, 2.0));
+    }
+    std::vector<real_t> sh(81, 0.0);
+    sh[40] = 3.0;
+    cases.push_back(
+        {"parallel_edges", hand_model(std::move(g), std::move(sh), 2, 6)});
+  }
+  for (const int spread : {4, 8}) {
+    // Conductances and shunts log-uniform over 1e±spread.
+    Graph g(64);
+    add_grid(g, 0, 8, 8, spread, rng);
+    std::vector<real_t> sh(64, 0.0);
+    sh[9] = std::pow(10.0, rng.uniform(-spread, spread));
+    sh[54] = std::pow(10.0, rng.uniform(-spread, spread));
+    cases.push_back({"spread_1e" + std::to_string(spread),
+                     hand_model(std::move(g), std::move(sh), 4, 7),
+                     spread == 8 ? 1e-5 : 1e-9});
+  }
+  {
+    // A model the reduction pipeline produced: eliminated nodes, merged
+    // non-port nodes and sparsified blocks.
+    const ServeCase c = make_case(16, 16, 40, 131);
+    ReductionOptions opts;
+    opts.num_blocks = 6;
+    cases.push_back(
+        {"reduced_grid", reduce_network_artifacts(c.net, c.ports, opts).model});
+  }
+  return cases;
+}
+
+/// Dense G = L + diag(shunts) from the model's edge list.
+DenseMatrix dense_system(const ReducedModel& m) {
+  const index_t n = m.network.num_nodes();
+  DenseMatrix g(n, n);
+  for (const Edge& e : m.network.graph.edges()) {
+    g(e.u, e.u) += e.weight;
+    g(e.v, e.v) += e.weight;
+    g(e.u, e.v) -= e.weight;
+    g(e.v, e.u) -= e.weight;
+  }
+  for (index_t v = 0; v < n; ++v)
+    g(v, v) += m.network.shunts[static_cast<std::size_t>(v)];
+  return g;
+}
+
+TEST(ServedAnswers, MatchDenseOracleProperties) {
+  for (const OracleCase& oc : oracle_cases()) {
+    SCOPED_TRACE(oc.name);
+    const ReducedModel& m = *oc.model;
+    const index_t n = m.network.num_nodes();
+    ASSERT_LE(n, 300);
+    // G is SPD (every component carries a shunt): keep every eigenvalue.
+    const DenseMatrix gi = dense_system(m).symmetric_pseudo_inverse(0.0);
+    const auto inv = [&](index_t a, index_t b) { return gi(a, b); };
+
+    const auto snap = ModelSnapshot::build(oc.model);
+    std::vector<index_t> kept, eliminated;
+    for (std::size_t v = 0; v < m.node_map.size(); ++v)
+      (m.node_map[v] >= 0 ? kept : eliminated)
+          .push_back(static_cast<index_t>(v));
+    ASSERT_FALSE(eliminated.empty());
+
+    // Random pairs of both kinds, p == q pairs, and eliminated or
+    // out-of-range endpoints on either side.
+    std::vector<PortQuery> batch = mixed_batch(kept, 400, 11);
+    for (std::size_t i = 0; i < kept.size(); i += 9)
+      for (const QueryKind kind :
+           {QueryKind::kResistance, QueryKind::kResponse})
+        batch.push_back({kind, kept[i], kept[i], {}});
+    Rng rng(7);
+    const auto pick = [&rng](const std::vector<index_t>& from) {
+      return from[static_cast<std::size_t>(
+          rng.uniform_int(static_cast<index_t>(from.size())))];
+    };
+    for (int t = 0; t < 8; ++t) {
+      const QueryKind kind =
+          t % 2 ? QueryKind::kResponse : QueryKind::kResistance;
+      batch.push_back({kind, pick(eliminated), pick(kept), {}});
+      batch.push_back({kind, pick(kept), pick(eliminated), {}});
+    }
+    batch.push_back({QueryKind::kResistance, -1, kept[0], {}});
+    batch.push_back({QueryKind::kResponse, kept[0],
+                     static_cast<index_t>(m.node_map.size()), {}});
+
+    std::vector<QueryStatus> statuses;
+    AnswerContext ctx;
+    ctx.statuses = &statuses;
+    const std::vector<real_t> got =
+        QueryFrontEnd::answer_on(*snap, batch, ctx);
+    ASSERT_EQ(got.size(), batch.size());
+    ASSERT_EQ(statuses.size(), batch.size());
+    std::size_t checked = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const PortQuery& query = batch[i];
+      SCOPED_TRACE("query " + std::to_string(i));
+      const index_t p = snap->reduced_id(query.p);
+      const index_t q = snap->reduced_id(query.q);
+      if (p < 0 || q < 0) {
+        EXPECT_TRUE(std::isnan(got[i]));
+        EXPECT_EQ(statuses[i], QueryStatus::kInvalid);
+        continue;
+      }
+      EXPECT_EQ(statuses[i], QueryStatus::kOk);
+      if (query.kind == QueryKind::kResistance) {
+        if (p == q) {
+          EXPECT_EQ(got[i], 0.0);  // exactly, not to roundoff
+          continue;
+        }
+        const real_t want = inv(p, p) + inv(q, q) - inv(p, q) - inv(q, p);
+        const real_t mag = inv(p, p) + inv(q, q) + 2.0 * std::abs(inv(p, q));
+        EXPECT_NEAR(got[i], want, oc.tol * mag);
+        EXPECT_GT(got[i], 0.0);
+      } else {
+        EXPECT_NEAR(got[i], inv(q, p),
+                    oc.tol * std::sqrt(inv(p, p) * inv(q, q)));
+      }
+      ++checked;
+    }
+    EXPECT_GT(checked, 300u);
+  }
 }
 
 TEST(ModelSnapshot, ResponseMatchesDcSolve) {
@@ -90,16 +280,16 @@ TEST(ModelSnapshot, ResponseMatchesDcSolve) {
   EXPECT_NEAR(r, via_z, 1e-9 * (1.0 + std::abs(r)));
 }
 
-TEST(ModelSnapshot, ReachRoutesMatchSolvePermutedReference) {
-  // Both routes answer with forward-only reach solves; the reference is a
-  // full forward + backward solve_permuted on a factor of the stitched
-  // system (same matrix, same ordering as the monolithic route's factor).
+TEST(ModelSnapshot, ReachSolvesMatchSolvePermutedReference) {
+  // Queries are forward-only reach solves; the reference is a full forward
+  // + backward solve_permuted on a separate factor of the stitched system.
   const ServeCase c = make_case(24, 24, 64, 83);
   ReductionOptions opts;
   opts.num_blocks = 8;
   const ReductionArtifacts art =
       reduce_network_artifacts(c.net, c.ports, opts);
   const auto snap = ModelSnapshot::build(art);
+  ASSERT_GT(snap->num_boundary_nodes(), 0);
   const CholFactor g = cholesky(art.model->network.system_matrix());
   const index_t n = g.n;
   const auto solve = [&](index_t p, real_t wp, index_t q, real_t wq) {
@@ -113,65 +303,25 @@ TEST(ModelSnapshot, ReachRoutesMatchSolvePermutedReference) {
     return x[static_cast<std::size_t>(g.inv_perm[static_cast<std::size_t>(v)])];
   };
 
-  // Reduced nodes by class, then pairs of every routing class.
-  std::vector<index_t> boundary;
-  std::vector<std::vector<index_t>> interior(
-      static_cast<std::size_t>(snap->num_blocks()));
-  for (index_t v = 0; v < n; ++v) {
-    if (snap->is_boundary(v))
-      boundary.push_back(v);
-    else
-      interior[static_cast<std::size_t>(snap->block_of_reduced(v))].push_back(v);
-  }
-  std::vector<index_t> blocks_with_interior;
-  for (index_t b = 0; b < snap->num_blocks(); ++b)
-    if (interior[static_cast<std::size_t>(b)].size() >= 2)
-      blocks_with_interior.push_back(b);
-  ASSERT_GE(boundary.size(), 2u);
-  ASSERT_GE(blocks_with_interior.size(), 2u);
   Rng rng(84);
-  const auto pick = [&rng](const std::vector<index_t>& from) {
-    return from[static_cast<std::size_t>(
-        rng.uniform_int(static_cast<index_t>(from.size())))];
-  };
-  const auto pick_interior = [&]() {
-    return pick(interior[static_cast<std::size_t>(pick(blocks_with_interior))]);
-  };
-  std::vector<std::pair<index_t, index_t>> pairs;
-  for (int t = 0; t < 40; ++t) {
-    const index_t b = pick(blocks_with_interior);
-    pairs.emplace_back(pick(interior[static_cast<std::size_t>(b)]),
-                       pick(interior[static_cast<std::size_t>(b)]));  // same block
-    index_t u = pick_interior();
-    index_t v = pick_interior();
-    while (snap->block_of_reduced(u) == snap->block_of_reduced(v))
-      v = pick_interior();
-    pairs.emplace_back(u, v);                        // cross-block interior
-    pairs.emplace_back(pick_interior(), pick(boundary));  // interior-boundary
-    pairs.emplace_back(pick(boundary), pick_interior());  // boundary-interior
-    pairs.emplace_back(pick(boundary), pick(boundary));   // boundary-boundary
-  }
-
   ModelSnapshot::Workspace ws;
-  for (const auto& [p, q] : pairs) {
+  for (int t = 0; t < 200; ++t) {
+    const index_t p = rng.uniform_int(n);
+    const index_t q = rng.uniform_int(n);
     SCOPED_TRACE("p=" + std::to_string(p) + " q=" + std::to_string(q));
     const std::vector<real_t> xr = solve(p, 1.0, q, -1.0);
     const real_t r_ref = p == q ? 0.0 : at(xr, p) - at(xr, q);
     const std::vector<real_t> xz = solve(p, 1.0, p, 0.0);
     const real_t z_ref = at(xz, q);
-    for (const real_t r :
-         {snap->resistance(p, q, ws), snap->resistance_monolithic(p, q, ws)})
-      EXPECT_NEAR(r, r_ref, 1e-12 * std::abs(r_ref));
-    for (const real_t z :
-         {snap->response(p, q, ws), snap->response_monolithic(p, q, ws)})
-      EXPECT_NEAR(z, z_ref, 1e-11 * std::abs(z_ref));
+    EXPECT_NEAR(snap->resistance(p, q, ws), r_ref, 1e-12 * std::abs(r_ref));
+    EXPECT_NEAR(snap->response(p, q, ws), z_ref, 1e-11 * std::abs(z_ref));
   }
 }
 
 TEST(ModelSnapshot, ResistanceIsNeverNegative) {
-  // Every exact resistance is a sum of squares (block energies plus the
-  // squared norm of a reach solve), so roundoff cannot make it negative —
-  // not even across a single edge of a stiff grid.
+  // Every exact resistance is the squared norm of a reach solve, so
+  // roundoff cannot make it negative — not even across a single edge of a
+  // stiff grid.
   const ServeCase c = make_case(20, 20, 48, 89);
   ReductionOptions opts;
   opts.num_blocks = 6;
@@ -179,14 +329,10 @@ TEST(ModelSnapshot, ResistanceIsNeverNegative) {
       reduce_network_artifacts(c.net, c.ports, opts);
   const auto snap = ModelSnapshot::build(art);
   ModelSnapshot::Workspace ws;
-  for (const Edge& e : art.model->network.graph.edges()) {
+  for (const Edge& e : art.model->network.graph.edges())
     EXPECT_GE(snap->resistance(e.u, e.v, ws), 0.0);
-    EXPECT_GE(snap->resistance_monolithic(e.u, e.v, ws), 0.0);
-  }
-  for (index_t v = 0; v < art.model->network.num_nodes(); v += 5) {
+  for (index_t v = 0; v < art.model->network.num_nodes(); v += 5)
     EXPECT_EQ(snap->resistance(v, v, ws), 0.0);
-    EXPECT_EQ(snap->resistance_monolithic(v, v, ws), 0.0);
-  }
 }
 
 TEST(QueryFrontEnd, BitIdenticalAcrossThreadCounts) {
@@ -198,46 +344,17 @@ TEST(QueryFrontEnd, BitIdenticalAcrossThreadCounts) {
   const auto snap = ModelSnapshot::build(art);
   const auto batch = mixed_batch(kept_originals(*art.model), 1500, 5);
 
-  for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic}) {
-    const auto serial =
-        QueryFrontEnd::answer_on(*snap, batch, {nullptr, mode});
-    for (int threads : {2, 4, 8}) {
-      ThreadPool pool(threads);
-      const auto par =
-          QueryFrontEnd::answer_on(*snap, batch, {&pool, mode});
-      SCOPED_TRACE(std::string(to_string(mode)) + " threads=" +
-                   std::to_string(threads));
-      ASSERT_EQ(serial.size(), par.size());
-      for (std::size_t i = 0; i < serial.size(); ++i)
-        ASSERT_EQ(serial[i], par[i]) << "query " << i;  // bit-identical
-    }
+  const auto serial = QueryFrontEnd::answer_on(*snap, batch);
+  for (int threads : {2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(threads);
+    AnswerContext ctx;
+    ctx.pool = &pool;
+    const auto par = QueryFrontEnd::answer_on(*snap, batch, ctx);
+    ASSERT_EQ(serial.size(), par.size());
+    for (std::size_t i = 0; i < serial.size(); ++i)
+      ASSERT_EQ(serial[i], par[i]) << "query " << i;  // bit-identical
   }
-}
-
-TEST(ModelSnapshot, MonolithicFactorIsOptional) {
-  // Production sharded serving skips the whole-system factor; the sharded
-  // path still answers and the monolithic path refuses loudly.
-  const ServeCase c = make_case(16, 16, 24, 101);
-  ReductionOptions opts;
-  opts.num_blocks = 4;
-  const ReductionArtifacts art =
-      reduce_network_artifacts(c.net, c.ports, opts);
-  ServingOptions with, without;
-  without.build_monolithic_factor = false;
-  const auto full = ModelSnapshot::build(art, with);
-  const auto lean = ModelSnapshot::build(art, without);
-  EXPECT_TRUE(full->has_monolithic_factor());
-  EXPECT_FALSE(lean->has_monolithic_factor());
-
-  const auto batch = mixed_batch(kept_originals(*art.model), 100, 19);
-  const auto want = QueryFrontEnd::answer_on(*full, batch);
-  const auto got = QueryFrontEnd::answer_on(*lean, batch);
-  ASSERT_EQ(want.size(), got.size());
-  for (std::size_t i = 0; i < want.size(); ++i)
-    ASSERT_EQ(want[i], got[i]) << "query " << i;  // sharded path unaffected
-  EXPECT_THROW((void)QueryFrontEnd::answer_on(
-                   *lean, batch, {nullptr, RouteMode::kMonolithic}),
-               std::logic_error);
 }
 
 TEST(QueryFrontEnd, InvalidQueriesAnswerNaN) {
@@ -265,7 +382,7 @@ TEST(QueryFrontEnd, InvalidQueriesAnswerNaN) {
   };
   BatchStats stats;
   const auto out = QueryFrontEnd::answer_on(
-      *snap, batch, {nullptr, RouteMode::kSharded, &stats});
+      *snap, batch, {nullptr, &stats});
   EXPECT_TRUE(std::isnan(out[0]));
   EXPECT_TRUE(std::isnan(out[1]));
   EXPECT_TRUE(std::isnan(out[2]));
@@ -295,7 +412,7 @@ TEST(QueryFrontEnd, ExpiredDeadlinesMissWithoutBlockingTheBatch) {
 
   obs::MetricsRegistry reg;
   const auto reference = QueryFrontEnd::answer_on(
-      *snap, plain, {nullptr, RouteMode::kSharded, nullptr, &reg});
+      *snap, plain, {nullptr, nullptr, &reg});
 
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -305,7 +422,6 @@ TEST(QueryFrontEnd, ExpiredDeadlinesMissWithoutBlockingTheBatch) {
     std::vector<QueryStatus> statuses;
     AnswerContext ctx;
     ctx.pool = pool ? &*pool : nullptr;
-    ctx.mode = RouteMode::kSharded;
     ctx.stats = &stats;
     ctx.registry = &reg;
     ctx.queue_wait_us = 50;  // injected, not measured: 10 <= 50 expires
@@ -333,7 +449,6 @@ TEST(QueryFrontEnd, ExpiredDeadlinesMissWithoutBlockingTheBatch) {
   // With no queue wait, nothing expires (deadline 10us > wait 0).
   BatchStats relaxed;
   AnswerContext relaxed_ctx;
-  relaxed_ctx.mode = RouteMode::kSharded;
   relaxed_ctx.stats = &relaxed;
   relaxed_ctx.registry = &reg;
   (void)QueryFrontEnd::answer_on(*snap, batch, relaxed_ctx);
@@ -375,7 +490,7 @@ TEST(ModelStore, PublishPinsInFlightSnapshots) {
 
   // New batches see the new version.
   BatchStats stats;
-  (void)frontend.answer(batch, nullptr, RouteMode::kSharded, &stats);
+  (void)frontend.answer(batch, nullptr, &stats);
   EXPECT_EQ(stats.snapshot_version, 1u);
 }
 
@@ -486,14 +601,14 @@ TEST(Serving, ConcurrentPublishWhileQuerying) {
     IncrementalReducer twin(c.net, c.ports, opts);
     batch = mixed_batch(kept_originals(twin.model()), 64, 17);
     reference[0] = QueryFrontEnd::answer_on(
-        *ModelSnapshot::build(twin.blocks(), twin.model()), batch);
+        *ModelSnapshot::build(twin.model()), batch);
     stream = make_mod_stream(c.net, twin.structure(), kUpdates, 0.25, 1.4,
                              100);
     for (int u = 1; u <= kUpdates; ++u) {
       twin.update(stream.nets[static_cast<std::size_t>(u - 1)],
                   stream.mods[static_cast<std::size_t>(u - 1)].dirty_blocks);
       reference[static_cast<std::uint64_t>(u)] = QueryFrontEnd::answer_on(
-          *ModelSnapshot::build(twin.blocks(), twin.model()), batch);
+          *ModelSnapshot::build(twin.model()), batch);
     }
   }
 
@@ -511,7 +626,7 @@ TEST(Serving, ConcurrentPublishWhileQuerying) {
       for (int i = 0; i < kBatchesPerReader; ++i) {
         BatchStats stats;
         const auto got =
-            frontend.answer(batch, nullptr, RouteMode::kSharded, &stats);
+            frontend.answer(batch, nullptr, &stats);
         versions_seen |= std::uint64_t{1} << stats.snapshot_version;
         const auto& want = reference.at(stats.snapshot_version);
         for (std::size_t j = 0; j < want.size(); ++j)
@@ -549,33 +664,23 @@ TEST(QueryFrontEnd, RegistryAggregatesMatchBatchStats) {
   obs::MetricsRegistry reg;
   const QueryFrontEnd frontend(&store, &reg);
   const auto kept = kept_originals(*art.model);
-  BatchStats s1, s2, s3;
-  (void)frontend.answer(mixed_batch(kept, 150, 5), nullptr,
-                        RouteMode::kSharded, &s1);
-  (void)frontend.answer(mixed_batch(kept, 250, 6), nullptr,
-                        RouteMode::kSharded, &s2);
-  (void)frontend.answer(mixed_batch(kept, 100, 7), nullptr,
-                        RouteMode::kMonolithic, &s3);
+  BatchStats s1, s2;
+  (void)frontend.answer(mixed_batch(kept, 150, 5), nullptr, &s1);
+  (void)frontend.answer(mixed_batch(kept, 250, 6), nullptr, &s2);
 
+  // The serve families carry one frozen `mode` label value (DESIGN.md §6).
   const obs::MetricsSnapshot snap = reg.snapshot();
-  const auto counter = [&snap](const char* name, const char* mode) {
-    const obs::MetricSnapshot* m =
-        snap.find(name, {{"mode", mode}});
+  const auto counter = [&snap](const char* name) {
+    const obs::MetricSnapshot* m = snap.find(name, {{"mode", "sharded"}});
     return m ? m->counter : std::uint64_t{0};
   };
-  // Sharded series aggregate exactly the two sharded batches...
-  EXPECT_EQ(counter("er_serve_batches_total", "sharded"), 2u);
-  EXPECT_EQ(counter("er_serve_queries_total", "sharded"),
-            s1.queries + s2.queries);
-  EXPECT_EQ(counter("er_serve_invalid_queries_total", "sharded"),
+  EXPECT_EQ(counter("er_serve_batches_total"), 2u);
+  EXPECT_EQ(counter("er_serve_queries_total"), s1.queries + s2.queries);
+  EXPECT_EQ(counter("er_serve_invalid_queries_total"),
             s1.invalid + s2.invalid);
-  EXPECT_EQ(counter("er_serve_same_block_queries_total", "sharded"),
-            s1.same_block + s2.same_block);
-  EXPECT_EQ(counter("er_serve_cross_block_queries_total", "sharded"),
-            s1.cross_block + s2.cross_block);
-  // ...and the monolithic batch lands only in its own labeled series.
-  EXPECT_EQ(counter("er_serve_batches_total", "monolithic"), 1u);
-  EXPECT_EQ(counter("er_serve_queries_total", "monolithic"), s3.queries);
+  EXPECT_EQ(snap.find("er_serve_cross_block_queries_total",
+                      {{"mode", "sharded"}}),
+            nullptr);  // deleted with the per-block routing
 
   // Every query records exactly one latency sample; every batch exactly
   // one batch-duration sample whose total tracks BatchStats::seconds.

@@ -29,8 +29,7 @@ MODE_FIELDS = {
         "staleness_mean_mods", "staleness_max_mods",
         "staleness_mean_versions", "staleness_max_versions",
         "queries_per_second", "churn_wall_seconds",
-        "reused_block_fraction", "dirty_publish_seconds",
-        "full_snapshot_build_seconds",
+        "publish_seconds",
         # Publish accounting (PR 5).
         "publish_bytes_materialized",
         "model_footprint_bytes",
@@ -41,8 +40,9 @@ MODE_FIELDS = {
     },
     "standard": COMMON_FIELDS | {
         "snapshot_build_seconds", "wall_seconds", "queries_per_second",
-        "speedup", "identical", "cross_block_queries",
-        "max_rel_vs_monolithic",
+        "speedup", "identical", "max_rel_vs_reference",
+        # Etree-reach statistics of the reach-limited query kernel.
+        "reach_nodes_mean", "reach_nodes_p99", "factor_entries_touched_mean",
     },
     # Result-cache scenario (--churn --zipf S, PR 8).
     "zipf": COMMON_FIELDS | {
@@ -65,15 +65,6 @@ MODE_FIELDS = {
 }
 
 
-# Extra fields by (scenario, row "mode"): the etree-reach statistics of the
-# reach-limited query kernel describe solves on the stitched system G, so
-# only the monolithic route's standard rows carry them.
-ROUTE_FIELDS = {
-    ("standard", "monolithic"): {
-        "reach_nodes_mean", "reach_nodes_p99", "factor_entries_touched_mean",
-    },
-}
-
 
 def main() -> int:
     if len(sys.argv) != 3 or sys.argv[2] not in MODE_FIELDS:
@@ -93,9 +84,7 @@ def main() -> int:
                   file=sys.stderr)
             ok = False
             continue
-        missing = (required
-                   | ROUTE_FIELDS.get((mode, row.get("mode")), set())) \
-            - row.keys()
+        missing = required - row.keys()
         if missing:
             print(f"{path}[{i}]: missing fields {sorted(missing)}",
                   file=sys.stderr)

@@ -10,7 +10,10 @@ scrape. Checks:
     spans),
   * every histogram's cumulative buckets are monotone non-decreasing and
     end in a "+Inf" bucket that equals <family>_count,
-  * every family carries a # TYPE line matching how it is used.
+  * every family carries a # TYPE line matching how it is used,
+  * the serve families (er_serve_*, er_query_*) carry their one frozen
+    `mode` label value, and the per-block routing counters deleted with
+    the sharded route are gone.
 
 usage: check_metrics_export.py METRICS.prom [core|net]
 
@@ -64,6 +67,14 @@ REQUIRED_NET = [
     ("er_net_request_latency_seconds", "histogram"),
 ]
 PROFILES = {"core": REQUIRED, "net": REQUIRED + REQUIRED_NET}
+# Serve families keep a `mode` label frozen at one value until a benchmark
+# change renames it (DESIGN.md §6); no other value may appear.
+SERVE_PREFIXES = ("er_serve_", "er_query_latency_seconds",
+                  "er_query_batch_seconds")
+FROZEN_MODE = "sharded"
+# Deleted with the sharded route: a dump carrying them is stale.
+FORBIDDEN = {"er_serve_same_block_queries_total",
+             "er_serve_cross_block_queries_total"}
 REQUIRED_SPAN_STAGES = {"reduce", "stitch", "publish"}
 
 SAMPLE_RE = re.compile(
@@ -126,6 +137,18 @@ def main() -> int:
             print(f"{path}: family {family!r} lacks samples {sorted(missing)}",
                   file=sys.stderr)
             ok = False
+
+    for family in sorted(FORBIDDEN & (names | set(types))):
+        print(f"{path}: deleted family {family!r} is still exported",
+              file=sys.stderr)
+        ok = False
+    modes = {labels.get("mode")
+             for name, labels, _ in samples if name.startswith(SERVE_PREFIXES)}
+    if modes - {FROZEN_MODE}:
+        print(f"{path}: serve families carry mode labels "
+              f"{sorted(map(str, modes))}, expected only {FROZEN_MODE!r}",
+              file=sys.stderr)
+        ok = False
 
     span_stages = {labels.get("stage")
                    for name, labels, _ in samples

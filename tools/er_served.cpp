@@ -167,9 +167,7 @@ void run_warmup(const er::net::Server& server, er::net::ServingStack& stack,
       query.q = kept[static_cast<std::size_t>(rng.uniform_int(n))];
       batch.push_back(query);
     }
-    const auto route = b % 2 == 0 ? er::RouteMode::kSharded
-                                  : er::RouteMode::kMonolithic;
-    (void)client.query(batch, route,
+    (void)client.query(batch,
                        b % 3 == 0 ? er::net::Opcode::kPortResponse
                                   : er::net::Opcode::kErBatch);
   }
