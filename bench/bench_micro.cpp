@@ -1,7 +1,11 @@
 // Microbenchmarks (google-benchmark) backing the §III-C complexity
-// analysis: SpMV, orderings, complete/incomplete factorization, Alg. 2
-// build, and per-query cost of the three effective-resistance engines.
+// analysis: SpMV, orderings, complete/incomplete factorization (whole grids
+// and block-sized ones), Alg. 2 build, the reach-limited forward solve, and
+// per-query cost of the three effective-resistance engines.
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "approxinv/approx_inverse.hpp"
 #include "chol/cholesky.hpp"
@@ -68,6 +72,42 @@ void BM_CompleteCholesky(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompleteCholesky)->Arg(64)->Arg(128);
+
+// 32 independent block-sized (30 x 30 = 900-node) grid factors, the size of
+// the reduction's per-block Schur factors: supernodes are narrow there, so
+// the factorization's per-supernode overhead shows.
+void BM_BlockCholesky(benchmark::State& state) {
+  std::vector<CscMatrix> blocks;
+  std::vector<std::vector<index_t>> perms;
+  for (std::uint64_t b = 0; b < 32; ++b) {
+    blocks.push_back(
+        grounded_laplacian(grid_2d(30, 30, WeightKind::kUniform, 100 + b)));
+    perms.push_back(mindeg_order(blocks.back()));
+  }
+  for (auto _ : state) {
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      auto f = cholesky(blocks[b], perms[b]);
+      benchmark::DoNotOptimize(f.values.data());
+    }
+  }
+}
+BENCHMARK(BM_BlockCholesky);
+
+// One single-column reach solve L^{-1} e_j on a grid factor: the kernel
+// behind every exact resistance and response query.
+void BM_SparseForward(benchmark::State& state) {
+  const auto side = static_cast<index_t>(state.range(0));
+  const CholFactor f = cholesky(grounded_laplacian(bench_graph(side)));
+  ReachWorkspace ws;
+  Rng rng(3);
+  const real_t one = 1.0;
+  for (auto _ : state) {
+    const index_t j = rng.uniform_int(f.n);
+    f.sparse_forward(&j, &one, 1, ws);
+    benchmark::DoNotOptimize(ws.y.data());
+  }
+}
+BENCHMARK(BM_SparseForward)->Arg(128);
 
 void BM_IncompleteCholesky(benchmark::State& state) {
   const auto side = static_cast<index_t>(state.range(0));

@@ -1,4 +1,7 @@
-// Complete sparse Cholesky factorization (up-looking, CSparse-style).
+// Complete sparse Cholesky factorization: left-looking and supernodal.
+// The symbolic pass finds the etree, the column counts and the fundamental
+// supernodes; the numeric pass factors each supernode as a dense
+// trapezoid inside the factor's diag-first CSC arrays (DESIGN.md §4).
 #pragma once
 
 #include <vector>

@@ -59,9 +59,11 @@ std::vector<real_t> CholFactor::solve(const std::vector<real_t>& b) const {
 
 void CholFactor::sparse_forward(const index_t* idx, const real_t* val, int k,
                                 ReachWorkspace& ws) const {
-  if (parent.size() != static_cast<std::size_t>(n))
+  if (parent.size() != static_cast<std::size_t>(n) ||
+      super_last.size() != static_cast<std::size_t>(n))
     throw std::logic_error(
-        "sparse_forward: factor has no elimination tree (incomplete factor)");
+        "sparse_forward: factor has no elimination tree or supernodes "
+        "(incomplete factor)");
   for (int t = 0; t < k; ++t)
     if (idx[t] < 0 || idx[t] >= n)
       throw std::out_of_range("sparse_forward: rhs index out of range");
@@ -94,30 +96,48 @@ void CholFactor::sparse_forward(const index_t* idx, const real_t* val, int k,
   // its etree ancestors, hence in the reach. Marks and x are reset as the
   // sweep passes them.
   ws.y.resize(ws.reach.size());
-  for (std::size_t t = 0; t < ws.reach.size(); ++t) {
-    const auto j = static_cast<std::size_t>(ws.reach[t]);
-    ws.mark[j] = 0;
-    const offset_t begin = col_ptr[j];
-    const offset_t end = col_ptr[j + 1];
-    const real_t xj = ws.x[j] / values[static_cast<std::size_t>(begin)];
-    ws.x[j] = 0.0;
-    ws.y[t] = xj;
-    if (xj == 0.0) continue;
-    // A column whose rows form one contiguous run (the dense top separator
-    // every reach ends in) is a plain axpy the compiler can vectorize: the
-    // same per-entry update, so the result is bitwise unchanged. On a
-    // 4-core x86-64 host (-O3, SSE2) it gives 26-78 % more single-thread
-    // bench_serving QPS at ER_BENCH_SCALE=small than the indexed loop alone.
-    const index_t* rows = row_ind.data() + begin + 1;
-    const real_t* lv = values.data() + begin + 1;
-    const offset_t len = end - begin - 1;
-    if (len > 0 && rows[len - 1] - rows[0] == len - 1) {
-      real_t* xr = ws.x.data() + rows[0];
-      for (offset_t p = 0; p < len; ++p) xr[p] -= lv[p] * xj;
-    } else {
-      for (offset_t p = 0; p < len; ++p)
+  for (std::size_t t = 0; t < ws.reach.size();) {
+    const index_t j = ws.reach[t];
+    const auto uj = static_cast<std::size_t>(j);
+    const index_t width = super_last[uj] - j + 1;
+    const offset_t begin = col_ptr[uj];
+    const auto m = static_cast<index_t>(col_ptr[uj + 1] - begin);
+    const index_t* rows = row_ind.data() + begin;
+    if (width == 1) {
+      // Gathering and scattering a lone column's rows would cost more than
+      // its one update: keep the indexed loop.
+      ws.mark[uj] = 0;
+      const real_t xj = ws.x[uj] / values[static_cast<std::size_t>(begin)];
+      ws.x[uj] = 0.0;
+      ws.y[t++] = xj;
+      if (xj == 0.0) continue;
+      const real_t* lv = values.data() + begin;
+      for (index_t p = 1; p < m; ++p)
         ws.x[static_cast<std::size_t>(rows[p])] -= lv[p] * xj;
+      continue;
     }
+    // Columns j..super_last[j] are all in the reach (each is the etree
+    // parent of the one before) and share column j's rows: gather those
+    // rows into ws.dense, run the columns as contiguous axpys — the same
+    // per-entry updates in the same order — and scatter the rows below the
+    // supernode back.
+    if (ws.dense.size() < static_cast<std::size_t>(m))
+      ws.dense.resize(static_cast<std::size_t>(m), 0.0);
+    real_t* xd = ws.dense.data();
+    for (index_t i = 0; i < m; ++i) xd[i] = ws.x[static_cast<std::size_t>(rows[i])];
+    for (index_t c = 0; c < width; ++c, ++t) {
+      const auto uc = static_cast<std::size_t>(j + c);
+      // Column j + c holds rows[c..m): L(rows[i], j + c) = lv[i].
+      const real_t* lv = values.data() + col_ptr[uc] - c;
+      ws.mark[uc] = 0;
+      ws.x[uc] = 0.0;
+      const real_t xc = xd[c] / lv[c];
+      ws.y[t] = xc;
+      if (xc == 0.0) continue;
+      for (index_t i = c + 1; i < m; ++i) xd[i] -= lv[i] * xc;
+    }
+    for (index_t i = width; i < m; ++i) ws.x[static_cast<std::size_t>(rows[i])] = xd[i];
+    std::fill(xd, xd + m, 0.0);
   }
 }
 
@@ -138,12 +158,15 @@ bool CholFactor::check_invariants() const {
   if (perm.size() != static_cast<std::size_t>(n)) return false;
   if (!parent.empty() && parent.size() != static_cast<std::size_t>(n))
     return false;
+  if (!super_last.empty() &&
+      (parent.empty() || super_last.size() != static_cast<std::size_t>(n)))
+    return false;
   for (index_t j = 0; j < n; ++j) {
     const offset_t begin = col_ptr[static_cast<std::size_t>(j)];
     const offset_t end = col_ptr[static_cast<std::size_t>(j) + 1];
     if (begin >= end) return false;  // at least the diagonal
     if (row_ind[static_cast<std::size_t>(begin)] != j) return false;
-    if (values[static_cast<std::size_t>(begin)] <= 0.0) return false;
+    if (!(values[static_cast<std::size_t>(begin)] > 0.0)) return false;
     // A complete factor's etree parent is its column's first subdiagonal row.
     if (!parent.empty() &&
         parent[static_cast<std::size_t>(j)] !=
@@ -156,6 +179,20 @@ bool CholFactor::check_invariants() const {
               row_ind[static_cast<std::size_t>(p)])
         return false;
     }
+    // Supernodes are runs of consecutive columns; inside one, column j's
+    // etree parent is j + 1 and its rows are j followed by column j + 1's.
+    if (super_last.empty()) continue;
+    const index_t last = super_last[static_cast<std::size_t>(j)];
+    if (last < j || last >= n) return false;
+    if (last == j) continue;
+    if (super_last[static_cast<std::size_t>(j) + 1] != last ||
+        parent[static_cast<std::size_t>(j)] != j + 1)
+      return false;
+    const offset_t next = col_ptr[static_cast<std::size_t>(j) + 2];
+    if (end - begin != next - end + 1) return false;
+    if (!std::equal(row_ind.begin() + begin + 1, row_ind.begin() + end,
+                    row_ind.begin() + end))
+      return false;
   }
   return true;
 }

@@ -4,8 +4,10 @@
 //
 // Storage layout: CSC with the *diagonal entry first* in every column,
 // followed by the off-diagonal rows in increasing order. This is the layout
-// the up-looking factorization produces naturally and the layout Alg. 2
-// (approximate inverse) consumes directly.
+// Alg. 2 (approximate inverse) consumes directly. A complete factor also
+// records its fundamental supernodes: runs of columns j..l where each
+// column's rows are its diagonal followed by the next column's rows, so the
+// run is a dense column-major trapezoid inside the CSC arrays.
 //
 // The factor lives in *permuted* space: it factors P A P^T where
 // perm[new] = old. Callers either work in permuted coordinates
@@ -21,9 +23,10 @@
 namespace er {
 
 /// Scratch and result of CholFactor::sparse_forward. Reuse one instance
-/// across queries; never share one across threads. The dense arrays are
-/// sized once (to the factor's n) and are all zero between calls: a call
-/// touches and resets them only along its reach.
+/// across queries; never share one across threads. The scratch arrays are
+/// all zero between calls: x and mark are sized once (to the factor's n)
+/// and a call touches and resets them only along its reach; dense grows to
+/// the most rows of a supernode seen and is reset after each use.
 struct ReachWorkspace {
   /// Result: the rows of y = L^{-1} b that can be nonzero (the etree
   /// reach of b's support), ascending.
@@ -34,8 +37,9 @@ struct ReachWorkspace {
   /// components of the factored matrix that b's support touches.
   index_t trees = 0;
 
-  std::vector<real_t> x;   ///< dense accumulator (zero between calls)
-  std::vector<char> mark;  ///< reach marks (zero between calls)
+  std::vector<real_t> x;      ///< dense accumulator (zero between calls)
+  std::vector<char> mark;     ///< reach marks (zero between calls)
+  std::vector<real_t> dense;  ///< one supernode's rows (zero between calls)
 };
 
 struct CholFactor {
@@ -49,6 +53,11 @@ struct CholFactor {
   /// per connected component). Kept by cholesky(); empty for incomplete
   /// factors, whose dropped fill breaks the reach argument below.
   std::vector<index_t> parent;
+  /// Fundamental supernodes: super_last[j] is the last column of the
+  /// supernode holding column j. Inside a supernode parent[j] == j + 1 and
+  /// column j's rows are j followed by column j + 1's rows. Kept by
+  /// cholesky(); empty for incomplete factors.
+  std::vector<index_t> super_last;
 
   [[nodiscard]] offset_t nnz() const {
     return col_ptr.empty() ? 0 : col_ptr.back();
@@ -75,14 +84,15 @@ struct CholFactor {
   /// L^{-1} b for the sparse rhs b = sum_t val[t] e_{idx[t]} (permuted
   /// space; duplicate indices add up). Only the etree paths from the k rhs
   /// indices to their roots can be nonzero in y; they are visited in
-  /// ascending order with forward_solve's column update, so ws.y is
-  /// bitwise equal to forward_solve on ws.reach. The cost is the factor
-  /// entries of the reach's columns. A workspace pays one O(n) sizing on
-  /// its first call for a factor of this n; after that a call makes no
-  /// O(n) pass, and allocates only while ws.reach / ws.y grow to the
-  /// largest reach seen. Complete factors only: throws std::logic_error when
-  /// `parent` is missing (incomplete factors), std::out_of_range on a bad
-  /// index.
+  /// ascending order with forward_solve's column update, one supernode at
+  /// a time (a reach that enters a supernode holds the rest of it), so
+  /// ws.y is bitwise equal to forward_solve on ws.reach. The cost is the
+  /// factor entries of the reach's columns. A workspace pays one O(n)
+  /// sizing on its first call for a factor of this n; after that a call
+  /// makes no O(n) pass, and allocates only while ws.reach / ws.y /
+  /// ws.dense grow to the largest reach and supernode seen. Complete
+  /// factors only: throws std::logic_error when `parent` or `super_last` is
+  /// missing (incomplete factors), std::out_of_range on a bad index.
   void sparse_forward(const index_t* idx, const real_t* val, int k,
                       ReachWorkspace& ws) const;
 
@@ -91,13 +101,15 @@ struct CholFactor {
   [[nodiscard]] std::size_t footprint_bytes() const {
     return col_ptr.size() * sizeof(offset_t) +
            row_ind.size() * sizeof(index_t) + values.size() * sizeof(real_t) +
-           (perm.size() + inv_perm.size() + parent.size()) * sizeof(index_t);
+           (perm.size() + inv_perm.size() + parent.size() + super_last.size()) *
+               sizeof(index_t);
   }
 
   /// Row-sorted CSC copy of L (tests and diagnostics).
   [[nodiscard]] CscMatrix to_csc() const;
 
-  /// Verify structural invariants (diag-first layout, sorted tails, perm).
+  /// Verify structural invariants (diag-first layout, sorted tails, perm,
+  /// etree and supernodes when present).
   [[nodiscard]] bool check_invariants() const;
 };
 

@@ -98,7 +98,9 @@ bool ict_attempt(const CscMatrix& ap, const IcholOptions& opts, real_t shift,
 
     if (opts.diagonal_compensation)
       dj += diag_corr[static_cast<std::size_t>(j)];
-    if (dj <= 0.0) return false;  // breakdown: caller shifts & retries
+    // Breakdown: caller shifts & retries. NaN fails dj > 0, and a
+    // non-finite pivot breaks down at every shift.
+    if (!(dj > 0.0 && std::isfinite(dj))) return false;
 
     // Threshold dropping (absolute; see header). With compensation, a
     // dropped subdiagonal value w_i (an intermediate-graph branch of
@@ -128,7 +130,7 @@ bool ict_attempt(const CscMatrix& ap, const IcholOptions& opts, real_t shift,
       keep_flags[pi] = 0;
     }
 
-    if (dj <= 0.0) return false;
+    if (!(dj > 0.0 && std::isfinite(dj))) return false;
     const real_t ljj = std::sqrt(dj);
     rj.push_back(j);  // diagonal first
     vj.push_back(ljj);

@@ -1,8 +1,9 @@
-// Tests for chol: complete factorization vs dense reference, solve accuracy,
-// incomplete Cholesky (droptol behaviour, M-matrix robustness, shift
-// fallback), triangular solves, factor invariants, and the reach-limited
-// sparse forward solve (bitwise against forward_solve, forests, workspace
-// hygiene).
+// Tests for chol: complete factorization vs dense reference (pattern,
+// supernodes and values across supernode shapes), solve accuracy,
+// non-finite input, incomplete Cholesky (droptol behaviour, M-matrix
+// robustness, shift fallback), triangular solves, factor invariants, and
+// the reach-limited sparse forward solve (bitwise against forward_solve,
+// supernode entry points, forests, workspace hygiene).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -83,6 +84,44 @@ TEST(Cholesky, ThrowsOnIndefinite) {
   t.add(1, 1, -1.0);
   const CscMatrix a = CscMatrix::from_triplets(t);
   EXPECT_THROW(cholesky(a, Ordering::kNatural), std::runtime_error);
+}
+
+/// Small symmetric matrices with a non-finite diagonal: a NaN one, an
+/// all-infinite 2 x 2 and a +inf pivot.
+std::vector<CscMatrix> non_finite_matrices() {
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  std::vector<CscMatrix> out;
+  TripletMatrix t3(3, 3);
+  t3.add(0, 0, 4.0);
+  t3.add(1, 1, nan);
+  t3.add(2, 2, 4.0);
+  t3.add(0, 1, -1.0);
+  t3.add(1, 0, -1.0);
+  out.push_back(CscMatrix::from_triplets(t3));
+  TripletMatrix t2(2, 2);
+  for (index_t i = 0; i < 2; ++i)
+    for (index_t j = 0; j < 2; ++j) t2.add(i, j, inf);
+  out.push_back(CscMatrix::from_triplets(t2));
+  TripletMatrix tp(2, 2);
+  tp.add(0, 0, inf);
+  tp.add(1, 1, 1.0);
+  tp.add(0, 1, 1.0);
+  tp.add(1, 0, 1.0);
+  out.push_back(CscMatrix::from_triplets(tp));
+  return out;
+}
+
+TEST(Cholesky, ThrowsOnNonFinitePivot) {
+  for (const CscMatrix& a : non_finite_matrices())
+    EXPECT_THROW(cholesky(a, Ordering::kNatural), std::runtime_error);
+  // A NaN off-diagonal reaches a later pivot as -NaN^2.
+  TripletMatrix t(3, 3);
+  for (index_t i = 0; i < 3; ++i) t.add(i, i, 4.0);
+  t.add(2, 0, std::numeric_limits<real_t>::quiet_NaN());
+  t.add(0, 2, std::numeric_limits<real_t>::quiet_NaN());
+  EXPECT_THROW(cholesky(CscMatrix::from_triplets(t), Ordering::kNatural),
+               std::runtime_error);
 }
 
 TEST(Cholesky, ThrowsOnBadPermutation) {
@@ -203,6 +242,15 @@ TEST(Ichol, FactorSignStructureOnLaplacian) {
   }
 }
 
+TEST(Ichol, ThrowsOnNonFinitePivot) {
+  // Every shift leaves a non-finite pivot, so ICT ends in its breakdown
+  // throw instead of returning a NaN factor.
+  IcholOptions opts;
+  opts.max_shift_retries = 3;
+  for (const CscMatrix& a : non_finite_matrices())
+    EXPECT_THROW(ichol(a, Ordering::kNatural, opts), std::runtime_error);
+}
+
 TEST(Ichol, RejectsNegativeDroptol) {
   const CscMatrix a = random_sdd(10, 20, 15);
   IcholOptions opts;
@@ -260,6 +308,179 @@ Graph grid_forest(index_t copies, index_t side) {
   return g;
 }
 
+/// Fill pattern of L for P A P^T by dense symbolic elimination: column j
+/// gets A's lower rows plus, from each earlier column k with row j, the
+/// rows of k below j.
+std::vector<std::vector<char>> dense_symbolic(const CscMatrix& ap) {
+  const auto n = static_cast<std::size_t>(ap.cols());
+  std::vector<std::vector<char>> nz(n, std::vector<char>(n, 0));  // nz[col][row]
+  for (std::size_t j = 0; j < n; ++j) {
+    nz[j][j] = 1;
+    for (offset_t p = ap.col_ptr()[j]; p < ap.col_ptr()[j + 1]; ++p) {
+      const auto i = static_cast<std::size_t>(ap.row_ind()[static_cast<std::size_t>(p)]);
+      if (i > j) nz[j][i] = 1;
+    }
+  }
+  for (std::size_t k = 0; k < n; ++k)
+    for (std::size_t j = k + 1; j < n; ++j)
+      if (nz[k][j])
+        for (std::size_t i = j + 1; i < n; ++i)
+          if (nz[k][i]) nz[j][i] = 1;
+  return nz;
+}
+
+struct OracleCase {
+  const char* name;
+  CscMatrix a;
+  std::vector<index_t> perm;
+};
+
+std::vector<OracleCase> oracle_cases() {
+  std::vector<OracleCase> cases;
+  const index_t n = 40;
+  {  // Tridiagonal path: a chain etree of width-1 supernodes.
+    TripletMatrix t(n, n);
+    for (index_t i = 0; i < n; ++i) {
+      t.add(i, i, 2.5);
+      if (i + 1 < n) {
+        t.add(i, i + 1, -1.0);
+        t.add(i + 1, i, -1.0);
+      }
+    }
+    cases.push_back({"path", CscMatrix::from_triplets(t), identity_permutation(n)});
+  }
+  {  // Dense SPD block: B B^T + n I, one supernode.
+    Rng rng(71);
+    std::vector<real_t> b(static_cast<std::size_t>(n * n));
+    for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+    TripletMatrix t(n, n);
+    for (index_t i = 0; i < n; ++i)
+      for (index_t j = 0; j < n; ++j) {
+        real_t acc = i == j ? static_cast<real_t>(n) : 0.0;
+        for (index_t k = 0; k < n; ++k)
+          acc += b[static_cast<std::size_t>(i * n + k)] * b[static_cast<std::size_t>(j * n + k)];
+        t.add(i, j, acc);
+      }
+    cases.push_back({"dense", CscMatrix::from_triplets(t), identity_permutation(n)});
+  }
+  {  // Arrow: a diagonal plus a full last row and column.
+    TripletMatrix t(n, n);
+    for (index_t i = 0; i + 1 < n; ++i) {
+      t.add(i, i, 3.0 + 0.1 * i);
+      t.add(i, n - 1, -0.5);
+      t.add(n - 1, i, -0.5);
+    }
+    t.add(n - 1, n - 1, 0.5 * n);
+    cases.push_back({"arrow", CscMatrix::from_triplets(t), identity_permutation(n)});
+  }
+  {  // Two shunted grid components: an etree forest.
+    const CscMatrix a = laplacian_plus_shunts(grid_forest(2, 5), 7, 72);
+    cases.push_back({"forest", a, compute_ordering(a, Ordering::kMinDeg)});
+  }
+  {
+    const CscMatrix a = random_sdd(60, 200, 73);
+    cases.push_back({"random_sdd", a, compute_ordering(a, Ordering::kMinDeg)});
+  }
+  {
+    const CscMatrix a = grounded_laplacian(grid_2d(9, 8, WeightKind::kUniform, 74));
+    cases.push_back({"grid_mindeg", a, compute_ordering(a, Ordering::kMinDeg)});
+  }
+  return cases;
+}
+
+TEST(Cholesky, MatchesDenseOracleAcrossSupernodeShapes) {
+  for (const OracleCase& c : oracle_cases()) {
+    SCOPED_TRACE(c.name);
+    const CholFactor f = cholesky(c.a, c.perm);
+    ASSERT_TRUE(f.check_invariants());
+    const CscMatrix ap = c.a.permute_symmetric(c.perm);
+    const index_t n = f.n;
+
+    // Pattern: exactly the symbolic fill, diagonal first, rows ascending.
+    const auto nz = dense_symbolic(ap);
+    for (index_t j = 0; j < n; ++j) {
+      std::vector<index_t> want;
+      for (index_t i = j; i < n; ++i)
+        if (nz[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)]) want.push_back(i);
+      const std::vector<index_t> got(
+          f.row_ind.begin() + f.col_ptr[static_cast<std::size_t>(j)],
+          f.row_ind.begin() + f.col_ptr[static_cast<std::size_t>(j) + 1]);
+      EXPECT_EQ(got, want) << "column " << j;
+    }
+
+    // Supernodes are fundamental: maximal runs of parent == j + 1 with
+    // nested rows.
+    for (index_t j = 0; j + 1 < n; ++j) {
+      const auto uj = static_cast<std::size_t>(j);
+      const bool nested = f.parent[uj] == j + 1 &&
+                          f.col_ptr[uj + 1] - f.col_ptr[uj] ==
+                              f.col_ptr[uj + 2] - f.col_ptr[uj + 1] + 1;
+      EXPECT_EQ(f.super_last[uj] > j, nested) << "column " << j;
+    }
+
+    // Values: the dense factor to 1e-12 relative to each column's scale.
+    DenseMatrix d(n, n, ap.to_dense());
+    ASSERT_TRUE(d.cholesky_in_place());
+    const CscMatrix l = f.to_csc();
+    for (index_t j = 0; j < n; ++j) {
+      real_t scale = 0.0;
+      for (index_t i = j; i < n; ++i) scale = std::max(scale, std::abs(d(i, j)));
+      for (index_t i = j; i < n; ++i)
+        EXPECT_NEAR(l.at(i, j), d(i, j), 1e-12 * scale) << "entry " << i << "," << j;
+    }
+  }
+  // The shapes the cases are named for.
+  const auto cases = oracle_cases();
+  const CholFactor path = cholesky(cases[0].a, cases[0].perm);
+  EXPECT_EQ(path.super_last[0], 0);  // width 1 up to the last pair
+  const CholFactor dense = cholesky(cases[1].a, cases[1].perm);
+  EXPECT_EQ(dense.super_last[0], dense.n - 1);  // one supernode
+  const CholFactor forest = cholesky(cases[3].a, cases[3].perm);
+  EXPECT_EQ(std::count(forest.parent.begin(), forest.parent.end(), -1), 2);
+}
+
+TEST(Cholesky, SupernodeInvariantsAndFootprint) {
+  const CscMatrix a = grounded_laplacian(grid_2d(10, 10, WeightKind::kUniform, 75));
+  const CholFactor f = cholesky(a);
+  ASSERT_TRUE(f.check_invariants());
+  // The top of a grid factor is one wide supernode.
+  const index_t n = f.n;
+  const index_t top = [&] {
+    index_t j = n - 1;
+    while (j > 0 && f.super_last[static_cast<std::size_t>(j) - 1] == n - 1) --j;
+    return j;
+  }();
+  EXPECT_GE(n - top, 8);
+
+  CholFactor bad = f;
+  // A run whose columns disagree on its last column.
+  bad.super_last[static_cast<std::size_t>(top) + 1] = top + 1;
+  EXPECT_FALSE(bad.check_invariants());
+  bad = f;
+  bad.super_last[0] = n;  // out of range
+  EXPECT_FALSE(bad.check_invariants());
+  // Merging column 0 into the next supernode breaks the etree or the
+  // nesting (fundamental supernodes are maximal).
+  ASSERT_EQ(f.super_last[0], 0);
+  bad = f;
+  bad.super_last[0] = f.super_last[1];
+  EXPECT_FALSE(bad.check_invariants());
+  bad = f;
+  bad.super_last.resize(static_cast<std::size_t>(n) - 1);
+  EXPECT_FALSE(bad.check_invariants());
+
+  // The array is part of the resident footprint, and a factor without it
+  // cannot run reach solves.
+  bad = f;
+  bad.super_last.clear();
+  EXPECT_EQ(f.footprint_bytes() - bad.footprint_bytes(),
+            static_cast<std::size_t>(n) * sizeof(index_t));
+  ReachWorkspace ws;
+  const index_t zero = 0;
+  const real_t one = 1.0;
+  EXPECT_THROW(bad.sparse_forward(&zero, &one, 1, ws), std::logic_error);
+}
+
 bool same_bits(real_t a, real_t b) {
   return std::memcmp(&a, &b, sizeof(real_t)) == 0;
 }
@@ -299,6 +520,7 @@ TEST(SparseForward, BitwiseEqualToForwardSolveOnReach) {
       grid_2d(12, 9, WeightKind::kUniform, 31),
       barabasi_albert(120, 2, WeightKind::kUniform, 32),
       random_geometric(150, 0.15, WeightKind::kUniform, 33),
+      grid_forest(3, 6),
   };
   for (const Graph& g : graphs) {
     for (const Ordering ord : {Ordering::kNatural, Ordering::kMinDeg}) {
@@ -323,6 +545,28 @@ TEST(SparseForward, BitwiseEqualToForwardSolveOnReach) {
         idx.push_back(idx.front());
         val.push_back(0.5);
         expect_matches_forward_solve(f, idx, val, ws);
+      }
+      // Reaches that enter one supernode at each of its columns, with
+      // k = 1..4 entries: the first at that column, the others inside the
+      // same supernode or anywhere. The last supernode is the dense top
+      // block every reach of its tree ends in.
+      std::vector<index_t> wide;  // first columns of supernodes of width >= 2
+      for (index_t j = 0; j < n; j = f.super_last[static_cast<std::size_t>(j)] + 1)
+        if (f.super_last[static_cast<std::size_t>(j)] > j) wide.push_back(j);
+      ASSERT_FALSE(wide.empty());
+      for (const index_t f0 : {wide.front(), wide[wide.size() / 2], wide.back()}) {
+        const index_t width = f.super_last[static_cast<std::size_t>(f0)] - f0 + 1;
+        for (index_t c = f0; c < f0 + width; ++c) {
+          for (int k = 1; k <= 4; ++k) {
+            std::vector<index_t> idx = {c};
+            std::vector<real_t> val = {1.0};
+            for (int t = 1; t < k; ++t) {
+              idx.push_back(t % 2 ? f0 + rng.uniform_int(width) : rng.uniform_int(n));
+              val.push_back(rng.uniform(-1.0, 1.0));
+            }
+            expect_matches_forward_solve(f, idx, val, ws);
+          }
+        }
       }
     }
   }
@@ -383,10 +627,10 @@ TEST(SparseForward, WorkspaceIsAllZeroAfterReuse) {
   const CholFactor f = cholesky(a);
   ReachWorkspace ws;
   Rng rng(38);
-  index_t idx[3];
-  real_t val[3];
+  index_t idx[4];
+  real_t val[4];
   for (int query = 0; query < 1000; ++query) {
-    const int k = 1 + query % 3;
+    const int k = 1 + query % 4;
     for (int t = 0; t < k; ++t) {
       idx[t] = rng.uniform_int(f.n);
       val[t] = rng.uniform(-1.0, 1.0);
@@ -402,6 +646,10 @@ TEST(SparseForward, WorkspaceIsAllZeroAfterReuse) {
                           [](real_t v) { return v == 0.0; }));
   EXPECT_TRUE(std::all_of(ws.mark.begin(), ws.mark.end(),
                           [](char m) { return m == 0; }));
+  // The supernode scratch was used (the tops are wide) and reset too.
+  ASSERT_FALSE(ws.dense.empty());
+  EXPECT_TRUE(std::all_of(ws.dense.begin(), ws.dense.end(),
+                          [](real_t v) { return v == 0.0; }));
 }
 
 TEST(SparseForward, IncompleteFactorThrows) {
