@@ -35,56 +35,6 @@ struct BenchOptions {
   /// Machine-readable results file (BENCH_*.json); set via --json PATH,
   /// empty disables JSON output.
   std::string json_path;
-  /// Mixed update+query mode (bench_serving only; set via --churn): stream
-  /// modifications through an AsyncUpdater while querying, measuring
-  /// publish latency / staleness / QPS-under-churn instead of the static
-  /// thread sweep.
-  bool churn = false;
-  /// Prometheus text-exposition dump of the run's metrics registries
-  /// (bench_serving only; set via --metrics PATH, empty disables). The
-  /// per-iteration registries are folded into one run-level snapshot with
-  /// MetricsSnapshot::merge before export.
-  std::string metrics_path;
-  /// Zipf skew exponent for the query generator (bench_serving only; set
-  /// via --zipf S, 0 disables). With --churn this switches the churn run
-  /// into the result-cache scenario: Zipf(S)-distributed queries over a
-  /// fixed pair pool, reporting cache hit rate and QPS with/without the
-  /// cache. S around 1.0-1.2 matches typical skewed serving traffic.
-  double zipf = 0.0;
-  /// Loopback serving mode (bench_serving only; set via --loopback): run
-  /// the net/ Server + ServingStack in-process and drive it with real
-  /// LoopbackClient TCP connections, measuring end-to-end request QPS and
-  /// client-observed latency percentiles instead of direct library calls.
-  bool loopback = false;
-};
-
-/// Zipf(s)-distributed sampler over ranks [0, n): P(k) proportional to
-/// 1 / (k+1)^s. Built once (O(n) table of cumulative weights), sampled by
-/// binary search over one Rng draw — deterministic per seed, so bench runs
-/// are reproducible at any thread count.
-class ZipfSampler {
- public:
-  ZipfSampler(std::size_t n, double s) : cumulative_(n, 0.0) {
-    double total = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      total += 1.0 / std::pow(static_cast<double>(k + 1), s);
-      cumulative_[k] = total;
-    }
-    for (double& c : cumulative_) c /= total;
-  }
-
-  /// Rank in [0, size()) for one uniform draw in [0, 1).
-  [[nodiscard]] std::size_t sample(double uniform01) const {
-    const auto it = std::lower_bound(cumulative_.begin(), cumulative_.end(),
-                                     uniform01);
-    if (it == cumulative_.end()) return cumulative_.size() - 1;
-    return static_cast<std::size_t>(it - cumulative_.begin());
-  }
-
-  [[nodiscard]] std::size_t size() const { return cumulative_.size(); }
-
- private:
-  std::vector<double> cumulative_;  // normalized CDF over ranks
 };
 
 /// Strict non-negative integer parse; exits with usage on garbage so a
@@ -101,24 +51,9 @@ inline int parse_thread_count(const char* prog, const std::string& text) {
   return static_cast<int>(v);
 }
 
-/// Strict Zipf-exponent parse: finite, in [0, 8] (s > ~8 degenerates to
-/// "always rank 0" and usually means a typo'd value).
-inline double parse_zipf_exponent(const char* prog, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size() ||
-      !std::isfinite(v) || v < 0.0 || v > 8.0) {
-    std::fprintf(stderr, "%s: --zipf expects a number in [0, 8], got '%s'\n",
-                 prog, text.c_str());
-    std::exit(2);
-  }
-  return v;
-}
-
 inline BenchOptions parse_bench_args(int argc, char** argv,
                                      std::string default_json,
-                                     int default_threads = 1,
-                                     bool allow_churn = false) {
+                                     int default_threads = 1) {
   BenchOptions o;
   o.threads = default_threads;
   o.json_path = std::move(default_json);
@@ -132,38 +67,12 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
       o.json_path = argv[++i];
     } else if (a.rfind("--json=", 0) == 0) {
       o.json_path = a.substr(7);
-    } else if (a == "--metrics" && i + 1 < argc) {
-      o.metrics_path = argv[++i];
-    } else if (a.rfind("--metrics=", 0) == 0) {
-      o.metrics_path = a.substr(10);
-    } else if (allow_churn && a == "--churn") {
-      o.churn = true;
-    } else if (allow_churn && a == "--zipf" && i + 1 < argc) {
-      o.zipf = parse_zipf_exponent(argv[0], argv[++i]);
-    } else if (allow_churn && a.rfind("--zipf=", 0) == 0) {
-      o.zipf = parse_zipf_exponent(argv[0], a.substr(7));
-    } else if (allow_churn && a == "--loopback") {
-      o.loopback = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--threads N] [--json PATH] "
-                   "[--metrics PATH]%s\n"
+                   "usage: %s [--threads N] [--json PATH]\n"
                    "  --threads N    worker threads (0 = hardware)\n"
-                   "  --json PATH    machine-readable output ('' disables)\n"
-                   "  --metrics PATH Prometheus text dump of run metrics "
-                   "('' disables)\n%s",
-                   argv[0],
-                   allow_churn
-                       ? " [--churn] [--zipf S] [--loopback]"
-                       : "",
-                   allow_churn
-                       ? "  --churn        mixed update+query mode "
-                         "(publish latency / staleness / QPS)\n"
-                         "  --zipf S       with --churn: Zipf(S)-skewed "
-                         "queries through the result cache\n"
-                         "  --loopback     serve over real loopback TCP "
-                         "through the net/ daemon core\n"
-                       : "");
+                   "  --json PATH    machine-readable output ('' disables)\n",
+                   argv[0]);
       std::exit(a == "--help" ? 0 : 2);
     }
   }

@@ -5,66 +5,28 @@
 //   er_tool --demo
 //
 // The edge-list file has one "u v [weight]" triple per line (0-based node
-// ids, '#' comments). With node pairs given, prints R(p,q) for each pair;
-// without, prints the five highest spanning-edge-centrality edges.
-// --demo runs on a built-in example graph.
-#include <algorithm>
+// ids, '#'/'%' comments; graph/io.hpp). With node pairs given, prints
+// R(p,q) for each pair; without, prints the five highest
+// spanning-edge-centrality edges. --demo runs on a built-in example graph.
+// A malformed file or an out-of-range pair prints the error and exits 1.
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <exception>
 #include <string>
-#include <tuple>
-#include <vector>
 
 #include "effres/approx_chol.hpp"
 #include "effres/centrality.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 
 namespace {
 
-er::Graph read_edge_list(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::vector<std::tuple<er::index_t, er::index_t, er::real_t>> edges;
-  er::index_t max_node = -1;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    long long u = 0, v = 0;
-    double w = 1.0;
-    if (!(ls >> u >> v)) continue;
-    ls >> w;
-    edges.emplace_back(static_cast<er::index_t>(u),
-                       static_cast<er::index_t>(v),
-                       static_cast<er::real_t>(w));
-    max_node = std::max(max_node,
-                        static_cast<er::index_t>(std::max(u, v)));
-  }
-  er::Graph g(max_node + 1);
-  for (const auto& [u, v, w] : edges)
-    if (u != v) g.add_edge(u, v, w);
-  return g;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace er;
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <edge-list> [p q]... | --demo\n", argv[0]);
-    return 1;
-  }
-
   Graph g = std::string(argv[1]) == "--demo"
                 ? grid_2d(32, 32, WeightKind::kUniform, 1)
-                : read_edge_list(argv[1]);
+                : read_edge_list_file(argv[1]);
   if (!is_connected(g))
     std::fprintf(stderr,
                  "note: graph is disconnected; resistances across "
@@ -95,4 +57,20 @@ int main(int argc, char** argv) {
                 ed.weight, centrality[static_cast<std::size_t>(e)]);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc < 2) {
+    std::fprintf(stderr,
+                 "usage: %s <edge-list> [p q]... | --demo\n", argv[0]);
+    return 1;
+  }
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 1;
+  }
 }

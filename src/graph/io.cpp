@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
@@ -15,6 +16,10 @@ Graph read_edge_list(std::istream& in, index_t num_nodes) {
   index_t max_node = -1;
   std::string line;
   std::size_t line_no = 0;
+  // Without an override the node count is max id + 1, which must fit.
+  const long long max_id = num_nodes >= 0
+                               ? static_cast<long long>(num_nodes) - 1
+                               : std::numeric_limits<index_t>::max() - 1;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#' || line[0] == '%') continue;
@@ -28,6 +33,9 @@ Graph read_edge_list(std::istream& in, index_t num_nodes) {
     if (u < 0 || v < 0)
       throw std::runtime_error("edge list line " + std::to_string(line_no) +
                                ": negative node id");
+    if (std::max(u, v) > max_id)
+      throw std::runtime_error("edge list line " + std::to_string(line_no) +
+                               ": node id out of range");
     if (!(w > 0.0))
       throw std::runtime_error("edge list line " + std::to_string(line_no) +
                                ": non-positive weight");

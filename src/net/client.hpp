@@ -1,10 +1,10 @@
 /// \file
 /// Synchronous loopback client of the serving daemon (DESIGN.md §8),
-/// shared by the integration tests, bench_serving --loopback, and
-/// er_served --warmup. One connection per client; requests are
-/// correlated by request id, so a client may also pipeline (send several
-/// requests, then collect responses) via the low-level send()/recv_frame()
-/// pair — the back-pressure tests drive admission overflow that way.
+/// shared by the integration tests and er_served --warmup. One connection
+/// per client; requests are correlated by request id, so a client may also
+/// pipeline (send several requests, then collect responses) via the
+/// low-level send()/recv_frame() pair — the back-pressure tests drive
+/// admission overflow that way.
 ///
 /// Error model: transport failures and kError responses throw
 /// std::runtime_error; back-pressure (kRetryLater) is an expected outcome

@@ -438,7 +438,7 @@ void Server::handle_http(Fd fd) {
   if (line.rfind("GET /metrics ", 0) == 0 || line == "GET /metrics") {
     // The daemon's own registry, folded with the global one when they
     // differ (the reducer records globally — same convention as
-    // bench_serving's --metrics dump).
+    // er_served's --final-metrics dump).
     obs::MetricsSnapshot snap = registry_->snapshot();
     if (registry_ != &obs::MetricsRegistry::global())
       snap.merge(obs::MetricsRegistry::global().snapshot());

@@ -1,10 +1,9 @@
 /// \file
 /// Exporters for MetricsSnapshot (DESIGN.md §6): Prometheus text
-/// exposition format — the payload of the ROADMAP daemon's
-/// `/metrics`-style endpoint, also dumped by `bench_serving --metrics` —
-/// and the repo's BENCH-style flat JSON. Both are deterministic functions
-/// of the snapshot (entries are already sorted by name and labels), so
-/// exports golden-file cleanly.
+/// exposition format — the payload of er_served's `/metrics` endpoint and
+/// its `--final-metrics` dump — and the repo's BENCH-style flat JSON. Both
+/// are deterministic functions of the snapshot (entries are already sorted
+/// by name and labels), so exports golden-file cleanly.
 #pragma once
 
 #include <string>

@@ -474,9 +474,9 @@ std::size_t model_footprint_bytes(const ReducedModel& model) {
   return bytes;
 }
 
-ReductionArtifacts reduce_network_artifacts(const ConductanceNetwork& input,
-                                            const std::vector<char>& is_port,
-                                            const ReductionOptions& opts) {
+ModelPtr reduce_network_frozen(const ConductanceNetwork& input,
+                               const std::vector<char>& is_port,
+                               const ReductionOptions& opts) {
   const index_t n = input.num_nodes();
   if (is_port.size() != static_cast<std::size_t>(n))
     throw std::invalid_argument("reduce_network: is_port size mismatch");
@@ -488,11 +488,11 @@ ReductionArtifacts reduce_network_artifacts(const ConductanceNetwork& input,
   if (resolve_num_threads(opts.parallel.num_threads) > 1)
     pool = std::make_unique<ThreadPool>(opts.parallel.num_threads);
 
-  ReductionArtifacts out;
+  BlockStructure structure;
   Timer phase;
   {
     OBS_SPAN("partition");
-    out.structure = build_block_structure(input, is_port, opts, pool.get());
+    structure = build_block_structure(input, is_port, opts, pool.get());
   }
   const double partition_seconds = phase.seconds();
 
@@ -500,20 +500,20 @@ ReductionArtifacts reduce_network_artifacts(const ConductanceNetwork& input,
   // Each task writes only its own slot, and every random stream is derived
   // from (seed, block), so the result is identical at any thread count.
   phase.reset();
-  out.blocks.assign(static_cast<std::size_t>(out.structure.num_blocks), {});
+  std::vector<BlockReduced> blocks(
+      static_cast<std::size_t>(structure.num_blocks));
   {
     OBS_SPAN("reduce");
-    parallel_for(pool.get(), 0, out.structure.num_blocks, 1,
+    parallel_for(pool.get(), 0, structure.num_blocks, 1,
                  [&](index_t lo, index_t hi) {
                    for (index_t b = lo; b < hi; ++b)
-                     out.blocks[static_cast<std::size_t>(b)] = reduce_block(
-                         input, is_port, out.structure, b, opts, pool.get());
+                     blocks[static_cast<std::size_t>(b)] = reduce_block(
+                         input, is_port, structure, b, opts, pool.get());
                  });
   }
   const double reduce_seconds = phase.seconds();
 
-  ReducedModel model = stitch_blocks(input, out.structure, out.blocks,
-                                     pool.get());
+  ReducedModel model = stitch_blocks(input, structure, blocks, pool.get());
   model.stats.partition_seconds = partition_seconds;
   model.stats.reduce_seconds = reduce_seconds;
   model.stats.total_seconds = total_timer.seconds();
@@ -522,8 +522,7 @@ ReductionArtifacts reduce_network_artifacts(const ConductanceNetwork& input,
   // graph's lazy CSR cache first — a frozen model may be read concurrently,
   // and the cache build mutates `mutable` state.
   (void)model.network.graph.adjacency_ptr();
-  out.model = std::make_shared<const ReducedModel>(std::move(model));
-  return out;
+  return std::make_shared<const ReducedModel>(std::move(model));
 }
 
 ReducedModel reduce_network(const ConductanceNetwork& input,
@@ -531,7 +530,7 @@ ReducedModel reduce_network(const ConductanceNetwork& input,
                             const ReductionOptions& opts) {
   // One-shot convenience wrapper: the copy out of the (locally owned,
   // refcount-1) shared model is noise next to the reduction itself.
-  return *reduce_network_artifacts(input, is_port, opts).model;
+  return *reduce_network_frozen(input, is_port, opts);
 }
 
 namespace {

@@ -13,9 +13,9 @@
 /// The per-block step is exposed separately (reduce_block / stitch_blocks)
 /// so DC *incremental* analysis can re-reduce only modified blocks and
 /// reuse the cached reductions of untouched ones (paper §IV-B lower
-/// table), and the full artifact bundle is exposed
-/// (reduce_network_artifacts) so the serving layer can keep it resident
-/// (DESIGN.md §4).
+/// table), and the stitched model is exposed frozen behind shared
+/// ownership (reduce_network_frozen) so the serving layer can keep it
+/// resident without a copy (DESIGN.md §4).
 #pragma once
 
 #include <memory>
@@ -134,18 +134,6 @@ struct ReducedModel {
 /// snapshot (or other pin) drops them.
 using ModelPtr = std::shared_ptr<const ReducedModel>;
 
-/// Everything Alg. 1 produces, with the per-block intermediates retained
-/// instead of discarded after the stitch (an incremental re-reduction
-/// starts from them). `model` is the stitched network the serving layer
-/// (`serve/`, DESIGN.md §4) turns into a resident, immutable ModelSnapshot
-/// — held through ModelPtr so the snapshot aliases the model instead of
-/// copying it.
-struct ReductionArtifacts {
-  BlockStructure structure;
-  std::vector<BlockReduced> blocks;  ///< per-block reductions, indexed by block
-  ModelPtr model;
-};
-
 /// Step 1: partition the network and classify nodes/edges. `pool`
 /// (optional) parallelizes the heavy per-level partitioner work; the
 /// partition is identical at any thread count.
@@ -210,13 +198,15 @@ ReducedModel reduce_network(const ConductanceNetwork& input,
                             const std::vector<char>& is_port,
                             const ReductionOptions& opts = {});
 
-/// Like reduce_network, but keeps the block structure and the per-block
-/// reductions alongside the stitched model (the inputs a serving
-/// ModelSnapshot is built from). reduce_network is a thin wrapper that
-/// discards everything but the model.
-ReductionArtifacts reduce_network_artifacts(const ConductanceNetwork& input,
-                                            const std::vector<char>& is_port,
-                                            const ReductionOptions& opts = {});
+/// Like reduce_network, but returns the stitched model frozen behind
+/// shared ownership: the handle a serving ModelSnapshot aliases instead of
+/// copying (`serve/`, DESIGN.md §4). The lazy CSR cache is warmed first, so
+/// the model may be read concurrently. The block structure and per-block
+/// reductions are freed on return; IncrementalReducer keeps them when
+/// blocks are to be re-reduced.
+ModelPtr reduce_network_frozen(const ConductanceNetwork& input,
+                               const std::vector<char>& is_port,
+                               const ReductionOptions& opts = {});
 
 /// Bit-exact equality of two per-block reductions (everything but the
 /// timing fields): kept nodes, merge map, local graph edges/weights, and

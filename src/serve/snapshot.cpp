@@ -59,11 +59,6 @@ real_t reach_dot(const std::vector<index_t>& ra, const std::vector<real_t>& ya,
 }  // namespace
 
 std::shared_ptr<const ModelSnapshot> ModelSnapshot::build(
-    const ReductionArtifacts& artifacts, std::uint64_t version) {
-  return build(artifacts.model, version);
-}
-
-std::shared_ptr<const ModelSnapshot> ModelSnapshot::build(
     ModelPtr input_model, std::uint64_t version) {
   if (!input_model)
     throw std::invalid_argument("ModelSnapshot::build: null model");
@@ -84,7 +79,7 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::build_impl(
     std::size_t model_bytes_copied) {
   Timer timer;
   auto snap = std::shared_ptr<ModelSnapshot>(new ModelSnapshot());
-  // Alias the frozen model version: the producer (reduce_network_artifacts
+  // Alias the frozen model version: the producer (reduce_network_frozen
   // / IncrementalReducer) builds each version into a fresh allocation and
   // never mutates it afterwards, so the snapshot pins it instead of
   // copying O(nodes + edges) state per publish (DESIGN.md §4.1).

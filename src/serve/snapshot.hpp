@@ -57,11 +57,6 @@ class ModelSnapshot {
   static std::shared_ptr<const ModelSnapshot> build(const ReducedModel& model,
                                                     std::uint64_t version = 0);
 
-  /// Convenience overload over the whole artifacts bundle (aliases
-  /// artifacts.model — zero-copy).
-  static std::shared_ptr<const ModelSnapshot> build(
-      const ReductionArtifacts& artifacts, std::uint64_t version = 0);
-
   /// The stitched model the answers refer to.
   [[nodiscard]] const ReducedModel& model() const { return *model_; }
 

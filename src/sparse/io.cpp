@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -49,7 +50,12 @@ CscMatrix read_matrix_market(std::istream& in) {
       throw std::runtime_error("matrix market: bad size line");
     break;
   }
-  if (rows <= 0 || cols <= 0 || nnz < 0)
+  // Dimensions must fit index_t before the narrowing casts below, and a
+  // count above rows * cols (which cannot overflow once both fit) would
+  // overflow the symmetric reservation 2 * nnz.
+  constexpr long long kMaxDim = std::numeric_limits<index_t>::max();
+  if (rows <= 0 || cols <= 0 || nnz < 0 || rows > kMaxDim ||
+      cols > kMaxDim || nnz > rows * cols)
     throw std::runtime_error("matrix market: invalid dimensions");
 
   TripletMatrix t(static_cast<index_t>(rows), static_cast<index_t>(cols));

@@ -447,7 +447,10 @@ TEST(AsyncUpdater, ConcurrentStreamsKeepPinnedVersionsBitConsistent) {
   ModelStore store;
   IncrementalReducer reducer(c.net, c.ports, opts);
   reducer.attach_store(&store);
-  const QueryFrontEnd frontend(&store);
+  // One registry for the readers' front-end and the updater, so the
+  // registry series can be checked against the legacy counts after churn.
+  obs::MetricsRegistry reg;
+  const QueryFrontEnd frontend(&store, &reg);
   const auto batch = mixed_batch(kept_originals(reducer.model()), 48, 53);
 
   // Pre-compute the modification stream (reducer.structure() must not be
@@ -458,7 +461,9 @@ TEST(AsyncUpdater, ConcurrentStreamsKeepPinnedVersionsBitConsistent) {
   const auto& nets = stream.nets;
   const auto& mods = stream.mods;
 
-  AsyncUpdater updater(bind_reducer(reducer));
+  AsyncUpdater::Options uo;
+  uo.registry = &reg;
+  AsyncUpdater updater(bind_reducer(reducer), uo);
   std::atomic<int> mismatches{0};
   std::atomic<std::uint64_t> submitted_at_pin_violations{0};
   std::mutex ref_mutex;
@@ -508,6 +513,30 @@ TEST(AsyncUpdater, ConcurrentStreamsKeepPinnedVersionsBitConsistent) {
   EXPECT_GE(s.batches, 1u);
   EXPECT_LE(s.batches, static_cast<std::uint64_t>(kMods));
   EXPECT_EQ(s.batches + s.coalesced, s.applied);
+
+  // The registry agrees with the legacy counts under real churn: one
+  // latency sample per answered query and one publish-latency sample per
+  // applied batch; staleness is 0 after flush() and its high-water gauge
+  // is the Stats maximum.
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::MetricSnapshot* query_lat =
+      snap.find("er_query_latency_seconds", {{"mode", "sharded"}});
+  ASSERT_NE(query_lat, nullptr);
+  EXPECT_EQ(query_lat->histogram.count,
+            static_cast<std::uint64_t>(kReaders * kBatchesPerReader) *
+                batch.size());
+  const obs::MetricSnapshot* publish_lat =
+      snap.find("er_updater_publish_latency_seconds");
+  ASSERT_NE(publish_lat, nullptr);
+  EXPECT_EQ(publish_lat->histogram.count, s.batches);
+  const obs::MetricSnapshot* stale = snap.find("er_updater_staleness_mods");
+  ASSERT_NE(stale, nullptr);
+  EXPECT_EQ(stale->gauge, 0);
+  const obs::MetricSnapshot* high_water =
+      snap.find("er_updater_staleness_mods_high_water");
+  ASSERT_NE(high_water, nullptr);
+  EXPECT_EQ(static_cast<std::uint64_t>(high_water->gauge),
+            s.max_observed_staleness_mods);
 
   // After the stream settles, the final model equals a sequential replay,
   // and the published snapshot is bitwise a fresh build of it.

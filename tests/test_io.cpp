@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -71,6 +72,22 @@ TEST(MatrixMarket, RejectsGarbage) {
   EXPECT_THROW(read_matrix_market(bad4), std::runtime_error);
 }
 
+TEST(MatrixMarket, RejectsDimensionsBeyondIndexRange) {
+  // 2^32 + 2 rows must not narrow to a 2-row matrix, 2^31 rows must not
+  // wrap negative, and an entry count beyond rows * cols must not reach
+  // the (symmetric: doubled) reservation.
+  for (const char* header :
+       {"general\n4294967298 2 1", "general\n2 2147483648 1",
+        "general\n2147483648 2147483648 1", "general\n2 2 5",
+        "symmetric\n2 2 4611686018427387904"}) {
+    SCOPED_TRACE(header);
+    std::stringstream in(
+        std::string("%%MatrixMarket matrix coordinate real ") + header +
+        "\n1 1 1.0\n");
+    EXPECT_THROW(read_matrix_market(in), std::runtime_error);
+  }
+}
+
 TEST(MatrixMarket, FileRoundTrip) {
   const CscMatrix a = grounded_laplacian(grid_2d(4, 4));
   const std::string path = "test_mm_roundtrip.mtx";
@@ -121,6 +138,23 @@ TEST(EdgeList, RejectsBadInput) {
   EXPECT_THROW(read_edge_list(bad2), std::runtime_error);
   std::stringstream bad3("-1 2\n");
   EXPECT_THROW(read_edge_list(bad3), std::runtime_error);
+  // Ids beyond index_t must not wrap (2^32 + 1 would become node 1) or
+  // reach Graph::add_edge; the largest id must leave room for id + 1.
+  for (const char* text :
+       {"4294967297 0\n", "0 2147483648\n", "2147483647 0\n"}) {
+    SCOPED_TRACE(text);
+    std::stringstream in(std::string("0 1\n") + text);
+    try {
+      (void)read_edge_list(in);
+      ADD_FAILURE() << "accepted an out-of-range id";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+  // With an explicit node count, ids at or past it are out of range too.
+  std::stringstream past_override("0 1\n1 10\n");
+  EXPECT_THROW(read_edge_list(past_override, 10), std::runtime_error);
 }
 
 TEST(GraphFromMatrix, LaplacianRoundTrip) {

@@ -234,13 +234,17 @@ TEST(NetDaemon, ConcurrentClientsBitwiseEqualUnderChurn) {
     // (kRetryLater) is legal here — resubmit until accepted, preserving
     // the cumulative order.
     LoopbackClient feeder(kHost, d->server->port());
+    std::uint64_t feeder_retries = 0;
     for (int u = 0; u < kMods; ++u) {
       WireModification mod;
       mod.dirty_blocks = stream.mods[static_cast<std::size_t>(u)].dirty_blocks;
       mod.resistance_scale =
           stream.mods[static_cast<std::size_t>(u)].resistance_scale;
-      while (feeder.submit_mod(mod) == LoopbackClient::ModOutcome::kRetryLater)
+      while (feeder.submit_mod(mod) ==
+             LoopbackClient::ModOutcome::kRetryLater) {
+        ++feeder_retries;
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
     }
 
     for (std::thread& t : threads) t.join();
@@ -264,6 +268,19 @@ TEST(NetDaemon, ConcurrentClientsBitwiseEqualUnderChurn) {
     ASSERT_TRUE(last.has_value());
     EXPECT_EQ(d->stack.updater().mods_reflected(*last),
               static_cast<std::uint64_t>(kMods));
+
+    // The net-layer counters match the client-side tallies: every query
+    // was admitted and answered once, and the only kRetryLater frames were
+    // the feeder's.
+    const obs::MetricsSnapshot snap = d->registry.snapshot();
+    const obs::MetricSnapshot* requests =
+        snap.find("er_net_requests_total", {{"opcode", "er_batch"}});
+    ASSERT_NE(requests, nullptr);
+    EXPECT_EQ(requests->counter,
+              static_cast<std::uint64_t>(clients * kQueriesPerClient));
+    const obs::MetricSnapshot* rejected = snap.find("er_net_rejected_total");
+    ASSERT_NE(rejected, nullptr);
+    EXPECT_EQ(rejected->counter, feeder_retries);
   }
 }
 

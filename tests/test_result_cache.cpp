@@ -10,9 +10,13 @@
 //       a version aged past the cap is swept and bypassed,
 //   (d) a tiny capacity evicts without ever answering wrong, and pinned
 //       old versions keep resolving within version_cap and degrade to
-//       plain (still correct) compute past it.
+//       plain (still correct) compute past it,
+//   (e) a Zipf-skewed stream over a pair pool smaller than the draws per
+//       version keeps a hit rate of at least 0.5 while every publish
+//       dirties 10 % of the blocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <map>
@@ -68,6 +72,7 @@ TEST(ResultCache, CachedMatchesUncachedBitwiseAcrossInterleavings) {
     // batches revisit earlier keys and genuinely hit.
     Rng rng(static_cast<std::uint64_t>(threads) * 7919 + 5);
     int published = 0;
+    std::size_t hits = 0, misses = 0;
     for (int step = 0; step < kSteps; ++step) {
       if (published < kMods && rng.uniform() < 0.3) {
         const auto u = static_cast<std::size_t>(published++);
@@ -93,10 +98,21 @@ TEST(ResultCache, CachedMatchesUncachedBitwiseAcrossInterleavings) {
       }
       EXPECT_EQ(cached_stats.cache_hits + cached_stats.cache_misses,
                 cached_stats.queries - cached_stats.invalid);
+      hits += cached_stats.cache_hits;
+      misses += cached_stats.cache_misses;
     }
     // The interleaving must have exercised the cache on both sides.
-    EXPECT_GT(cache->hits(), 0u);
-    EXPECT_GT(cache->misses(), 0u);
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(misses, 0u);
+    // The registry counters tell the same story as the per-batch stats.
+    const obs::MetricsSnapshot snap = reg.snapshot();
+    const obs::MetricSnapshot* hits_total = snap.find("er_cache_hits_total");
+    const obs::MetricSnapshot* misses_total =
+        snap.find("er_cache_misses_total");
+    ASSERT_NE(hits_total, nullptr);
+    ASSERT_NE(misses_total, nullptr);
+    EXPECT_EQ(hits_total->counter, hits);
+    EXPECT_EQ(misses_total->counter, misses);
   }
 }
 
@@ -332,6 +348,82 @@ TEST(ResultCache, PinnedVersionsResolveWithinCapAndDegradePastIt) {
     ASSERT_TRUE(hit_answers[i] == plain_answers[i] || both_nan)
         << "query " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// (e) hit-rate floor under a skewed stream and churning publishes.
+// ---------------------------------------------------------------------------
+
+TEST(ResultCache, ZipfStreamKeepsHitRateUnderChurn) {
+  const ServeCase c = make_case(20, 20, 48, 337);
+  ReductionOptions opts;
+  opts.num_blocks = 10;
+  obs::MetricsRegistry reg;
+  ModelStore store(&reg);
+  IncrementalReducer reducer(c.net, c.ports, opts);
+  reducer.attach_store(&store);
+  const auto cache =
+      std::make_shared<ResultCache>(ResultCacheOptions{}, &reg);
+  store.attach_cache(cache);
+  const QueryFrontEnd frontend(&store, &reg);
+
+  // A fixed pool of resistance pairs, fewer than one version's draws
+  // (kBatchesPerMod * kBatch), so a skewed stream revisits its keys.
+  constexpr std::size_t kPoolPairs = 96;
+  constexpr int kMods = 5;
+  constexpr int kBatchesPerMod = 4;
+  constexpr std::size_t kBatch = 100;
+  const auto kept = kept_originals(reducer.model());
+  std::vector<PortQuery> pool;
+  Rng pool_rng(2031);
+  for (std::size_t i = 0; i < kPoolPairs; ++i) {
+    PortQuery query;
+    query.kind = QueryKind::kResistance;
+    query.p = kept[static_cast<std::size_t>(
+        pool_rng.uniform_int(static_cast<index_t>(kept.size())))];
+    query.q = kept[static_cast<std::size_t>(
+        pool_rng.uniform_int(static_cast<index_t>(kept.size())))];
+    pool.push_back(query);
+  }
+  // Zipf(1.1) over pool ranks: P(k) proportional to 1 / (k + 1)^1.1,
+  // sampled by inverting the normalized CDF.
+  std::vector<double> cdf(kPoolPairs);
+  double total = 0.0;
+  for (std::size_t k = 0; k < kPoolPairs; ++k)
+    cdf[k] = total += std::pow(static_cast<double>(k + 1), -1.1);
+  for (double& x : cdf) x /= total;
+  const auto draw = [&cdf](Rng& rng) {
+    const auto it = std::lower_bound(cdf.begin(), cdf.end(), rng.uniform());
+    return std::min(static_cast<std::size_t>(it - cdf.begin()),
+                    cdf.size() - 1);
+  };
+
+  // Every publish dirties 10 % of the blocks (one of ten).
+  ASSERT_EQ(reducer.structure().num_blocks, 10);
+  const ModStream stream =
+      make_mod_stream(c.net, reducer.structure(), kMods, 0.1, 1.2, 1500);
+  Rng draw_rng(2033);
+  std::size_t hits = 0, misses = 0;
+  for (int u = 0; u < kMods; ++u) {
+    const auto& mod = stream.mods[static_cast<std::size_t>(u)];
+    EXPECT_EQ(mod.dirty_blocks.size(), 1u);
+    reducer.update(stream.nets[static_cast<std::size_t>(u)],
+                   mod.dirty_blocks);
+    for (int b = 0; b < kBatchesPerMod; ++b) {
+      std::vector<PortQuery> batch;
+      for (std::size_t i = 0; i < kBatch; ++i)
+        batch.push_back(pool[draw(draw_rng)]);
+      BatchStats stats;
+      (void)frontend.answer(batch, nullptr, &stats);
+      hits += stats.cache_hits;
+      misses += stats.cache_misses;
+    }
+  }
+  EXPECT_EQ(store.publish_count(), static_cast<std::uint64_t>(kMods) + 1);
+  ASSERT_GT(hits + misses, 0u);
+  const double hit_rate =
+      static_cast<double>(hits) / static_cast<double>(hits + misses);
+  EXPECT_GE(hit_rate, 0.5) << hits << " hits, " << misses << " misses";
 }
 
 }  // namespace

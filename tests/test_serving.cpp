@@ -148,7 +148,7 @@ std::vector<OracleCase> oracle_cases() {
     ReductionOptions opts;
     opts.num_blocks = 6;
     cases.push_back(
-        {"reduced_grid", reduce_network_artifacts(c.net, c.ports, opts).model});
+        {"reduced_grid", reduce_network_frozen(c.net, c.ports, opts)});
   }
   return cases;
 }
@@ -249,21 +249,20 @@ TEST(ModelSnapshot, ResponseMatchesDcSolve) {
   const ServeCase c = make_case(18, 18, 40, 73);
   ReductionOptions opts;
   opts.num_blocks = 6;
-  const ReductionArtifacts art =
-      reduce_network_artifacts(c.net, c.ports, opts);
-  const auto snap = ModelSnapshot::build(art);
+  const ModelPtr model = reduce_network_frozen(c.net, c.ports, opts);
+  const auto snap = ModelSnapshot::build(model);
 
   // Z(p, q) is column p of G^{-1}: inject a unit current at reduced p and
   // read the DC voltage drops.
-  const index_t p_orig = kept_originals(*art.model).front();
+  const index_t p_orig = kept_originals(*model).front();
   const index_t p_red = snap->reduced_id(p_orig);
   std::vector<real_t> injection(
-      static_cast<std::size_t>(art.model->network.num_nodes()), 0.0);
+      static_cast<std::size_t>(model->network.num_nodes()), 0.0);
   injection[static_cast<std::size_t>(p_red)] = 1.0;
-  const DcSolution dc = solve_dc(art.model->network, injection);
+  const DcSolution dc = solve_dc(model->network, injection);
 
   ModelSnapshot::Workspace ws;
-  for (index_t q = 0; q < art.model->network.num_nodes(); q += 7) {
+  for (index_t q = 0; q < model->network.num_nodes(); q += 7) {
     const real_t z = snap->response(p_red, q, ws);
     EXPECT_NEAR(z, dc.drops[static_cast<std::size_t>(q)],
                 1e-8 * (1.0 + std::abs(z)))
@@ -271,7 +270,7 @@ TEST(ModelSnapshot, ResponseMatchesDcSolve) {
   }
 
   // Internal consistency: R(p,q) = Z(p,p) - Z(p,q) - Z(q,p) + Z(q,q).
-  const index_t q_red = snap->reduced_id(kept_originals(*art.model).back());
+  const index_t q_red = snap->reduced_id(kept_originals(*model).back());
   const real_t r = snap->resistance(p_red, q_red, ws);
   const real_t via_z = snap->response(p_red, p_red, ws) -
                        snap->response(p_red, q_red, ws) -
@@ -286,11 +285,10 @@ TEST(ModelSnapshot, ReachSolvesMatchSolvePermutedReference) {
   const ServeCase c = make_case(24, 24, 64, 83);
   ReductionOptions opts;
   opts.num_blocks = 8;
-  const ReductionArtifacts art =
-      reduce_network_artifacts(c.net, c.ports, opts);
-  const auto snap = ModelSnapshot::build(art);
+  const ModelPtr model = reduce_network_frozen(c.net, c.ports, opts);
+  const auto snap = ModelSnapshot::build(model);
   ASSERT_GT(snap->num_boundary_nodes(), 0);
-  const CholFactor g = cholesky(art.model->network.system_matrix());
+  const CholFactor g = cholesky(model->network.system_matrix());
   const index_t n = g.n;
   const auto solve = [&](index_t p, real_t wp, index_t q, real_t wq) {
     std::vector<real_t> x(static_cast<std::size_t>(n), 0.0);
@@ -325,13 +323,12 @@ TEST(ModelSnapshot, ResistanceIsNeverNegative) {
   const ServeCase c = make_case(20, 20, 48, 89);
   ReductionOptions opts;
   opts.num_blocks = 6;
-  const ReductionArtifacts art =
-      reduce_network_artifacts(c.net, c.ports, opts);
-  const auto snap = ModelSnapshot::build(art);
+  const ModelPtr model = reduce_network_frozen(c.net, c.ports, opts);
+  const auto snap = ModelSnapshot::build(model);
   ModelSnapshot::Workspace ws;
-  for (const Edge& e : art.model->network.graph.edges())
+  for (const Edge& e : model->network.graph.edges())
     EXPECT_GE(snap->resistance(e.u, e.v, ws), 0.0);
-  for (index_t v = 0; v < art.model->network.num_nodes(); v += 5)
+  for (index_t v = 0; v < model->network.num_nodes(); v += 5)
     EXPECT_EQ(snap->resistance(v, v, ws), 0.0);
 }
 
@@ -339,10 +336,9 @@ TEST(QueryFrontEnd, BitIdenticalAcrossThreadCounts) {
   const ServeCase c = make_case(24, 24, 64, 79);
   ReductionOptions opts;
   opts.num_blocks = 8;
-  const ReductionArtifacts art =
-      reduce_network_artifacts(c.net, c.ports, opts);
-  const auto snap = ModelSnapshot::build(art);
-  const auto batch = mixed_batch(kept_originals(*art.model), 1500, 5);
+  const ModelPtr model = reduce_network_frozen(c.net, c.ports, opts);
+  const auto snap = ModelSnapshot::build(model);
+  const auto batch = mixed_batch(kept_originals(*model), 1500, 5);
 
   const auto serial = QueryFrontEnd::answer_on(*snap, batch);
   for (int threads : {2, 4, 8}) {
@@ -361,18 +357,17 @@ TEST(QueryFrontEnd, InvalidQueriesAnswerNaN) {
   const ServeCase c = make_case(16, 16, 24, 83);
   ReductionOptions opts;
   opts.num_blocks = 4;
-  const ReductionArtifacts art =
-      reduce_network_artifacts(c.net, c.ports, opts);
-  const auto snap = ModelSnapshot::build(art);
+  const ModelPtr model = reduce_network_frozen(c.net, c.ports, opts);
+  const auto snap = ModelSnapshot::build(model);
 
   index_t eliminated = -1;
-  for (std::size_t v = 0; v < art.model->node_map.size(); ++v)
-    if (art.model->node_map[v] < 0) {
+  for (std::size_t v = 0; v < model->node_map.size(); ++v)
+    if (model->node_map[v] < 0) {
       eliminated = static_cast<index_t>(v);
       break;
     }
   ASSERT_GE(eliminated, 0);
-  const index_t valid = kept_originals(*art.model).front();
+  const index_t valid = kept_originals(*model).front();
 
   const std::vector<PortQuery> batch{
       {QueryKind::kResistance, eliminated, valid},
@@ -398,10 +393,9 @@ TEST(QueryFrontEnd, ExpiredDeadlinesMissWithoutBlockingTheBatch) {
   const ServeCase c = make_case(18, 18, 40, 419);
   ReductionOptions opts;
   opts.num_blocks = 6;
-  const ReductionArtifacts art =
-      reduce_network_artifacts(c.net, c.ports, opts);
-  const auto snap = ModelSnapshot::build(art);
-  const auto kept = kept_originals(*art.model);
+  const ModelPtr model = reduce_network_frozen(c.net, c.ports, opts);
+  const auto snap = ModelSnapshot::build(model);
+  const auto kept = kept_originals(*model);
 
   const auto plain = mixed_batch(kept, 60, 17);
   std::vector<PortQuery> batch = plain;
@@ -656,14 +650,13 @@ TEST(QueryFrontEnd, RegistryAggregatesMatchBatchStats) {
   const ServeCase c = make_case(20, 20, 48, 77);
   ReductionOptions opts;
   opts.num_blocks = 6;
-  const ReductionArtifacts art =
-      reduce_network_artifacts(c.net, c.ports, opts);
+  const ModelPtr model = reduce_network_frozen(c.net, c.ports, opts);
   ModelStore store;
-  store.publish(ModelSnapshot::build(art));
+  store.publish(ModelSnapshot::build(model));
 
   obs::MetricsRegistry reg;
   const QueryFrontEnd frontend(&store, &reg);
-  const auto kept = kept_originals(*art.model);
+  const auto kept = kept_originals(*model);
   BatchStats s1, s2;
   (void)frontend.answer(mixed_batch(kept, 150, 5), nullptr, &s1);
   (void)frontend.answer(mixed_batch(kept, 250, 6), nullptr, &s2);
@@ -698,7 +691,7 @@ TEST(QueryFrontEnd, RegistryAggregatesMatchBatchStats) {
   // The store instrumented with its own registry reports its publishes.
   obs::MetricsRegistry store_reg;
   ModelStore counted(&store_reg);
-  counted.publish(ModelSnapshot::build(art));
+  counted.publish(ModelSnapshot::build(model));
   const obs::MetricsSnapshot store_snap = store_reg.snapshot();
   ASSERT_NE(store_snap.find("er_store_publishes_total"), nullptr);
   EXPECT_EQ(store_snap.find("er_store_publishes_total")->counter,

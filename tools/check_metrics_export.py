@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Validate a Prometheus text-exposition dump from bench_serving --metrics.
+"""Validate a Prometheus text-exposition dump of the serving metrics.
 
-CI runs this on the metrics dump of the churn smoke run so a rename or a
-broken exporter in src/obs/ fails the pipeline instead of a downstream
-scrape. Checks:
+CI runs this (through tools/loopback_smoke.py, "net" profile) on the dump
+er_served writes with --final-metrics after its warm-up traffic and a
+SIGTERM drain, so a rename or a broken exporter in src/obs/ fails the
+pipeline instead of a downstream scrape. Checks:
 
   * the serving-stack metric families are present (query/publish latency
     histograms, staleness + queue-depth gauges, publish counter, trace
@@ -18,8 +19,9 @@ scrape. Checks:
 usage: check_metrics_export.py METRICS.prom [core|net]
 
 The optional profile picks the required-family set: "core" (default) is
-the serving-stack surface every bench dump carries; "net" adds the
-`er_net_*` daemon families (bench_serving --loopback / er_served dumps).
+the serving-stack surface (query, updater, pool, store, reducer, span,
+result-cache and deadline families); "net" adds the `er_net_*` daemon
+families of an er_served dump.
 """
 import re
 import sys

@@ -12,18 +12,17 @@ Checks:
   determinism-lint-selftest  the lint's own fixture unit tests
   workspace-clean            `git status --porcelain` is empty
   bench-schema               tools/check_bench_schema.py; repeat
-                             --bench-json PATH --bench-mode MODE pairs to
-                             validate several trajectory files in one run
-  metrics-export             tools/check_metrics_export.py; repeat
-                             --metrics PATH[:PROFILE] (profile core|net,
-                             default core)
+                             --bench-json PATH to validate several
+                             BENCH_serving.json files in one run
   loopback-smoke             tools/loopback_smoke.py against the daemon
-                             binary given via --er-served
+                             binary given via --er-served (it also runs
+                             tools/check_metrics_export.py on the
+                             daemon's final metrics dump)
 
-With --all, artifact-dependent checks (bench-schema, metrics-export,
-loopback-smoke) are skipped with a note when their input path was not
-given; naming a check explicitly makes its inputs required. Exit 0 = all
-ran checks passed, 1 = at least one failed, 2 = usage error.
+With --all, artifact-dependent checks (bench-schema, loopback-smoke) are
+skipped with a note when their input path was not given; naming a check
+explicitly makes its inputs required. Exit 0 = all ran checks passed,
+1 = at least one failed, 2 = usage error.
 """
 import argparse
 import subprocess
@@ -34,19 +33,7 @@ TOOLS = Path(__file__).resolve().parent
 ROOT = TOOLS.parent
 
 CHECKS = ["determinism-lint", "determinism-lint-selftest",
-          "workspace-clean", "bench-schema", "metrics-export",
-          "loopback-smoke"]
-
-BENCH_MODES = ["churn", "standard", "zipf", "loopback"]
-METRICS_PROFILES = ["core", "net"]
-
-
-def parse_metrics_spec(spec):
-    """'PATH' or 'PATH:PROFILE' -> (path, profile)."""
-    path, sep, profile = spec.rpartition(":")
-    if sep and profile in METRICS_PROFILES:
-        return path, profile
-    return spec, "core"
+          "workspace-clean", "bench-schema", "loopback-smoke"]
 
 
 def build_commands(name, args):
@@ -64,24 +51,10 @@ def build_commands(name, args):
     if name == "bench-schema":
         if not args.bench_json:
             if args.explicit:
-                sys.exit("ci_checks: bench-schema needs --bench-json "
-                         "and --bench-mode")
+                sys.exit("ci_checks: bench-schema needs --bench-json")
             return ([], "no --bench-json given")
-        modes = args.bench_mode or ["churn"] * len(args.bench_json)
-        if len(modes) != len(args.bench_json):
-            sys.exit(f"ci_checks: {len(args.bench_json)} --bench-json but "
-                     f"{len(modes)} --bench-mode; give one mode per file")
-        return ([[sys.executable, str(TOOLS / "check_bench_schema.py"),
-                  path, mode]
-                 for path, mode in zip(args.bench_json, modes)], None)
-    if name == "metrics-export":
-        if not args.metrics:
-            if args.explicit:
-                sys.exit("ci_checks: metrics-export needs --metrics")
-            return ([], "no --metrics given")
-        return ([[sys.executable, str(TOOLS / "check_metrics_export.py")]
-                 + list(parse_metrics_spec(spec))
-                 for spec in args.metrics], None)
+        return ([[sys.executable, str(TOOLS / "check_bench_schema.py"), path]
+                 for path in args.bench_json], None)
     if name == "loopback-smoke":
         if not args.er_served:
             if args.explicit:
@@ -125,13 +98,7 @@ def main(argv=None) -> int:
                     help="run every check whose inputs are available")
     ap.add_argument("--bench-json", action="append",
                     help="BENCH_serving.json path (bench-schema); "
-                    "repeatable, paired positionally with --bench-mode")
-    ap.add_argument("--bench-mode", action="append", choices=BENCH_MODES,
-                    help="schema mode for the corresponding --bench-json "
-                    "(default churn)")
-    ap.add_argument("--metrics", action="append",
-                    help="METRICS.prom path, optionally PATH:net for the "
-                    "daemon-family profile (metrics-export); repeatable")
+                    "repeatable")
     ap.add_argument("--er-served", help="er_served binary path "
                     "(loopback-smoke)")
     args = ap.parse_args(argv)
