@@ -30,10 +30,8 @@ inline constexpr index_t kBatchQueryGrain = 64;
 ///
 /// Thread-safety contract (DESIGN.md §3/§4): every query method is `const`
 /// and safe to call from any number of threads concurrently — engines hold
-/// no shared mutable query state, with no exceptions (the Monte-Carlo
-/// RandomWalkEffRes draws each batched query from its own
-/// mix_seed(seed, query_index) stream rather than a shared one). This is
-/// what lets one engine answer a query batch across a pool.
+/// no shared mutable query state, with no exceptions. This is what lets
+/// one engine answer a query batch across a pool.
 class EffResEngine {
  public:
   virtual ~EffResEngine() = default;

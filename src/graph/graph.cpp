@@ -66,18 +66,15 @@ void Graph::build_adjacency() const {
 
   adj_nbr_.resize(2 * edges_.size());
   adj_w_.resize(2 * edges_.size());
-  adj_eid_.resize(2 * edges_.size());
   std::vector<offset_t> next(adj_ptr_.begin(), adj_ptr_.end() - 1);
   for (std::size_t eid = 0; eid < edges_.size(); ++eid) {
     const Edge& e = edges_[eid];
     offset_t pu = next[static_cast<std::size_t>(e.u)]++;
     adj_nbr_[static_cast<std::size_t>(pu)] = e.v;
     adj_w_[static_cast<std::size_t>(pu)] = e.weight;
-    adj_eid_[static_cast<std::size_t>(pu)] = static_cast<index_t>(eid);
     offset_t pv = next[static_cast<std::size_t>(e.v)]++;
     adj_nbr_[static_cast<std::size_t>(pv)] = e.u;
     adj_w_[static_cast<std::size_t>(pv)] = e.weight;
-    adj_eid_[static_cast<std::size_t>(pv)] = static_cast<index_t>(eid);
   }
   adj_valid_ = true;
 }
@@ -95,11 +92,6 @@ const std::vector<index_t>& Graph::neighbors() const {
 const std::vector<real_t>& Graph::adjacency_weights() const {
   if (!adj_valid_) build_adjacency();
   return adj_w_;
-}
-
-const std::vector<index_t>& Graph::adjacency_edge_ids() const {
-  if (!adj_valid_) build_adjacency();
-  return adj_eid_;
 }
 
 index_t Graph::degree(index_t u) const {

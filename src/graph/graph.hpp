@@ -42,13 +42,11 @@ class Graph {
   [[nodiscard]] Graph coalesce_parallel_edges() const;
 
   /// CSR adjacency access. adjacency_ptr has num_nodes()+1 entries;
-  /// neighbors/adj_weights/adj_edge_ids are parallel arrays of length
+  /// neighbors/adjacency_weights are parallel arrays of length
   /// 2*num_edges(). Built lazily; invalidated by add_edge.
   const std::vector<offset_t>& adjacency_ptr() const;
   const std::vector<index_t>& neighbors() const;
   const std::vector<real_t>& adjacency_weights() const;
-  /// Edge-list index of each adjacency slot (for edge-centric algorithms).
-  const std::vector<index_t>& adjacency_edge_ids() const;
 
   /// Plain (unweighted) degree.
   [[nodiscard]] index_t degree(index_t u) const;
@@ -64,7 +62,6 @@ class Graph {
   mutable std::vector<offset_t> adj_ptr_;
   mutable std::vector<index_t> adj_nbr_;
   mutable std::vector<real_t> adj_w_;
-  mutable std::vector<index_t> adj_eid_;
 };
 
 }  // namespace er

@@ -1,7 +1,6 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -68,23 +67,6 @@ void write_edge_list_file(const Graph& g, const std::string& path) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot write " + path);
   write_edge_list(g, out);
-}
-
-Graph graph_from_symmetric_matrix(const CscMatrix& a) {
-  if (a.rows() != a.cols())
-    throw std::invalid_argument("graph_from_symmetric_matrix: not square");
-  Graph g(a.cols());
-  const auto& cp = a.col_ptr();
-  const auto& ri = a.row_ind();
-  const auto& vv = a.values();
-  for (index_t c = 0; c < a.cols(); ++c)
-    for (offset_t k = cp[static_cast<std::size_t>(c)];
-         k < cp[static_cast<std::size_t>(c) + 1]; ++k) {
-      const index_t r = ri[static_cast<std::size_t>(k)];
-      const real_t v = vv[static_cast<std::size_t>(k)];
-      if (r < c && v != 0.0) g.add_edge(r, c, std::abs(v));
-    }
-  return g;
 }
 
 }  // namespace er

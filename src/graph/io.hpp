@@ -1,12 +1,10 @@
-// Graph file I/O: whitespace edge lists (SNAP style) and conversion
-// from/to symmetric matrices.
+// Graph file I/O: whitespace edge lists (SNAP style).
 #pragma once
 
 #include <iosfwd>
 #include <string>
 
 #include "graph/graph.hpp"
-#include "sparse/csc.hpp"
 
 namespace er {
 
@@ -21,10 +19,5 @@ Graph read_edge_list_file(const std::string& path, index_t num_nodes = -1);
 /// Write "u v weight" lines.
 void write_edge_list(const Graph& g, std::ostream& out);
 void write_edge_list_file(const Graph& g, const std::string& path);
-
-/// Interpret a symmetric matrix's off-diagonal pattern as a weighted graph
-/// (edge weight = |a_ij|); used to load UF-collection matrices as graphs,
-/// mirroring the paper's treatment of circuit matrices.
-Graph graph_from_symmetric_matrix(const CscMatrix& a);
 
 }  // namespace er

@@ -54,12 +54,6 @@ Histogram& stage_histogram(const char* stage) {
       "Wall-clock duration of OBS_SPAN pipeline stages");
 }
 
-double span_epoch_seconds() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       span_epoch())
-      .count();
-}
-
 SpanGuard::SpanGuard(const char* stage, std::int64_t id)
     : stage_(stage), id_(id) {
   (void)span_epoch();  // pin the epoch before the first span closes

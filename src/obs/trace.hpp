@@ -74,10 +74,6 @@ class TraceRing {
 /// (`er_span_seconds{stage=<stage>}`). `stage` must be a static string.
 Histogram& stage_histogram(const char* stage);
 
-/// Seconds since the process span epoch (first use of the trace layer) —
-/// the time base of SpanRecord::start_seconds.
-double span_epoch_seconds();
-
 /// RAII span: construction stamps the start, destruction records the
 /// duration into the stage histogram and (if enabled) the global ring.
 /// Use through OBS_SPAN rather than directly.

@@ -299,15 +299,6 @@ void refine(const Graph& g, const std::vector<real_t>& node_weight, index_t k,
 
 }  // namespace
 
-real_t PartitionResult::cut_weight(const Graph& g) const {
-  real_t acc = 0.0;
-  for (const auto& e : g.edges())
-    if (part[static_cast<std::size_t>(e.u)] !=
-        part[static_cast<std::size_t>(e.v)])
-      acc += e.weight;
-  return acc;
-}
-
 std::size_t PartitionResult::cut_edges(const Graph& g) const {
   std::size_t acc = 0;
   for (const auto& e : g.edges())

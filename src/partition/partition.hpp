@@ -36,8 +36,6 @@ struct PartitionResult {
   index_t num_parts = 0;
   std::vector<index_t> part;  // node -> part id in [0, num_parts)
 
-  /// Total weight of edges crossing parts.
-  [[nodiscard]] real_t cut_weight(const Graph& g) const;
   /// Number of edges crossing parts.
   [[nodiscard]] std::size_t cut_edges(const Graph& g) const;
   /// max part node-count / ceil(n / k) — 1.0 is perfectly balanced.

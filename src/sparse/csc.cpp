@@ -353,12 +353,6 @@ CscMatrix CscMatrix::drop_small(real_t tol, bool keep_diagonal) const {
                    std::move(values));
 }
 
-real_t CscMatrix::frobenius_norm() const {
-  real_t acc = 0.0;
-  for (real_t v : values_) acc += v * v;
-  return std::sqrt(acc);
-}
-
 real_t CscMatrix::max_abs() const {
   real_t m = 0.0;
   for (real_t v : values_) m = std::max(m, std::abs(v));

@@ -91,9 +91,6 @@ class CscMatrix {
   /// Drop entries with |a_ij| <= tol; keeps the diagonal if keep_diagonal.
   [[nodiscard]] CscMatrix drop_small(real_t tol, bool keep_diagonal) const;
 
-  /// Frobenius norm.
-  [[nodiscard]] real_t frobenius_norm() const;
-
   /// max |a_ij|.
   [[nodiscard]] real_t max_abs() const;
 

@@ -24,8 +24,6 @@ double RunningStats::variance() const {
   return m2_ / static_cast<double>(n_ - 1);
 }
 
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 double quantile(std::vector<double> samples, double q) {
   if (samples.empty()) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

@@ -20,7 +20,6 @@ class RunningStats {
   [[nodiscard]] double sum() const { return sum_; }
   /// Unbiased sample variance (0 for fewer than two samples).
   [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
 
  private:
   std::size_t n_ = 0;

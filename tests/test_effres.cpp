@@ -1,8 +1,8 @@
 // Tests for effres: closed-form effective resistances (path, cycle,
 // complete graph, series/parallel), agreement between engines, metric
-// axioms, Rayleigh monotonicity, error-measurement harness, and the
-// Alg. 3 build's thread handling (transient pool on the main thread,
-// inline on a pool worker, bit-identical either way).
+// axioms, Rayleigh monotonicity, Foster's theorem, error-measurement
+// harness, and the Alg. 3 build's thread handling (transient pool on the
+// main thread, inline on a pool worker, bit-identical either way).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -168,6 +168,37 @@ TEST(ExactEffRes, EdgeResistanceBelowWireResistance) {
   }
 }
 
+TEST(ExactEffRes, FosterSumIsNodesMinusOne) {
+  // Foster's theorem: sum over edges of w_e * R(e) = n - 1 on a connected
+  // graph (each w_e * R(e) is the edge's share of the spanning trees).
+  const Graph g = watts_strogatz(120, 3, 0.2, WeightKind::kUniform, 10);
+  const ExactEffRes engine(g);
+  double sum = 0.0;
+  for (const auto& e : g.edges()) sum += e.weight * engine.resistance(e.u, e.v);
+  EXPECT_NEAR(sum, 119.0, 1e-7);
+}
+
+TEST(ExactEffRes, BridgeLiesInEverySpanningTree) {
+  // Two triangles joined by a bridge: the bridge is in every spanning tree
+  // (w * R = 1); each triangle edge is in 2 of its triangle's 3 (w * R =
+  // 2/3).
+  Graph g(6);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(2, 0);
+  g.add_edge(3, 4);
+  g.add_edge(4, 5);
+  g.add_edge(5, 3);
+  g.add_edge(2, 3);  // bridge
+  const ExactEffRes engine(g);
+  for (std::size_t e = 0; e < g.num_edges(); ++e) {
+    const auto& ed = g.edges()[e];
+    EXPECT_NEAR(ed.weight * engine.resistance(ed.u, ed.v),
+                e == 6 ? 1.0 : 2.0 / 3.0, 1e-10)
+        << "edge " << e;
+  }
+}
+
 TEST(ApproxChol, AccurateOnCompleteFactorization) {
   // With a complete factor and tiny epsilon, Alg. 3 is near-exact.
   const Graph g = grid_2d(8, 8, WeightKind::kUniform, 10);
@@ -191,6 +222,16 @@ TEST(ApproxChol, PaperSettingsGiveSmallErrors) {
   // Max error is dominated by a few ICT-dropped fill-ins at this small
   // scale; the paper's Em at these settings is also an order above Ea.
   EXPECT_LT(rep.max_relative, 0.30);
+}
+
+TEST(ApproxChol, DefaultSettingsBoundEveryEdgeOnGrid) {
+  const Graph g = grid_2d(15, 15, WeightKind::kUniform, 11);
+  const ApproxCholEffRes approx(g, {});
+  const ExactEffRes exact(g);
+  // 420 edges, under the 1000-edge sample: every edge is measured.
+  const ErrorReport rep = measure_edge_errors(g, approx, exact);
+  EXPECT_EQ(rep.samples, g.num_edges());
+  EXPECT_LT(rep.max_relative, 0.05);
 }
 
 TEST(ApproxChol, StatsArePopulated) {

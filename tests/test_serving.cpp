@@ -370,10 +370,10 @@ TEST(QueryFrontEnd, InvalidQueriesAnswerNaN) {
   const index_t valid = kept_originals(*model).front();
 
   const std::vector<PortQuery> batch{
-      {QueryKind::kResistance, eliminated, valid},
-      {QueryKind::kResponse, valid, eliminated},
-      {QueryKind::kResistance, -5, valid},
-      {QueryKind::kResistance, valid, valid},
+      {QueryKind::kResistance, eliminated, valid, {}},
+      {QueryKind::kResponse, valid, eliminated, {}},
+      {QueryKind::kResistance, -5, valid, {}},
+      {QueryKind::kResistance, valid, valid, {}},
   };
   BatchStats stats;
   const auto out = QueryFrontEnd::answer_on(

@@ -36,6 +36,11 @@ CHECKS = ["determinism-lint", "determinism-lint-selftest",
           "workspace-clean", "bench-schema", "loopback-smoke"]
 
 
+def usage_error(message):
+    print(f"ci_checks: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
 def build_commands(name, args):
     """-> (list of argv, skip_reason). Empty list + reason when inputs are
     absent; raises SystemExit(2) when an explicitly requested check lacks
@@ -51,14 +56,14 @@ def build_commands(name, args):
     if name == "bench-schema":
         if not args.bench_json:
             if args.explicit:
-                sys.exit("ci_checks: bench-schema needs --bench-json")
+                usage_error("bench-schema needs --bench-json")
             return ([], "no --bench-json given")
         return ([[sys.executable, str(TOOLS / "check_bench_schema.py"), path]
                  for path in args.bench_json], None)
     if name == "loopback-smoke":
         if not args.er_served:
             if args.explicit:
-                sys.exit("ci_checks: loopback-smoke needs --er-served")
+                usage_error("loopback-smoke needs --er-served")
             return ([], "no --er-served given")
         return ([[sys.executable, str(TOOLS / "loopback_smoke.py"),
                   args.er_served]], None)
