@@ -1,5 +1,5 @@
-// Tests for incremental ER updates (Sherman-Morrison edge-addition
-// preview) and ApproxInverse serialization.
+// Tests for ApproxInverse serialization: stream and file round trips, and
+// rejection of corrupted input.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -7,65 +7,11 @@
 
 #include "approxinv/approx_inverse.hpp"
 #include "chol/ichol.hpp"
-#include "effres/exact.hpp"
-#include "effres/updates.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
-#include "util/rng.hpp"
 
 namespace er {
 namespace {
-
-TEST(EdgeUpdate, MatchesRebuiltGraph) {
-  Graph g = grid_2d(8, 8, WeightKind::kUniform, 1);
-  const ExactEffRes before(g);
-  const index_t a = 3, b = 60;
-  const real_t w = 0.7;
-  const EdgeUpdatePreview preview(before, a, b, w);
-
-  g.add_edge(a, b, w);
-  const ExactEffRes after(g);
-
-  Rng rng(2);
-  for (int t = 0; t < 30; ++t) {
-    const index_t p = rng.uniform_int(g.num_nodes());
-    index_t q = rng.uniform_int(g.num_nodes());
-    if (q == p) q = (q + 1) % g.num_nodes();
-    EXPECT_NEAR(preview.updated_resistance(p, q), after.resistance(p, q),
-                1e-9);
-  }
-}
-
-TEST(EdgeUpdate, DeltaIsNonPositive) {
-  // Rayleigh monotonicity through the closed form.
-  const Graph g = barabasi_albert(80, 2, WeightKind::kUniform, 3);
-  const ExactEffRes engine(g);
-  const EdgeUpdatePreview preview(engine, 5, 60, 1.5);
-  Rng rng(4);
-  for (int t = 0; t < 50; ++t) {
-    const index_t p = rng.uniform_int(80);
-    const index_t q = rng.uniform_int(80);
-    EXPECT_LE(preview.delta(p, q), 1e-12);
-  }
-}
-
-TEST(EdgeUpdate, NewEdgeEndpointsShrinkMost) {
-  const Graph g = grid_2d(6, 6, WeightKind::kUnit, 5);
-  const ExactEffRes engine(g);
-  const index_t a = 0, b = 35;  // opposite corners
-  const EdgeUpdatePreview preview(engine, a, b, 1.0);
-  // R'(a,b) = R(a,b) / (1 + w R(a,b)) — parallel resistor formula.
-  const real_t r0 = engine.resistance(a, b);
-  EXPECT_NEAR(preview.updated_resistance(a, b), r0 / (1 + r0), 1e-10);
-}
-
-TEST(EdgeUpdate, RejectsBadInput) {
-  const Graph g = grid_2d(3, 3, WeightKind::kUnit, 6);
-  const ExactEffRes engine(g);
-  EXPECT_THROW(EdgeUpdatePreview(engine, 1, 1, 1.0), std::invalid_argument);
-  EXPECT_THROW(EdgeUpdatePreview(engine, 0, 1, 0.0), std::invalid_argument);
-  EXPECT_THROW(EdgeUpdatePreview(engine, 0, 1, -2.0), std::invalid_argument);
-}
 
 TEST(Serialize, StreamRoundTrip) {
   const Graph g = grid_2d(12, 12, WeightKind::kUniform, 7);
