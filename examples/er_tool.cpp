@@ -7,9 +7,9 @@
 // The edge-list file has one "u v [weight]" triple per line (0-based node
 // ids, '#'/'%' comments; graph/io.hpp). --demo uses a built-in 32x32 grid
 // instead. Prints the graph size and the Alg. 3 index stats, then R(p,q)
-// for each given pair. A malformed file, a node id that is not a number
-// or not a node of the graph, or an unpaired id prints the error and
-// exits 1.
+// for each given pair (inf for p and q in different connected
+// components). A malformed file, a node id that is not a number or not a
+// node of the graph, or an unpaired id prints the error and exits 1.
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "effres/approx_chol.hpp"
-#include "graph/components.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 
@@ -51,10 +50,6 @@ int run(int argc, char** argv) {
   std::vector<index_t> ids;
   for (int a = 2; a < argc; ++a)
     ids.push_back(parse_node(argv[a], g.num_nodes()));
-  if (!is_connected(g))
-    std::fprintf(stderr,
-                 "note: graph is disconnected; resistances across "
-                 "components are not defined\n");
 
   std::printf("graph: %d nodes, %zu edges\n", g.num_nodes(), g.num_edges());
   const ApproxCholEffRes engine(g, {});

@@ -1,8 +1,10 @@
 #include "effres/approx_chol.hpp"
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "approxinv/depth.hpp"
 #include "chol/cholesky.hpp"
@@ -20,7 +22,12 @@ double ApproxCholStats::nnz_ratio(index_t n) const {
 ApproxCholEffRes::ApproxCholEffRes(const Graph& g,
                                    const ApproxCholOptions& opts)
     : n_(g.num_nodes()) {
-  const CscMatrix lg = grounded_laplacian(g);
+  std::vector<index_t> grounds;
+  std::vector<index_t> labels;
+  const CscMatrix lg = grounded_laplacian(g, 1.0, &grounds, &labels);
+  // Connected: no pair crosses, so component_ stays empty and queries skip
+  // the label lookups.
+  if (grounds.size() > 1) component_ = std::move(labels);
 
   Timer t;
   if (opts.complete_factorization) {
@@ -54,6 +61,9 @@ real_t ApproxCholEffRes::resistance(index_t p, index_t q) const {
   if (p < 0 || p >= n_ || q < 0 || q >= n_)
     throw std::out_of_range("ApproxCholEffRes::resistance: node out of range");
   if (p == q) return 0.0;
+  if (!component_.empty() && component_[static_cast<std::size_t>(p)] !=
+                                 component_[static_cast<std::size_t>(q)])
+    return std::numeric_limits<real_t>::infinity();
   const index_t pp = factor_.inv_perm[static_cast<std::size_t>(p)];
   const index_t qq = factor_.inv_perm[static_cast<std::size_t>(q)];
   return z_.column_distance_squared(pp, qq);

@@ -6,6 +6,8 @@
 //   3. per query (p, q): R(p,q) ≈ ||z̃_p - z̃_q||².
 #pragma once
 
+#include <vector>
+
 #include "approxinv/approx_inverse.hpp"
 #include "chol/factor.hpp"
 #include "chol/ichol.hpp"
@@ -56,6 +58,10 @@ class ApproxCholEffRes final : public EffResEngine {
 
  private:
   index_t n_ = 0;
+  /// Connected-component label per node (empty when the graph is
+  /// connected): pairs across components answer +infinity, where
+  /// Z̃'s columns alone would give a finite distance.
+  std::vector<index_t> component_;
   CholFactor factor_;
   ApproxInverse z_;
   ApproxCholStats stats_;

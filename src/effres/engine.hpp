@@ -37,9 +37,12 @@ class EffResEngine {
   virtual ~EffResEngine() = default;
 
   /// Effective resistance between nodes p and q (original node ids).
-  /// Const and thread-safe for every engine; engines that need a solve
-  /// workspace allocate it per call (batch callers amortize it per chunk
-  /// via resistances_into instead).
+  /// Every engine answers exactly 0 for p == q and +infinity for p and q
+  /// in different connected components (no current flows between them),
+  /// and throws std::out_of_range for an id outside [0, n). Const and
+  /// thread-safe for every engine; engines that need a solve workspace
+  /// allocate it per call (batch callers amortize it per chunk via
+  /// resistances_into instead).
   [[nodiscard]] virtual real_t resistance(index_t p, index_t q) const = 0;
 
   /// Batch interface: chunk `queries` across `pool` (null = serial) and

@@ -1,8 +1,10 @@
 #include "effres/random_projection.hpp"
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "chol/ichol.hpp"
 #include "graph/laplacian.hpp"
@@ -28,7 +30,12 @@ RandomProjectionEffRes::RandomProjectionEffRes(
                  opts.auto_scale *
                  std::log2(static_cast<double>(std::max<index_t>(n_, 2)))));
 
-  const CscMatrix lg = grounded_laplacian(g);
+  std::vector<index_t> grounds;
+  std::vector<index_t> labels;
+  const CscMatrix lg = grounded_laplacian(g, 1.0, &grounds, &labels);
+  // Connected: no pair crosses, so component_ stays empty and queries skip
+  // the label lookups.
+  if (grounds.size() > 1) component_ = std::move(labels);
   IcholOptions ic;
   ic.droptol = opts.ichol_droptol;
   const CholFactor precond_factor = ichol(lg, Ordering::kMinDeg, ic);
@@ -91,6 +98,9 @@ real_t RandomProjectionEffRes::resistance(index_t p, index_t q) const {
   if (p < 0 || p >= n_ || q < 0 || q >= n_)
     throw std::out_of_range("RandomProjectionEffRes: node out of range");
   if (p == q) return 0.0;
+  if (!component_.empty() && component_[static_cast<std::size_t>(p)] !=
+                                 component_[static_cast<std::size_t>(q)])
+    return std::numeric_limits<real_t>::infinity();
   const real_t* cp = embedding_.data() + static_cast<std::size_t>(p) * k_;
   const real_t* cq = embedding_.data() + static_cast<std::size_t>(q) * k_;
   real_t acc = 0.0;

@@ -66,6 +66,10 @@ class RandomProjectionEffRes final : public EffResEngine {
  private:
   index_t n_ = 0;
   index_t k_ = 0;
+  /// Connected-component label per node (empty when the graph is
+  /// connected): pairs across components answer +infinity, where
+  /// the embedding alone would give a finite distance.
+  std::vector<index_t> component_;
   // Column-major k x n embedding: column p is the k-vector of node p.
   std::vector<real_t> embedding_;
   RandomProjectionStats stats_;

@@ -1,6 +1,7 @@
 #include "graph/laplacian.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "graph/components.hpp"
 
@@ -36,14 +37,15 @@ CscMatrix edge_weight_matrix(const Graph& g) {
 }
 
 CscMatrix grounded_laplacian(const Graph& g, real_t ground_conductance,
-                             std::vector<index_t>* grounded_nodes) {
+                             std::vector<index_t>* grounded_nodes,
+                             std::vector<index_t>* component_of) {
   if (!(ground_conductance > 0.0))
     throw std::invalid_argument("grounded_laplacian: conductance must be > 0");
   TripletMatrix t(g.num_nodes(), g.num_nodes());
   t.reserve(4 * g.num_edges() + 4);
   for (const auto& e : g.edges()) t.stamp_conductance(e.u, e.v, e.weight);
 
-  const auto comp = connected_components(g);
+  auto comp = connected_components(g);
   std::vector<index_t> reps(static_cast<std::size_t>(comp.count), -1);
   for (index_t v = 0; v < g.num_nodes(); ++v) {
     const index_t c = comp.label[static_cast<std::size_t>(v)];
@@ -52,7 +54,8 @@ CscMatrix grounded_laplacian(const Graph& g, real_t ground_conductance,
       t.add(v, v, ground_conductance);
     }
   }
-  if (grounded_nodes) *grounded_nodes = reps;
+  if (grounded_nodes) *grounded_nodes = std::move(reps);
+  if (component_of) *component_of = std::move(comp.label);
   return CscMatrix::from_triplets(t);
 }
 

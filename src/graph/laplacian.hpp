@@ -26,9 +26,11 @@ CscMatrix edge_weight_matrix(const Graph& g);
 /// single grounded node per component leaves balanced injections e_p - e_q
 /// unaffected — effective resistances computed from it are exact.
 ///
-/// `grounded_nodes`, if non-null, receives the chosen representatives.
+/// `grounded_nodes`, if non-null, receives the chosen representatives;
+/// `component_of`, if non-null, receives each node's component label.
 CscMatrix grounded_laplacian(const Graph& g, real_t ground_conductance = 1.0,
-                             std::vector<index_t>* grounded_nodes = nullptr);
+                             std::vector<index_t>* grounded_nodes = nullptr,
+                             std::vector<index_t>* component_of = nullptr);
 
 /// Laplacian with arbitrary per-node shunt (diagonal) conductances added;
 /// used for Schur-complement blocks which carry ground couplings.

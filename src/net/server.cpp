@@ -76,6 +76,15 @@ Server::Server(const ModelStore* store, ServerOptions options, ModFn mod_fn)
 
 Server::~Server() { stop(); }
 
+obs::Counter& Server::requests_counter(Opcode opcode) {
+  switch (opcode) {
+    case Opcode::kPortResponse: return *requests_port_response_;
+    case Opcode::kErBatch: return *requests_er_batch_;
+    case Opcode::kSubmitMods: return *requests_submit_mods_;
+    default: return *requests_stats_;
+  }
+}
+
 obs::Histogram& Server::latency_histogram(Opcode opcode) {
   switch (opcode) {
     case Opcode::kPortResponse: return *latency_port_response_;
@@ -258,9 +267,6 @@ bool Server::handle_frame(const std::shared_ptr<Session>& session,
         return true;
       }
       queue_depth_->set(static_cast<std::int64_t>(queue_.depth()));
-      (opcode == Opcode::kPortResponse ? requests_port_response_
-                                       : requests_er_batch_)
-          ->add();
       return true;
     }
     case Opcode::kSubmitMods: {
@@ -283,7 +289,6 @@ bool Server::handle_frame(const std::shared_ptr<Session>& session,
         return true;
       }
       mod_queue_depth_->set(static_cast<std::int64_t>(mod_queue_.depth()));
-      requests_submit_mods_->add();
       return true;
     }
     default:
@@ -299,6 +304,10 @@ void Server::dispatch_loop(AdmissionQueue<WorkItem>* queue) {
       queue == &mod_queue_ ? mod_queue_depth_ : queue_depth_;
   while (auto item = queue->pop()) {
     depth->set(static_cast<std::int64_t>(queue->depth()));
+    // Counted here, before the reply goes out, not after the session's
+    // push: there a fast dispatcher could answer first, and a client
+    // holding its answer would not yet see the request counted.
+    requests_counter(item->opcode).add();
     if (item->opcode == Opcode::kSubmitMods)
       process_mod(*item);
     else

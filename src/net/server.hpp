@@ -163,6 +163,7 @@ class Server {
   void send_retry_later(const std::shared_ptr<Session>& session,
                         std::uint64_t request_id);
 
+  [[nodiscard]] obs::Counter& requests_counter(Opcode opcode);
   [[nodiscard]] obs::Histogram& latency_histogram(Opcode opcode);
   void reap_finished_sessions_locked() ER_REQUIRES(sessions_mutex_);
 

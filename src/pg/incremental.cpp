@@ -103,13 +103,15 @@ const ReducedModel& IncrementalReducer::update(
     const ConductanceNetwork& modified,
     const std::vector<index_t>& dirty_blocks) {
   Timer t;
-  // Disarm the copy-on-write stitch source while the caches mutate: if
-  // this update throws after blocks_ was partially rewritten and the
-  // caller recovers with another update, the model must be re-stitched
-  // from blocks_ alone — carrying slices over from a version that predates
-  // the failed rewrite would mix stale node slices with fresh edge slices.
-  const bool can_cow_stitch = model_matches_blocks_;
-  model_matches_blocks_ = false;
+  // Validate before touching any state, so a rejected call leaves the
+  // structure, the block cache and the model as they were.
+  for (index_t b : dirty_blocks)
+    if (b < 0 || b >= structure_.num_blocks)
+      throw std::out_of_range("IncrementalReducer::update: bad block id");
+  // Deduplicate so two tasks can never write the same blocks_ slot.
+  std::vector<index_t> dirty = dirty_blocks;
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
   Timer phase;
   {
     // The structure refresh is the update's partition stage (same span
@@ -131,13 +133,6 @@ const ReducedModel& IncrementalReducer::update(
   }
   const double structure_seconds = phase.seconds();
 
-  for (index_t b : dirty_blocks)
-    if (b < 0 || b >= structure_.num_blocks)
-      throw std::out_of_range("IncrementalReducer::update: bad block id");
-  // Deduplicate so two tasks can never write the same blocks_ slot.
-  std::vector<index_t> dirty = dirty_blocks;
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
   // Only the dirty blocks are re-reduced; their slots are disjoint, so the
   // update parallelizes exactly like the initial reduction.
   phase.reset();
@@ -154,38 +149,18 @@ const ReducedModel& IncrementalReducer::update(
                  });
   }
   const double reduce_seconds = phase.seconds();
-  // Build the *next* model version copy-on-write: the current version stays
-  // frozen (published snapshots alias it), clean blocks' node-side slices
-  // carry over, and only the dirty slices are rewritten
-  // (stitch_blocks_update falls back to a full stitch if the layout moved).
-  ReducedModel next =
-      model_ && can_cow_stitch
-          ? stitch_blocks_update(modified, structure_, blocks_, *model_,
-                                 dirty, pool_.get())
-          : stitch_blocks(modified, structure_, blocks_, pool_.get());
+  // The next model version is a full stitch of the block cache into a
+  // fresh allocation; the current version stays frozen for the snapshots
+  // that alias it.
+  ReducedModel next = stitch_blocks(modified, structure_, blocks_, pool_.get());
   update_seconds_ = t.seconds();
-  // Reused-block fraction of the copy-on-write stitch (DESIGN.md §6):
-  // reused / total over the process lifetime. A full-stitch fallback
-  // contributes 0 reused, so the ratio degrades visibly when layouts keep
-  // moving. Updates are ms-scale, so the get-or-create lookup is noise.
-  {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    reg.counter("er_stitch_blocks_total", {},
-                "Blocks stitched by incremental updates")
-        .add(static_cast<std::uint64_t>(structure_.num_blocks));
-    reg.counter("er_stitch_blocks_reused_total", {},
-                "Blocks whose node slices the copy-on-write stitch carried "
-                "over unchanged")
-        .add(static_cast<std::uint64_t>(next.stats.stitch_reused_blocks));
-  }
   // The structure refresh plays the partition stage's role in an update.
   next.stats.partition_seconds = structure_seconds;
   next.stats.reduce_seconds = reduce_seconds;
   next.stats.total_seconds = update_seconds_;
   set_model(std::move(next));
-  model_matches_blocks_ = true;
   // Counted unconditionally so a model revision never reuses a version
-  // number, even across detach_store / attach_store cycles.
+  // number, whether or not a store is attached.
   ++revision_;
   if (store_) publish_current();
   return *model_;

@@ -46,11 +46,10 @@ ConductanceNetwork apply_modification(const ConductanceNetwork& net,
 /// Caches the block structure and per-block reductions of a grid so that a
 /// modification triggers work only on dirty blocks.
 ///
-/// Observability (DESIGN.md §6): the reducer records into the *global*
-/// registry — `er_reducer_publish_seconds` per publish, the copy-on-write
-/// reuse counters `er_stitch_blocks_total` / `er_stitch_blocks_reused_total`
-/// per update — and emits `partition` / `reduce` / `publish` trace spans
-/// (plus the per-block spans of reduce_block). Reducers are long-lived and
+/// Observability (DESIGN.md §6): the reducer records
+/// `er_reducer_publish_seconds` per publish into the *global* registry and
+/// emits `partition` / `reduce` / `stitch` / `publish` trace spans (plus the
+/// per-block spans of reduce_block). Reducers are long-lived and
 /// one-per-grid, so global aggregation is the useful view; none of it feeds
 /// back into the model bytes (the §3 determinism contract).
 class IncrementalReducer {
@@ -66,10 +65,10 @@ class IncrementalReducer {
   const ReducedModel& model() const { return *model_; }
   /// Shared handle of the current model version. Every version is frozen
   /// at the end of the constructor/update() that built it and never
-  /// mutated afterwards — update() builds the *next* version copy-on-write
-  /// into a fresh allocation (stitch_blocks_update) — so snapshots and any
-  /// other holder alias it safely for as long as they keep the pointer
-  /// (the zero-copy publish of DESIGN.md §4.1).
+  /// mutated afterwards — update() stitches the *next* version into a
+  /// fresh allocation — so snapshots and any other holder alias it safely
+  /// for as long as they keep the pointer (the zero-copy publish of
+  /// DESIGN.md §4.1).
   ModelPtr shared_model() const { return model_; }
   const BlockStructure& structure() const { return structure_; }
   /// Cached per-block reductions (the incremental re-reduction state).
@@ -77,7 +76,10 @@ class IncrementalReducer {
 
   /// Re-reduce only the dirty blocks against the modified network and
   /// re-stitch. Returns the updated model; update_seconds() reports the
-  /// incremental reduction time (the paper's incremental T_red).
+  /// incremental reduction time (the paper's incremental T_red). Throws
+  /// std::out_of_range on a dirty block id outside [0, num_blocks) before
+  /// changing anything: structure(), model() and revision() stay as they
+  /// were.
   ///
   /// When a ModelStore is attached, the updated model is published to it as
   /// a fresh immutable snapshot *after* the stitch completes — in-flight
@@ -100,13 +102,11 @@ class IncrementalReducer {
   /// number (0 for a freshly constructed reducer; each update() bumps the
   /// revision whether or not a store is attached, so a version number is
   /// never reused for a different model), and every subsequent update()
-  /// publishes the next revision. `store` must outlive the reducer (or a
-  /// detach_store() call). Snapshot build time is reported by
-  /// publish_seconds() and is *not* counted into update_seconds(), keeping
-  /// the paper's incremental T_red comparable.
+  /// publishes the next revision. `store` must outlive the reducer.
+  /// Snapshot build time is reported by publish_seconds() and is *not*
+  /// counted into update_seconds(), keeping the paper's incremental T_red
+  /// comparable.
   void attach_store(ModelStore* store);
-  /// Stop publishing.
-  void detach_store() { store_ = nullptr; }
 
   /// Model revision counter: 0 after construction, +1 per update(). The
   /// version number of the snapshot a publish at this state would carry.
@@ -144,11 +144,6 @@ class IncrementalReducer {
   std::vector<BlockReduced> blocks_;
   /// Current model version, shared with (aliased by) published snapshots.
   ModelPtr model_;
-  /// Whether model_ was stitched from the current blocks_ state — false
-  /// inside update()'s mutation window, so a *failed* update disarms the
-  /// copy-on-write stitch of the next one (blocks_ may be partially
-  /// rewritten; the recovery update full-stitches from blocks_ alone).
-  bool model_matches_blocks_ = true;
   ModelStore* store_ = nullptr;
   std::uint64_t revision_ = 0;
   double initial_seconds_ = 0.0;

@@ -327,153 +327,6 @@ ReducedModel stitch_blocks(const ConductanceNetwork& input,
   return out;
 }
 
-ReducedModel stitch_blocks_update(const ConductanceNetwork& input,
-                                  const BlockStructure& structure,
-                                  const std::vector<BlockReduced>& blocks,
-                                  const ReducedModel& previous,
-                                  const std::vector<index_t>& dirty_blocks,
-                                  ThreadPool* pool) {
-  Timer stitch_timer;
-  // Distinct stage name so the copy-on-write path and the full-stitch
-  // fallback it may delegate to stay separable in the span aggregates.
-  OBS_SPAN("stitch_update");
-  const index_t n = input.num_nodes();
-  const index_t nb = structure.num_blocks;
-
-  // New layout (pass 1 of stitch_blocks).
-  std::vector<index_t> node_base(static_cast<std::size_t>(nb) + 1, 0);
-  std::vector<std::size_t> edge_base(static_cast<std::size_t>(nb) + 1, 0);
-  for (index_t b = 0; b < nb; ++b) {
-    const BlockReduced& blk = blocks[static_cast<std::size_t>(b)];
-    node_base[static_cast<std::size_t>(b) + 1] =
-        node_base[static_cast<std::size_t>(b)] + blk.merged_count;
-    edge_base[static_cast<std::size_t>(b) + 1] =
-        edge_base[static_cast<std::size_t>(b)] +
-        (blk.merged_count > 0 ? blk.sparse_graph.num_edges() : 0);
-  }
-  const index_t next_global = node_base[static_cast<std::size_t>(nb)];
-
-  // Carrying slices over is only sound while every block keeps its node
-  // range: a merged_count change in any dirty block shifts every later
-  // block's base and renumbers clean blocks' nodes.
-  bool layout_stable =
-      previous.node_map.size() == static_cast<std::size_t>(n) &&
-      previous.representative.size() ==
-          static_cast<std::size_t>(next_global) &&
-      previous.network.shunts.size() ==
-          static_cast<std::size_t>(next_global) &&
-      previous.block_kept.size() == static_cast<std::size_t>(nb) &&
-      previous.block_of == structure.block_of;
-  for (index_t b = 0; layout_stable && b < nb; ++b) {
-    const auto& kept = previous.block_kept[static_cast<std::size_t>(b)];
-    layout_stable =
-        static_cast<index_t>(kept.size()) ==
-            blocks[static_cast<std::size_t>(b)].merged_count &&
-        (kept.empty() ||
-         kept.front() == node_base[static_cast<std::size_t>(b)]);
-  }
-  if (!layout_stable) return stitch_blocks(input, structure, blocks, pool);
-
-  ReducedModel out;
-  out.stats.original_nodes = n;
-  out.stats.original_edges = input.graph.num_edges();
-  out.stats.blocks = nb;
-  for (index_t b = 0; b < nb; ++b) {
-    const BlockReduced& blk = blocks[static_cast<std::size_t>(b)];
-    out.stats.schur_cpu_seconds += blk.schur_seconds;
-    out.stats.er_cpu_seconds += blk.er_seconds;
-    out.stats.sparsify_cpu_seconds += blk.sparsify_seconds;
-  }
-  out.stats.stitch_reused_blocks =
-      nb - static_cast<index_t>(dirty_blocks.size());
-
-  // Node side: carry the previous version's arrays over wholesale (one
-  // contiguous copy each, never a per-node scatter) and rewrite only the
-  // dirty blocks' slices — disjoint per block, so the rewrite parallelizes.
-  out.node_map = previous.node_map;
-  out.representative = previous.representative;
-  out.block_of = previous.block_of;
-  out.block_kept = previous.block_kept;
-  out.network.shunts = previous.network.shunts;
-  parallel_for(
-      pool, 0, static_cast<index_t>(dirty_blocks.size()), 1,
-      [&](index_t lo, index_t hi) {
-        for (index_t i = lo; i < hi; ++i) {
-          const index_t b = dirty_blocks[static_cast<std::size_t>(i)];
-          const BlockReduced& blk = blocks[static_cast<std::size_t>(b)];
-          const index_t base = node_base[static_cast<std::size_t>(b)];
-          // Reset the block's members (a re-merge can change which nodes
-          // survive), then replay exactly the writes of the full stitch.
-          for (const index_t v :
-               structure.block_nodes[static_cast<std::size_t>(b)])
-            out.node_map[static_cast<std::size_t>(v)] = -1;
-          for (index_t m = 0; m < blk.merged_count; ++m) {
-            out.representative[static_cast<std::size_t>(base + m)] = -1;
-            out.network.shunts[static_cast<std::size_t>(base + m)] =
-                blk.shunts[static_cast<std::size_t>(m)];
-          }
-          for (std::size_t s = 0; s < blk.kept_orig.size(); ++s) {
-            const index_t v = blk.kept_orig[s];
-            const index_t gid = base + blk.merge_map[s];
-            out.node_map[static_cast<std::size_t>(v)] = gid;
-            if (out.representative[static_cast<std::size_t>(gid)] == -1)
-              out.representative[static_cast<std::size_t>(gid)] = v;
-          }
-          // block_kept[b] is the contiguous range [base, base + count),
-          // unchanged by the layout check — nothing to rewrite.
-        }
-      });
-
-  // Edge side: rebuilt in full — parallel-edge coalescing and the cut-edge
-  // tail are global — with the same two passes as stitch_blocks.
-  std::vector<Edge> reduced_edges(edge_base[static_cast<std::size_t>(nb)]);
-  parallel_for(pool, 0, nb, 1, [&](index_t lo, index_t hi) {
-    for (index_t b = lo; b < hi; ++b) {
-      const BlockReduced& blk = blocks[static_cast<std::size_t>(b)];
-      if (blk.merged_count == 0) continue;
-      const index_t base = node_base[static_cast<std::size_t>(b)];
-      const std::size_t ebase = edge_base[static_cast<std::size_t>(b)];
-      const auto& bedges = blk.sparse_graph.edges();
-      for (std::size_t j = 0; j < bedges.size(); ++j)
-        reduced_edges[ebase + j] = {base + bedges[j].u, base + bedges[j].v,
-                                    bedges[j].weight};
-    }
-  });
-  for (const auto& e : structure.cut_edges) {
-    const index_t gu = out.node_map[static_cast<std::size_t>(e.u)];
-    const index_t gv = out.node_map[static_cast<std::size_t>(e.v)];
-    if (gu >= 0 && gv >= 0 && gu != gv)
-      reduced_edges.push_back({gu, gv, e.weight});
-  }
-  Graph rg(next_global);
-  rg.reserve_edges(reduced_edges.size());
-  for (const auto& e : reduced_edges) rg.add_edge(e.u, e.v, e.weight);
-  out.network.graph = rg.coalesce_parallel_edges();
-  out.stats.reduced_nodes = next_global;
-  out.stats.reduced_edges = out.network.graph.num_edges();
-  out.stats.stitch_seconds = stitch_timer.seconds();
-  return out;
-}
-
-std::size_t model_footprint_bytes(const ReducedModel& model) {
-  const Graph& g = model.network.graph;
-  // The CSR adjacency is sized analytically (ptr: n+1; neighbor / weight /
-  // edge-id slots: 2 per edge) rather than through the accessors, which
-  // would force the lazy cache to materialize just to be measured.
-  const std::size_t adj_ptr = static_cast<std::size_t>(g.num_nodes()) + 1;
-  const std::size_t adj_slots = 2 * g.num_edges();
-  std::size_t bytes = g.edges().size() * sizeof(Edge) +
-                      adj_ptr * sizeof(offset_t) +
-                      adj_slots * (2 * sizeof(index_t) + sizeof(real_t)) +
-                      model.network.shunts.size() * sizeof(real_t) +
-                      model.node_map.size() * sizeof(index_t) +
-                      model.representative.size() * sizeof(index_t) +
-                      model.block_of.size() * sizeof(index_t);
-  for (const auto& kept : model.block_kept)
-    bytes += kept.size() * sizeof(index_t);
-  return bytes;
-}
-
 ModelPtr reduce_network_frozen(const ConductanceNetwork& input,
                                const std::vector<char>& is_port,
                                const ReductionOptions& opts) {

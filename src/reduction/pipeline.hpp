@@ -77,11 +77,6 @@ struct ReductionStats {
   double schur_cpu_seconds = 0.0;     ///< step 2 aggregate over blocks
   double er_cpu_seconds = 0.0;        ///< step 3 aggregate over blocks
   double sparsify_cpu_seconds = 0.0;  ///< step 4 aggregate over blocks
-  /// Blocks whose node-side slices (node_map / representative / shunt
-  /// entries) were carried over from the previous model version instead of
-  /// being rewritten — nonzero only on the copy-on-write incremental stitch
-  /// path (stitch_blocks_update); a full stitch reports 0.
-  index_t stitch_reused_blocks = 0;
   index_t blocks = 0;                 ///< partition width
   index_t original_nodes = 0;         ///< input |V|
   index_t reduced_nodes = 0;          ///< stitched model |V|
@@ -127,11 +122,10 @@ struct ReducedModel {
 
 /// Shared ownership handle of one immutable stitched model version. The
 /// pipeline produces every stitched model behind one of these so the
-/// serving layer can alias it (zero-copy publish, DESIGN.md §4.1) instead
-/// of deep-copying O(nodes+edges) state per publish: once wrapped, a
-/// version is never mutated — the reducer builds the *next* version into a
-/// fresh allocation and old versions die by refcount when the last
-/// snapshot (or other pin) drops them.
+/// serving layer aliases it (zero-copy publish, DESIGN.md §4.1): once
+/// wrapped, a version is never mutated — the reducer stitches the *next*
+/// version into a fresh allocation and old versions die by refcount when
+/// the last snapshot (or other pin) drops them.
 using ModelPtr = std::shared_ptr<const ReducedModel>;
 
 /// Step 1: partition the network and classify nodes/edges. `pool`
@@ -164,34 +158,6 @@ ReducedModel stitch_blocks(const ConductanceNetwork& input,
                            const std::vector<BlockReduced>& blocks,
                            ThreadPool* pool = nullptr);
 
-/// Copy-on-write re-stitch after an incremental update: build the next
-/// model version from `previous` (the version the last stitch produced)
-/// by carrying over the node-side slices — node_map entries,
-/// representative / shunt ranges, block_kept — of every block not listed
-/// in `dirty_blocks` and rewriting only the dirty slices, which the PR 2
-/// prefix-sum layout keeps disjoint per block. The edge array and the
-/// coalesced reduced graph are rebuilt (parallel-edge coalescing and the
-/// cut-edge tail are global), so the saving is the node-side scatter, not
-/// the graph assembly. Falls back to a full stitch_blocks whenever the
-/// layout moved (any dirty block's merged_count changed, shifting every
-/// later block's node base). Output is bit-identical to
-/// stitch_blocks(input, structure, blocks, pool) either way;
-/// stats.stitch_reused_blocks reports how many blocks were carried over.
-/// `previous` is read-only — safe to call with a version other snapshots
-/// still alias. `dirty_blocks` must be sorted, deduplicated, and in range.
-ReducedModel stitch_blocks_update(const ConductanceNetwork& input,
-                                  const BlockStructure& structure,
-                                  const std::vector<BlockReduced>& blocks,
-                                  const ReducedModel& previous,
-                                  const std::vector<index_t>& dirty_blocks,
-                                  ThreadPool* pool = nullptr);
-
-/// Approximate resident size of a stitched model in bytes (graph CSR +
-/// edge list, shunts, node/block maps). The unit the serving layer's
-/// publish-cost accounting reports: a deep-copy publish copies this many
-/// bytes, a zero-copy publish aliases them (DESIGN.md §4.1).
-std::size_t model_footprint_bytes(const ReducedModel& model);
-
 /// Run the whole of Alg. 1. `is_port[v]` marks nodes that must survive
 /// reduction (voltage/current source attachments).
 ReducedModel reduce_network(const ConductanceNetwork& input,
@@ -210,10 +176,9 @@ ModelPtr reduce_network_frozen(const ConductanceNetwork& input,
 
 /// Bit-exact equality of two per-block reductions (everything but the
 /// timing fields): kept nodes, merge map, local graph edges/weights, and
-/// shunts. The per-block determinism oracle behind the copy-on-write
-/// stitch — a block untouched by an incremental update must reduce to a
-/// bit-identical BlockReduced, which is what lets successive model
-/// versions carry its node slices over (DESIGN.md §4.1).
+/// shunts. The per-block determinism oracle of incremental re-reduction:
+/// a block re-reduced by an update must come out bit-identical to the same
+/// block of a fresh reduction of the modified network (DESIGN.md §3).
 bool blocks_identical(const BlockReduced& a, const BlockReduced& b);
 
 /// Bit-exact equality of everything but timing stats: node maps,

@@ -62,21 +62,6 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::build(
     ModelPtr input_model, std::uint64_t version) {
   if (!input_model)
     throw std::invalid_argument("ModelSnapshot::build: null model");
-  return build_impl(std::move(input_model), version, /*model_bytes_copied=*/0);
-}
-
-std::shared_ptr<const ModelSnapshot> ModelSnapshot::build(
-    const ReducedModel& input_model, std::uint64_t version) {
-  // Deep-copy path: freeze a private copy so the caller may keep mutating
-  // its model. The copy is the O(nodes + edges) per-publish cost the
-  // shared-ownership overload exists to avoid.
-  return build_impl(std::make_shared<const ReducedModel>(input_model), version,
-                    model_footprint_bytes(input_model));
-}
-
-std::shared_ptr<const ModelSnapshot> ModelSnapshot::build_impl(
-    ModelPtr input_model, std::uint64_t version,
-    std::size_t model_bytes_copied) {
   Timer timer;
   auto snap = std::shared_ptr<ModelSnapshot>(new ModelSnapshot());
   // Alias the frozen model version: the producer (reduce_network_frozen
@@ -85,7 +70,6 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::build_impl(
   // copying O(nodes + edges) state per publish (DESIGN.md §4.1).
   snap->model_ = std::move(input_model);
   snap->version_ = version;
-  snap->model_bytes_copied_ = model_bytes_copied;
   snap->num_boundary_nodes_ = count_boundary_nodes(*snap->model_);
   snap->factor_ = cholesky(snap->model_->network.system_matrix());
   snap->build_seconds_ = timer.seconds();

@@ -12,9 +12,8 @@
 /// dot product of the solves of e_p and e_q (DESIGN.md §4).
 ///
 /// Every publish is a full build: one fresh factorization of G. The
-/// stitched model itself is not copied — the snapshot aliases the
-/// producer's frozen ModelPtr version (zero-copy publish), so
-/// model_bytes_copied() is 0 on that path.
+/// stitched model itself is never copied — the snapshot aliases the
+/// producer's frozen ModelPtr version (zero-copy publish).
 #pragma once
 
 #include <memory>
@@ -50,19 +49,12 @@ class ModelSnapshot {
   static std::shared_ptr<const ModelSnapshot> build(ModelPtr model,
                                                     std::uint64_t version = 0);
 
-  /// Deep-copy overload: the snapshot owns a private copy of `model`
-  /// (model_bytes_copied() reports its size). Kept for callers whose model
-  /// is a mutable local — the shared-ownership overload above is the
-  /// serving path.
-  static std::shared_ptr<const ModelSnapshot> build(const ReducedModel& model,
-                                                    std::uint64_t version = 0);
-
   /// The stitched model the answers refer to.
   [[nodiscard]] const ReducedModel& model() const { return *model_; }
 
   /// Shared handle of the stitched model — the same object the producer
-  /// froze when this snapshot was built zero-copy (&*shared_model() ==
-  /// &model()); holding it pins the model version beyond the snapshot.
+  /// froze (&*shared_model() == &model()); holding it pins the model
+  /// version beyond the snapshot.
   [[nodiscard]] ModelPtr shared_model() const { return model_; }
 
   /// Publisher-assigned version (IncrementalReducer: its revision count).
@@ -74,12 +66,6 @@ class ModelSnapshot {
   }
   [[nodiscard]] double build_seconds() const { return build_seconds_; }
 
-  /// Bytes of stitched-model state this snapshot deep-copied: 0 on the
-  /// shared-ownership (zero-copy) path, model_footprint_bytes(model()) on
-  /// the deep-copy path.
-  [[nodiscard]] std::size_t model_bytes_copied() const {
-    return model_bytes_copied_;
-  }
   /// Resident bytes of the factor of G — the serving state every publish
   /// materializes.
   [[nodiscard]] std::size_t factor_bytes() const {
@@ -101,13 +87,9 @@ class ModelSnapshot {
  private:
   ModelSnapshot() = default;
 
-  static std::shared_ptr<const ModelSnapshot> build_impl(
-      ModelPtr model, std::uint64_t version, std::size_t model_bytes_copied);
-
   ModelPtr model_;
   std::uint64_t version_ = 0;
   double build_seconds_ = 0.0;
-  std::size_t model_bytes_copied_ = 0;
   index_t num_boundary_nodes_ = 0;
   CholFactor factor_;  // G = L + diag(shunts), min-degree ordered
 };

@@ -95,12 +95,14 @@ TEST(IncrementalPublish, FailedPublishKeepsThePreviousVersion) {
   ModelStore store;
   IncrementalReducer reducer(c.net, c.ports, opts);
   reducer.attach_store(&store);
+  // A store-less twin fed only the updates that were accepted.
+  IncrementalReducer twin(c.net, c.ports, opts);
   const BlockStructure structure = reducer.structure();
   const index_t nb = structure.num_blocks;
   const auto batch = mixed_batch(kept_originals(reducer.model()), 150, 61);
   const auto expect_published_is_fresh_build = [&] {
     const auto want = QueryFrontEnd::answer_on(
-        *ModelSnapshot::build(reducer.model()), batch);
+        *ModelSnapshot::build(reducer.shared_model()), batch);
     const auto got = QueryFrontEnd::answer_on(*store.acquire(), batch);
     ASSERT_EQ(want.size(), got.size());
     for (std::size_t i = 0; i < want.size(); ++i)
@@ -125,25 +127,28 @@ TEST(IncrementalPublish, FailedPublishKeepsThePreviousVersion) {
   const ConductanceNetwork modified =
       apply_modification(c.net, structure, mod);
   reducer.update(modified, mod.dirty_blocks);
+  twin.update(modified, mod.dirty_blocks);
   EXPECT_EQ(store.current_version(), std::optional<std::uint64_t>{2});
   expect_published_is_fresh_build();
 
-  // A throwing update() disarms the copy-on-write stitch: the recovery
-  // update re-stitches the model from the block cache alone...
+  // A rejected update leaves nothing behind: the updates after it build
+  // the same models as the twin that never saw the failures.
   EXPECT_THROW(reducer.update(modified, {nb + 1}), std::out_of_range);
   EXPECT_EQ(store.current_version(), std::optional<std::uint64_t>{2});
   const GridModification mod2 = random_modification(nb, 0.25, 1.1, 257);
   const ConductanceNetwork modified2 =
       apply_modification(modified, structure, mod2);
   reducer.update(modified2, mod2.dirty_blocks);
-  EXPECT_EQ(reducer.model().stats.stitch_reused_blocks, 0);
+  twin.update(modified2, mod2.dirty_blocks);
+  EXPECT_TRUE(models_identical(reducer.model(), twin.model()));
   expect_published_is_fresh_build();
 
-  // ...and re-arms it for the update after.
   const GridModification mod3 = random_modification(nb, 0.25, 1.2, 263);
-  reducer.update(apply_modification(modified2, structure, mod3),
-                 mod3.dirty_blocks);
-  EXPECT_GT(reducer.model().stats.stitch_reused_blocks, 0);
+  const ConductanceNetwork modified3 =
+      apply_modification(modified2, structure, mod3);
+  reducer.update(modified3, mod3.dirty_blocks);
+  twin.update(modified3, mod3.dirty_blocks);
+  EXPECT_TRUE(models_identical(reducer.model(), twin.model()));
   expect_published_is_fresh_build();
 }
 
@@ -188,7 +193,7 @@ TEST(AsyncUpdater, CoalescedBatchesConvergeToSequentialModel) {
   EXPECT_EQ(store.publish_count(), 2u);  // attach + one coalesced publish
 
   // The coalesced model equals the sequential one bit-for-bit — per block
-  // (the §4.1 invariant copy-on-write sharing rests on) and as a whole —
+  // and as a whole —
   // and the published snapshot answers match a full build of the twin's.
   ASSERT_EQ(reducer.blocks().size(), twin.blocks().size());
   for (std::size_t b = 0; b < twin.blocks().size(); ++b)
@@ -200,7 +205,7 @@ TEST(AsyncUpdater, CoalescedBatchesConvergeToSequentialModel) {
   EXPECT_EQ(updater.mods_reflected(published->version()),
             static_cast<std::uint64_t>(kMods));
   const auto want = QueryFrontEnd::answer_on(
-      *ModelSnapshot::build(twin.model()), batch);
+      *ModelSnapshot::build(twin.shared_model()), batch);
   const auto got = QueryFrontEnd::answer_on(*published, batch);
   for (std::size_t i = 0; i < want.size(); ++i)
     ASSERT_EQ(want[i], got[i]) << "query " << i;
@@ -547,7 +552,7 @@ TEST(AsyncUpdater, ConcurrentStreamsKeepPinnedVersionsBitConsistent) {
   EXPECT_TRUE(models_identical(reducer.model(), twin.model()));
   const SnapshotPtr published = store.acquire();
   const auto want = QueryFrontEnd::answer_on(
-      *ModelSnapshot::build(twin.model()), batch);
+      *ModelSnapshot::build(twin.shared_model()), batch);
   const auto got = QueryFrontEnd::answer_on(*published, batch);
   for (std::size_t i = 0; i < want.size(); ++i)
     ASSERT_EQ(want[i], got[i]) << "query " << i;

@@ -112,25 +112,6 @@ TEST(ExactEffRes, GroundConductanceDoesNotMatter) {
   EXPECT_NEAR(a.resistance(5, 23), pinv_resistance(g, 5, 23), 1e-8);
 }
 
-TEST(ExactEffRes, CrossComponentIsInfinite) {
-  // Two disjoint unit edges {0-1, 2-3}: no current flows from 0 to 3, so
-  // R(0, 3) is infinite whatever ground conductance the factor used.
-  Graph g(4);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(2, 3, 1.0);
-  const ExactEffRes engine(g);
-  constexpr real_t kInf = std::numeric_limits<real_t>::infinity();
-  EXPECT_NEAR(engine.resistance(0, 1), 1.0, 1e-12);
-  EXPECT_NEAR(engine.resistance(3, 2), 1.0, 1e-12);
-  EXPECT_EQ(engine.resistance(0, 3), kInf);
-  EXPECT_EQ(engine.resistance(2, 1), kInf);
-  const std::vector<ResistanceQuery> queries = {{0, 1}, {0, 3}, {1, 2}};
-  const std::vector<real_t> batch = engine.resistances(queries);
-  EXPECT_NEAR(batch[0], 1.0, 1e-12);
-  EXPECT_EQ(batch[1], kInf);
-  EXPECT_EQ(batch[2], kInf);
-}
-
 TEST(ExactEffRes, TriangleInequality) {
   // Effective resistance is a metric.
   const Graph g = barabasi_albert(60, 2, WeightKind::kUniform, 6);
@@ -383,6 +364,38 @@ TEST(Engine, BatchMatchesScalarQueries) {
   for (std::size_t i = 0; i < queries.size(); ++i)
     EXPECT_DOUBLE_EQ(batch[i],
                      engine.resistance(queries[i].first, queries[i].second));
+}
+
+TEST(Engine, EveryEngineIsInfiniteAcrossComponents) {
+  // The EffResEngine contract on two disjoint unit edges {0-1, 2-3}: no
+  // current flows from 0 to 2, so every engine answers +infinity across
+  // the components, scalar and batched — whatever ground conductance its
+  // factor used — and a finite value within one.
+  Graph g(4);
+  g.add_edge(0, 1, 1.0);
+  g.add_edge(2, 3, 1.0);
+  const ExactEffRes exact(g);
+  EXPECT_NEAR(exact.resistance(0, 1), 1.0, 1e-12);
+  EXPECT_NEAR(exact.resistance(3, 2), 1.0, 1e-12);
+  const ApproxCholEffRes alg3(g);
+  const RandomProjectionEffRes rp(g);
+  constexpr real_t kInf = std::numeric_limits<real_t>::infinity();
+  const std::vector<ResistanceQuery> queries = {{0, 1}, {0, 2}, {3, 1}};
+  for (const EffResEngine* engine :
+       {static_cast<const EffResEngine*>(&exact),
+        static_cast<const EffResEngine*>(&alg3),
+        static_cast<const EffResEngine*>(&rp)}) {
+    SCOPED_TRACE(engine->name());
+    EXPECT_EQ(engine->resistance(0, 2), kInf);
+    EXPECT_EQ(engine->resistance(2, 0), kInf);
+    EXPECT_EQ(engine->resistance(1, 3), kInf);
+    const std::vector<real_t> batch = engine->resistances(queries);
+    EXPECT_TRUE(std::isfinite(batch[0]));
+    EXPECT_GT(batch[0], 0.0);
+    EXPECT_EQ(batch[1], kInf);
+    EXPECT_EQ(batch[2], kInf);
+    EXPECT_EQ(engine->resistance(2, 2), 0.0);
+  }
 }
 
 TEST(ErrorMetrics, ZeroForIdenticalEngines) {

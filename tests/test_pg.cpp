@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 #include "graph/components.hpp"
 #include "pg/analysis.hpp"
@@ -318,73 +319,46 @@ TEST(Incremental, UpdateMatchesFreshReduction) {
     EXPECT_DOUBLE_EQ(updated.network.graph.edges()[e].weight,
                      fresh.network.graph.edges()[e].weight);
   }
-  // The update went through the copy-on-write stitch (clean blocks' node
-  // slices carried over from the previous version) and is nevertheless
-  // bit-identical to the from-scratch stitch, which reuses nothing.
   EXPECT_TRUE(models_identical(updated, fresh));
-  EXPECT_EQ(updated.stats.stitch_reused_blocks,
-            inc.structure().num_blocks -
-                static_cast<index_t>(mod.dirty_blocks.size()));
-  EXPECT_EQ(fresh.stats.stitch_reused_blocks, 0);
 }
 
-TEST(Incremental, CowStitchMatchesFullStitchDirectly) {
-  // stitch_blocks_update against an explicit previous model: bit-identical
-  // to stitch_blocks over the same inputs, at several thread counts, and
-  // robust to a dirty set naming every block (nothing reusable).
+TEST(Incremental, RejectedUpdateLeavesStateUnchanged) {
+  // A bad dirty block id is rejected before anything is refreshed: the
+  // rejected network must not leak into structure(), and the model and
+  // revision stay where they were.
   const PowerGrid pg = generate_power_grid(small_grid_opts(21));
   const ConductanceNetwork net = pg.to_network();
   ReductionOptions ropts;
   ropts.num_blocks = 4;
-
   IncrementalReducer inc(net, pg.port_mask(), ropts);
-  const ReducedModel previous = inc.model();  // private copy as baseline
-  const GridModification mod =
-      random_modification(inc.structure().num_blocks, 0.5, 1.25, 11);
-  const ConductanceNetwork modified =
-      apply_modification(net, inc.structure(), mod);
+  const BlockStructure before = inc.structure();
+  const ModelPtr model = inc.shared_model();
 
-  // Re-reduce the dirty blocks exactly as update() would.
-  std::vector<BlockReduced> blocks = inc.blocks();
-  BlockStructure st = inc.structure();
-  for (auto& edges : st.block_edges) edges.clear();
-  st.cut_edges.clear();
-  for (const auto& e : modified.graph.edges()) {
-    const index_t bu = st.block_of[static_cast<std::size_t>(e.u)];
-    const index_t bv = st.block_of[static_cast<std::size_t>(e.v)];
-    if (bu == bv)
-      st.block_edges[static_cast<std::size_t>(bu)].push_back(e);
-    else
-      st.cut_edges.push_back(e);
+  // Every edge changes weight, block-internal and cut alike.
+  ConductanceNetwork rejected = net;
+  Graph g(net.num_nodes());
+  for (const Edge& e : net.graph.edges()) g.add_edge(e.u, e.v, 2.0 * e.weight);
+  rejected.graph = std::move(g);
+
+  const auto same_edges = [](const std::vector<Edge>& a,
+                             const std::vector<Edge>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      if (a[i].u != b[i].u || a[i].v != b[i].v || a[i].weight != b[i].weight)
+        return false;
+    return true;
+  };
+  for (const index_t bad : {index_t{-1}, before.num_blocks}) {
+    EXPECT_THROW(inc.update(rejected, {0, bad}), std::out_of_range);
+    EXPECT_EQ(inc.revision(), 0u);
+    EXPECT_EQ(inc.shared_model(), model);
+    const BlockStructure& after = inc.structure();
+    EXPECT_TRUE(same_edges(after.cut_edges, before.cut_edges));
+    ASSERT_EQ(after.block_edges.size(), before.block_edges.size());
+    for (std::size_t b = 0; b < before.block_edges.size(); ++b)
+      EXPECT_TRUE(same_edges(after.block_edges[b], before.block_edges[b]))
+          << "block " << b;
   }
-  for (index_t b : mod.dirty_blocks)
-    blocks[static_cast<std::size_t>(b)] =
-        reduce_block(modified, pg.port_mask(), st, b, ropts);
-
-  const ReducedModel full = stitch_blocks(modified, st, blocks);
-  for (int threads : {1, 2, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ThreadPool pool(threads);
-    ThreadPool* p = threads > 1 ? &pool : nullptr;
-    const ReducedModel cow =
-        stitch_blocks_update(modified, st, blocks, previous,
-                             mod.dirty_blocks, p);
-    EXPECT_TRUE(models_identical(cow, full));
-    EXPECT_EQ(cow.stats.stitch_reused_blocks,
-              st.num_blocks - static_cast<index_t>(mod.dirty_blocks.size()));
-  }
-
-  // All-dirty set: nothing to reuse, still identical.
-  std::vector<index_t> all_dirty;
-  for (index_t b = 0; b < st.num_blocks; ++b) all_dirty.push_back(b);
-  for (index_t b : all_dirty)
-    blocks[static_cast<std::size_t>(b)] =
-        reduce_block(modified, pg.port_mask(), st, b, ropts);
-  const ReducedModel full2 = stitch_blocks(modified, st, blocks);
-  const ReducedModel cow2 =
-      stitch_blocks_update(modified, st, blocks, previous, all_dirty);
-  EXPECT_TRUE(models_identical(cow2, full2));
-  EXPECT_EQ(cow2.stats.stitch_reused_blocks, 0);
 }
 
 TEST(Incremental, UpdateIsFasterThanInitialReduction) {

@@ -137,14 +137,14 @@ TEST(ResultCache, ConcurrentReadersStayBitConsistentWithCacheAttached) {
     IncrementalReducer twin(c.net, c.ports, opts);
     batch = mixed_batch(kept_originals(twin.model()), 64, 19);
     reference[0] = QueryFrontEnd::answer_on(
-        *ModelSnapshot::build(twin.model()), batch);
+        *ModelSnapshot::build(twin.shared_model()), batch);
     stream = make_mod_stream(c.net, twin.structure(), kUpdates, 0.25, 1.4,
                              1200);
     for (int u = 1; u <= kUpdates; ++u) {
       twin.update(stream.nets[static_cast<std::size_t>(u - 1)],
                   stream.mods[static_cast<std::size_t>(u - 1)].dirty_blocks);
       reference[static_cast<std::uint64_t>(u)] = QueryFrontEnd::answer_on(
-          *ModelSnapshot::build(twin.model()), batch);
+          *ModelSnapshot::build(twin.shared_model()), batch);
     }
   }
 
