@@ -315,7 +315,7 @@ std::vector<std::uint8_t> encode_stats(const StatsReply& reply) {
   put_u64(out, reply.publishes);
   put_u64(out, reply.connections_accepted);
   put_u64(out, reply.connections_rejected);
-  put_u64(out, reply.requests_admitted);
+  put_u64(out, reply.requests_dispatched);
   put_u64(out, reply.retry_later_sent);
   put_u64(out, reply.mods_applied);
   put_u64(out, reply.bad_frames);
@@ -333,7 +333,7 @@ bool decode_stats(const std::vector<std::uint8_t>& payload, StatsReply* out) {
   if (!c.read_u64(&out->publishes)) return false;
   if (!c.read_u64(&out->connections_accepted)) return false;
   if (!c.read_u64(&out->connections_rejected)) return false;
-  if (!c.read_u64(&out->requests_admitted)) return false;
+  if (!c.read_u64(&out->requests_dispatched)) return false;
   if (!c.read_u64(&out->retry_later_sent)) return false;
   if (!c.read_u64(&out->mods_applied)) return false;
   if (!c.read_u64(&out->bad_frames)) return false;

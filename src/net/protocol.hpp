@@ -159,7 +159,9 @@ struct StatsReply {
   std::uint64_t publishes = 0;
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_rejected = 0;
-  std::uint64_t requests_admitted = 0;
+  /// Query and mod requests popped by a dispatcher (counted before the
+  /// reply is written; requests still queued are in queue_depth).
+  std::uint64_t requests_dispatched = 0;
   std::uint64_t retry_later_sent = 0;
   std::uint64_t mods_applied = 0;
   std::uint64_t bad_frames = 0;

@@ -39,15 +39,15 @@ Server::Server(const ModelStore* store, ServerOptions options, ModFn mod_fn)
       "connections refused at the max_connections cap");
   requests_port_response_ =
       &r.counter("er_net_requests_total", {{"opcode", "port_response"}},
-                 "requests admitted per opcode");
+                 "requests dispatched per opcode");
   requests_er_batch_ = &r.counter("er_net_requests_total",
                                   {{"opcode", "er_batch"}},
-                                  "requests admitted per opcode");
+                                  "requests dispatched per opcode");
   requests_submit_mods_ = &r.counter("er_net_requests_total",
                                      {{"opcode", "submit_mods"}},
-                                     "requests admitted per opcode");
+                                     "requests dispatched per opcode");
   requests_stats_ = &r.counter("er_net_requests_total", {{"opcode", "stats"}},
-                               "requests admitted per opcode");
+                               "requests dispatched per opcode");
   rejected_total_ = &r.counter(
       "er_net_rejected_total", {},
       "kRetryLater responses sent (admission overflow, mod back-pressure, "
@@ -377,7 +377,7 @@ StatsReply Server::build_stats() const {
   s.publishes = store_->publish_count();
   s.connections_accepted = conns_accepted_->value();
   s.connections_rejected = conns_rejected_->value();
-  s.requests_admitted = requests_port_response_->value() +
+  s.requests_dispatched = requests_port_response_->value() +
                         requests_er_batch_->value() +
                         requests_submit_mods_->value();
   s.retry_later_sent = rejected_total_->value();

@@ -396,6 +396,8 @@ TEST(Engine, EveryEngineIsInfiniteAcrossComponents) {
     EXPECT_EQ(batch[2], kInf);
     EXPECT_EQ(engine->resistance(2, 2), 0.0);
   }
+  // The exact engine's in-component batch answer is the exact 1.
+  EXPECT_NEAR(exact.resistances(queries)[0], 1.0, 1e-12);
 }
 
 TEST(ErrorMetrics, ZeroForIdenticalEngines) {

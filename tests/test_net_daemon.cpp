@@ -128,7 +128,7 @@ TEST(NetDaemon, StatsReplySanity) {
   EXPECT_TRUE(s.has_version);
   EXPECT_GE(s.publishes, 1u);  // the initial attach publish
   EXPECT_EQ(s.connections_accepted, 1u);
-  EXPECT_EQ(s.requests_admitted, 1u);
+  EXPECT_EQ(s.requests_dispatched, 1u);
   EXPECT_EQ(s.retry_later_sent, 0u);
   EXPECT_FALSE(s.draining);
 }

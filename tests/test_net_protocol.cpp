@@ -176,7 +176,7 @@ TEST(NetProtocolRoundTrip, StatsAndError) {
   s.publishes = 42;
   s.connections_accepted = 5;
   s.connections_rejected = 1;
-  s.requests_admitted = 99;
+  s.requests_dispatched = 99;
   s.retry_later_sent = 3;
   s.mods_applied = 17;
   s.bad_frames = 2;
