@@ -15,6 +15,7 @@
 #include "effres/random_projection.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
+#include "order/amd.hpp"
 #include "order/mindeg.hpp"
 #include "order/rcm.hpp"
 #include "util/rng.hpp"
@@ -52,6 +53,16 @@ void BM_MinDegOrdering(benchmark::State& state) {
 }
 BENCHMARK(BM_MinDegOrdering)->Arg(64)->Arg(128);
 
+void BM_AmdOrdering(benchmark::State& state) {
+  const auto side = static_cast<index_t>(state.range(0));
+  const CscMatrix l = grounded_laplacian(bench_graph(side));
+  for (auto _ : state) {
+    auto perm = amd_order(l);
+    benchmark::DoNotOptimize(perm.data());
+  }
+}
+BENCHMARK(BM_AmdOrdering)->Arg(64)->Arg(128);
+
 void BM_RcmOrdering(benchmark::State& state) {
   const auto side = static_cast<index_t>(state.range(0));
   const CscMatrix l = grounded_laplacian(bench_graph(side));
@@ -65,7 +76,7 @@ BENCHMARK(BM_RcmOrdering)->Arg(64)->Arg(128);
 void BM_CompleteCholesky(benchmark::State& state) {
   const auto side = static_cast<index_t>(state.range(0));
   const CscMatrix l = grounded_laplacian(bench_graph(side));
-  const auto perm = mindeg_order(l);
+  const auto perm = amd_order(l);
   for (auto _ : state) {
     auto f = cholesky(l, perm);
     benchmark::DoNotOptimize(f.values.data());
@@ -82,7 +93,7 @@ void BM_BlockCholesky(benchmark::State& state) {
   for (std::uint64_t b = 0; b < 32; ++b) {
     blocks.push_back(
         grounded_laplacian(grid_2d(30, 30, WeightKind::kUniform, 100 + b)));
-    perms.push_back(mindeg_order(blocks.back()));
+    perms.push_back(amd_order(blocks.back()));
   }
   for (auto _ : state) {
     for (std::size_t b = 0; b < blocks.size(); ++b) {

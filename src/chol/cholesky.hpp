@@ -17,7 +17,8 @@ namespace er {
 /// `perm` maps new -> old; throws std::runtime_error if A is not SPD.
 CholFactor cholesky(const CscMatrix& a, const std::vector<index_t>& perm);
 
-/// Convenience overload that computes the ordering first.
-CholFactor cholesky(const CscMatrix& a, Ordering ordering = Ordering::kMinDeg);
+/// Convenience overload that computes the ordering first. The default is
+/// AMD, the ordering of every complete factor (order/amd.hpp).
+CholFactor cholesky(const CscMatrix& a, Ordering ordering = Ordering::kAmd);
 
 }  // namespace er

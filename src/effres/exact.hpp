@@ -16,7 +16,7 @@ namespace er {
 
 class ExactEffRes final : public EffResEngine {
  public:
-  explicit ExactEffRes(const Graph& g, Ordering ordering = Ordering::kMinDeg);
+  explicit ExactEffRes(const Graph& g, Ordering ordering = Ordering::kAmd);
 
   /// Thread-safe single query: the reach workspace is a thread-local
   /// scratch, so concurrent callers never share state and serial query

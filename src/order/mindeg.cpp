@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "order/amd.hpp"
 #include "order/rcm.hpp"
 
 namespace er {
@@ -104,14 +105,6 @@ std::vector<index_t> mindeg_order(const CscMatrix& a) {
   std::vector<index_t> perm;
   perm.reserve(static_cast<std::size_t>(n));
 
-  auto clean_bound = [&](index_t e) {
-    auto& b = bound[static_cast<std::size_t>(e)];
-    std::size_t w = 0;
-    for (index_t v : b)
-      if (alive_var[static_cast<std::size_t>(v)]) b[w++] = v;
-    b.resize(w);
-  };
-
   for (index_t step = 0; step < n; ++step) {
     const index_t p = buckets.pop_min();
     if (p < 0) throw std::logic_error("mindeg_order: buckets exhausted early");
@@ -158,9 +151,11 @@ std::vector<index_t> mindeg_order(const CscMatrix& a) {
     for (index_t i : lp) {
       for (index_t e : elems[static_cast<std::size_t>(i)]) {
         if (!alive_elem[static_cast<std::size_t>(e)] || e == p) continue;
+        // A live element holds only live variables: pivoting a variable
+        // absorbs every element in its list, and that list holds every
+        // live element containing it. So bound[e] needs no rescan here.
         if (emark[static_cast<std::size_t>(e)] != stamp) {
           emark[static_cast<std::size_t>(e)] = stamp;
-          clean_bound(e);
           ew[static_cast<std::size_t>(e)] =
               static_cast<index_t>(bound[static_cast<std::size_t>(e)].size());
         }
@@ -211,6 +206,8 @@ std::vector<index_t> compute_ordering(const CscMatrix& a, Ordering kind) {
       return rcm_order(a);
     case Ordering::kMinDeg:
       return mindeg_order(a);
+    case Ordering::kAmd:
+      return amd_order(a);
   }
   return identity_permutation(a.cols());
 }

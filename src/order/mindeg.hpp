@@ -1,11 +1,15 @@
 // Quotient-graph minimum-degree ordering with AMD-style approximate
-// external degrees (Amestoy, Davis, Duff). This is the library's
-// fill-reducing ordering — the role METIS/AMD plays in the paper's setup.
+// external degrees (Amestoy, Davis, Duff), without supervariables, without
+// aggressive element absorption and without dense-row deferral.
 //
-// Differences from reference AMD: no supervariable (indistinguishable-node)
-// compression and no aggressive element absorption; quality is within a
-// small factor on the mesh/social graphs used here, which is all the
-// downstream algorithms need (they only consume the resulting permutation).
+// This is the ordering of the incomplete factors (ICT: ichol's default,
+// ApproxCholOptions::ordering, the random-projection preconditioner).
+// Complete factors use amd_order (order/amd.hpp). Do not unify the two:
+// measured on com-DBLP-like, AMD's pivot order makes the ICT factor of
+// Alg. 3 much denser — ICT nnz 1.06 M -> 2.57 M, ichol 0.63 -> 3.0 s,
+// nnz(Z~) 16.1 M -> 28.9 M, Z~ build 3.0 -> 7.5 s on one thread. The
+// pivot choice itself is the cause: without AMD's postorder the ICT nnz
+// stays at 2.57 M, and without its supervariables it grows to 3.24 M.
 #pragma once
 
 #include <vector>
@@ -15,15 +19,16 @@
 
 namespace er {
 
-/// Minimum-degree ordering of a symmetric matrix pattern.
-/// Returns perm with perm[new] = old.
+/// Minimum-degree ordering of a symmetric matrix pattern (both triangles
+/// stored). Returns perm with perm[new] = old.
 std::vector<index_t> mindeg_order(const CscMatrix& a);
 
 /// Ordering strategies understood by the factorization layer.
 enum class Ordering {
   kNatural,  // identity
   kRcm,      // reverse Cuthill-McKee
-  kMinDeg,   // quotient-graph minimum degree (default)
+  kMinDeg,   // quotient-graph minimum degree (incomplete factors)
+  kAmd,      // approximate minimum degree (complete factors)
 };
 
 /// Dispatch helper: compute the permutation for the given strategy.

@@ -38,11 +38,14 @@ BfsResult pattern_bfs(const CscMatrix& a, index_t start,
         frontier.push_back(v);
       }
     }
+    // (degree, index) is a total order, so the level's order does not
+    // depend on how std::sort treats equal keys (DESIGN.md §3).
     if (sort_by_degree)
       std::sort(frontier.begin(), frontier.end(),
                 [&](index_t x, index_t y) {
-                  return degree[static_cast<std::size_t>(x)] <
-                         degree[static_cast<std::size_t>(y)];
+                  const index_t dx = degree[static_cast<std::size_t>(x)];
+                  const index_t dy = degree[static_cast<std::size_t>(y)];
+                  return dx != dy ? dx < dy : x < y;
                 });
     for (index_t v : frontier) res.order.push_back(v);
     level_begin = level_end;

@@ -14,7 +14,7 @@ DcSolution solve_dc(const ConductanceNetwork& net,
   DcSolution sol;
   Timer t;
   const CscMatrix g = net.system_matrix();
-  const CholFactor f = cholesky(g, Ordering::kMinDeg);
+  const CholFactor f = cholesky(g, Ordering::kAmd);
   sol.factor_seconds = t.seconds();
   t.reset();
   sol.drops = f.solve(injections);
@@ -83,7 +83,7 @@ TransientResult run_transient(const ConductanceNetwork& net,
         diag.add(v, v, caps[static_cast<std::size_t>(v)] / opts.step);
     g = g.add(CscMatrix::from_triplets(diag));
   }
-  const CholFactor f = cholesky(g, Ordering::kMinDeg);
+  const CholFactor f = cholesky(g, Ordering::kAmd);
   res.factor_seconds = t.seconds();
 
   t.reset();

@@ -189,10 +189,21 @@ void IncrementalReducer::publish_current() {
   // Snapshot build+publish latency: the reducer-side half of the
   // publish-latency picture (the updater's er_updater_publish_latency_
   // seconds measures submit-to-publish, which adds queueing).
-  obs::MetricsRegistry::global()
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  registry
       .histogram("er_reducer_publish_seconds", {},
                  "Snapshot build + store publish per publish_current()")
       .record(publish_seconds_);
+  // Its two factorization halves, so a publish's cost splits into the
+  // ordering of G and the factor under it.
+  registry
+      .histogram("er_reducer_order_seconds", {},
+                 "AMD ordering of G per publish_current()")
+      .record(snap->order_seconds());
+  registry
+      .histogram("er_reducer_factor_seconds", {},
+                 "Symbolic + numeric factor of G per publish_current()")
+      .record(snap->factor_seconds());
 }
 
 }  // namespace er

@@ -47,11 +47,13 @@ ConductanceNetwork apply_modification(const ConductanceNetwork& net,
 /// modification triggers work only on dirty blocks.
 ///
 /// Observability (DESIGN.md §6): the reducer records
-/// `er_reducer_publish_seconds` per publish into the *global* registry and
-/// emits `partition` / `reduce` / `stitch` / `publish` trace spans (plus the
-/// per-block spans of reduce_block). Reducers are long-lived and
-/// one-per-grid, so global aggregation is the useful view; none of it feeds
-/// back into the model bytes (the §3 determinism contract).
+/// `er_reducer_publish_seconds` per publish, and its two factorization
+/// halves `er_reducer_order_seconds` and `er_reducer_factor_seconds`, into
+/// the *global* registry and emits `partition` / `reduce` / `stitch` /
+/// `publish` trace spans (plus the per-block spans of reduce_block).
+/// Reducers are long-lived and one-per-grid, so global aggregation is the
+/// useful view; none of it feeds back into the model bytes (the §3
+/// determinism contract).
 class IncrementalReducer {
  public:
   /// Runs the full initial reduction of `net` and primes the per-block

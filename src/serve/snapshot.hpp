@@ -49,6 +49,13 @@ class ModelSnapshot {
   static std::shared_ptr<const ModelSnapshot> build(ModelPtr model,
                                                     std::uint64_t version = 0);
 
+  /// Frees the factor and drops the model reference, then hands the
+  /// allocator's free pages back to the OS (snapshot.cpp says why a
+  /// retired factor needs this).
+  ~ModelSnapshot();
+  ModelSnapshot(const ModelSnapshot&) = delete;
+  ModelSnapshot& operator=(const ModelSnapshot&) = delete;
+
   /// The stitched model the answers refer to.
   [[nodiscard]] const ReducedModel& model() const { return *model_; }
 
@@ -65,6 +72,10 @@ class ModelSnapshot {
     return num_boundary_nodes_;
   }
   [[nodiscard]] double build_seconds() const { return build_seconds_; }
+  /// The two halves of the factorization inside build_seconds(): the AMD
+  /// ordering of G, then the symbolic and numeric factor under it.
+  [[nodiscard]] double order_seconds() const { return order_seconds_; }
+  [[nodiscard]] double factor_seconds() const { return factor_seconds_; }
 
   /// Resident bytes of the factor of G — the serving state every publish
   /// materializes.
@@ -90,8 +101,10 @@ class ModelSnapshot {
   ModelPtr model_;
   std::uint64_t version_ = 0;
   double build_seconds_ = 0.0;
+  double order_seconds_ = 0.0;
+  double factor_seconds_ = 0.0;
   index_t num_boundary_nodes_ = 0;
-  CholFactor factor_;  // G = L + diag(shunts), min-degree ordered
+  CholFactor factor_;  // G = L + diag(shunts), AMD ordered
 };
 
 }  // namespace er

@@ -48,7 +48,8 @@ real_t factor_residual(const CscMatrix& a, const CholFactor& f) {
 
 TEST(Cholesky, FactorsSmallSddMatrix) {
   const CscMatrix a = random_sdd(25, 60, 1);
-  for (auto ord : {Ordering::kNatural, Ordering::kRcm, Ordering::kMinDeg}) {
+  for (auto ord : {Ordering::kNatural, Ordering::kRcm, Ordering::kMinDeg,
+                   Ordering::kAmd}) {
     const CholFactor f = cholesky(a, ord);
     EXPECT_TRUE(f.check_invariants());
     EXPECT_LT(factor_residual(a, f), 1e-10);
@@ -283,7 +284,7 @@ TEST_P(CholOrderingSweep, SolveAccuracyAcrossGraphFamilies) {
 
 INSTANTIATE_TEST_SUITE_P(AllOrderings, CholOrderingSweep,
                          ::testing::Values(Ordering::kNatural, Ordering::kRcm,
-                                           Ordering::kMinDeg));
+                                           Ordering::kMinDeg, Ordering::kAmd));
 
 /// Laplacian of `g` plus a shunt of random conductance on every
 /// `stride`-th node — SPD as long as each component gets a shunt.
@@ -384,6 +385,10 @@ std::vector<OracleCase> oracle_cases() {
   {
     const CscMatrix a = grounded_laplacian(grid_2d(9, 8, WeightKind::kUniform, 74));
     cases.push_back({"grid_mindeg", a, compute_ordering(a, Ordering::kMinDeg)});
+  }
+  {  // AMD's postorder: fundamental supernodes of several columns.
+    const CscMatrix a = grounded_laplacian(grid_2d(9, 8, WeightKind::kUniform, 75));
+    cases.push_back({"grid_amd", a, compute_ordering(a, Ordering::kAmd)});
   }
   return cases;
 }
@@ -523,7 +528,8 @@ TEST(SparseForward, BitwiseEqualToForwardSolveOnReach) {
       grid_forest(3, 6),
   };
   for (const Graph& g : graphs) {
-    for (const Ordering ord : {Ordering::kNatural, Ordering::kMinDeg}) {
+    for (const Ordering ord :
+         {Ordering::kNatural, Ordering::kMinDeg, Ordering::kAmd}) {
       const CscMatrix a = laplacian_plus_shunts(g, 7, 34);
       const CholFactor f = cholesky(a, ord);
       ASSERT_EQ(f.parent.size(), static_cast<std::size_t>(f.n));

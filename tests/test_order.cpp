@@ -1,15 +1,21 @@
 // Tests for order: elimination tree on known matrices, postorder validity,
-// permutation utilities, RCM and minimum-degree quality/sanity.
+// permutation utilities, RCM, minimum-degree and AMD quality/sanity, and a
+// dense symbolic-elimination oracle for the fill of every ordering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <utility>
 
+#include "chol/cholesky.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
+#include "order/amd.hpp"
 #include "order/etree.hpp"
 #include "order/mindeg.hpp"
 #include "order/rcm.hpp"
+#include "util/rng.hpp"
 
 namespace er {
 namespace {
@@ -40,6 +46,43 @@ offset_t fill_count(const CscMatrix& a, const std::vector<index_t>& perm) {
     }
   }
   return nnz;
+}
+
+/// Entries of the lower triangle of A, diagonal included: the nnz(L) of a
+/// fill-free ordering.
+offset_t lower_nnz(const CscMatrix& a) { return (a.nnz() + a.cols()) / 2; }
+
+Graph star_graph(index_t n, index_t hub) {
+  Graph g(n);
+  for (index_t v = 0; v < n; ++v)
+    if (v != hub) g.add_edge(hub, v);
+  return g;
+}
+
+Graph path_graph(index_t n) {
+  Graph g(n);
+  for (index_t v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
+  return g;
+}
+
+/// Random tree: node v hangs off a uniformly drawn earlier node.
+Graph random_tree(index_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Graph g(n);
+  for (index_t v = 1; v < n; ++v) g.add_edge(rng.uniform_int(v), v);
+  return g;
+}
+
+/// Two 4x4 grids and a path of 5 nodes, with no edge between them.
+Graph three_components() {
+  Graph g(37);
+  const Graph a = grid_2d(4, 4);
+  for (const Edge& e : a.edges()) {
+    g.add_edge(e.u, e.v);
+    g.add_edge(e.u + 16, e.v + 16);
+  }
+  for (index_t v = 32; v < 36; ++v) g.add_edge(v, v + 1);
+  return g;
 }
 
 CscMatrix arrow_matrix(index_t n) {
@@ -197,10 +240,123 @@ TEST(MinDeg, HandlesDiagonalMatrix) {
   EXPECT_TRUE(is_permutation(perm));
 }
 
+TEST(MinDeg, PermutationPinnedOnGridAndBarabasiAlbert) {
+  // The ICT ordering of Alg. 3: its permutation fixes the bits of the
+  // incomplete factor and of Z~, so it may only change on purpose.
+  const std::vector<index_t> grid = {
+      41, 35, 6,  0,  7,  1,  13, 5,  36, 28, 40, 34, 38, 3,
+      33, 27, 29, 21, 12, 8,  25, 23, 17, 2,  9,  15, 19, 11,
+      37, 30, 31, 20, 26, 18, 4,  39, 10, 14, 24, 22, 16, 32};
+  EXPECT_EQ(mindeg_order(grounded_laplacian(grid_2d(7, 6))), grid);
+  const std::vector<index_t> ba = {
+      59, 58, 57, 56, 55, 54, 53, 50, 49, 48, 47, 46, 44, 43, 42,
+      41, 40, 39, 38, 37, 36, 34, 33, 31, 30, 28, 23, 21, 12, 11,
+      8,  45, 35, 51, 6,  52, 25, 26, 16, 15, 10, 32, 14, 9,  18,
+      4,  13, 1,  20, 7,  22, 5,  27, 29, 2,  19, 0,  24, 17, 3};
+  EXPECT_EQ(mindeg_order(grounded_laplacian(
+                barabasi_albert(60, 2, WeightKind::kUnit, 7))),
+            ba);
+}
+
+TEST(Rcm, PermutationPinnedOnEqualDegrees) {
+  // A grid's interior nodes all share one degree, so each BFS level is
+  // ordered by (degree, index), never by how std::sort leaves ties.
+  const std::vector<index_t> expected = {
+      41, 40, 34, 33, 39, 27, 32, 26, 38, 20, 31, 25, 19, 37,
+      13, 30, 24, 18, 12, 36, 6,  29, 23, 17, 11, 5,  35, 22,
+      16, 10, 28, 4,  15, 9,  21, 3,  8,  14, 2,  7,  1,  0};
+  EXPECT_EQ(rcm_order(grounded_laplacian(grid_2d(7, 6))), expected);
+}
+
+TEST(Amd, EmptySingleAndDiagonalMatrices) {
+  EXPECT_TRUE(amd_order(CscMatrix()).empty());
+  TripletMatrix one(1, 1);
+  one.add(0, 0, 2.0);
+  EXPECT_EQ(amd_order(CscMatrix::from_triplets(one)),
+            std::vector<index_t>{0});
+  TripletMatrix diag(6, 6);
+  for (index_t i = 0; i < 6; ++i) diag.add(i, i, 1.0);
+  const auto perm = amd_order(CscMatrix::from_triplets(diag));
+  EXPECT_TRUE(is_permutation(perm));
+  EXPECT_EQ(perm.size(), 6u);
+  EXPECT_THROW(amd_order(CscMatrix::from_triplets(TripletMatrix(2, 3))),
+               std::invalid_argument);
+}
+
+TEST(Amd, DisconnectedComponents) {
+  const CscMatrix l = grounded_laplacian(three_components());
+  const auto perm = amd_order(l);
+  EXPECT_TRUE(is_permutation(perm));
+  EXPECT_EQ(perm.size(), 37u);
+  EXPECT_LE(fill_count(l, perm), fill_count(l, identity_permutation(37)));
+}
+
+TEST(Amd, ZeroFillOnArrowheadAndTrees) {
+  const CscMatrix arrow = arrow_matrix(20);
+  const auto perm = amd_order(arrow);
+  EXPECT_TRUE(is_permutation(perm));
+  EXPECT_EQ(fill_count(arrow, perm), lower_nnz(arrow));
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const CscMatrix tree = grounded_laplacian(random_tree(40, seed));
+    EXPECT_EQ(fill_count(tree, amd_order(tree)), lower_nnz(tree))
+        << "seed " << seed;
+  }
+  const CscMatrix path = grounded_laplacian(path_graph(30));
+  EXPECT_EQ(fill_count(path, amd_order(path)), lower_nnz(path));
+}
+
+TEST(Amd, DenseHubIsOrderedLast) {
+  // Hub degree 199 > max(16, 10 sqrt(200)) = 141: deferred as dense.
+  const index_t hub = 57;
+  const CscMatrix star = grounded_laplacian(star_graph(200, hub));
+  const auto perm = amd_order(star);
+  ASSERT_TRUE(is_permutation(perm));
+  EXPECT_EQ(perm.back(), hub);
+  EXPECT_EQ(cholesky(star, perm).nnz(), lower_nnz(star));
+}
+
+TEST(Amd, RepeatedCallsAreIdentical) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const CscMatrix l = grounded_laplacian(
+        barabasi_albert(300, 3, WeightKind::kUnit, seed));
+    const auto first = amd_order(l);
+    EXPECT_TRUE(is_permutation(first));
+    EXPECT_EQ(amd_order(l), first);
+  }
+}
+
+TEST(Amd, NoMoreFillThanMinDegOnGrid) {
+  const CscMatrix l = grounded_laplacian(grid_2d(12, 12));
+  EXPECT_LE(fill_count(l, amd_order(l)), fill_count(l, mindeg_order(l)));
+}
+
+TEST(FillOracle, CholeskyNnzMatchesDenseEliminationForEveryOrdering) {
+  // Symbolic elimination on a dense boolean matrix is the reference for
+  // nnz(L): the supernodal factor must agree under every ordering.
+  const std::vector<std::pair<const char*, Graph>> graphs = {
+      {"random", erdos_renyi(40, 90, WeightKind::kUnit, 11)},
+      {"grid", grid_2d(6, 6)},
+      {"star", star_graph(25, 3)},
+      {"path", path_graph(33)},
+      {"disconnected", three_components()},
+  };
+  for (const auto& [name, g] : graphs) {
+    const CscMatrix l = grounded_laplacian(g);
+    for (auto kind : {Ordering::kNatural, Ordering::kRcm, Ordering::kMinDeg,
+                      Ordering::kAmd}) {
+      const auto perm = compute_ordering(l, kind);
+      ASSERT_TRUE(is_permutation(perm));
+      EXPECT_EQ(cholesky(l, perm).nnz(), fill_count(l, perm))
+          << name << " ordering " << static_cast<int>(kind);
+    }
+  }
+}
+
 TEST(ComputeOrdering, DispatchesAllKinds) {
   const Graph g = grid_2d(5, 5);
   const CscMatrix l = grounded_laplacian(g);
-  for (auto kind : {Ordering::kNatural, Ordering::kRcm, Ordering::kMinDeg}) {
+  for (auto kind : {Ordering::kNatural, Ordering::kRcm, Ordering::kMinDeg,
+                    Ordering::kAmd}) {
     const auto perm = compute_ordering(l, kind);
     EXPECT_TRUE(is_permutation(perm));
   }

@@ -488,6 +488,51 @@ TEST(ModelStore, PublishPinsInFlightSnapshots) {
   EXPECT_EQ(stats.snapshot_version, 1u);
 }
 
+/// (count, sum) of a global-registry histogram; zeros before it exists.
+std::pair<std::uint64_t, double> global_histogram(const std::string& name) {
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+  const obs::MetricSnapshot* m = snap.find(name);
+  if (!m) return {0, 0.0};
+  return {m->histogram.count, m->histogram.sum};
+}
+
+TEST(ModelStore, PublishRecordsOrderAndFactorSplit) {
+  const ServeCase c = make_case(16, 16, 24, 57);
+  ReductionOptions opts;
+  opts.num_blocks = 4;
+  ModelStore store;
+  IncrementalReducer reducer(c.net, c.ports, opts);
+  const char* const kNames[3] = {"er_reducer_publish_seconds",
+                                 "er_reducer_order_seconds",
+                                 "er_reducer_factor_seconds"};
+  // Each publish (the attach, then two updates) adds one sample to each
+  // series, and the two halves fit inside the publish time.
+  for (int publish = 0; publish < 3; ++publish) {
+    std::pair<std::uint64_t, double> before[3];
+    for (int s = 0; s < 3; ++s) before[s] = global_histogram(kNames[s]);
+    if (publish == 0) {
+      reducer.attach_store(&store);
+    } else {
+      const GridModification mod = random_modification(
+          reducer.structure().num_blocks, 0.5, 1.4, 60 + publish);
+      reducer.update(apply_modification(c.net, reducer.structure(), mod),
+                     mod.dirty_blocks);
+    }
+    double delta[3];
+    for (int s = 0; s < 3; ++s) {
+      const auto after = global_histogram(kNames[s]);
+      EXPECT_EQ(after.first, before[s].first + 1) << kNames[s];
+      delta[s] = after.second - before[s].second;
+      EXPECT_GE(delta[s], 0.0) << kNames[s];
+    }
+    EXPECT_LE(delta[1] + delta[2], delta[0]) << "publish " << publish;
+    const SnapshotPtr snap = store.acquire();
+    EXPECT_LE(snap->order_seconds() + snap->factor_seconds(),
+              snap->build_seconds());
+  }
+  EXPECT_EQ(store.publish_count(), 3u);
+}
+
 TEST(ModelStore, VersionAndAgeProbesDisambiguateEmptyStore) {
   // current_version() is optional: version 0 (IncrementalReducer's first
   // revision) is a legitimate published state, distinguishable from an

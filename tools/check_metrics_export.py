@@ -41,6 +41,9 @@ REQUIRED = [
     ("er_pool_task_run_seconds", "histogram"),
     ("er_store_publishes_total", "counter"),
     ("er_reducer_publish_seconds", "histogram"),
+    # The publish's two factorization halves (pg/incremental.cpp).
+    ("er_reducer_order_seconds", "histogram"),
+    ("er_reducer_factor_seconds", "histogram"),
     ("er_span_seconds", "histogram"),
     # Result cache (serve/result_cache.hpp): families register eagerly at
     # cache construction, so they export even before the first lookup.
