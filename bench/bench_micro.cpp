@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) backing the §III-C complexity
 // analysis: SpMV, orderings, complete/incomplete factorization (whole grids
-// and block-sized ones), Alg. 2 build, the reach-limited forward solve, and
-// per-query cost of the three effective-resistance engines.
+// at 1/2/4 threads, and block-sized ones), Alg. 2 build, the reach-limited
+// forward solve, and per-query cost of the three effective-resistance
+// engines.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include "order/amd.hpp"
 #include "order/mindeg.hpp"
 #include "order/rcm.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -73,16 +75,23 @@ void BM_RcmOrdering(benchmark::State& state) {
 }
 BENCHMARK(BM_RcmOrdering)->Arg(64)->Arg(128);
 
+// Symbolic and numeric factor of a grid Laplacian; the second argument is
+// the pool's thread count (1: the serial pass), so the rows show the
+// numeric pass's scaling. The factor is bitwise equal across them.
 void BM_CompleteCholesky(benchmark::State& state) {
   const auto side = static_cast<index_t>(state.range(0));
   const CscMatrix l = grounded_laplacian(bench_graph(side));
   const auto perm = amd_order(l);
+  ThreadPool pool(static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    auto f = cholesky(l, perm);
+    auto f = cholesky(l, perm, &pool);
     benchmark::DoNotOptimize(f.values.data());
   }
 }
-BENCHMARK(BM_CompleteCholesky)->Arg(64)->Arg(128);
+BENCHMARK(BM_CompleteCholesky)
+    ->ArgNames({"side", "threads"})
+    ->ArgsProduct({{64, 128}, {1, 2, 4}})
+    ->UseRealTime();
 
 // 32 independent block-sized (30 x 30 = 900-node) grid factors, the size of
 // the reduction's per-block Schur factors: supernodes are narrow there, so

@@ -1,7 +1,8 @@
 // Complete sparse Cholesky factorization: left-looking and supernodal.
-// The symbolic pass finds the etree, the column counts and the fundamental
-// supernodes; the numeric pass factors each supernode as a dense
-// trapezoid inside the factor's diag-first CSC arrays (DESIGN.md §4).
+// The symbolic pass finds the etree, the column counts, the fundamental
+// supernodes and each supernode's fixed list of descendant updates; the
+// numeric pass factors each supernode as a dense trapezoid inside the
+// factor's diag-first CSC arrays (DESIGN.md §4), serially or on a pool.
 #pragma once
 
 #include <vector>
@@ -13,12 +14,24 @@
 
 namespace er {
 
+class ThreadPool;
+
 /// Factor P A P^T = L L^T for a symmetric positive definite A.
 /// `perm` maps new -> old; throws std::runtime_error if A is not SPD.
-CholFactor cholesky(const CscMatrix& a, const std::vector<index_t>& perm);
+///
+/// With a `pool` of more than one thread the numeric pass runs on the
+/// pool's workers while the caller waits: independent subtrees of the
+/// supernodal etree side by side, and each wide supernode's gather and
+/// dense panels split by target columns and row blocks. The factor is
+/// bitwise equal to the serial one at every thread count, and a matrix
+/// that is not SPD throws the same error. A null or 1-thread pool, or a
+/// call from a pool worker, runs the serial pass on the calling thread.
+CholFactor cholesky(const CscMatrix& a, const std::vector<index_t>& perm,
+                    ThreadPool* pool = nullptr);
 
 /// Convenience overload that computes the ordering first. The default is
-/// AMD, the ordering of every complete factor (order/amd.hpp).
+/// AMD, the ordering of every complete factor but ApproxCholEffRes's
+/// (order/amd.hpp).
 CholFactor cholesky(const CscMatrix& a, Ordering ordering = Ordering::kAmd);
 
 }  // namespace er

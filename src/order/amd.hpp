@@ -1,8 +1,11 @@
 // Approximate minimum degree ordering (Amestoy, Davis and Duff, SIAM J.
 // Matrix Anal. Appl. 17(4), 1996), in the form of Davis, "Direct Methods
-// for Sparse Linear Systems" (SIAM 2006) §7.1. It is the ordering of every
-// complete Cholesky factor: the served G on each publish, solve_dc, the
-// transient solve, the per-block Schur factors and ExactEffRes.
+// for Sparse Linear Systems" (SIAM 2006) §7.1. It is the ordering of the
+// complete Cholesky factors: the served G on each publish, solve_dc, the
+// transient solve, the per-block Schur factors and ExactEffRes. The one
+// exception is ApproxCholEffRes with complete_factorization, which keeps
+// its min-degree default because AMD's pivot order grows Z~ on social
+// graphs (effres/approx_chol.hpp).
 //
 // Compared with mindeg_order it adds the parts of AMD that make it fast and
 // keep its fill low:
@@ -19,7 +22,7 @@
 // nodes) in 13.5 ms instead of 43 ms, with nnz(L) 812 100 instead of
 // 844 417.
 //
-// Incomplete factors (ICT) keep mindeg_order: see order/mindeg.hpp.
+// Incomplete factors (ICT) keep mindeg_order too: see order/mindeg.hpp.
 #pragma once
 
 #include <vector>

@@ -2,19 +2,36 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "chol/cholesky.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace er {
+
+namespace {
+
+/// AMD-ordered factor of an analysis system. Off a pool worker it runs on
+/// a transient all-core pool, the rule ApproxCholEffRes follows for its
+/// Alg. 2 build; the factor is bitwise equal to the serial one.
+CholFactor factor_system(const CscMatrix& g) {
+  std::unique_ptr<ThreadPool> pool;
+  if (!ThreadPool::on_worker_thread() && resolve_num_threads(0) > 1)
+    pool = std::make_unique<ThreadPool>(0);
+  return cholesky(g, compute_ordering(g, Ordering::kAmd), pool.get());
+}
+
+}  // namespace
 
 DcSolution solve_dc(const ConductanceNetwork& net,
                     const std::vector<real_t>& injections) {
   DcSolution sol;
   Timer t;
   const CscMatrix g = net.system_matrix();
-  const CholFactor f = cholesky(g, Ordering::kAmd);
+  const CholFactor f = factor_system(g);
   sol.factor_seconds = t.seconds();
   t.reset();
   sol.drops = f.solve(injections);
@@ -83,27 +100,35 @@ TransientResult run_transient(const ConductanceNetwork& net,
         diag.add(v, v, caps[static_cast<std::size_t>(v)] / opts.step);
     g = g.add(CscMatrix::from_triplets(diag));
   }
-  const CholFactor f = cholesky(g, Ordering::kAmd);
+  const CholFactor f = factor_system(g);
   res.factor_seconds = t.seconds();
 
+  // The steps run in the factor's permuted space, so a step allocates
+  // nothing: x is the work vector solve_permuted overwrites, and d the
+  // previous step's drops (P d, at rest at first). Every entry takes the
+  // operations of CholFactor::solve on the original-space rhs.
   t.reset();
-  std::vector<real_t> d(static_cast<std::size_t>(n), 0.0);  // start at rest
-  std::vector<real_t> rhs(static_cast<std::size_t>(n));
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<real_t> cap_step(un);  // (P C / h) diagonal
+  for (std::size_t i = 0; i < un; ++i)
+    cap_step[i] = caps[static_cast<std::size_t>(f.perm[i])] / opts.step;
+  std::vector<real_t> d(un, 0.0);
+  std::vector<real_t> x(un);
   res.series.assign(probes.size(), {});
   for (auto& s : res.series) s.reserve(static_cast<std::size_t>(opts.steps));
 
   for (int k = 1; k <= opts.steps; ++k) {
     const real_t time = static_cast<real_t>(k) * opts.step;
-    std::fill(rhs.begin(), rhs.end(), 0.0);
+    std::fill(x.begin(), x.end(), 0.0);
     for (const auto& load : loads)
-      rhs[static_cast<std::size_t>(load.node)] += load.current_at(time);
-    for (index_t v = 0; v < n; ++v)
-      rhs[static_cast<std::size_t>(v)] +=
-          caps[static_cast<std::size_t>(v)] / opts.step *
-          d[static_cast<std::size_t>(v)];
-    d = f.solve(rhs);
+      x[static_cast<std::size_t>(f.inv_perm[static_cast<std::size_t>(load.node)])] +=
+          load.current_at(time);
+    for (std::size_t i = 0; i < un; ++i) x[i] += cap_step[i] * d[i];
+    f.solve_permuted(x);
+    std::swap(d, x);
     for (std::size_t p = 0; p < probes.size(); ++p)
-      res.series[p].push_back(d[static_cast<std::size_t>(probes[p])]);
+      res.series[p].push_back(
+          d[static_cast<std::size_t>(f.inv_perm[static_cast<std::size_t>(probes[p])])]);
   }
   res.solve_seconds = t.seconds();
   return res;

@@ -180,9 +180,9 @@ void IncrementalReducer::publish_current() {
   // in, so queries racing with this publish never observe a half-built
   // model (DESIGN.md §4 publish protocol). It aliases the frozen model
   // version through its shared handle: a publish copies zero model bytes
-  // and factors G once (DESIGN.md §4.1). A throwing build leaves the store
-  // on the previous version.
-  const SnapshotPtr snap = ModelSnapshot::build(model_, revision_);
+  // and factors G once, on the reducer's pool (DESIGN.md §4.1). A throwing
+  // build leaves the store on the previous version.
+  const SnapshotPtr snap = ModelSnapshot::build(model_, revision_, pool_.get());
   store_->publish(snap);
   publish_bytes_materialized_ = snap->factor_bytes();
   publish_seconds_ = t.seconds();

@@ -62,7 +62,7 @@ real_t reach_dot(const std::vector<index_t>& ra, const std::vector<real_t>& ya,
 }  // namespace
 
 std::shared_ptr<const ModelSnapshot> ModelSnapshot::build(
-    ModelPtr input_model, std::uint64_t version) {
+    ModelPtr input_model, std::uint64_t version, ThreadPool* pool) {
   if (!input_model)
     throw std::invalid_argument("ModelSnapshot::build: null model");
   Timer timer;
@@ -79,7 +79,7 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::build(
   const std::vector<index_t> perm = compute_ordering(g, Ordering::kAmd);
   snap->order_seconds_ = phase.seconds();
   phase.reset();
-  snap->factor_ = cholesky(g, perm);
+  snap->factor_ = cholesky(g, perm, pool);
   snap->factor_seconds_ = phase.seconds();
   snap->build_seconds_ = timer.seconds();
   return snap;

@@ -25,6 +25,8 @@
 
 namespace er {
 
+class ThreadPool;
+
 /// Read-only serving state for one published model version. Every method is
 /// const and thread-safe; per-query scratch lives in a caller-owned
 /// Workspace so concurrent callers never share mutable state.
@@ -45,9 +47,12 @@ class ModelSnapshot {
   /// `model`. The model must never be mutated after this call (the
   /// pipeline's ModelPtr producers guarantee that by construction). Throws
   /// std::runtime_error if the stitched system is not SPD (a connected
-  /// component without any shunt).
+  /// component without any shunt). A `pool` runs the numeric factor on its
+  /// workers (IncrementalReducer passes its own); the factor is bitwise
+  /// equal to the serial one at any thread count.
   static std::shared_ptr<const ModelSnapshot> build(ModelPtr model,
-                                                    std::uint64_t version = 0);
+                                                    std::uint64_t version = 0,
+                                                    ThreadPool* pool = nullptr);
 
   /// Frees the factor and drops the model reference, then hands the
   /// allocator's free pages back to the OS (snapshot.cpp says why a

@@ -11,12 +11,15 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "chol/cholesky.hpp"
 #include "chol/ichol.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
+#include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sparse/dense.hpp"
 #include "util/rng.hpp"
 
@@ -666,6 +669,106 @@ TEST(SparseForward, IncompleteFactorThrows) {
   const index_t zero = 0;
   const real_t one = 1.0;
   EXPECT_THROW(f.sparse_forward(&zero, &one, 1, ws), std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
+// Numeric pass on a pool: bitwise equal to the serial factor at every
+// thread count (part of the CI TSan job).
+// ---------------------------------------------------------------------------
+
+/// Widest supernode of a complete factor.
+index_t widest_supernode(const CholFactor& f) {
+  index_t widest = 0;
+  for (index_t j = 0; j < f.n; j = f.super_last[static_cast<std::size_t>(j)] + 1)
+    widest = std::max(widest, f.super_last[static_cast<std::size_t>(j)] - j + 1);
+  return widest;
+}
+
+/// Matrices whose factors have supernodes of two 16-column panels or more,
+/// which the pool splits: one grid, and a forest of two shunted grids.
+std::vector<OracleCase> split_cases() {
+  std::vector<OracleCase> cases;
+  const CscMatrix grid = grounded_laplacian(grid_2d(44, 40, WeightKind::kLogUniform, 81));
+  cases.push_back({"grid", grid, compute_ordering(grid, Ordering::kAmd)});
+  const CscMatrix forest = laplacian_plus_shunts(grid_forest(2, 40), 13, 82);
+  cases.push_back({"forest", forest, compute_ordering(forest, Ordering::kAmd)});
+  return cases;
+}
+
+bool same_factor(const CholFactor& a, const CholFactor& b) {
+  return a.col_ptr == b.col_ptr && a.row_ind == b.row_ind && a.parent == b.parent &&
+         a.super_last == b.super_last && a.values.size() == b.values.size() &&
+         std::memcmp(a.values.data(), b.values.data(), a.values.size() * sizeof(real_t)) == 0;
+}
+
+TEST(CholeskyPool, BitwiseEqualToSerialAtEveryThreadCount) {
+  for (const OracleCase& c : split_cases()) {
+    SCOPED_TRACE(c.name);
+    const CholFactor serial = cholesky(c.a, c.perm);
+    ASSERT_GE(widest_supernode(serial), 32);
+    for (const int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(threads);
+      obs::MetricsRegistry registry;
+      ThreadPool pool(threads, &registry);
+      for (int run = 0; run < 2; ++run)
+        EXPECT_TRUE(same_factor(cholesky(c.a, c.perm, &pool), serial));
+      // A pool of one thread factors on the calling thread; a larger one
+      // hands the numeric pass to its workers.
+      EXPECT_EQ(registry.counter("er_pool_tasks_total").value() > 0, threads > 1);
+    }
+  }
+}
+
+TEST(CholeskyPool, CallFromAWorkerRunsSerially) {
+  const OracleCase c = split_cases().front();
+  const CholFactor serial = cholesky(c.a, c.perm);
+  obs::MetricsRegistry registry;
+  ThreadPool pool(2, &registry);
+  CholFactor nested;
+  pool.submit([&] { nested = cholesky(c.a, c.perm, &pool); }).get();
+  EXPECT_TRUE(same_factor(nested, serial));
+  EXPECT_EQ(registry.counter("er_pool_tasks_total").value(), 1u);
+}
+
+TEST(CholeskyPool, NotPositiveDefiniteThrowsAtEveryThreadCount) {
+  const OracleCase c = split_cases().front();
+  const CholFactor serial = cholesky(c.a, c.perm);
+  // A negative diagonal at the first pivot (a leaf of the etree) and at
+  // the last one (inside the widest supernode).
+  for (const index_t pivot : {index_t{0}, c.a.cols() - 1}) {
+    SCOPED_TRACE(pivot);
+    TripletMatrix t(c.a.rows(), c.a.cols());
+    const index_t node = c.perm[static_cast<std::size_t>(pivot)];
+    for (index_t j = 0; j < c.a.cols(); ++j)
+      for (offset_t p = c.a.col_ptr()[static_cast<std::size_t>(j)];
+           p < c.a.col_ptr()[static_cast<std::size_t>(j) + 1]; ++p) {
+        const index_t i = c.a.row_ind()[static_cast<std::size_t>(p)];
+        const real_t v = c.a.values()[static_cast<std::size_t>(p)];
+        t.add(i, j, i == node && j == node ? -v : v);
+      }
+    const CscMatrix bad = CscMatrix::from_triplets(t);
+    std::string serial_error;
+    try {
+      (void)cholesky(bad, c.perm);
+    } catch (const std::runtime_error& e) {
+      serial_error = e.what();
+    }
+    ASSERT_FALSE(serial_error.empty());
+    for (const int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(threads);
+      ThreadPool pool(threads);
+      for (int run = 0; run < 2; ++run) {
+        try {
+          (void)cholesky(bad, c.perm, &pool);
+          ADD_FAILURE() << "no error";
+        } catch (const std::runtime_error& e) {
+          EXPECT_EQ(std::string(e.what()), serial_error);
+        }
+        // The pool is still usable after the error.
+        EXPECT_TRUE(same_factor(cholesky(c.a, c.perm, &pool), serial));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,10 +3,13 @@
 // reference, original vs reduced), incremental analysis (cache equivalence).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
+#include "chol/cholesky.hpp"
 #include "graph/components.hpp"
 #include "pg/analysis.hpp"
 #include "pg/generator.hpp"
@@ -222,6 +225,50 @@ TEST(Transient, SettlesToDcUnderConstantLoad) {
   for (std::size_t p = 0; p < ports.size(); ++p)
     EXPECT_NEAR(res.series[p].back(),
                 dc.drops[static_cast<std::size_t>(ports[p])], 1e-4);
+}
+
+TEST(Transient, ProbeSeriesBitwiseEqualToSolveLoop) {
+  const PowerGrid pg = generate_power_grid(small_grid_opts(14));
+  const ConductanceNetwork net = pg.to_network();
+  const std::vector<real_t> caps = pg.capacitance_vector();
+  TransientOptions topts;
+  topts.step = 2e-11;
+  topts.steps = 60;
+  // Every node is a probe, so a difference anywhere in d shows.
+  std::vector<index_t> probes(static_cast<std::size_t>(net.num_nodes()));
+  for (index_t v = 0; v < net.num_nodes(); ++v) probes[static_cast<std::size_t>(v)] = v;
+  const TransientResult res = run_transient(net, caps, pg.loads, topts, probes);
+
+  // The loop as an original-space solve per step: G + C/h, d = solve(rhs).
+  const index_t n = net.num_nodes();
+  TripletMatrix diag(n, n);
+  for (index_t v = 0; v < n; ++v)
+    if (caps[static_cast<std::size_t>(v)] != 0.0)
+      diag.add(v, v, caps[static_cast<std::size_t>(v)] / topts.step);
+  const CholFactor f =
+      cholesky(net.system_matrix().add(CscMatrix::from_triplets(diag)), Ordering::kAmd);
+  std::vector<real_t> d(static_cast<std::size_t>(n), 0.0);
+  std::vector<real_t> rhs(static_cast<std::size_t>(n));
+  ASSERT_EQ(res.series.size(), probes.size());
+  int mismatches = 0;
+  for (int k = 1; k <= topts.steps; ++k) {
+    const real_t time = static_cast<real_t>(k) * topts.step;
+    std::fill(rhs.begin(), rhs.end(), 0.0);
+    for (const auto& load : pg.loads)
+      rhs[static_cast<std::size_t>(load.node)] += load.current_at(time);
+    for (index_t v = 0; v < n; ++v)
+      rhs[static_cast<std::size_t>(v)] += caps[static_cast<std::size_t>(v)] / topts.step *
+                                          d[static_cast<std::size_t>(v)];
+    d = f.solve(rhs);
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+      const real_t want = d[static_cast<std::size_t>(probes[p])];
+      const real_t got = res.series[p][static_cast<std::size_t>(k - 1)];
+      if (std::memcmp(&got, &want, sizeof(real_t)) != 0 && mismatches++ == 0)
+        ADD_FAILURE() << "node " << p << " step " << k << ": " << got << " vs " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(std::abs(res.series.front().back()), 0.0);
 }
 
 TEST(Transient, ReducedModelTracksOriginal) {

@@ -42,18 +42,21 @@ namespace {
 // no code with the sparse Cholesky factor the snapshot serves from.
 // ---------------------------------------------------------------------------
 
-/// A hand-built stitched model over `g` and `shunts`: reduced nodes are
-/// dealt round-robin into `blocks` partition blocks, and every
-/// `eliminate_every`-th original id is an eliminated node (node_map -1)
-/// interleaved with the surviving ones.
-ModelPtr hand_model(Graph g, std::vector<real_t> shunts, index_t blocks,
+/// A hand-built stitched model over `g` and `shunts`: reduced node r goes
+/// to partition block block_of_reduced[r], and every `eliminate_every`-th
+/// original id is an eliminated node (node_map -1) interleaved with the
+/// surviving ones.
+ModelPtr hand_model(Graph g, std::vector<real_t> shunts,
+                    const std::vector<index_t>& block_of_reduced,
                     index_t eliminate_every) {
   ReducedModel m;
   const index_t n = g.num_nodes();
   m.network.graph = std::move(g);
   m.network.shunts = std::move(shunts);
-  m.block_kept.resize(static_cast<std::size_t>(blocks));
+  m.block_kept.resize(static_cast<std::size_t>(
+      *std::max_element(block_of_reduced.begin(), block_of_reduced.end()) + 1));
   for (index_t r = 0; r < n; ++r) {
+    const index_t b = block_of_reduced[static_cast<std::size_t>(r)];
     if (static_cast<index_t>(m.node_map.size()) % eliminate_every ==
         eliminate_every - 1) {
       m.node_map.push_back(-1);
@@ -61,11 +64,21 @@ ModelPtr hand_model(Graph g, std::vector<real_t> shunts, index_t blocks,
     }
     m.representative.push_back(static_cast<index_t>(m.node_map.size()));
     m.node_map.push_back(r);
-    m.block_of.push_back(r % blocks);
-    m.block_kept[static_cast<std::size_t>(r % blocks)].push_back(r);
+    m.block_of.push_back(b);
+    m.block_kept[static_cast<std::size_t>(b)].push_back(r);
   }
   m.stats.reduced_nodes = n;
   return std::make_shared<const ReducedModel>(std::move(m));
+}
+
+/// hand_model with the reduced nodes dealt round-robin into `blocks`
+/// blocks.
+ModelPtr hand_model(Graph g, std::vector<real_t> shunts, index_t blocks,
+                    index_t eliminate_every) {
+  std::vector<index_t> block(static_cast<std::size_t>(g.num_nodes()));
+  for (std::size_t r = 0; r < block.size(); ++r)
+    block[r] = static_cast<index_t>(r) % blocks;
+  return hand_model(std::move(g), std::move(shunts), block, eliminate_every);
 }
 
 /// nx-by-ny grid on nodes [base, base + nx*ny) of `g` with conductances
@@ -90,6 +103,9 @@ struct OracleCase {
   /// good to ~1e-6 there: the oracle, this factor and a dense Cholesky
   /// inverse disagree pairwise by up to ~1.6e-6 of that magnitude.
   real_t tol = 1e-10;
+  /// Reduced nodes with an edge into another block, counted by hand
+  /// (-1: not checked).
+  index_t boundary = -1;
 };
 
 std::vector<OracleCase> oracle_cases() {
@@ -142,6 +158,37 @@ std::vector<OracleCase> oracle_cases() {
                      spread == 8 ? 1e-5 : 1e-9});
   }
   {
+    // A block of one reduced node: grid node (3, 4) alone, the rest of the
+    // 10x10 grid split at x = 5.
+    Graph g(100);
+    add_grid(g, 0, 10, 10, 0.5, rng);
+    std::vector<real_t> sh(100, 0.0);
+    sh[0] = sh[99] = 4.0;
+    std::vector<index_t> block(100);
+    for (index_t v = 0; v < 100; ++v) block[static_cast<std::size_t>(v)] = v % 10 < 5 ? 0 : 1;
+    block[43] = 2;
+    // Boundary: node 43, its neighbors 33, 42, 53 and the columns x = 4
+    // (holding its neighbor 44) and x = 5.
+    cases.push_back(
+        {"single_node_block", hand_model(std::move(g), std::move(sh), block, 5), 1e-10, 24});
+  }
+  {
+    // A block whose every node is a boundary node: the grid column x = 4
+    // between the blocks x < 4 and x > 4.
+    Graph g(90);
+    add_grid(g, 0, 9, 10, 0.5, rng);
+    std::vector<real_t> sh(90, 0.0);
+    sh[13] = 2.0;
+    std::vector<index_t> block(90);
+    for (index_t v = 0; v < 90; ++v) {
+      const index_t x = v % 9;
+      block[static_cast<std::size_t>(v)] = x < 4 ? 0 : x == 4 ? 1 : 2;
+    }
+    // Boundary: the columns x = 3, 4 and 5.
+    cases.push_back(
+        {"all_boundary_block", hand_model(std::move(g), std::move(sh), block, 4), 1e-10, 30});
+  }
+  {
     // A model the reduction pipeline produced: eliminated nodes, merged
     // non-port nodes and sparsified blocks.
     const ServeCase c = make_case(16, 16, 40, 131);
@@ -179,6 +226,9 @@ TEST(ServedAnswers, MatchDenseOracleProperties) {
     const auto inv = [&](index_t a, index_t b) { return gi(a, b); };
 
     const auto snap = ModelSnapshot::build(oc.model);
+    if (oc.boundary >= 0) {
+      EXPECT_EQ(snap->num_boundary_nodes(), oc.boundary);
+    }
     std::vector<index_t> kept, eliminated;
     for (std::size_t v = 0; v < m.node_map.size(); ++v)
       (m.node_map[v] >= 0 ? kept : eliminated)
