@@ -146,12 +146,18 @@ void BM_ApproxInverseBuild(benchmark::State& state) {
   const CscMatrix l = grounded_laplacian(bench_graph(side));
   IcholOptions iopts;
   const CholFactor f = ichol(l, Ordering::kMinDeg, iopts);
+  ThreadPool pool(static_cast<int>(state.range(1)));
+  ApproxInverseOptions zopts;
+  zopts.pool = &pool;
   for (auto _ : state) {
-    auto z = ApproxInverse::build(f);
+    auto z = ApproxInverse::build(f, zopts);
     benchmark::DoNotOptimize(z.nnz());
   }
 }
-BENCHMARK(BM_ApproxInverseBuild)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_ApproxInverseBuild)
+    ->ArgNames({"side", "threads"})
+    ->ArgsProduct({{64, 128, 256}, {1, 2, 4}})
+    ->UseRealTime();
 
 void BM_QueryAlg3(benchmark::State& state) {
   const auto side = static_cast<index_t>(state.range(0));

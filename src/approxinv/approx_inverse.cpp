@@ -1,27 +1,25 @@
 #include "approxinv/approx_inverse.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
 #include <functional>
+#include <future>
+#include <new>
 #include <stdexcept>
 
-#include "approxinv/depth.hpp"
+#include <sys/mman.h>
+
+#include "util/thread_annotations.hpp"
 
 namespace er {
 
 namespace {
 
-// A level whose estimated scatter work (multiply-adds) is below this runs
-// inline on the calling thread. Swept on a 4-core Xeon (4-thread pool,
-// BA n=15000 and 195x195 log-uniform grid, ICT 1e-3): build time is flat
-// within noise for cutoffs from 1 to 2^16 and rises from 2^18 on (+35%
-// at 2^20), so the exact value matters little below 2^16.
-constexpr std::size_t kMinParallelLevelWork = std::size_t{1} << 14;
-
 /// Dense scatter workspace for building one column at a time. stamp[r] == j
 /// marks row r live in column j; each column is built exactly once, so a
-/// workspace is reused across columns and levels without clearing.
+/// workspace is reused across columns without clearing.
 struct Workspace {
   explicit Workspace(index_t n)
       : w(static_cast<std::size_t>(n), 0.0),
@@ -32,34 +30,24 @@ struct Workspace {
   std::vector<real_t> heap;  // |values| min-heap for the truncation
 };
 
-/// Columns one task of a parallel level built, staged until the append.
-struct TaskOutput {
-  std::vector<index_t> rows;
-  std::vector<real_t> vals;
-};
-
-/// Where a staged column of the current level lives.
-struct StagedColumn {
-  std::size_t task = 0;
-  std::size_t offset = 0;
-  index_t len = 0;
-};
-
-/// Truncation (Eq. (10)): drop the largest set of smallest-|.| entries of
-/// ws.pattern whose 1-norm stays within epsilon * ||z*_j||_1. A min-heap
-/// pops the dropped magnitudes in ascending order, the same sequence (and
-/// running sum) a full sort would give, without ordering the kept entries.
+/// Truncation (Eq. (10)) of the column in `ws`: drop the largest set of
+/// smallest-|.| entries of ws.pattern whose 1-norm stays within
+/// epsilon * ||z*_j||_1, and clear their stamps. A min-heap pops the
+/// dropped magnitudes in ascending order, the same sequence (and running
+/// sum) a full sort would give, without ordering the kept entries.
 void truncate_column(Workspace& ws, real_t epsilon) {
+  real_t norm1 = 0.0;
+  for (index_t r : ws.pattern) norm1 += std::abs(ws.w[static_cast<std::size_t>(r)]);
+  const real_t budget = epsilon * norm1;
+  // A magnitude above the budget fails `dropped + m <= budget` whatever
+  // was dropped before it, so only those within it enter the heap.
   std::vector<real_t>& heap = ws.heap;
   heap.clear();
-  real_t norm1 = 0.0;
   for (index_t r : ws.pattern) {
     const real_t m = std::abs(ws.w[static_cast<std::size_t>(r)]);
-    heap.push_back(m);
-    norm1 += m;
+    if (m <= budget) heap.push_back(m);
   }
   std::make_heap(heap.begin(), heap.end(), std::greater<>());
-  const real_t budget = epsilon * norm1;
   real_t dropped = 0.0;
   real_t cut = 0.0;
   std::size_t k = 0;
@@ -79,9 +67,9 @@ void truncate_column(Workspace& ws, real_t epsilon) {
   std::size_t wpos = 0;
   for (index_t r : ws.pattern) {
     const real_t m = std::abs(ws.w[static_cast<std::size_t>(r)]);
-    if (m < cut) continue;
-    if (m == cut && ties_to_drop > 0) {
-      --ties_to_drop;
+    if (m < cut || (m == cut && ties_to_drop > 0)) {
+      if (m == cut) --ties_to_drop;
+      ws.stamp[static_cast<std::size_t>(r)] = -1;
       continue;
     }
     ws.pattern[wpos++] = r;
@@ -89,13 +77,12 @@ void truncate_column(Workspace& ws, real_t epsilon) {
   ws.pattern.resize(wpos);
 }
 
-/// Builds z̃_j (Eq. (8), then the Eq. (10) truncation) in `ws` and appends
-/// its rows (ascending) and values to rows_out / vals_out. Reads only the
-/// finished columns of smaller depth from `z`.
+/// Builds z̃_j (Eq. (8), then the Eq. (10) truncation) in `ws`: its rows
+/// are ws.pattern (unordered) and its values ws.w. Reads only the finished
+/// columns i > j of its L pattern from `z`. Returns the column's length.
 index_t build_column(const CholFactor& factor, const ApproxInverse& z,
                      index_t j, std::size_t nnz_floor, real_t epsilon,
-                     Workspace& ws, std::vector<index_t>& rows_out,
-                     std::vector<real_t>& vals_out) {
+                     Workspace& ws) {
   std::vector<real_t>& w = ws.w;
   std::vector<index_t>& stamp = ws.stamp;
   std::vector<index_t>& pattern = ws.pattern;
@@ -129,16 +116,197 @@ index_t build_column(const CholFactor& factor, const ApproxInverse& z,
   }
 
   if (pattern.size() > nnz_floor && epsilon > 0.0) truncate_column(ws, epsilon);
-
-  std::sort(pattern.begin(), pattern.end());
-  for (index_t r : pattern) {
-    rows_out.push_back(r);
-    vals_out.push_back(w[static_cast<std::size_t>(r)]);
-  }
   return static_cast<index_t>(pattern.size());
 }
 
+/// Writes the column build_column left in `ws` to rows/vals, rows
+/// ascending. Every row lies in [j, n), so a dense column reads its rows
+/// off the stamps in order; a sparse one sorts its pattern.
+void write_column(Workspace& ws, index_t j, index_t n, index_t* rows, real_t* vals) {
+  std::vector<index_t>& pattern = ws.pattern;
+  const std::size_t len = pattern.size();
+  if (len * 16 > static_cast<std::size_t>(n - j)) {
+    std::size_t k = 0;
+    for (index_t r = j; k < len; ++r) {
+      if (ws.stamp[static_cast<std::size_t>(r)] != j) continue;
+      rows[k] = r;
+      vals[k++] = ws.w[static_cast<std::size_t>(r)];
+    }
+    return;
+  }
+  std::sort(pattern.begin(), pattern.end());
+  for (std::size_t k = 0; k < len; ++k) {
+    rows[k] = pattern[k];
+    vals[k] = ws.w[static_cast<std::size_t>(pattern[k])];
+  }
+}
+
+/// The no-truncation floor from Alg. 2 line 3: nnz(z*_j) <= log n.
+std::size_t nnz_floor(index_t n) {
+  return static_cast<std::size_t>(
+      std::max(1.0, std::log2(static_cast<double>(std::max<index_t>(n, 2)))));
+}
+
 }  // namespace
+
+/// Alg. 2 on a pool: column j is ready once every column i of its L
+/// pattern is done. The pool's workers pull ready columns from one queue,
+/// largest j first (the order of a serial build), build each in their own
+/// workspace, place it in the shared chunks and release its consumers;
+/// the calling thread waits. Every column runs build_column, so Z is
+/// bitwise equal to the serial build whichever worker builds what.
+class ApproxInverse::ReadyQueue {
+ public:
+  ReadyQueue(const CholFactor& factor, ApproxInverse& z, real_t epsilon, int threads)
+      : factor_(factor), z_(z), epsilon_(epsilon), nnz_floor_(nnz_floor(factor.n)),
+        threads_(threads) {
+    const index_t n = factor.n;
+    const auto un = static_cast<std::size_t>(n);
+    // Consumers of i: the columns j whose L pattern holds row i.
+    consumer_ptr_.assign(un + 1, 0);
+    pending_.assign(un, 0);
+    for (std::size_t j = 0; j < un; ++j) {
+      pending_[j] = static_cast<index_t>(factor.col_ptr[j + 1] - factor.col_ptr[j] - 1);
+      for (offset_t p = factor.col_ptr[j] + 1; p < factor.col_ptr[j + 1]; ++p)
+        ++consumer_ptr_[static_cast<std::size_t>(factor.row_ind[static_cast<std::size_t>(p)]) + 1];
+    }
+    for (std::size_t i = 0; i < un; ++i) consumer_ptr_[i + 1] += consumer_ptr_[i];
+    consumers_.resize(static_cast<std::size_t>(consumer_ptr_[un]));
+    std::vector<offset_t> next(consumer_ptr_.begin(), consumer_ptr_.end() - 1);
+    for (index_t j = 0; j < n; ++j)
+      for (offset_t p = factor.col_ptr[static_cast<std::size_t>(j)] + 1;
+           p < factor.col_ptr[static_cast<std::size_t>(j) + 1]; ++p)
+        consumers_[static_cast<std::size_t>(
+            next[static_cast<std::size_t>(factor.row_ind[static_cast<std::size_t>(p)])]++)] = j;
+
+    left_ = n;
+    for (index_t j = 0; j < n; ++j)
+      if (pending_[static_cast<std::size_t>(j)] == 0) ready_.push_back(j);
+    std::make_heap(ready_.begin(), ready_.end());
+    workspaces_.reserve(static_cast<std::size_t>(threads_));
+    for (int t = 0; t < threads_; ++t) workspaces_.emplace_back(n);
+  }
+
+  /// Builds every column on `pool`'s workers; rethrows the first error
+  /// once every worker has stopped.
+  void run(ThreadPool& pool) {
+    std::vector<std::future<void>> workers;
+    workers.reserve(static_cast<std::size_t>(threads_));
+    for (int t = 0; t < threads_; ++t)
+      workers.push_back(pool.submit(
+          [this, t] { work_loop(workspaces_[static_cast<std::size_t>(t)]); }));
+    // Wait for every worker before rethrowing: none may outlive this frame.
+    std::exception_ptr first;
+    for (auto& w : workers) {
+      try {
+        w.get();
+      } catch (...) {
+        if (!first) first = std::current_exception();
+      }
+    }
+    util::MutexLock lock(&mutex_);
+    if (error_) std::rethrow_exception(error_);
+    if (first) std::rethrow_exception(first);
+  }
+
+ private:
+  void work_loop(Workspace& ws) ER_EXCLUDES(mutex_) {
+    util::UniqueLock lock(&mutex_);
+    for (;;) {
+      while (ready_.empty() && left_ > 0 && !error_) cv_.wait(lock.native());
+      if (left_ == 0 || error_) return;
+      std::pop_heap(ready_.begin(), ready_.end());
+      const index_t j = ready_.back();
+      ready_.pop_back();
+      lock.unlock();
+      std::exception_ptr error = try_build(j, ws);
+      lock.lock();
+      if (error) {
+        if (!error_) error_ = std::move(error);
+        cv_.notify_all();
+        return;
+      }
+      const std::size_t queued = ready_.size();
+      for (offset_t p = consumer_ptr_[static_cast<std::size_t>(j)];
+           p < consumer_ptr_[static_cast<std::size_t>(j) + 1]; ++p) {
+        const index_t c = consumers_[static_cast<std::size_t>(p)];
+        if (--pending_[static_cast<std::size_t>(c)] == 0) {
+          ready_.push_back(c);
+          std::push_heap(ready_.begin(), ready_.end());
+        }
+      }
+      if (--left_ == 0) {
+        cv_.notify_all();
+        return;
+      }
+      // This worker takes one of the new columns itself.
+      for (std::size_t k = queued + 1; k < ready_.size(); ++k) cv_.notify_one();
+    }
+  }
+
+  /// Builds column j and places it; its inputs are done.
+  std::exception_ptr try_build(index_t j, Workspace& ws) ER_EXCLUDES(mutex_) {
+    try {
+      const index_t len = build_column(factor_, z_, j, nnz_floor_, epsilon_, ws);
+      Column c;
+      {
+        util::MutexLock lock(&mutex_);
+        c = z_.place(j, len);
+      }
+      write_column(ws, j, factor_.n, c.rows, c.vals);
+    } catch (...) {
+      return std::current_exception();
+    }
+    return nullptr;
+  }
+
+  const CholFactor& factor_;
+  ApproxInverse& z_;  // place() under mutex_; columns read once done
+  const real_t epsilon_;
+  const std::size_t nnz_floor_;
+  const int threads_;
+  std::vector<offset_t> consumer_ptr_;  // consumers of i: consumers_[ptr[i] .. ptr[i + 1])
+  std::vector<index_t> consumers_;
+  std::vector<Workspace> workspaces_;  // one per worker
+
+  util::Mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<index_t> ready_ ER_GUARDED_BY(mutex_);    // max-heap of ready columns
+  std::vector<index_t> pending_ ER_GUARDED_BY(mutex_);  // inputs not done
+  index_t left_ ER_GUARDED_BY(mutex_) = 0;
+  std::exception_ptr error_ ER_GUARDED_BY(mutex_);
+};
+
+// A chunk's pages come from the OS and go back to it when the chunk is
+// freed, whichever thread mapped it. From malloc, the chunks a pool's
+// workers allocated settled in their per-thread arenas and stayed resident
+// after the inverse was freed: building and freeing the social and circuit
+// engines of perfbench's paper_offline three times in one process (4-core
+// host) left 226 MiB resident after the last free; mapped chunks leave
+// 36 MiB, as malloc does when limited to one arena.
+ApproxInverse::Chunk::Chunk(std::size_t cap) : memory(nullptr, Unmap{}), capacity(cap) {
+  if (cap == 0) return;
+  const std::size_t bytes = cap * (sizeof(real_t) + sizeof(index_t));
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  memory = std::unique_ptr<void, Unmap>(p, Unmap{bytes});
+}
+
+void ApproxInverse::Chunk::Unmap::operator()(void* p) const { munmap(p, bytes); }
+
+ApproxInverse::Column ApproxInverse::place(index_t j, index_t len) {
+  const auto ulen = static_cast<std::size_t>(len);
+  if (chunks_.empty() || chunks_.back().capacity - chunks_.back().used < ulen) {
+    // The first chunk holds ~8 entries per column; each next one doubles.
+    chunks_.emplace_back(std::max(
+        ulen, chunks_.empty() ? 8 * static_cast<std::size_t>(n_) : 2 * chunks_.back().capacity));
+  }
+  Chunk& c = chunks_.back();
+  const Column col{c.rows() + c.used, c.vals() + c.used, len};
+  c.used += ulen;
+  nnz_ += len;
+  return cols_[static_cast<std::size_t>(j)] = col;
+}
 
 ApproxInverse ApproxInverse::build(const CholFactor& factor,
                                    const ApproxInverseOptions& opts) {
@@ -150,116 +318,21 @@ ApproxInverse ApproxInverse::build(const CholFactor& factor,
   z.n_ = n;
   z.perm_ = factor.perm;
   z.inv_perm_ = factor.inv_perm;
-  z.col_offset_.assign(static_cast<std::size_t>(n), 0);
-  z.col_len_.assign(static_cast<std::size_t>(n), 0);
-  // Heuristic pool reservation: a few entries per column, grows as needed.
-  z.pool_rows_.reserve(static_cast<std::size_t>(n) * 8);
-  z.pool_vals_.reserve(static_cast<std::size_t>(n) * 8);
-
-  // The no-truncation floor from Alg. 2 line 3: nnz(z*_j) <= log n.
-  const auto nnz_floor = static_cast<std::size_t>(
-      std::max(1.0, std::log2(static_cast<double>(std::max<index_t>(n, 2)))));
-
-  // Level schedule (Eq. (11)): column j reads the columns i > j of its L
-  // pattern, all of smaller depth, so the columns of a level are
-  // independent. Bucket the columns by depth, j descending within a level.
-  const std::vector<index_t> depths = filled_graph_depths(factor);
-  index_t max_depth = 0;
-  for (index_t d : depths) max_depth = std::max(max_depth, d);
-  std::vector<index_t> level_ptr(static_cast<std::size_t>(max_depth) + 2, 0);
-  for (index_t d : depths) ++level_ptr[static_cast<std::size_t>(d) + 1];
-  for (std::size_t l = 1; l < level_ptr.size(); ++l)
-    level_ptr[l] += level_ptr[l - 1];
-  std::vector<index_t> order(static_cast<std::size_t>(n));
-  {
-    std::vector<index_t> cursor(level_ptr.begin(), level_ptr.end() - 1);
-    for (index_t j = n; j-- > 0;)
-      order[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(depths[static_cast<std::size_t>(j)])]++)] = j;
-  }
+  z.cols_.assign(static_cast<std::size_t>(n), Column{});
 
   ThreadPool* pool = opts.pool;
-  const bool can_fork = pool != nullptr && pool->num_threads() > 1 &&
-                        !ThreadPool::on_worker_thread();
-  const std::size_t num_tasks =
-      can_fork ? static_cast<std::size_t>(pool->num_threads()) : 1;
-  // One workspace and one staging buffer per task, reused across levels;
-  // task 0's workspace also serves the inline levels.
-  std::vector<Workspace> workspaces(num_tasks, Workspace(n));
-  std::vector<TaskOutput> staging(num_tasks);
-  std::vector<StagedColumn> staged;  // level position -> staged column
-
-  for (std::size_t l = 0; l + 1 < level_ptr.size(); ++l) {
-    const index_t* cols = order.data() + level_ptr[l];
-    const auto count = static_cast<std::size_t>(level_ptr[l + 1] - level_ptr[l]);
-
-    // Estimated work of the level: the entries its columns scatter. It
-    // also bounds the entries the level outputs.
-    std::size_t work = 0;
-    if (can_fork) {
-      for (std::size_t k = 0; k < count; ++k) {
-        const auto j = static_cast<std::size_t>(cols[k]);
-        work += 1;
-        for (offset_t p = factor.col_ptr[j] + 1; p < factor.col_ptr[j + 1]; ++p)
-          work += static_cast<std::size_t>(z.col_len_[static_cast<std::size_t>(
-              factor.row_ind[static_cast<std::size_t>(p)])]);
-      }
-    }
-
-    if (!can_fork || count < 2 || work < kMinParallelLevelWork) {
-      // Inline: append straight to the pool. Each column reads its inputs
-      // before it appends, so a pool reallocation never invalidates a read.
-      for (std::size_t k = 0; k < count; ++k) {
-        const auto j = static_cast<std::size_t>(cols[k]);
-        z.col_offset_[j] = z.pool_rows_.size();
-        z.col_len_[j] = build_column(factor, z, cols[k], nnz_floor, opts.epsilon,
-                                     workspaces[0], z.pool_rows_, z.pool_vals_);
-      }
-      continue;
-    }
-
-    // Parallel: the tasks claim columns one at a time (load balance) and
-    // stage them; the pool is not touched until the serial append below,
-    // which lays the level out in level order whoever built each column.
-    if (z.pool_rows_.capacity() < z.pool_rows_.size() + work) {
-      // Grow the pool now, with the staging released, so pool growth and
-      // staging never peak together.
-      for (TaskOutput& out : staging) out = TaskOutput{};
-      const std::size_t cap =
-          std::max(z.pool_rows_.size() + work, 2 * z.pool_rows_.capacity());
-      z.pool_rows_.reserve(cap);
-      z.pool_vals_.reserve(cap);
-    }
-    staged.resize(count);
-    std::atomic<std::size_t> next{0};
-    const auto run_tasks = [&](index_t lo, index_t hi) {
-      for (auto t = static_cast<std::size_t>(lo); t < static_cast<std::size_t>(hi); ++t) {
-        TaskOutput& out = staging[t];
-        out.rows.clear();
-        out.vals.clear();
-        for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed); k < count;
-             k = next.fetch_add(1, std::memory_order_relaxed)) {
-          const std::size_t offset = out.rows.size();
-          const index_t len = build_column(factor, z, cols[k], nnz_floor, opts.epsilon,
-                                           workspaces[t], out.rows, out.vals);
-          staged[k] = {t, offset, len};
-        }
-      }
-    };
-    parallel_for(pool, 0, static_cast<index_t>(num_tasks), 1, run_tasks);
-    for (std::size_t k = 0; k < count; ++k) {
-      const StagedColumn& sc = staged[k];
-      const TaskOutput& out = staging[sc.task];
-      const auto j = static_cast<std::size_t>(cols[k]);
-      const auto begin = static_cast<std::ptrdiff_t>(sc.offset);
-      const auto end = begin + static_cast<std::ptrdiff_t>(sc.len);
-      z.col_offset_[j] = z.pool_rows_.size();
-      z.col_len_[j] = sc.len;
-      z.pool_rows_.insert(z.pool_rows_.end(), out.rows.begin() + begin,
-                          out.rows.begin() + end);
-      z.pool_vals_.insert(z.pool_vals_.end(), out.vals.begin() + begin,
-                          out.vals.begin() + end);
-    }
+  if (pool != nullptr && pool->num_threads() > 1 && !ThreadPool::on_worker_thread()) {
+    ReadyQueue(factor, z, opts.epsilon, pool->num_threads()).run(*pool);
+    return z;
+  }
+  // Serial: column j reads only columns i > j, so j descending is a valid
+  // order and lays the columns out in it.
+  const std::size_t kept_floor = nnz_floor(n);
+  Workspace ws(n);
+  for (index_t j = n; j-- > 0;) {
+    const index_t len = build_column(factor, z, j, kept_floor, opts.epsilon, ws);
+    const Column c = z.place(j, len);
+    write_column(ws, j, n, c.rows, c.vals);
   }
   return z;
 }

@@ -3,9 +3,8 @@
 // Columns of Z = L^{-1} obey the recurrence (paper Eq. (8))
 //     z_j = (1/L_jj) e_j + sum_{i>j, L_ij != 0} (-L_ij / L_jj) z_i ,
 // so column j needs the (approximate) columns i of its L pattern first.
-// Every such i has a smaller filled-graph depth (Eq. (11)), so the columns
-// of one depth level are independent: build() sweeps the levels from depth
-// 0 upward and may run the columns of a level across a thread pool. After
+// build() runs a column as soon as those inputs exist: serially in the
+// order j = n-1 .. 0, or on a thread pool from a ready queue. After
 // building z*_j, the k smallest-magnitude entries are truncated, with k the
 // largest value keeping the relative 1-norm error below epsilon (Eq. (10));
 // columns with at most log2(n) entries are never truncated (Alg. 2 line 3).
@@ -15,6 +14,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,21 +28,21 @@ namespace er {
 struct ApproxInverseOptions {
   /// Relative 1-norm truncation budget per column (paper's epsilon = 1e-3).
   real_t epsilon = 1e-3;
-  /// Optional pool for the columns of one depth level (null = serial).
-  /// Every column is computed by the same arithmetic in the same order
-  /// whatever the pool size, so Z is bit-identical at any thread count
-  /// (DESIGN.md §3). Called from a pool worker, the levels run inline.
+  /// Optional pool whose workers build the columns from a ready queue
+  /// (null = serial). Every column is computed by the same arithmetic in
+  /// the same order whatever the pool size, so Z's columns and save()
+  /// bytes are bit-identical at any thread count (DESIGN.md §3). A
+  /// 1-thread pool, or a call from a pool worker, builds serially.
   ThreadPool* pool = nullptr;
 };
 
 /// Sparse approximation of L^{-1}, stored column-wise in *permuted* (factor)
-/// coordinates. Columns live in a shared pool in level order: depth 0
-/// first, then each deeper level, j descending within a level. The layout
-/// depends only on the factor, never on the thread count. All-edge queries
-/// read it about 6% slower than the j-descending layout of a serial sweep;
-/// relaying it out after the build would hold a second copy of the values
-/// at the memory peak. Use column(j) / column_rows(j) / column_values(j)
-/// for access.
+/// coordinates. Each column is written once into a chunk of storage that
+/// is never reallocated, so a column's address is fixed from the moment
+/// it is built. Chunks fill in build order: j descending for a serial
+/// build, completion order (close to j descending) on a pool; a loaded
+/// file is one chunk. Use column(j) / column_rows(j) / column_values(j)
+/// for access. Move-only: the column table points into the chunks.
 class ApproxInverse {
  public:
   /// Run Alg. 2 on a (complete or incomplete) Cholesky factor.
@@ -50,15 +50,17 @@ class ApproxInverse {
                              const ApproxInverseOptions& opts = {});
 
   [[nodiscard]] index_t dimension() const { return n_; }
-  [[nodiscard]] offset_t nnz() const { return static_cast<offset_t>(pool_rows_.size()); }
+  [[nodiscard]] offset_t nnz() const { return nnz_; }
+  /// Storage chunks holding the columns.
+  [[nodiscard]] std::size_t num_chunks() const { return chunks_.size(); }
 
   [[nodiscard]] Span<index_t> column_rows(index_t j) const {
-    return {pool_rows_.data() + col_offset_[static_cast<std::size_t>(j)],
-            static_cast<std::size_t>(col_len_[static_cast<std::size_t>(j)])};
+    const Column& c = cols_[static_cast<std::size_t>(j)];
+    return {c.rows, static_cast<std::size_t>(c.len)};
   }
   [[nodiscard]] Span<real_t> column_values(index_t j) const {
-    return {pool_vals_.data() + col_offset_[static_cast<std::size_t>(j)],
-            static_cast<std::size_t>(col_len_[static_cast<std::size_t>(j)])};
+    const Column& c = cols_[static_cast<std::size_t>(j)];
+    return {c.vals, static_cast<std::size_t>(c.len)};
   }
 
   /// Copy of column j as a SparseVector.
@@ -72,18 +74,47 @@ class ApproxInverse {
   [[nodiscard]] const std::vector<index_t>& inv_perm() const { return inv_perm_; }
 
   /// Binary serialization: an expensive build can be cached on disk and
-  /// reloaded for query-only sessions ("build once, query many").
+  /// reloaded for query-only sessions ("build once, query many"). save()
+  /// writes the columns in descending j, so its bytes do not depend on
+  /// the layout in memory (or on the thread count of the build).
   void save(std::ostream& out) const;
   static ApproxInverse load(std::istream& in);
   void save_file(const std::string& path) const;
   static ApproxInverse load_file(const std::string& path);
 
  private:
+  /// Where column j lives: `len` rows (ascending) and values.
+  struct Column {
+    index_t* rows = nullptr;
+    real_t* vals = nullptr;
+    index_t len = 0;
+  };
+  /// Fixed-size storage for `capacity` entries, values then rows, in one
+  /// anonymous memory mapping; the columns in it are never moved.
+  struct Chunk {
+    explicit Chunk(std::size_t capacity);
+    struct Unmap {
+      std::size_t bytes = 0;
+      void operator()(void* p) const;
+    };
+    [[nodiscard]] real_t* vals() const { return static_cast<real_t*>(memory.get()); }
+    [[nodiscard]] index_t* rows() const {
+      return reinterpret_cast<index_t*>(vals() + capacity);
+    }
+    std::unique_ptr<void, Unmap> memory;
+    std::size_t capacity = 0;
+    std::size_t used = 0;
+  };
+  class ReadyQueue;
+
+  /// Storage for column j of `len` entries: the tail of the last chunk,
+  /// or a new chunk when it does not fit there. Sets and returns cols_[j].
+  Column place(index_t j, index_t len);
+
   index_t n_ = 0;
-  std::vector<std::size_t> col_offset_;
-  std::vector<index_t> col_len_;
-  std::vector<index_t> pool_rows_;
-  std::vector<real_t> pool_vals_;
+  offset_t nnz_ = 0;
+  std::vector<Column> cols_;
+  std::vector<Chunk> chunks_;
   std::vector<index_t> perm_;
   std::vector<index_t> inv_perm_;
 };

@@ -32,14 +32,15 @@ struct ApproxCholOptions {
   /// 0.52 M -> 0.57 M on a 60 x 60 grid and 18.8 M -> 17.7 M on
   /// G2-circuit-like (195 x 195), with nnz(L) within 1.2 % either way.
   bool complete_factorization = false;
-  /// Optional pool for the Alg. 2 level sweep (null = honor `parallel`
-  /// below). Callers already running on a pool worker (reduce_block) may
-  /// pass the same pool: the levels then run inline. Z is bit-identical at
-  /// any thread count (DESIGN.md §3).
+  /// Optional pool whose workers build Alg. 2's columns from a ready
+  /// queue (null = honor `parallel` below). Callers already running on a
+  /// pool worker (reduce_block) may pass the same pool: the build then
+  /// runs serially on the caller. Z is bit-identical at any thread count
+  /// (DESIGN.md §3).
   ThreadPool* pool = nullptr;
-  /// When `pool` is null: threads for the Alg. 2 level sweep (0 = all
-  /// cores). The constructor starts a pool for the build only when this
-  /// asks for > 1 thread and it is not already running on a pool worker.
+  /// When `pool` is null: threads for the Alg. 2 build (0 = all cores).
+  /// The constructor starts a pool for the build only when this asks for
+  /// > 1 thread and it is not already running on a pool worker.
   ParallelOptions parallel{0};
 };
 

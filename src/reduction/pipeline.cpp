@@ -63,9 +63,9 @@ std::unique_ptr<EffResEngine> make_engine(const Graph& g,
       ApproxCholOptions ac;
       ac.droptol = opts.droptol;
       ac.epsilon = opts.epsilon;
-      // Alg. 2 levels fan out over the same pool as the block dispatch;
-      // when this block already runs on a worker they run inline, and a
-      // null pool (serial reduction) builds serially.
+      // Alg. 2's columns fan out over the same pool as the block
+      // dispatch; when this block already runs on a worker, or the pool
+      // is null (serial reduction), the build runs serially.
       ac.pool = pool;
       ac.parallel.num_threads = 1;
       return std::make_unique<ApproxCholEffRes>(g, ac);

@@ -1,8 +1,9 @@
 // Tests for approxinv: depth (Eq. 11) vs brute force, Lemma 1
 // (nonnegativity of Z), exactness at epsilon=0, Theorem 1 error bound,
-// truncation semantics, log-n floor, and the level-scheduled build:
+// truncation semantics, log-n floor, and the pool-scheduled build:
 // bitwise equal to a serial full-sort reference, with identical bytes at
-// every thread count.
+// every thread count, on 1-thread pools, from pool workers and across
+// storage chunks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -126,6 +127,16 @@ TEST(ApproxInverse, ExactWhenEpsilonZero) {
     const auto col = z.column(j).to_dense(f.n);
     for (index_t i = 0; i < f.n; ++i)
       EXPECT_NEAR(col[static_cast<std::size_t>(i)], ref(i, j), 1e-10);
+  }
+}
+
+TEST(ApproxInverse, RejectsNegativeOrNanEpsilon) {
+  const CholFactor f =
+      cholesky(grounded_laplacian(grid_2d(4, 4, WeightKind::kUnit, 5)), Ordering::kMinDeg);
+  for (real_t eps : {-1e-3, std::nan("")}) {
+    ApproxInverseOptions opts;
+    opts.epsilon = eps;
+    EXPECT_THROW(ApproxInverse::build(f, opts), std::invalid_argument);
   }
 }
 
@@ -508,6 +519,95 @@ TEST(LevelSchedule, EpsilonZeroMatchesReference) {
       ict_factor(barabasi_albert(1500, 2, WeightKind::kLogUniform, 45), 1e-3),
       0.0};
   expect_level_build_matches_reference(c);
+}
+
+/// Bitwise equality of two builds, column by column.
+void expect_same_columns(const ApproxInverse& a, const ApproxInverse& b) {
+  ASSERT_EQ(a.dimension(), b.dimension());
+  ASSERT_EQ(a.nnz(), b.nnz());
+  std::vector<SparseVector> cols(static_cast<std::size_t>(b.dimension()));
+  for (index_t j = 0; j < b.dimension(); ++j) cols[static_cast<std::size_t>(j)] = b.column(j);
+  expect_columns_bitwise(a, cols);
+}
+
+TEST(LevelSchedule, OneThreadPoolBuildsSeriallyAndMatchesReference) {
+  const CholFactor f =
+      ict_factor(grid_2d(30, 30, WeightKind::kLogUniform, 46), 1e-3);
+  obs::MetricsRegistry reg;
+  ThreadPool pool(1, &reg);
+  ApproxInverseOptions opts;
+  opts.pool = &pool;
+  const ApproxInverse z = ApproxInverse::build(f, opts);
+  EXPECT_EQ(reg.counter("er_pool_tasks_total").value(), 0u);
+  expect_columns_bitwise(z, reference_build(f, opts.epsilon));
+}
+
+TEST(LevelSchedule, RepeatedBuildsOnOnePoolAreBitwiseEqual) {
+  const CholFactor f =
+      ict_factor(barabasi_albert(1200, 3, WeightKind::kLogUniform, 47), 1e-3);
+  ThreadPool pool(4);
+  ApproxInverseOptions opts;
+  opts.pool = &pool;
+  const ApproxInverse first = ApproxInverse::build(f, opts);
+  const std::string bytes = save_bytes(first);
+  for (int rep = 0; rep < 4; ++rep) {
+    SCOPED_TRACE("rep=" + std::to_string(rep));
+    const ApproxInverse again = ApproxInverse::build(f, opts);
+    expect_same_columns(again, first);
+    EXPECT_TRUE(save_bytes(again) == bytes);
+  }
+}
+
+TEST(LevelSchedule, BuildFromPoolWorkerRunsInlineAndMatchesSerial) {
+  const CholFactor f =
+      ict_factor(barabasi_albert(1000, 3, WeightKind::kUnit, 48), 1e-3);
+  const ApproxInverse serial = ApproxInverse::build(f);
+  obs::MetricsRegistry reg;
+  ThreadPool pool(4, &reg);
+  ApproxInverse on_worker;
+  pool.submit([&] {
+        ApproxInverseOptions opts;
+        opts.pool = &pool;
+        on_worker = ApproxInverse::build(f, opts);
+      })
+      .get();
+  // Only the outer task ran on the pool: the build submitted none.
+  EXPECT_EQ(reg.counter("er_pool_tasks_total").value(), 1u);
+  expect_same_columns(on_worker, serial);
+  EXPECT_TRUE(save_bytes(on_worker) == save_bytes(serial));
+}
+
+TEST(LevelSchedule, ColumnsAcrossSeveralChunksMatchReference) {
+  // nnz(Z~) is far above the first chunk's ~8 entries per column, so the
+  // build rolls over to new chunks, serially and on the pool.
+  const LevelCase c{
+      "chunks",
+      ict_factor(barabasi_albert(1500, 3, WeightKind::kUnit, 49), 1e-3), 1e-3};
+  const std::vector<SparseVector> ref = reference_build(c.factor, c.epsilon);
+  std::string bytes_1;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(threads);
+    ApproxInverseOptions opts;
+    opts.epsilon = c.epsilon;
+    opts.pool = &pool;
+    const ApproxInverse z = ApproxInverse::build(c.factor, opts);
+    EXPECT_GT(z.num_chunks(), 1u);
+    expect_columns_bitwise(z, ref);
+    if (::testing::Test::HasFatalFailure()) return;
+    // save() does not depend on the chunks: a reload (one chunk) saves
+    // the same bytes.
+    const std::string bytes = save_bytes(z);
+    std::istringstream in(bytes);
+    const ApproxInverse reloaded = ApproxInverse::load(in);
+    EXPECT_EQ(reloaded.num_chunks(), 1u);
+    expect_columns_bitwise(reloaded, ref);
+    EXPECT_TRUE(save_bytes(reloaded) == bytes);
+    if (threads == 1)
+      bytes_1 = bytes;
+    else
+      EXPECT_TRUE(bytes == bytes_1);
+  }
 }
 
 }  // namespace

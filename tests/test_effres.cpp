@@ -315,7 +315,7 @@ TEST(ApproxCholParallel, ReductionBitIdenticalAtOneAndFourThreads) {
     const std::uint64_t started = global_count("er_pool_threads_started_total");
     const ReducedModel par = reduce_network(net, ports, opts);
     // Only the reduction's own pool: the single block's engine fans its
-    // Alg. 2 levels out over that pool instead of starting another.
+    // Alg. 2 columns out over that pool instead of starting another.
     EXPECT_EQ(global_count("er_pool_threads_started_total") - started, 4u);
     EXPECT_TRUE(models_identical(serial, par));
   }
