@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
-#include <exception>
 #include <functional>
-#include <future>
 #include <new>
 #include <stdexcept>
 
 #include <sys/mman.h>
 
+#include "parallel/task_heap.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace er {
@@ -150,16 +148,15 @@ std::size_t nnz_floor(index_t n) {
 }  // namespace
 
 /// Alg. 2 on a pool: column j is ready once every column i of its L
-/// pattern is done. The pool's workers pull ready columns from one queue,
-/// largest j first (the order of a serial build), build each in their own
-/// workspace, place it in the shared chunks and release its consumers;
-/// the calling thread waits. Every column runs build_column, so Z is
-/// bitwise equal to the serial build whichever worker builds what.
+/// pattern is done. A TaskHeap runs the ready columns, largest j first
+/// (the order of a serial build); each worker builds its columns in its
+/// own workspace and places them in the shared chunks. Every column runs
+/// build_column, so Z is bitwise equal to the serial build whichever
+/// worker builds what.
 class ApproxInverse::ReadyQueue {
  public:
   ReadyQueue(const CholFactor& factor, ApproxInverse& z, real_t epsilon, int threads)
-      : factor_(factor), z_(z), epsilon_(epsilon), nnz_floor_(nnz_floor(factor.n)),
-        threads_(threads) {
+      : factor_(factor), z_(z), epsilon_(epsilon), nnz_floor_(nnz_floor(factor.n)) {
     const index_t n = factor.n;
     const auto un = static_cast<std::size_t>(n);
     // Consumers of i: the columns j whose L pattern holds row i.
@@ -179,102 +176,53 @@ class ApproxInverse::ReadyQueue {
         consumers_[static_cast<std::size_t>(
             next[static_cast<std::size_t>(factor.row_ind[static_cast<std::size_t>(p)])]++)] = j;
 
-    left_ = n;
     for (index_t j = 0; j < n; ++j)
       if (pending_[static_cast<std::size_t>(j)] == 0) ready_.push_back(j);
-    std::make_heap(ready_.begin(), ready_.end());
-    workspaces_.reserve(static_cast<std::size_t>(threads_));
-    for (int t = 0; t < threads_; ++t) workspaces_.emplace_back(n);
+    workspaces_.reserve(static_cast<std::size_t>(threads));
+    for (int t = 0; t < threads; ++t) workspaces_.emplace_back(n);
   }
 
   /// Builds every column on `pool`'s workers; rethrows the first error
   /// once every worker has stopped.
   void run(ThreadPool& pool) {
-    std::vector<std::future<void>> workers;
-    workers.reserve(static_cast<std::size_t>(threads_));
-    for (int t = 0; t < threads_; ++t)
-      workers.push_back(pool.submit(
-          [this, t] { work_loop(workspaces_[static_cast<std::size_t>(t)]); }));
-    // Wait for every worker before rethrowing: none may outlive this frame.
-    std::exception_ptr first;
-    for (auto& w : workers) {
-      try {
-        w.get();
-      } catch (...) {
-        if (!first) first = std::current_exception();
-      }
-    }
-    util::MutexLock lock(&mutex_);
-    if (error_) std::rethrow_exception(error_);
-    if (first) std::rethrow_exception(first);
+    TaskHeap(
+        std::move(ready_),
+        [this](index_t j, int worker) { build(j, workspaces_[static_cast<std::size_t>(worker)]); },
+        [this](index_t j, std::vector<index_t>& ready) { release(j, ready); })
+        .run(pool);
   }
 
  private:
-  void work_loop(Workspace& ws) ER_EXCLUDES(mutex_) {
-    util::UniqueLock lock(&mutex_);
-    for (;;) {
-      while (ready_.empty() && left_ > 0 && !error_) cv_.wait(lock.native());
-      if (left_ == 0 || error_) return;
-      std::pop_heap(ready_.begin(), ready_.end());
-      const index_t j = ready_.back();
-      ready_.pop_back();
-      lock.unlock();
-      std::exception_ptr error = try_build(j, ws);
-      lock.lock();
-      if (error) {
-        if (!error_) error_ = std::move(error);
-        cv_.notify_all();
-        return;
-      }
-      const std::size_t queued = ready_.size();
-      for (offset_t p = consumer_ptr_[static_cast<std::size_t>(j)];
-           p < consumer_ptr_[static_cast<std::size_t>(j) + 1]; ++p) {
-        const index_t c = consumers_[static_cast<std::size_t>(p)];
-        if (--pending_[static_cast<std::size_t>(c)] == 0) {
-          ready_.push_back(c);
-          std::push_heap(ready_.begin(), ready_.end());
-        }
-      }
-      if (--left_ == 0) {
-        cv_.notify_all();
-        return;
-      }
-      // This worker takes one of the new columns itself.
-      for (std::size_t k = queued + 1; k < ready_.size(); ++k) cv_.notify_one();
+  /// Builds column j and places it; its inputs are done.
+  void build(index_t j, Workspace& ws) ER_EXCLUDES(place_mutex_) {
+    const index_t len = build_column(factor_, z_, j, nnz_floor_, epsilon_, ws);
+    Column c;
+    {
+      util::MutexLock lock(&place_mutex_);
+      c = z_.place(j, len);
     }
+    write_column(ws, j, factor_.n, c.rows, c.vals);
   }
 
-  /// Builds column j and places it; its inputs are done.
-  std::exception_ptr try_build(index_t j, Workspace& ws) ER_EXCLUDES(mutex_) {
-    try {
-      const index_t len = build_column(factor_, z_, j, nnz_floor_, epsilon_, ws);
-      Column c;
-      {
-        util::MutexLock lock(&mutex_);
-        c = z_.place(j, len);
-      }
-      write_column(ws, j, factor_.n, c.rows, c.vals);
-    } catch (...) {
-      return std::current_exception();
+  /// Column j is done: the consumers it was the last input of are ready.
+  void release(index_t j, std::vector<index_t>& ready) {
+    for (offset_t p = consumer_ptr_[static_cast<std::size_t>(j)];
+         p < consumer_ptr_[static_cast<std::size_t>(j) + 1]; ++p) {
+      const index_t c = consumers_[static_cast<std::size_t>(p)];
+      if (--pending_[static_cast<std::size_t>(c)] == 0) ready.push_back(c);
     }
-    return nullptr;
   }
 
   const CholFactor& factor_;
-  ApproxInverse& z_;  // place() under mutex_; columns read once done
+  ApproxInverse& z_;  // place() under place_mutex_; columns read once done
   const real_t epsilon_;
   const std::size_t nnz_floor_;
-  const int threads_;
   std::vector<offset_t> consumer_ptr_;  // consumers of i: consumers_[ptr[i] .. ptr[i + 1])
   std::vector<index_t> consumers_;
+  std::vector<index_t> pending_;  // inputs not done (release() only)
+  std::vector<index_t> ready_;    // columns with no inputs, the first tasks
   std::vector<Workspace> workspaces_;  // one per worker
-
-  util::Mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<index_t> ready_ ER_GUARDED_BY(mutex_);    // max-heap of ready columns
-  std::vector<index_t> pending_ ER_GUARDED_BY(mutex_);  // inputs not done
-  index_t left_ ER_GUARDED_BY(mutex_) = 0;
-  std::exception_ptr error_ ER_GUARDED_BY(mutex_);
+  util::Mutex place_mutex_;
 };
 
 // A chunk's pages come from the OS and go back to it when the chunk is
@@ -320,9 +268,8 @@ ApproxInverse ApproxInverse::build(const CholFactor& factor,
   z.inv_perm_ = factor.inv_perm;
   z.cols_.assign(static_cast<std::size_t>(n), Column{});
 
-  ThreadPool* pool = opts.pool;
-  if (pool != nullptr && pool->num_threads() > 1 && !ThreadPool::on_worker_thread()) {
-    ReadyQueue(factor, z, opts.epsilon, pool->num_threads()).run(*pool);
+  if (fans_out(opts.pool)) {
+    ReadyQueue(factor, z, opts.epsilon, opts.pool->num_threads()).run(*opts.pool);
     return z;
   }
   // Serial: column j reads only columns i > j, so j descending is a valid

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
-#include <exception>
-#include <future>
 #include <stdexcept>
 #include <utility>
 
 #include "order/etree.hpp"
-#include "parallel/thread_pool.hpp"
-#include "util/thread_annotations.hpp"
+#include "parallel/task_heap.hpp"
 
 namespace er {
 
@@ -501,10 +497,10 @@ constexpr index_t kChunksPerThread = 2;
 /// serially as one task each; a supernode above them becomes ready when
 /// all its children are done. A wide one then splits: its gather by
 /// target columns, and each panel into the diagonal block and row blocks
-/// below it, one step after the other. The pool's workers pull tasks from
-/// one ready queue (longest path to the root first); the calling thread
-/// waits. Every task runs NumericPass steps, so the factor is bitwise
-/// equal to the serial one whichever worker runs what.
+/// below it, one step after the other. A TaskHeap runs the ready tasks,
+/// longest path to the root first; the calling thread waits. Every task
+/// runs NumericPass steps, so the factor is bitwise equal to the serial
+/// one whichever worker runs what.
 class ScheduledNumeric {
  public:
   ScheduledNumeric(const NumericPass& pass, const std::vector<index_t>& super_parent,
@@ -625,20 +621,16 @@ class ScheduledNumeric {
     }
     // Every bundle and scheduled supernode has at most one task queued,
     // and a wide supernode at most one step's chunks.
-    heap_.reserve(bundles + static_cast<std::size_t>(tops) +
-                  static_cast<std::size_t>(wide) * static_cast<std::size_t>(max_chunks));
-    nodes_left_ = static_cast<index_t>(bundles) + tops;
-    {
-      util::MutexLock lock(&mutex_);
-      for (std::size_t b = 0; b < bundles; ++b) {
-        const index_t p = bundle_parent_[b];
-        push({bundle_work[b] + (p >= 0 ? path_[static_cast<std::size_t>(p)] : 0.0),
-              Kind::kBundle, static_cast<index_t>(b), 0, 0});
-      }
-      for (index_t sn = 0; sn < ns; ++sn)
-        if (root[static_cast<std::size_t>(sn)] < 0 && pending_[static_cast<std::size_t>(sn)] == 0)
-          make_ready(sn);
+    ready_.reserve(bundles + static_cast<std::size_t>(tops) +
+                   static_cast<std::size_t>(wide) * static_cast<std::size_t>(max_chunks));
+    for (std::size_t b = 0; b < bundles; ++b) {
+      const index_t p = bundle_parent_[b];
+      ready_.push_back({bundle_work[b] + (p >= 0 ? path_[static_cast<std::size_t>(p)] : 0.0),
+                        Kind::kBundle, static_cast<index_t>(b), 0, 0});
     }
+    for (index_t sn = 0; sn < ns; ++sn)
+      if (root[static_cast<std::size_t>(sn)] < 0 && pending_[static_cast<std::size_t>(sn)] == 0)
+        make_ready(sn, ready_);
     scratch_.reserve(static_cast<std::size_t>(threads_));
     for (int t = 0; t < threads_; ++t) scratch_.push_back(pass_.make_scratch());
   }
@@ -646,23 +638,13 @@ class ScheduledNumeric {
   /// Factor on `pool`'s workers; rethrows the first task error (a pivot
   /// that is not positive) once every worker has stopped.
   void run(ThreadPool& pool) {
-    std::vector<std::future<void>> workers;
-    workers.reserve(static_cast<std::size_t>(threads_));
-    for (int t = 0; t < threads_; ++t)
-      workers.push_back(
-          pool.submit([this, t] { work_loop(scratch_[static_cast<std::size_t>(t)]); }));
-    // Wait for every worker before rethrowing: none may outlive this frame.
-    std::exception_ptr first;
-    for (auto& w : workers) {
-      try {
-        w.get();
-      } catch (...) {
-        if (!first) first = std::current_exception();
-      }
-    }
-    util::MutexLock lock(&mutex_);
-    if (error_) std::rethrow_exception(error_);
-    if (first) std::rethrow_exception(first);
+    TaskHeap(
+        std::move(ready_),
+        [this](const Task& task, int worker) {
+          execute(task, scratch_[static_cast<std::size_t>(worker)]);
+        },
+        [this](const Task& task, std::vector<Task>& ready) { complete(task, ready); })
+        .run(pool);
   }
 
  private:
@@ -676,9 +658,9 @@ class ScheduledNumeric {
     index_t id;
     index_t a;
     index_t b;
-  };
 
-  static bool lower_priority(const Task& x, const Task& y) { return x.priority < y.priority; }
+    friend bool operator<(const Task& x, const Task& y) { return x.priority < y.priority; }
+  };
 
   [[nodiscard]] index_t panel_end(index_t sn, index_t c0) const {
     return std::min(pass_.width(sn), c0 + kPanel);
@@ -726,77 +708,36 @@ class ScheduledNumeric {
     }
   }
 
-  std::exception_ptr try_execute(const Task& task, NumericScratch& s) const {
-    try {
-      execute(task, s);
-    } catch (...) {
-      return std::current_exception();
-    }
-    return nullptr;
-  }
-
-  void work_loop(NumericScratch& s) ER_EXCLUDES(mutex_) {
-    util::UniqueLock lock(&mutex_);
-    for (;;) {
-      while (heap_.empty() && nodes_left_ > 0 && !error_) cv_.wait(lock.native());
-      if (nodes_left_ == 0 || error_) return;
-      std::pop_heap(heap_.begin(), heap_.end(), lower_priority);
-      const Task task = heap_.back();
-      heap_.pop_back();
-      lock.unlock();
-      std::exception_ptr error = try_execute(task, s);
-      lock.lock();
-      if (error) {
-        if (!error_) error_ = std::move(error);
-        cv_.notify_all();
-        return;
-      }
-      const std::size_t queued = heap_.size();
-      complete(task);
-      if (nodes_left_ == 0) {
-        cv_.notify_all();
-        return;
-      }
-      // This worker takes one of the new tasks itself.
-      for (std::size_t k = queued + 1; k < heap_.size(); ++k) cv_.notify_one();
-    }
-  }
-
-  void push(const Task& task) ER_REQUIRES(mutex_) {
-    heap_.push_back(task);
-    std::push_heap(heap_.begin(), heap_.end(), lower_priority);
-  }
-
-  void make_ready(index_t sn) ER_REQUIRES(mutex_) {
+  void make_ready(index_t sn, std::vector<Task>& ready) {
     const double priority = path_[static_cast<std::size_t>(sn)];
     const index_t chunks = cut_ptr_[static_cast<std::size_t>(sn) + 1] -
                            cut_ptr_[static_cast<std::size_t>(sn)] - 1;
     if (chunks < 1) {
-      push({priority, Kind::kSupernode, sn, 0, 0});
+      ready.push_back({priority, Kind::kSupernode, sn, 0, 0});
       return;
     }
     remaining_[static_cast<std::size_t>(sn)] = chunks;
-    for (index_t r = 0; r < chunks; ++r) push({priority, Kind::kGather, sn, r, 0});
+    for (index_t r = 0; r < chunks; ++r) ready.push_back({priority, Kind::kGather, sn, r, 0});
   }
 
   /// A bundle or a scheduled supernode under `p` (-1: a root) is done.
-  void child_done(index_t p) ER_REQUIRES(mutex_) {
-    --nodes_left_;
-    if (p >= 0 && --pending_[static_cast<std::size_t>(p)] == 0) make_ready(p);
+  void child_done(index_t p, std::vector<Task>& ready) {
+    if (p >= 0 && --pending_[static_cast<std::size_t>(p)] == 0) make_ready(p, ready);
   }
 
-  void complete(const Task& task) ER_REQUIRES(mutex_) {
+  /// `task` is done: appends the tasks it readies to `ready`.
+  void complete(const Task& task, std::vector<Task>& ready) {
     const index_t sn = task.id;
     const auto u = static_cast<std::size_t>(sn);
     switch (task.kind) {
       case Kind::kBundle:
-        child_done(bundle_parent_[u]);
+        child_done(bundle_parent_[u], ready);
         return;
       case Kind::kSupernode:
-        child_done(parent_[u]);
+        child_done(parent_[u], ready);
         return;
       case Kind::kGather:
-        if (--remaining_[u] == 0) push({task.priority, Kind::kDiagonal, sn, 0, 0});
+        if (--remaining_[u] == 0) ready.push_back({task.priority, Kind::kDiagonal, sn, 0, 0});
         return;
       case Kind::kDiagonal:
       case Kind::kRows: {
@@ -805,11 +746,12 @@ class ScheduledNumeric {
         if (task.kind == Kind::kDiagonal && c1 < pass_.rows(sn)) {
           const index_t blocks = row_blocks(sn, task.a);
           remaining_[u] = blocks;
-          for (index_t r = 0; r < blocks; ++r) push({task.priority, Kind::kRows, sn, task.a, r});
+          for (index_t r = 0; r < blocks; ++r)
+            ready.push_back({task.priority, Kind::kRows, sn, task.a, r});
         } else if (c1 < pass_.width(sn)) {
-          push({task.priority, Kind::kDiagonal, sn, c1, 0});
+          ready.push_back({task.priority, Kind::kDiagonal, sn, c1, 0});
         } else {
-          child_done(parent_[u]);
+          child_done(parent_[u], ready);
         }
         return;
       }
@@ -826,14 +768,10 @@ class ScheduledNumeric {
   std::vector<index_t> cut_ptr_;  // wide sn: gather chunk c is columns cuts_[ptr[sn] + c ..+ 1]
   std::vector<index_t> cuts_;
   std::vector<NumericScratch> scratch_;  // one per worker
-
-  util::Mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<Task> heap_ ER_GUARDED_BY(mutex_);
-  std::vector<index_t> pending_ ER_GUARDED_BY(mutex_);    // children not done
-  std::vector<index_t> remaining_ ER_GUARDED_BY(mutex_);  // chunks of a split step
-  index_t nodes_left_ ER_GUARDED_BY(mutex_) = 0;
-  std::exception_ptr error_ ER_GUARDED_BY(mutex_);
+  std::vector<Task> ready_;              // the first tasks
+  // Changed in complete() only.
+  std::vector<index_t> pending_;    // children not done
+  std::vector<index_t> remaining_;  // chunks of a split step
 };
 
 }  // namespace
@@ -934,7 +872,7 @@ CholFactor cholesky(const CscMatrix& a, const std::vector<index_t>& perm, Thread
   // --- Numeric pass: serially in supernode order, or scheduled on the
   // pool with the same steps. ---
   const NumericPass pass(f, lower, super_ptr, upd_ptr, upd);
-  if (pool != nullptr && pool->num_threads() > 1 && !ThreadPool::on_worker_thread()) {
+  if (fans_out(pool)) {
     ScheduledNumeric(pass, super_parent, pool->num_threads()).run(*pool);
   } else {
     NumericScratch scratch = pass.make_scratch();

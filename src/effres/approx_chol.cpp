@@ -42,16 +42,11 @@ ApproxCholEffRes::ApproxCholEffRes(const Graph& g,
   stats_.max_depth = max_filled_graph_depth(factor_);
 
   t.reset();
-  ThreadPool* pool = opts.pool;
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (pool == nullptr && !ThreadPool::on_worker_thread() &&
-      resolve_num_threads(opts.parallel.num_threads) > 1) {
-    owned_pool = std::make_unique<ThreadPool>(opts.parallel.num_threads);
-    pool = owned_pool.get();
-  }
+  const std::unique_ptr<ThreadPool> owned_pool =
+      opts.pool == nullptr ? transient_pool(opts.parallel.num_threads) : nullptr;
   ApproxInverseOptions zi;
   zi.epsilon = opts.epsilon;
-  zi.pool = pool;
+  zi.pool = opts.pool != nullptr ? opts.pool : owned_pool.get();
   z_ = ApproxInverse::build(factor_, zi);
   stats_.inverse_seconds = t.seconds();
   stats_.inverse_nnz = z_.nnz();

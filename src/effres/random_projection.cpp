@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -49,13 +48,6 @@ RandomProjectionEffRes::RandomProjectionEffRes(
                     0.0);
   const real_t inv_sqrt_k = 1.0 / std::sqrt(static_cast<real_t>(k_));
 
-  ThreadPool* pool = opts.pool;
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (pool == nullptr && resolve_num_threads(opts.parallel.num_threads) > 1) {
-    owned_pool = std::make_unique<ThreadPool>(opts.parallel.num_threads);
-    pool = owned_pool.get();
-  }
-
   // Row r of Y solves L y = B^T W^{1/2} q_r, with q_r a ±1/sqrt(k) vector
   // over edges. The right-hand side is assembled edge by edge without
   // forming B explicitly. Each row draws q_r from its own stream
@@ -64,7 +56,7 @@ RandomProjectionEffRes::RandomProjectionEffRes(
   // thread count; per-row counters are folded serially below.
   std::vector<int> row_iterations(static_cast<std::size_t>(k_), 0);
   std::vector<char> row_nonconverged(static_cast<std::size_t>(k_), 0);
-  parallel_for(pool, 0, k_, 1, [&](index_t lo, index_t hi) {
+  parallel_for(opts.pool, 0, k_, 1, [&](index_t lo, index_t hi) {
     std::vector<real_t> rhs(static_cast<std::size_t>(n_));
     for (index_t r = lo; r < hi; ++r) {
       Rng rng(mix_seed(opts.seed, static_cast<std::uint64_t>(r)));

@@ -32,15 +32,12 @@ struct RandomProjectionOptions {
   int solver_max_iterations = 1000;
   real_t ichol_droptol = 1e-3;  // preconditioner quality
   /// Optional pool for the k per-row solves during construction (null =
-  /// honor `parallel` below). Row r draws its projection vector from its
-  /// own stream mix_seed(seed, r), so the embedding is bit-identical at
-  /// any thread count (DESIGN.md §3). Callers already running on a pool
-  /// worker (reduce_block) may pass the same pool: the row loop then runs
+  /// serial). Row r draws its projection vector from its own stream
+  /// mix_seed(seed, r), so the embedding is bit-identical at any thread
+  /// count (DESIGN.md §3). Callers already running on a pool worker
+  /// (reduce_block) may pass the same pool: the row loop then runs
   /// inline, which is the intended nesting behavior.
   ThreadPool* pool = nullptr;
-  /// When `pool` is null and this asks for > 1 thread, the constructor
-  /// spins up its own pool for the duration of the build.
-  ParallelOptions parallel;
 };
 
 struct RandomProjectionStats {

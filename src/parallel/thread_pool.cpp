@@ -106,13 +106,33 @@ void ThreadPool::worker_loop() {
   }
 }
 
+bool fans_out(const ThreadPool* pool) {
+  return pool != nullptr && pool->num_threads() > 1 && !ThreadPool::on_worker_thread();
+}
+
+std::unique_ptr<ThreadPool> transient_pool(int num_threads) {
+  if (ThreadPool::on_worker_thread() || resolve_num_threads(num_threads) <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(num_threads);
+}
+
+void wait_all(std::vector<std::future<void>>& futures) {
+  std::exception_ptr first;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
+}
+
 void parallel_for(ThreadPool* pool, index_t begin, index_t end, index_t grain,
                   const std::function<void(index_t, index_t)>& body) {
   if (end <= begin) return;
   if (grain < 1) grain = 1;
   const index_t n = end - begin;
-  if (pool == nullptr || pool->num_threads() <= 1 || n <= grain ||
-      ThreadPool::on_worker_thread()) {
+  if (n <= grain || !fans_out(pool)) {
     body(begin, end);
     return;
   }
@@ -131,18 +151,7 @@ void parallel_for(ThreadPool* pool, index_t begin, index_t end, index_t grain,
     const index_t hi = std::min<index_t>(lo + step, end);
     futures.push_back(pool->submit([&body, lo, hi] { body(lo, hi); }));
   }
-
-  // Wait for every chunk before rethrowing, so no task can outlive the
-  // caller's stack frame.
-  std::exception_ptr first;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
+  wait_all(futures);
 }
 
 }  // namespace er

@@ -17,6 +17,7 @@
 #include <condition_variable>
 #include <functional>
 #include <future>
+#include <memory>
 #include <queue>
 #include <thread>
 #include <vector>
@@ -33,12 +34,12 @@ class Gauge;
 class Histogram;
 }  // namespace obs
 
-/// Threading knob carried by ReductionOptions, RandomProjectionOptions,
-/// ApproxCholOptions (and bench flags). Results are bit-identical at any
-/// setting; the defaults differ by site: ReductionOptions keeps 1 (the
-/// caller opts in to a pool), ApproxCholOptions uses 0 (its transient
-/// pool only lives for the Alg. 2 build and is skipped when the caller
-/// passes a pool or is on a pool worker).
+/// Threading knob carried by ReductionOptions, ApproxCholOptions (and
+/// bench flags). Results are bit-identical at any setting; the defaults
+/// differ by site: ReductionOptions keeps 1 (the caller opts in to a
+/// pool), ApproxCholOptions uses 0 (its transient pool only lives for the
+/// Alg. 2 build and is skipped when the caller passes a pool or is on a
+/// pool worker).
 struct ParallelOptions {
   /// 0 = auto (hardware concurrency), 1 = serial, n = exactly n threads.
   int num_threads = 1;
@@ -108,12 +109,26 @@ class ThreadPool {
   obs::Histogram* run_hist_;
 };
 
+/// True when work handed to `pool` runs on other threads: the pool has
+/// more than one thread and the caller is not a pool worker (nested
+/// parallelism runs inline, so it cannot deadlock).
+bool fans_out(const ThreadPool* pool);
+
+/// A pool for a parallel step whose caller passed none: off a pool
+/// worker, with more than one thread requested (ParallelOptions
+/// convention), a new pool of that many threads; otherwise null.
+std::unique_ptr<ThreadPool> transient_pool(int num_threads);
+
+/// Waits for every future, then rethrows the first exception among them,
+/// so no task outlives the caller's stack frame.
+void wait_all(std::vector<std::future<void>>& futures);
+
 /// Split [begin, end) into chunks of at least `grain` iterations and run
 /// `body(chunk_begin, chunk_end)` across the pool, blocking until all chunks
-/// complete. Runs inline (one chunk, calling thread) when `pool` is null,
-/// has one thread, the range is within one grain, or the caller already is
-/// a pool worker. The first exception thrown by any chunk is rethrown here
-/// after all chunks have finished.
+/// complete. Runs inline (one chunk, calling thread) when the pool does
+/// not fan out (see fans_out) or the range is within one grain. The first
+/// exception thrown by any chunk is rethrown here after all chunks have
+/// finished.
 void parallel_for(ThreadPool* pool, index_t begin, index_t end, index_t grain,
                   const std::function<void(index_t, index_t)>& body);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -14,14 +13,11 @@ namespace er {
 
 namespace {
 
-/// AMD-ordered factor of an analysis system. Off a pool worker it runs on
-/// a transient all-core pool, the rule ApproxCholEffRes follows for its
-/// Alg. 2 build; the factor is bitwise equal to the serial one.
+/// AMD-ordered factor of an analysis system, on a transient all-core pool
+/// (the rule ApproxCholEffRes follows for its Alg. 2 build); the factor is
+/// bitwise equal to the serial one.
 CholFactor factor_system(const CscMatrix& g) {
-  std::unique_ptr<ThreadPool> pool;
-  if (!ThreadPool::on_worker_thread() && resolve_num_threads(0) > 1)
-    pool = std::make_unique<ThreadPool>(0);
-  return cholesky(g, compute_ordering(g, Ordering::kAmd), pool.get());
+  return cholesky(g, compute_ordering(g, Ordering::kAmd), transient_pool(0).get());
 }
 
 }  // namespace

@@ -337,9 +337,7 @@ ModelPtr reduce_network_frozen(const ConductanceNetwork& input,
   Timer total_timer;
   // The pool is shared by every stage: partitioner levels, block dispatch,
   // batched ER queries / RP row solves inside blocks, and the stitch.
-  std::unique_ptr<ThreadPool> pool;
-  if (resolve_num_threads(opts.parallel.num_threads) > 1)
-    pool = std::make_unique<ThreadPool>(opts.parallel.num_threads);
+  const std::unique_ptr<ThreadPool> pool = transient_pool(opts.parallel.num_threads);
 
   BlockStructure structure;
   Timer phase;

@@ -1,8 +1,8 @@
 /// \file
 /// Clang thread-safety annotations (DESIGN.md §7): compile-time lock
-/// checking for the five mutex-holding subsystems (parallel/ThreadPool,
-/// serve/ModelStore, serve/AsyncUpdater, obs/MetricsRegistry,
-/// obs/TraceRing).
+/// checking for the mutex-holding subsystems (parallel/ThreadPool,
+/// parallel/TaskHeap, serve/ModelStore, serve/AsyncUpdater,
+/// obs/MetricsRegistry, obs/TraceRing).
 ///
 /// The macros expand to Clang `-Wthread-safety` capability attributes
 /// under Clang and to nothing elsewhere (GCC builds are unaffected). CI

@@ -1,18 +1,25 @@
 // Tests for the parallel subsystem: thread-pool task completion, exception
-// propagation, nested (reentrant) parallel_for, batched ER queries across a
-// pool, and the determinism guarantee — the partitioner, stitch, RP row
-// solves, and the whole reduce_network pipeline must produce bit-identical
-// results at any thread count.
+// propagation, nested (reentrant) parallel_for, the TaskHeap executor
+// (ordering, dependencies, errors), batched ER queries across a pool, and
+// the determinism guarantee — the partitioner, stitch, RP row solves, and
+// the whole reduce_network pipeline must produce bit-identical results at
+// any thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "effres/approx_chol.hpp"
 #include "effres/exact.hpp"
 #include "effres/random_projection.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
+#include "parallel/task_heap.hpp"
 #include "parallel/thread_pool.hpp"
 #include "partition/partition.hpp"
 #include "pg/incremental.hpp"
@@ -102,6 +109,175 @@ TEST(ParallelFor, ReentrantFromWorkerRunsInline) {
     });
   });
   EXPECT_EQ(total.load(), 80);
+}
+
+TEST(FansOut, OnlyForMultiThreadPoolsOffAWorker) {
+  ThreadPool one(1);
+  ThreadPool two(2);
+  EXPECT_FALSE(fans_out(nullptr));
+  EXPECT_FALSE(fans_out(&one));
+  EXPECT_TRUE(fans_out(&two));
+  bool on_worker = true;
+  two.submit([&] { on_worker = fans_out(&two); }).get();
+  EXPECT_FALSE(on_worker);
+}
+
+TEST(TransientPool, StartsOnlyOffAWorkerForMoreThanOneThread) {
+  EXPECT_EQ(transient_pool(1), nullptr);
+  const std::unique_ptr<ThreadPool> pool = transient_pool(2);
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->num_threads(), 2);
+  bool started = true;
+  pool->submit([&] { started = transient_pool(2) != nullptr; }).get();
+  EXPECT_FALSE(started);
+}
+
+// ---------------- TaskHeap ----------------
+
+// A random DAG whose node j takes up to four inputs among the nodes above
+// it; some nodes fan in from several, some fan out to many.
+struct RandomDag {
+  std::vector<std::vector<int>> inputs;
+  std::vector<std::vector<int>> consumers;
+};
+
+RandomDag random_dag(int n, std::uint64_t seed) {
+  RandomDag dag;
+  dag.inputs.resize(static_cast<std::size_t>(n));
+  dag.consumers.resize(static_cast<std::size_t>(n));
+  Rng rng(seed);
+  for (int j = 0; j + 1 < n; ++j) {
+    const auto fan_in = static_cast<int>(rng.uniform_index(5));
+    for (int k = 0; k < fan_in; ++k) {
+      // Half the inputs come from a few hubs near the top.
+      const int above = n - 1 - j;
+      const int i = rng.uniform() < 0.5
+                        ? n - 1 - static_cast<int>(rng.uniform_index(
+                                      static_cast<std::uint64_t>(std::min(above, 3))))
+                        : j + 1 + static_cast<int>(rng.uniform_index(
+                                      static_cast<std::uint64_t>(above)));
+      auto& in = dag.inputs[static_cast<std::size_t>(j)];
+      if (std::find(in.begin(), in.end(), i) != in.end()) continue;
+      in.push_back(i);
+      dag.consumers[static_cast<std::size_t>(i)].push_back(j);
+    }
+  }
+  return dag;
+}
+
+TEST(TaskHeap, RandomDagRunsEveryTaskOnceAfterItsInputs) {
+  const int n = 600;
+  const RandomDag dag = random_dag(n, 71);
+  for (int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> runs(static_cast<std::size_t>(n));
+    std::vector<std::atomic<bool>> done(static_cast<std::size_t>(n));
+    std::atomic<int> inputs_missing{0};
+    std::atomic<int> bad_worker{0};
+    std::vector<int> pending(static_cast<std::size_t>(n));
+    std::vector<int> ready;
+    for (int j = 0; j < n; ++j) {
+      pending[static_cast<std::size_t>(j)] =
+          static_cast<int>(dag.inputs[static_cast<std::size_t>(j)].size());
+      if (pending[static_cast<std::size_t>(j)] == 0) ready.push_back(j);
+    }
+    int completes = 0;  // complete() calls never overlap, so no atomic
+    TaskHeap(
+        std::move(ready),
+        [&](int j, int worker) {
+          if (worker < 0 || worker >= threads) ++bad_worker;
+          for (int i : dag.inputs[static_cast<std::size_t>(j)])
+            if (!done[static_cast<std::size_t>(i)]) ++inputs_missing;
+          ++runs[static_cast<std::size_t>(j)];
+          done[static_cast<std::size_t>(j)] = true;
+        },
+        [&](int j, std::vector<int>& next) {
+          ++completes;
+          for (int c : dag.consumers[static_cast<std::size_t>(j)])
+            if (--pending[static_cast<std::size_t>(c)] == 0) next.push_back(c);
+        })
+        .run(pool);
+    EXPECT_EQ(completes, n);
+    EXPECT_EQ(inputs_missing.load(), 0);
+    EXPECT_EQ(bad_worker.load(), 0);
+    for (int j = 0; j < n; ++j) EXPECT_EQ(runs[static_cast<std::size_t>(j)].load(), 1) << j;
+  }
+}
+
+TEST(TaskHeap, EmptyGraphReturnsAtOnce) {
+  obs::MetricsRegistry reg;
+  ThreadPool pool(4, &reg);
+  TaskHeap(
+      std::vector<int>{}, [](int, int) { ADD_FAILURE() << "a task ran"; },
+      [](int, std::vector<int>&) { ADD_FAILURE() << "a task completed"; })
+      .run(pool);
+  EXPECT_EQ(reg.counter("er_pool_tasks_total").value(), 0u);
+}
+
+TEST(TaskHeap, OneWorkerPopsInPriorityOrder) {
+  // Even tasks are ready at the start, shuffled; completing 2k readies
+  // 2k + 1, which then outranks every even task still waiting.
+  std::vector<int> ready;
+  for (int k = 0; k < 50; ++k) ready.push_back(2 * k);
+  Rng rng(72);
+  for (std::size_t i = ready.size(); i > 1; --i)
+    std::swap(ready[i - 1], ready[static_cast<std::size_t>(rng.uniform_index(i))]);
+  ThreadPool pool(1);
+  std::vector<int> order;
+  TaskHeap(
+      std::move(ready), [&](int t, int) { order.push_back(t); },
+      [](int t, std::vector<int>& next) {
+        if (t % 2 == 0) next.push_back(t + 1);
+      })
+      .run(pool);
+  std::vector<int> expected;
+  for (int k = 49; k >= 0; --k) {
+    expected.push_back(2 * k);
+    expected.push_back(2 * k + 1);
+  }
+  EXPECT_EQ(order, expected);
+}
+
+TEST(TaskHeap, ErrorReachesCallerAfterEveryWorkerAndStopsDependents) {
+  // Task 100 (the top) throws; tasks 0..7 are independent and slow;
+  // tasks 200..209 depend on 100. The caller must see the error with no
+  // task still running, and no dependent of 100 may run.
+  ThreadPool pool(4);
+  std::atomic<int> in_flight{0};
+  std::atomic<int> dependents_run{0};
+  std::vector<int> ready{100};
+  for (int t = 0; t < 8; ++t) ready.push_back(t);
+  bool caught = false;
+  try {
+    TaskHeap(
+        std::move(ready),
+        [&](int t, int) {
+          ++in_flight;
+          if (t >= 200) ++dependents_run;
+          if (t == 100) {
+            --in_flight;
+            throw std::runtime_error("task 100 failed");
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          --in_flight;
+        },
+        [](int t, std::vector<int>& next) {
+          if (t == 100)
+            for (int d = 200; d < 210; ++d) next.push_back(d);
+        })
+        .run(pool);
+  } catch (const std::runtime_error& e) {
+    caught = true;
+    EXPECT_STREQ(e.what(), "task 100 failed");
+    EXPECT_EQ(in_flight.load(), 0);
+  }
+  EXPECT_TRUE(caught);
+  EXPECT_EQ(dependents_run.load(), 0);
+  // The pool is left usable.
+  std::atomic<int> count{0};
+  parallel_for(&pool, 0, 64, 1, [&](index_t lo, index_t hi) { count += static_cast<int>(hi - lo); });
+  EXPECT_EQ(count.load(), 64);
 }
 
 // ---------------- Batched ER queries ----------------
@@ -314,9 +490,10 @@ TEST(ParallelRandomProjection, RowSolvesBitIdenticalAcrossThreadCounts) {
   const auto reference = serial.resistances(queries);
   EXPECT_EQ(serial.stats().nonconverged_rows, 0);
   for (int threads : {2, 4, 8}) {
+    ThreadPool pool(threads);
     RandomProjectionOptions par_opts;
     par_opts.seed = 19;
-    par_opts.parallel.num_threads = threads;
+    par_opts.pool = &pool;
     const RandomProjectionEffRes par(g, par_opts);
     const auto got = par.resistances(queries);
     SCOPED_TRACE("threads=" + std::to_string(threads));
