@@ -202,10 +202,11 @@ int main(int argc, char** argv) {
       obs::MetricsRegistry row_reg;
       std::unique_ptr<ThreadPool> pool;
       if (threads > 1) pool = std::make_unique<ThreadPool>(threads, &row_reg);
-      BatchStats stats;
+      AnswerContext ctx;
+      ctx.pool = pool.get();
       Timer t;
       const std::vector<real_t> answers =
-          QueryFrontEnd(&store, &row_reg).answer(batch, pool.get(), &stats);
+          QueryFrontEnd(&store, &row_reg).answer(batch, ctx).values;
       const double seconds = t.seconds();
       pool.reset();
       const obs::MetricsSnapshot row_snap = row_reg.snapshot();

@@ -176,20 +176,18 @@ void Server::accept_loop() {
   while (!draining_.load(std::memory_order_relaxed)) {
     bool timed_out = false;
     Fd fd = accept_tcp(listen_fd_.get(), kPollMs, &timed_out);
-    {
-      util::MutexLock lock(&sessions_mutex_);
-      reap_finished_sessions_locked();
-    }
+    util::MutexLock lock(&sessions_mutex_);
+    reap_finished_sessions_locked();
     if (!fd.valid()) continue;  // timeout or transient accept error
-    if (static_cast<std::size_t>(active_connections_->value()) >=
-        options_.max_connections) {
+    // The cap counts this server's own sessions (every one left after the
+    // reap has a live reader), never the shared active-connections gauge.
+    if (sessions_.size() >= options_.max_connections) {
       conns_rejected_->add();
       continue;  // fd closes on scope exit: refuse by hangup
     }
     auto session = std::make_shared<Session>(std::move(fd));
     conns_accepted_->add();
     active_connections_->add(1);
-    util::MutexLock lock(&sessions_mutex_);
     sessions_.push_back(
         {session, std::thread([this, session] { session_loop(session); })});
   }
@@ -324,18 +322,17 @@ void Server::process_query(WorkItem& item) {
   }
   AnswerReply reply;
   try {
-    BatchStats stats;
     AnswerContext ctx;
     ctx.pool = pool_.get();
-    ctx.stats = &stats;
     // The queue wait already consumed, handed to the front-end as the
     // explicit deadline input (serve/query_policy.hpp): expiry is decided
     // here at the daemon boundary, and the library below stays a pure
     // function of (snapshot, batch, context).
     ctx.queue_wait_us =
         static_cast<std::uint64_t>(item.admitted.seconds() * 1e6);
-    reply.answers = frontend_.answer(item.query.queries, ctx);
-    reply.snapshot_version = stats.snapshot_version;
+    Answers answers = frontend_.answer(item.query.queries, ctx);
+    reply.answers = std::move(answers.values);
+    reply.snapshot_version = answers.snapshot_version;
   } catch (const std::exception& e) {
     send_error(item.session, item.request_id, ErrorCode::kInternal,
                e.what());

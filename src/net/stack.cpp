@@ -26,7 +26,7 @@ ServingStack::ServingStack(const ConductanceNetwork& grid_net,
             return reducer_.revision();
           },
           AsyncUpdater::Options{options_.staleness_bound, options_.fail_fast,
-                                /*version_log_cap=*/256, registry_}) {
+                                registry_}) {
   if (options_.attach_cache) {
     cache_ = std::make_shared<ResultCache>(options_.cache, registry_);
     store_.attach_cache(cache_);

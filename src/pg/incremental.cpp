@@ -62,8 +62,7 @@ IncrementalReducer::IncrementalReducer(const ConductanceNetwork& net,
                                        const ReductionOptions& opts)
     : is_port_(is_port), opts_(opts) {
   Timer t;
-  if (resolve_num_threads(opts_.parallel.num_threads) > 1)
-    pool_ = std::make_unique<ThreadPool>(opts_.parallel.num_threads);
+  pool_ = transient_pool(opts_.parallel.num_threads);
   Timer phase;
   {
     OBS_SPAN("partition");

@@ -135,7 +135,8 @@ class IncrementalReducer {
   std::vector<char> is_port_;
   ReductionOptions opts_;
   /// Kept across updates so repeated incremental re-reductions reuse the
-  /// same workers (created only when opts.parallel asks for > 1 thread).
+  /// same workers (transient_pool(opts.parallel.num_threads): none for a
+  /// single thread or a constructor running on a pool worker).
   std::unique_ptr<ThreadPool> pool_;
   /// Freeze `next` as the new current model version (warming the graph's
   /// lazy CSR cache first so concurrent readers of the shared version never

@@ -24,16 +24,7 @@ AsyncUpdater::AsyncUpdater(UpdateFn apply, Options options)
     : apply_(std::move(apply)), options_(options) {
   if (!apply_)
     throw std::invalid_argument("AsyncUpdater: null update function");
-  if (options_.version_log_cap < 2)
-    throw std::invalid_argument(
-        "AsyncUpdater: version_log_cap must be >= 2");
-  if (options_.registry) {
-    registry_ = options_.registry;
-  } else {
-    owned_registry_ = std::make_unique<obs::MetricsRegistry>();
-    registry_ = owned_registry_.get();
-  }
-  obs::MetricsRegistry& reg = *registry_;
+  obs::MetricsRegistry& reg = obs::registry_or_global(options_.registry);
   submitted_ = &reg.counter("er_updater_mods_submitted_total", {},
                             "Modifications accepted by submit()");
   applied_ = &reg.counter("er_updater_mods_applied_total", {},
@@ -89,7 +80,7 @@ bool AsyncUpdater::submit(ConductanceNetwork network,
   // edit stream beyond the bound). Fail fast or wait for the worker —
   // cv_idle_ is notified at every batch completion — depending on policy.
   if (options_.max_staleness_mods > 0 &&
-      unpublished_mods_locked() + 1 > options_.max_staleness_mods) {
+      unpublished_mods_ + 1 > options_.max_staleness_mods) {
     if (options_.fail_fast) {
       rejected_->add(1);
       return false;
@@ -99,7 +90,7 @@ bool AsyncUpdater::submit(ConductanceNetwork network,
     // Explicit wait loop so the guarded reads sit in this annotated scope
     // (a cv wait predicate lambda is analyzed lock-less).
     while (error_ == nullptr && !stop_ &&
-           unpublished_mods_locked() + 1 > options_.max_staleness_mods)
+           unpublished_mods_ + 1 > options_.max_staleness_mods)
       cv_idle_.wait(lock.native());
     blocked_wait_hist_->record(seconds_since(t0));
     if (error_) std::rethrow_exception(error_);
@@ -107,9 +98,9 @@ bool AsyncUpdater::submit(ConductanceNetwork network,
       throw std::logic_error("AsyncUpdater::submit: updater was drained");
   }
   submitted_->add(1);
-  const auto unpublished = unpublished_mods_locked();
-  staleness_mods_->set(static_cast<std::int64_t>(unpublished));
-  staleness_high_water_->max_with(static_cast<std::int64_t>(unpublished));
+  ++unpublished_mods_;
+  staleness_mods_->set(static_cast<std::int64_t>(unpublished_mods_));
+  staleness_high_water_->max_with(static_cast<std::int64_t>(unpublished_mods_));
   if (pending_) {
     // Coalesce: the newer network is the more recent cumulative state, so
     // it replaces the pending one; the dirty sets union; the latency
@@ -189,33 +180,6 @@ void AsyncUpdater::resume() {
   cv_worker_.notify_one();
 }
 
-std::uint64_t AsyncUpdater::unpublished_mods_locked() const {
-  return submitted_->value() - applied_->value() - failed_->value();
-}
-
-AsyncUpdater::Stats AsyncUpdater::stats() const {
-  util::MutexLock lock(&mutex_);
-  // Materialize the view from the registry series. Consistency comes from
-  // mutex_: every mutation of these series happens with it held.
-  Stats s;
-  s.submitted = submitted_->value();
-  s.applied = applied_->value();
-  s.batches = batches_->value();
-  s.coalesced = coalesced_->value();
-  s.failed = failed_->value();
-  s.pending = pending_ ? pending_->mods : 0;
-  s.update_in_flight = in_flight_;
-  s.last_publish_latency_seconds = last_publish_latency_seconds_;
-  s.max_publish_latency_seconds = publish_latency_hist_->max_value();
-  s.total_publish_latency_seconds = publish_latency_hist_->sum();
-  s.blocked_submits = blocked_submits_->value();
-  s.total_blocked_seconds = blocked_wait_hist_->sum();
-  s.rejected = rejected_->value();
-  s.max_observed_staleness_mods =
-      static_cast<std::uint64_t>(staleness_high_water_->value());
-  return s;
-}
-
 std::uint64_t AsyncUpdater::mods_reflected(std::uint64_t version) const {
   util::MutexLock lock(&mutex_);
   // Versions are strictly increasing in publish order: binary-search the
@@ -264,25 +228,25 @@ void AsyncUpdater::worker_loop() {
       // Latch the error and stop: the model source's state after a failed
       // update is suspect, so no further batches are applied. submit() and
       // flush() surface the error to the caller; the batch's modifications
-      // land in Stats::failed so the accounting invariant stays exact.
+      // count as failed, so submitted = applied + failed + unpublished.
       error_ = err;
       stop_ = true;
+      unpublished_mods_ -= batch.mods;
       failed_->add(batch.mods);
-      staleness_mods_->set(
-          static_cast<std::int64_t>(unpublished_mods_locked()));
+      staleness_mods_->set(static_cast<std::int64_t>(unpublished_mods_));
       cv_idle_.notify_all();
       return;
     }
+    unpublished_mods_ -= batch.mods;
+    applied_mods_ += batch.mods;
     applied_->add(batch.mods);
     batches_->add(1);
-    last_publish_latency_seconds_ = latency;
     publish_latency_hist_->record(latency);
-    staleness_mods_->set(static_cast<std::int64_t>(unpublished_mods_locked()));
-    version_log_.emplace_back(version, applied_->value());
+    staleness_mods_->set(static_cast<std::int64_t>(unpublished_mods_));
+    version_log_.emplace_back(version, applied_mods_);
     // Bound the log: fold the older half into the prune marker once it
-    // outgrows the cap (Options::version_log_cap batches of retention —
-    // the default is far beyond any realistically pinned snapshot's age).
-    if (version_log_.size() > options_.version_log_cap) {
+    // outgrows kVersionLogCap batches of retention.
+    if (version_log_.size() > kVersionLogCap) {
       const auto half =
           static_cast<std::ptrdiff_t>(version_log_.size() / 2);
       pruned_ = version_log_[static_cast<std::size_t>(half - 1)];

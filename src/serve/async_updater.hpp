@@ -37,7 +37,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -83,64 +82,20 @@ class AsyncUpdater {
     /// At the bound, submit() returns false immediately instead of
     /// blocking (the caller decides whether to drop, retry, or slow the
     /// edit source). Rejected modifications are counted in
-    /// Stats::rejected and are *not* part of Stats::submitted.
+    /// `er_updater_mods_rejected_total` and are *not* part of
+    /// `er_updater_mods_submitted_total`.
     bool fail_fast = false;
-    /// Retention of the mods_reflected() version log, in batches. The
-    /// default is far beyond any realistically pinned snapshot's age;
-    /// tests shrink it to exercise the prune boundary.
-    std::size_t version_log_cap = 256;
-    /// Metrics destination (`er_updater_*` series — DESIGN.md §6). Null
-    /// (the default) gives the updater a *private* per-instance registry,
-    /// reachable via metrics(): updaters are created per serving pipeline
-    /// (benches and tests build many, sometimes concurrently), so their
-    /// counters must not silently merge in the global registry. Pass an
-    /// explicit registry to aggregate — but note the Stats view then
-    /// reports the combined stream of every updater sharing it.
+    /// Metrics destination (`er_updater_*` series — DESIGN.md §6; null =
+    /// the process-wide global registry). The series are write-only here:
+    /// the bound and mods_reflected() read the updater's own counts, so
+    /// updaters sharing a registry never steer each other.
     obs::MetricsRegistry* registry = nullptr;
   };
 
-  /// Counters and latency figures of the update stream so far. Snapshot
-  /// semantics: one stats() call is internally consistent (built under the
-  /// updater's lock). This is a *view* materialized from the updater's
-  /// registry series (`er_updater_*` — DESIGN.md §6) plus the derived
-  /// pending/in-flight state; there is no parallel bookkeeping.
-  struct Stats {
-    std::uint64_t submitted = 0;  ///< modifications handed to submit()
-    std::uint64_t applied = 0;    ///< modifications folded into finished updates
-    std::uint64_t batches = 0;    ///< worker update+publish cycles
-    /// Modifications that merged into an already-pending batch instead of
-    /// opening a new one. Accounting invariant: submitted = applied +
-    /// failed + pending + (modifications of the batch currently in
-    /// flight, counted in neither) — so submitted = applied + failed +
-    /// pending whenever update_in_flight is false.
-    std::uint64_t coalesced = 0;
-    /// Modifications lost to a batch whose update threw (the latched-error
-    /// state; at most one batch ever fails because the worker stops).
-    std::uint64_t failed = 0;
-    /// Modifications waiting in the slot (derived from the slot itself by
-    /// stats(); never stored).
-    std::uint64_t pending = 0;
-    bool update_in_flight = false;  ///< worker currently inside UpdateFn
-    /// Submit-to-publish latency of the *oldest* modification in the most
-    /// recent batch (what a just-submitted change waits before queries can
-    /// see it).
-    double last_publish_latency_seconds = 0.0;
-    double max_publish_latency_seconds = 0.0;
-    /// Sum of per-batch publish latencies (mean = total / batches).
-    double total_publish_latency_seconds = 0.0;
-    // Back-pressure figures (all 0 while Options::max_staleness_mods = 0).
-    /// submit() calls that reached the staleness bound and had to wait.
-    std::uint64_t blocked_submits = 0;
-    /// Time submitters spent blocked at the bound, summed.
-    double total_blocked_seconds = 0.0;
-    /// Modifications turned away by fail_fast at the bound (disjoint from
-    /// `submitted` — a rejected modification was never accepted).
-    std::uint64_t rejected = 0;
-    /// Largest accepted-but-unpublished modification count ever observed
-    /// at a submit (the high-water mark the bound clips; tracked even
-    /// when unbounded).
-    std::uint64_t max_observed_staleness_mods = 0;
-  };
+  /// Retention of the mods_reflected() version log, in batches: far
+  /// beyond any realistically pinned snapshot's age, still O(1) memory
+  /// over a long-lived update stream.
+  static constexpr std::size_t kVersionLogCap = 256;
 
   /// Starts the worker thread. `apply` outlives the updater's last batch
   /// (i.e. the updater must be destroyed/drained before the model source).
@@ -193,17 +148,10 @@ class AsyncUpdater {
   void pause() ER_EXCLUDES(mutex_);
   void resume() ER_EXCLUDES(mutex_);
 
-  [[nodiscard]] Stats stats() const ER_EXCLUDES(mutex_);
-
-  /// The registry this updater records into: the private per-instance one
-  /// unless Options::registry pointed elsewhere. Export with
-  /// obs::to_prometheus(metrics().snapshot()) or fold into a run-level
-  /// MetricsSnapshot via merge().
-  [[nodiscard]] obs::MetricsRegistry& metrics() const { return *registry_; }
-
   /// How many submitted modifications are reflected in the snapshot with
-  /// the given version (monotone in `version`): the staleness of a pinned
-  /// batch is stats().submitted at pin time minus mods_reflected(pinned
+  /// the given version (monotone in `version`), counting only this
+  /// updater's modifications: the staleness of a pinned batch is the
+  /// modifications accepted at pin time minus mods_reflected(pinned
   /// version). Versions published before this updater existed (e.g. the
   /// initial attach_store publish) report 0.
   ///
@@ -230,13 +178,6 @@ class AsyncUpdater {
 
   void worker_loop();
 
-  /// Accepted-but-unpublished modifications (pending + in flight), under
-  /// the lock — the quantity Options::max_staleness_mods bounds. Reads the
-  /// registry counters; every mutation of them happens under mutex_, so
-  /// the difference is exact here.
-  [[nodiscard]] std::uint64_t unpublished_mods_locked() const
-      ER_REQUIRES(mutex_);
-
   UpdateFn apply_;
   Options options_;
   mutable util::Mutex mutex_;
@@ -247,14 +188,13 @@ class AsyncUpdater {
   bool stop_ ER_GUARDED_BY(mutex_) = false;
   bool in_flight_ ER_GUARDED_BY(mutex_) = false;
   std::exception_ptr error_ ER_GUARDED_BY(mutex_);
-  /// Backing store when Options::registry is null (declared before the
-  /// metric handles that point into it).
-  std::unique_ptr<obs::MetricsRegistry> owned_registry_;
-  obs::MetricsRegistry* registry_ = nullptr;  ///< resolved, never null
-  // Registry-backed series (pointers cached at construction). All
-  // mutations happen with mutex_ held, which is what makes stats() and
-  // the back-pressure arithmetic exact; the registry itself would permit
-  // lock-free recording.
+  /// Accepted-but-unpublished modifications (pending + in flight): the
+  /// quantity Options::max_staleness_mods bounds.
+  std::uint64_t unpublished_mods_ ER_GUARDED_BY(mutex_) = 0;
+  /// Modifications folded into finished updates (the version log's count).
+  std::uint64_t applied_mods_ ER_GUARDED_BY(mutex_) = 0;
+  // Registry-backed series (pointers cached at construction), recorded
+  // and never read back.
   obs::Counter* submitted_ = nullptr;
   obs::Counter* applied_ = nullptr;
   obs::Counter* batches_ = nullptr;
@@ -266,13 +206,10 @@ class AsyncUpdater {
   obs::Gauge* staleness_high_water_ = nullptr;
   obs::Histogram* publish_latency_hist_ = nullptr;
   obs::Histogram* blocked_wait_hist_ = nullptr;
-  /// Latest batch's latency — kept as a plain member because a histogram
-  /// aggregates and cannot answer "most recent sample".
-  double last_publish_latency_seconds_ ER_GUARDED_BY(mutex_) = 0.0;
   /// (published version, cumulative modifications applied through it) per
   /// batch, in publish order (strictly increasing versions) — the
   /// mods_reflected() lookup table. Bounded: when it outgrows
-  /// Options::version_log_cap the older half folds into pruned_ (the
+  /// kVersionLogCap the older half folds into pruned_ (the
   /// newest dropped entry), so memory stays O(1) over a long-lived update
   /// stream and lookups for versions older than the retention window
   /// degrade to the pruned marker.

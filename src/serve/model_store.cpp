@@ -34,7 +34,7 @@ void ModelStore::publish(SnapshotPtr snapshot) {
   // Swap under the lock, destroy outside it: if this publish drops the last
   // reference to the displaced snapshot, its (large) teardown must not
   // stall concurrent acquire() calls — the critical section stays a
-  // pointer swap plus O(1) log bookkeeping. The cache hook also runs
+  // pointer swap plus O(1) bookkeeping. The cache hook also runs
   // outside the lock (it sweeps every cache stripe): racing publishes may
   // then invoke hooks out of order, which at worst leaves a cache cold,
   // never yields a stale hit — see ResultCache::on_publish.
@@ -42,8 +42,7 @@ void ModelStore::publish(SnapshotPtr snapshot) {
   std::shared_ptr<ResultCache> cache;
   {
     util::MutexLock lock(&mutex_);
-    publish_log_.emplace_back(version, now);
-    if (publish_log_.size() > kPublishLogCap) publish_log_.pop_front();
+    published_at_ = now;
     displaced = std::move(current_);
     current_ = snapshot;
     ++publish_count_;
@@ -93,17 +92,8 @@ std::optional<std::uint64_t> ModelStore::current_version() const {
 
 std::optional<double> ModelStore::current_age_seconds() const {
   util::MutexLock lock(&mutex_);
-  if (!current_ || publish_log_.empty()) return std::nullopt;
-  return seconds_since(publish_log_.back().second);
-}
-
-std::optional<double> ModelStore::version_age_seconds(
-    std::uint64_t version) const {
-  util::MutexLock lock(&mutex_);
-  // Newest-first so a republished version reports its latest instant.
-  for (auto it = publish_log_.rbegin(); it != publish_log_.rend(); ++it)
-    if (it->first == version) return seconds_since(it->second);
-  return std::nullopt;
+  if (!current_) return std::nullopt;
+  return seconds_since(published_at_);
 }
 
 }  // namespace er

@@ -15,7 +15,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 
@@ -47,8 +46,7 @@ class ModelStore {
   /// Metrics go to `registry` (null = the process-wide global registry).
   explicit ModelStore(obs::MetricsRegistry* registry = nullptr);
   /// Atomically replace the current snapshot. Null snapshots are rejected.
-  /// The publish instant is recorded per version (bounded log) for the
-  /// age probes below.
+  /// The publish instant is kept for current_age_seconds().
   void publish(SnapshotPtr snapshot) ER_EXCLUDES(mutex_);
 
   /// The currently-published snapshot (null before the first publish).
@@ -78,14 +76,6 @@ class ModelStore {
   [[nodiscard]] std::optional<double> current_age_seconds() const
       ER_EXCLUDES(mutex_);
 
-  /// Seconds since the given version was published, while it remains in
-  /// the bounded publish log (the most recent kPublishLogCap publishes);
-  /// nullopt when the version was never published here or has aged out.
-  /// Lets a reader translate a pinned snapshot's version into wall-clock
-  /// staleness without touching the updater.
-  [[nodiscard]] std::optional<double> version_age_seconds(
-      std::uint64_t version) const ER_EXCLUDES(mutex_);
-
   /// Attach a result cache (serve/result_cache.hpp): the already-current
   /// snapshot (if any) is registered immediately, and every subsequent
   /// publish() registers the new version with the cache's publish hook.
@@ -100,22 +90,15 @@ class ModelStore {
       ER_EXCLUDES(mutex_);
 
  private:
-  /// Publish-instant retention: far beyond any realistically pinned
-  /// snapshot's age, still O(1) memory over a long-lived store.
-  static constexpr std::size_t kPublishLogCap = 256;
-
   mutable util::Mutex mutex_;
   SnapshotPtr current_ ER_GUARDED_BY(mutex_);
   std::shared_ptr<ResultCache> cache_ ER_GUARDED_BY(mutex_);
+  /// Kept here, not read from er_store_publishes_total: the store's
+  /// registry may be shared with other stores.
   std::uint64_t publish_count_ ER_GUARDED_BY(mutex_) = 0;
+  std::chrono::steady_clock::time_point published_at_ ER_GUARDED_BY(mutex_);
   obs::Counter* publishes_total_;  ///< registry-backed, set at construction
   obs::Gauge* current_version_gauge_;
-  /// (version, publish instant) per publish, newest last; bounded by
-  /// kPublishLogCap. Versions need not be monotone for generic writers —
-  /// lookups scan newest-first so a republished version reports its most
-  /// recent instant.
-  std::deque<std::pair<std::uint64_t, std::chrono::steady_clock::time_point>>
-      publish_log_ ER_GUARDED_BY(mutex_);
 };
 
 }  // namespace er

@@ -1,6 +1,5 @@
 #include "serve/query_frontend.hpp"
 
-#include <atomic>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -89,17 +88,8 @@ QueryFrontEnd::QueryFrontEnd(const ModelStore* store,
     throw std::invalid_argument("QueryFrontEnd: null ModelStore");
 }
 
-std::vector<real_t> QueryFrontEnd::answer(const std::vector<PortQuery>& batch,
-                                          ThreadPool* pool,
-                                          BatchStats* stats) const {
-  AnswerContext ctx;
-  ctx.pool = pool;
-  ctx.stats = stats;
-  return answer(batch, ctx);
-}
-
-std::vector<real_t> QueryFrontEnd::answer(const std::vector<PortQuery>& batch,
-                                          const AnswerContext& ctx) const {
+Answers QueryFrontEnd::answer(const std::vector<PortQuery>& batch,
+                              const AnswerContext& ctx) const {
   // Pin the snapshot once: the whole batch is answered against one model
   // version, however many publishes race with it. The cache handle is
   // pinned the same way (shared ownership for the batch's duration).
@@ -110,7 +100,7 @@ std::vector<real_t> QueryFrontEnd::answer(const std::vector<PortQuery>& batch,
   AnswerContext resolved = ctx;
   if (!resolved.registry) resolved.registry = registry_;
   if (!resolved.cache) resolved.cache = cache.get();
-  return answer_on(*snap, batch, resolved);
+  return {answer_on(*snap, batch, resolved), snap->version()};
 }
 
 std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
@@ -120,8 +110,6 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
   ServeMetrics metrics = serve_metrics(obs::registry_or_global(ctx.registry));
   const auto n = static_cast<index_t>(batch.size());
   std::vector<real_t> out(batch.size(), 0.0);
-  std::atomic<std::size_t> invalid{0}, cache_hits{0}, cache_misses{0},
-      deadline_miss{0};
   if (ctx.statuses) ctx.statuses->assign(batch.size(), QueryStatus::kOk);
 
   // Resolve the snapshot version's cache scope once per batch. An
@@ -140,7 +128,7 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
   // request.
   parallel_for(ctx.pool, 0, n, kBatchQueryGrain, [&](index_t lo, index_t hi) {
     static thread_local ModelSnapshot::Workspace ws;
-    std::size_t inv = 0, hits = 0, missed = 0, expired = 0;
+    std::uint64_t inv = 0, expired = 0;
     for (index_t i = lo; i < hi; ++i) {
       const auto ui = static_cast<std::size_t>(i);
       const PortQuery& query = batch[ui];
@@ -168,40 +156,22 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
         continue;
       }
       real_t value = 0.0;
-      if (cache && cache->lookup(*scope, query.kind, query.p, query.q, &value)) {
-        ++hits;
-      } else {
+      if (!cache ||
+          !cache->lookup(*scope, query.kind, query.p, query.q, &value)) {
         value = answer_exact(snap, query.kind, p, q, ws);
-        if (cache) {
-          ++missed;
-          cache->insert(*scope, query.kind, query.p, query.q, value);
-        }
+        if (cache) cache->insert(*scope, query.kind, query.p, query.q, value);
       }
       out[ui] = value;
       metrics.query_latency.record(query_timer.seconds());
     }
-    invalid += inv;
-    cache_hits += hits;
-    cache_misses += missed;
-    deadline_miss += expired;
+    // Once per chunk; ResultCache counts its own hits and misses.
+    metrics.invalid.add(inv);
+    metrics.deadline_miss.add(expired);
   });
 
-  const double batch_seconds = timer.seconds();
   metrics.batches.add(1);
   metrics.queries.add(batch.size());
-  metrics.invalid.add(invalid.load());
-  metrics.deadline_miss.add(deadline_miss.load());
-  metrics.batch_seconds.record(batch_seconds);
-  if (ctx.stats) {
-    BatchStats* stats = ctx.stats;
-    stats->queries = batch.size();
-    stats->invalid = invalid.load();
-    stats->cache_hits = cache_hits.load();
-    stats->cache_misses = cache_misses.load();
-    stats->deadline_miss = deadline_miss.load();
-    stats->snapshot_version = snap.version();
-    stats->seconds = batch_seconds;
-  }
+  metrics.batch_seconds.record(timer.seconds());
   return out;
 }
 

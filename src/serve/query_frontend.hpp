@@ -42,30 +42,9 @@ struct PortQuery {
   QueryPolicy policy;
 };
 
-/// Per-batch diagnostics, filled by answer()/answer_on() for the one
-/// batch that produced them. The same figures are simultaneously streamed
-/// into the metrics registry as cumulative counters and latency
-/// histograms (`er_serve_*`, `er_query_latency_seconds`,
-/// `er_query_batch_seconds` — DESIGN.md §6), so BatchStats stays the
-/// per-call view while the registry carries the process-lifetime
-/// aggregates.
-struct BatchStats {
-  std::size_t queries = 0;
-  std::size_t invalid = 0;          ///< unmapped / out-of-range endpoints
-  /// Result-cache figures (serve/result_cache.hpp), zero when no cache was
-  /// consulted. hits + misses counts every cache probe of the batch;
-  /// invalid queries are never probed or cached.
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  std::size_t deadline_miss = 0;    ///< expired before evaluation (NaN)
-  std::uint64_t snapshot_version = 0;
-  double seconds = 0.0;
-};
-
 /// Per-batch evaluation parameters for answer()/answer_on().
 struct AnswerContext {
   ThreadPool* pool = nullptr;
-  BatchStats* stats = nullptr;
   /// Metrics sink (null = the process-wide global registry).
   obs::MetricsRegistry* registry = nullptr;
   /// Consulted and filled for every batch; may be null.
@@ -78,6 +57,13 @@ struct AnswerContext {
   std::uint64_t queue_wait_us = 0;
   /// Optional per-query outcome slots (resized to the batch); null skips.
   std::vector<QueryStatus>* statuses = nullptr;
+};
+
+/// What answer() returns: one value per query, and the version of the
+/// snapshot the whole batch was answered against.
+struct Answers {
+  std::vector<real_t> values;
+  std::uint64_t snapshot_version = 0;
 };
 
 /// Stateless batch evaluator bound to a ModelStore. Thread-safe: any number
@@ -93,16 +79,11 @@ class QueryFrontEnd {
   /// Answer a batch against the currently-published snapshot. Throws
   /// std::runtime_error if nothing has been published yet. When the store
   /// carries an attached ResultCache, answers are served from / inserted
-  /// into it (bit-identical either way — DESIGN.md §4.2).
-  [[nodiscard]] std::vector<real_t> answer(const std::vector<PortQuery>& batch,
-                                           ThreadPool* pool = nullptr,
-                                           BatchStats* stats = nullptr) const;
-
-  /// Full-context overload: like the convenience form above but with every
-  /// AnswerContext field available. ctx.registry/ctx.cache default (when
-  /// null) to the front-end's registry and the store's attached cache.
-  [[nodiscard]] std::vector<real_t> answer(const std::vector<PortQuery>& batch,
-                                           const AnswerContext& ctx) const;
+  /// into it (bit-identical either way — DESIGN.md §4.2). ctx.registry /
+  /// ctx.cache default (when null) to the front-end's registry and the
+  /// store's attached cache.
+  [[nodiscard]] Answers answer(const std::vector<PortQuery>& batch,
+                               const AnswerContext& ctx = {}) const;
 
   /// Answer a batch against an explicitly pinned snapshot (tests, replay).
   /// ctx.registry null means the global registry; ctx.cache may be null.

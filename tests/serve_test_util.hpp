@@ -2,14 +2,16 @@
 // test_async_updater.cpp, test_result_cache.cpp): a small gridded
 // ConductanceNetwork with random ports/pad shunts, mixed
 // response/resistance query batches over its surviving nodes, the
-// AsyncUpdater<->IncrementalReducer wiring, and deterministic
-// modification streams.
+// AsyncUpdater<->IncrementalReducer wiring, deterministic modification
+// streams, and a reader for the series a test's own registry recorded.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
 #include "pg/incremental.hpp"
 #include "reduction/pipeline.hpp"
 #include "serve/async_updater.hpp"
@@ -110,6 +112,29 @@ inline ModStream make_mod_stream(const ConductanceNetwork& base,
     stream.mods.push_back(mod);
   }
   return stream;
+}
+
+/// Counter or gauge value of the series `name` (with `labels`) in a
+/// registry the test owns; -1 when no such series exists.
+inline std::int64_t series_value(const obs::MetricsRegistry& reg,
+                                 const std::string& name,
+                                 const obs::Labels& labels = {}) {
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::MetricSnapshot* m = snap.find(name, labels);
+  if (!m) return -1;
+  return m->kind == obs::MetricKind::kGauge
+             ? m->gauge
+             : static_cast<std::int64_t>(m->counter);
+}
+
+/// Sample count of the histogram series `name` in a registry the test
+/// owns; 0 when no such series exists.
+inline std::uint64_t histogram_count(const obs::MetricsRegistry& reg,
+                                     const std::string& name,
+                                     const obs::Labels& labels = {}) {
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::MetricSnapshot* m = snap.find(name, labels);
+  return m ? m->histogram.count : 0;
 }
 
 }  // namespace er

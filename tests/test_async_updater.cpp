@@ -13,6 +13,7 @@
 // The concurrent tests run under TSan in CI (see .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <map>
@@ -37,6 +38,13 @@ namespace {
 
 // bind_reducer / make_mod_stream come from serve_test_util.hpp (shared
 // with test_serving.cpp and test_result_cache.cpp).
+
+/// Updater options that record into `reg`, a registry the test owns.
+AsyncUpdater::Options recording_into(obs::MetricsRegistry& reg) {
+  AsyncUpdater::Options o;
+  o.registry = &reg;
+  return o;
+}
 
 // ---------------------------------------------------------------------------
 // (b) every publish is a full build; a failed publish keeps the old version.
@@ -165,7 +173,8 @@ TEST(AsyncUpdater, CoalescedBatchesConvergeToSequentialModel) {
   reducer.attach_store(&store);
   IncrementalReducer twin(c.net, c.ports, opts);
 
-  AsyncUpdater updater(bind_reducer(reducer));
+  obs::MetricsRegistry reg;
+  AsyncUpdater updater(bind_reducer(reducer), recording_into(reg));
   updater.pause();  // force every submission into one coalesced batch
 
   constexpr int kMods = 4;
@@ -177,19 +186,16 @@ TEST(AsyncUpdater, CoalescedBatchesConvergeToSequentialModel) {
     updater.submit(net, dirty);
     twin.update(net, dirty);  // sequential reference
   }
-  {
-    const AsyncUpdater::Stats s = updater.stats();
-    EXPECT_EQ(s.submitted, static_cast<std::uint64_t>(kMods));
-    EXPECT_EQ(s.pending, static_cast<std::uint64_t>(kMods));
-    EXPECT_EQ(s.coalesced, static_cast<std::uint64_t>(kMods - 1));
-    EXPECT_EQ(s.batches, 0u);
-  }
+  EXPECT_EQ(series_value(reg, "er_updater_mods_submitted_total"), kMods);
+  EXPECT_EQ(series_value(reg, "er_updater_staleness_mods"), kMods);
+  EXPECT_EQ(series_value(reg, "er_updater_mods_coalesced_total"), kMods - 1);
+  EXPECT_EQ(series_value(reg, "er_updater_batches_total"), 0);
   updater.flush();
-  const AsyncUpdater::Stats s = updater.stats();
-  EXPECT_EQ(s.batches, 1u);  // one coalesced update applied everything
-  EXPECT_EQ(s.applied, static_cast<std::uint64_t>(kMods));
-  EXPECT_EQ(s.pending, 0u);
-  EXPECT_GT(s.last_publish_latency_seconds, 0.0);
+  // One coalesced update applied everything.
+  EXPECT_EQ(series_value(reg, "er_updater_batches_total"), 1);
+  EXPECT_EQ(series_value(reg, "er_updater_mods_applied_total"), kMods);
+  EXPECT_EQ(series_value(reg, "er_updater_staleness_mods"), 0);
+  EXPECT_EQ(histogram_count(reg, "er_updater_publish_latency_seconds"), 1u);
   EXPECT_EQ(store.publish_count(), 2u);  // attach + one coalesced publish
 
   // The coalesced model equals the sequential one bit-for-bit — per block
@@ -222,33 +228,34 @@ TEST(AsyncUpdater, FlushDrainAndErrorContracts) {
   {
     // flush() with nothing submitted returns immediately; drain() makes
     // further submissions throw.
-    AsyncUpdater updater(bind_reducer(reducer));
+    obs::MetricsRegistry reg;
+    AsyncUpdater updater(bind_reducer(reducer), recording_into(reg));
     updater.flush();
-    EXPECT_EQ(updater.stats().batches, 0u);
+    EXPECT_EQ(series_value(reg, "er_updater_batches_total"), 0);
     // flush on an idle updater still implies resume: a subsequent submit
     // is applied without an explicit resume().
     updater.pause();
     updater.flush();
     updater.submit(c.net, {0});
     updater.flush();
-    EXPECT_EQ(updater.stats().batches, 1u);
+    EXPECT_EQ(series_value(reg, "er_updater_batches_total"), 1);
     updater.drain();
     EXPECT_THROW(updater.submit(c.net, {0}), std::logic_error);
   }
   {
     // A worker exception (bad block id) latches: flush rethrows, and so
-    // does every later submit/flush; the lost batch lands in Stats::failed
-    // so submitted = applied + failed + pending stays exact.
-    AsyncUpdater updater(bind_reducer(reducer));
+    // does every later submit/flush; the lost batch counts as failed, so
+    // submitted = applied + failed + unpublished stays exact.
+    obs::MetricsRegistry reg;
+    AsyncUpdater updater(bind_reducer(reducer), recording_into(reg));
     updater.submit(c.net, {reducer.structure().num_blocks + 7});
     EXPECT_THROW(updater.flush(), std::out_of_range);
     EXPECT_THROW(updater.submit(c.net, {0}), std::out_of_range);
     EXPECT_THROW(updater.flush(), std::out_of_range);
-    const AsyncUpdater::Stats s = updater.stats();
-    EXPECT_EQ(s.submitted, 1u);
-    EXPECT_EQ(s.failed, 1u);
-    EXPECT_EQ(s.applied, 0u);
-    EXPECT_EQ(s.pending, 0u);
+    EXPECT_EQ(series_value(reg, "er_updater_mods_submitted_total"), 1);
+    EXPECT_EQ(series_value(reg, "er_updater_mods_failed_total"), 1);
+    EXPECT_EQ(series_value(reg, "er_updater_mods_applied_total"), 0);
+    EXPECT_EQ(series_value(reg, "er_updater_staleness_mods"), 0);
   }
 }
 
@@ -262,7 +269,8 @@ TEST(AsyncUpdater, FlushOverridesConcurrentPause) {
   ModelStore store;
   IncrementalReducer reducer(c.net, c.ports, opts);
   reducer.attach_store(&store);
-  AsyncUpdater updater(bind_reducer(reducer));
+  obs::MetricsRegistry reg;
+  AsyncUpdater updater(bind_reducer(reducer), recording_into(reg));
 
   const ModStream stream =
       make_mod_stream(c.net, reducer.structure(), 3, 0.5, 1.1, 800);
@@ -275,10 +283,8 @@ TEST(AsyncUpdater, FlushOverridesConcurrentPause) {
     std::this_thread::yield();
   }
   flusher.join();
-  const AsyncUpdater::Stats s = updater.stats();
-  EXPECT_EQ(s.applied, 3u);
-  EXPECT_EQ(s.pending, 0u);
-  EXPECT_FALSE(s.update_in_flight);
+  EXPECT_EQ(series_value(reg, "er_updater_mods_applied_total"), 3);
+  EXPECT_EQ(series_value(reg, "er_updater_staleness_mods"), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -292,8 +298,10 @@ TEST(AsyncUpdater, MaxStalenessBlocksSubmitUntilWorkerCatchesUp) {
   ModelStore store;
   IncrementalReducer reducer(c.net, c.ports, opts);
   reducer.attach_store(&store);
+  obs::MetricsRegistry reg;
   AsyncUpdater::Options uo;
   uo.max_staleness_mods = 2;
+  uo.registry = &reg;
   AsyncUpdater updater(bind_reducer(reducer), uo);
 
   // Fill the staleness budget while the worker is gated.
@@ -310,12 +318,9 @@ TEST(AsyncUpdater, MaxStalenessBlocksSubmitUntilWorkerCatchesUp) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(accepted.load());
-  {
-    const AsyncUpdater::Stats s = updater.stats();
-    EXPECT_EQ(s.submitted, 2u);
-    EXPECT_EQ(s.blocked_submits, 1u);
-    EXPECT_EQ(s.max_observed_staleness_mods, 2u);
-  }
+  EXPECT_EQ(series_value(reg, "er_updater_mods_submitted_total"), 2);
+  EXPECT_EQ(series_value(reg, "er_updater_blocked_submits_total"), 1);
+  EXPECT_EQ(series_value(reg, "er_updater_staleness_mods_high_water"), 2);
 
   // Resuming lets the worker drain the coalesced batch; the blocked submit
   // unblocks as soon as the store has caught up.
@@ -323,14 +328,19 @@ TEST(AsyncUpdater, MaxStalenessBlocksSubmitUntilWorkerCatchesUp) {
   blocked.join();
   EXPECT_TRUE(accepted.load());
   updater.flush();
-  const AsyncUpdater::Stats s = updater.stats();
-  EXPECT_EQ(s.submitted, 3u);
-  EXPECT_EQ(s.applied, 3u);
-  EXPECT_EQ(s.pending, 0u);
-  EXPECT_EQ(s.blocked_submits, 1u);
-  EXPECT_EQ(s.rejected, 0u);
-  EXPECT_GT(s.total_blocked_seconds, 0.0);
-  EXPECT_LE(s.max_observed_staleness_mods, uo.max_staleness_mods);
+  EXPECT_EQ(series_value(reg, "er_updater_mods_submitted_total"), 3);
+  EXPECT_EQ(series_value(reg, "er_updater_mods_applied_total"), 3);
+  EXPECT_EQ(series_value(reg, "er_updater_staleness_mods"), 0);
+  EXPECT_EQ(series_value(reg, "er_updater_blocked_submits_total"), 1);
+  EXPECT_EQ(series_value(reg, "er_updater_mods_rejected_total"), 0);
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::MetricSnapshot* wait =
+      snap.find("er_updater_blocked_wait_seconds");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_EQ(wait->histogram.count, 1u);
+  EXPECT_GT(wait->histogram.sum, 0.0);
+  EXPECT_LE(series_value(reg, "er_updater_staleness_mods_high_water"),
+            static_cast<std::int64_t>(uo.max_staleness_mods));
 }
 
 TEST(AsyncUpdater, MaxStalenessFailFastRejectsAtTheBound) {
@@ -340,9 +350,11 @@ TEST(AsyncUpdater, MaxStalenessFailFastRejectsAtTheBound) {
   ModelStore store;
   IncrementalReducer reducer(c.net, c.ports, opts);
   reducer.attach_store(&store);
+  obs::MetricsRegistry reg;
   AsyncUpdater::Options uo;
   uo.max_staleness_mods = 2;
   uo.fail_fast = true;
+  uo.registry = &reg;
   AsyncUpdater updater(bind_reducer(reducer), uo);
 
   updater.pause();
@@ -351,24 +363,18 @@ TEST(AsyncUpdater, MaxStalenessFailFastRejectsAtTheBound) {
   // At the bound: the edit is turned away, never accepted.
   EXPECT_FALSE(updater.submit(c.net, {2}));
   EXPECT_FALSE(updater.submit(c.net, {3}));
-  {
-    const AsyncUpdater::Stats s = updater.stats();
-    EXPECT_EQ(s.submitted, 2u);
-    EXPECT_EQ(s.pending, 2u);
-    EXPECT_EQ(s.rejected, 2u);
-    EXPECT_EQ(s.blocked_submits, 0u);
-  }
+  EXPECT_EQ(series_value(reg, "er_updater_mods_submitted_total"), 2);
+  EXPECT_EQ(series_value(reg, "er_updater_staleness_mods"), 2);
+  EXPECT_EQ(series_value(reg, "er_updater_mods_rejected_total"), 2);
+  EXPECT_EQ(series_value(reg, "er_updater_blocked_submits_total"), 0);
 
   updater.flush();  // implies resume; applies the two accepted mods
-  {
-    const AsyncUpdater::Stats s = updater.stats();
-    EXPECT_EQ(s.applied, 2u);
-    EXPECT_EQ(s.rejected, 2u);
-  }
+  EXPECT_EQ(series_value(reg, "er_updater_mods_applied_total"), 2);
+  EXPECT_EQ(series_value(reg, "er_updater_mods_rejected_total"), 2);
   // Budget freed: the next submit is accepted again.
   EXPECT_TRUE(updater.submit(c.net, {2}));
   updater.flush();
-  EXPECT_EQ(updater.stats().applied, 3u);
+  EXPECT_EQ(series_value(reg, "er_updater_mods_applied_total"), 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -378,42 +384,45 @@ TEST(AsyncUpdater, MaxStalenessFailFastRejectsAtTheBound) {
 
 TEST(AsyncUpdater, ModsReflectedSurvivesVersionLogPrune) {
   // Trivial model source: versions advance by 2 per batch (gaps exercise
-  // the partition_point floor semantics). version_log_cap = 8 makes the
-  // prune reachable in 20 batches; flush() per submit pins one batch per
-  // modification (no coalescing).
-  AsyncUpdater::Options uo;
-  uo.version_log_cap = 8;
+  // the partition_point floor semantics). flush() per submit pins one
+  // batch per modification (no coalescing), and the stream runs past
+  // kVersionLogCap batches so the log prunes exactly once.
+  constexpr std::uint64_t kCap = AsyncUpdater::kVersionLogCap;
+  // The prune at batch kCap + 1 folds the older half of the log: batches
+  // 1..kHalf go, and the marker keeps the newest of them.
+  constexpr std::uint64_t kHalf = (kCap + 1) / 2;
+  // One prune, not two: the next one comes at batch kCap + 1 + kHalf.
+  constexpr std::uint64_t kBatches = kCap + kHalf / 2;
+  obs::MetricsRegistry reg;
   std::uint64_t version = 0;
   AsyncUpdater updater(
       [&version](const ConductanceNetwork&,
                  const std::vector<index_t>&) { return version += 2; },
-      uo);
+      recording_into(reg));
   const ConductanceNetwork empty_net;
-  constexpr std::uint64_t kBatches = 20;
   for (std::uint64_t i = 1; i <= kBatches; ++i) {
     updater.submit(empty_net, {});
     updater.flush();
   }
-  ASSERT_EQ(updater.stats().batches, kBatches);
+  ASSERT_EQ(series_value(reg, "er_updater_batches_total"),
+            static_cast<std::int64_t>(kBatches));
 
-  // Prune trace with cap 8 (fold the older half each time the log reaches
-  // 9 entries): prunes after batches 9, 13 and 17 leave the retained log
-  // at versions 26..40 (cumulative mods 13..20) and the prune marker at
-  // (version 24, 12 mods) — the newest dropped entry.
-  EXPECT_EQ(updater.mods_reflected(40), kBatches);       // newest
-  EXPECT_EQ(updater.mods_reflected(41), kBatches);       // beyond newest
-  EXPECT_EQ(updater.mods_reflected(26), 13u);            // oldest retained
-  EXPECT_EQ(updater.mods_reflected(27), 13u);            // gap floors down
-  EXPECT_EQ(updater.mods_reflected(24), 12u);            // exact boundary
-  EXPECT_EQ(updater.mods_reflected(25), 12u);            // marker half
+  // The retained log holds batches kHalf + 1..kBatches (version 2b,
+  // b cumulative mods); the prune marker is batch kHalf.
+  EXPECT_EQ(updater.mods_reflected(2 * kBatches), kBatches);      // newest
+  EXPECT_EQ(updater.mods_reflected(2 * kBatches + 1), kBatches);  // beyond
+  EXPECT_EQ(updater.mods_reflected(2 * kHalf + 2), kHalf + 1);  // oldest kept
+  EXPECT_EQ(updater.mods_reflected(2 * kHalf + 3), kHalf + 1);  // gap floors
+  EXPECT_EQ(updater.mods_reflected(2 * kHalf), kHalf);      // exact marker
+  EXPECT_EQ(updater.mods_reflected(2 * kHalf + 1), kHalf);  // marker half
   // Older than the marker: conservative lower bound 0, never an
   // over-statement.
-  EXPECT_EQ(updater.mods_reflected(23), 0u);
+  EXPECT_EQ(updater.mods_reflected(2 * kHalf - 1), 0u);
   EXPECT_EQ(updater.mods_reflected(2), 0u);
   EXPECT_EQ(updater.mods_reflected(0), 0u);
   // Monotone in the version, across the whole pruned + retained range.
   std::uint64_t prev = 0;
-  for (std::uint64_t v = 0; v <= 44; ++v) {
+  for (std::uint64_t v = 0; v <= 2 * kBatches + 4; ++v) {
     const std::uint64_t r = updater.mods_reflected(v);
     EXPECT_GE(r, prev) << "version " << v;
     prev = r;
@@ -421,10 +430,13 @@ TEST(AsyncUpdater, ModsReflectedSurvivesVersionLogPrune) {
 }
 
 TEST(AsyncUpdater, FlushAfterLatchedErrorKeepsRethrowing) {
-  AsyncUpdater updater([](const ConductanceNetwork&,
-                          const std::vector<index_t>&) -> std::uint64_t {
-    throw std::runtime_error("worker boom");
-  });
+  obs::MetricsRegistry reg;
+  AsyncUpdater updater(
+      [](const ConductanceNetwork&,
+         const std::vector<index_t>&) -> std::uint64_t {
+        throw std::runtime_error("worker boom");
+      },
+      recording_into(reg));
   const ConductanceNetwork empty_net;
   updater.submit(empty_net, {});
   // The error latches: every flush observes it, not just the first, and
@@ -432,11 +444,10 @@ TEST(AsyncUpdater, FlushAfterLatchedErrorKeepsRethrowing) {
   EXPECT_THROW(updater.flush(), std::runtime_error);
   EXPECT_THROW(updater.flush(), std::runtime_error);
   EXPECT_THROW(updater.drain(), std::runtime_error);
-  const AsyncUpdater::Stats s = updater.stats();
-  EXPECT_EQ(s.submitted, 1u);
-  EXPECT_EQ(s.failed, 1u);
-  EXPECT_EQ(s.applied, 0u);
-  EXPECT_EQ(s.pending, 0u);
+  EXPECT_EQ(series_value(reg, "er_updater_mods_submitted_total"), 1);
+  EXPECT_EQ(series_value(reg, "er_updater_mods_failed_total"), 1);
+  EXPECT_EQ(series_value(reg, "er_updater_mods_applied_total"), 0);
+  EXPECT_EQ(series_value(reg, "er_updater_staleness_mods"), 0);
   // The destructor swallows the latched error (no terminate).
 }
 
@@ -452,8 +463,8 @@ TEST(AsyncUpdater, ConcurrentStreamsKeepPinnedVersionsBitConsistent) {
   ModelStore store;
   IncrementalReducer reducer(c.net, c.ports, opts);
   reducer.attach_store(&store);
-  // One registry for the readers' front-end and the updater, so the
-  // registry series can be checked against the legacy counts after churn.
+  // One registry for the readers' front-end and the updater, read back
+  // by the test after churn.
   obs::MetricsRegistry reg;
   const QueryFrontEnd frontend(&store, &reg);
   const auto batch = mixed_batch(kept_originals(reducer.model()), 48, 53);
@@ -466,9 +477,7 @@ TEST(AsyncUpdater, ConcurrentStreamsKeepPinnedVersionsBitConsistent) {
   const auto& nets = stream.nets;
   const auto& mods = stream.mods;
 
-  AsyncUpdater::Options uo;
-  uo.registry = &reg;
-  AsyncUpdater updater(bind_reducer(reducer), uo);
+  AsyncUpdater updater(bind_reducer(reducer), recording_into(reg));
   std::atomic<int> mismatches{0};
   std::atomic<std::uint64_t> submitted_at_pin_violations{0};
   std::mutex ref_mutex;
@@ -481,25 +490,25 @@ TEST(AsyncUpdater, ConcurrentStreamsKeepPinnedVersionsBitConsistent) {
   for (int r = 0; r < kReaders; ++r)
     readers.emplace_back([&] {
       for (int i = 0; i < kBatchesPerReader; ++i) {
-        const std::uint64_t submitted_before = updater.stats().submitted;
-        BatchStats stats;
-        const auto got =
-            frontend.answer(batch, nullptr, &stats);
+        const std::int64_t submitted_before =
+            series_value(reg, "er_updater_mods_submitted_total");
+        const Answers got = frontend.answer(batch);
         // Internal bit-consistency: every batch answered at version v must
         // equal the first batch answered at v.
         {
           std::lock_guard<std::mutex> lock(ref_mutex);
           auto [it, inserted] =
-              first_seen.emplace(stats.snapshot_version, got);
-          if (!inserted && it->second != got) ++mismatches;
+              first_seen.emplace(got.snapshot_version, got.values);
+          if (!inserted && it->second != got.values) ++mismatches;
         }
         // Staleness sanity: a pinned version never reflects more
         // modifications than were submitted before the pin... but the
-        // worker may publish *between* the stats() read and the acquire,
+        // worker may publish *between* the counter read and the acquire,
         // so compare against the post-answer submitted count instead.
-        const std::uint64_t reflected =
-            updater.mods_reflected(stats.snapshot_version);
-        const std::uint64_t submitted_after = updater.stats().submitted;
+        const auto reflected = static_cast<std::int64_t>(
+            updater.mods_reflected(got.snapshot_version));
+        const std::int64_t submitted_after =
+            series_value(reg, "er_updater_mods_submitted_total");
         if (reflected > submitted_after || submitted_before > submitted_after)
           ++submitted_at_pin_violations;
       }
@@ -513,16 +522,18 @@ TEST(AsyncUpdater, ConcurrentStreamsKeepPinnedVersionsBitConsistent) {
 
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(submitted_at_pin_violations.load(), 0u);
-  const AsyncUpdater::Stats s = updater.stats();
-  EXPECT_EQ(s.applied, static_cast<std::uint64_t>(kMods));
-  EXPECT_GE(s.batches, 1u);
-  EXPECT_LE(s.batches, static_cast<std::uint64_t>(kMods));
-  EXPECT_EQ(s.batches + s.coalesced, s.applied);
+  const std::int64_t batches = series_value(reg, "er_updater_batches_total");
+  EXPECT_EQ(series_value(reg, "er_updater_mods_applied_total"), kMods);
+  EXPECT_GE(batches, 1);
+  EXPECT_LE(batches, kMods);
+  EXPECT_EQ(batches + series_value(reg, "er_updater_mods_coalesced_total"),
+            kMods);
+  EXPECT_EQ(updater.mods_reflected(store.acquire()->version()),
+            static_cast<std::uint64_t>(kMods));
 
-  // The registry agrees with the legacy counts under real churn: one
-  // latency sample per answered query and one publish-latency sample per
-  // applied batch; staleness is 0 after flush() and its high-water gauge
-  // is the Stats maximum.
+  // Under real churn: one latency sample per answered query and one
+  // publish-latency sample per applied batch; staleness is 0 after
+  // flush(), and its high-water mark is between 1 and every mod.
   const obs::MetricsSnapshot snap = reg.snapshot();
   const obs::MetricSnapshot* query_lat =
       snap.find("er_query_latency_seconds", {{"mode", "sharded"}});
@@ -533,15 +544,16 @@ TEST(AsyncUpdater, ConcurrentStreamsKeepPinnedVersionsBitConsistent) {
   const obs::MetricSnapshot* publish_lat =
       snap.find("er_updater_publish_latency_seconds");
   ASSERT_NE(publish_lat, nullptr);
-  EXPECT_EQ(publish_lat->histogram.count, s.batches);
+  EXPECT_EQ(publish_lat->histogram.count,
+            static_cast<std::uint64_t>(batches));
   const obs::MetricSnapshot* stale = snap.find("er_updater_staleness_mods");
   ASSERT_NE(stale, nullptr);
   EXPECT_EQ(stale->gauge, 0);
   const obs::MetricSnapshot* high_water =
       snap.find("er_updater_staleness_mods_high_water");
   ASSERT_NE(high_water, nullptr);
-  EXPECT_EQ(static_cast<std::uint64_t>(high_water->gauge),
-            s.max_observed_staleness_mods);
+  EXPECT_GE(high_water->gauge, 1);
+  EXPECT_LE(high_water->gauge, kMods);
 
   // After the stream settles, the final model equals a sequential replay,
   // and the published snapshot is bitwise a fresh build of it.
@@ -558,11 +570,10 @@ TEST(AsyncUpdater, ConcurrentStreamsKeepPinnedVersionsBitConsistent) {
     ASSERT_EQ(want[i], got[i]) << "query " << i;
 }
 
-// Stats is a thin view over the updater's registry (er_updater_* —
-// DESIGN.md §6): both must report the same stream. Also pins the
-// registry-scoping contract — per-instance private registries by default,
-// an explicit shared registry on request.
-TEST(AsyncUpdater, RegistryIsTheStatsSourceOfTruth) {
+// Every er_updater_* figure lands in the registry the updater was given
+// (DESIGN.md §6); a null registry means the global one, as for every
+// other component.
+TEST(AsyncUpdater, RecordsEveryFigureInItsRegistry) {
   const ServeCase c = make_case(16, 16, 24, 331);
   ReductionOptions opts;
   opts.num_blocks = 4;
@@ -570,68 +581,108 @@ TEST(AsyncUpdater, RegistryIsTheStatsSourceOfTruth) {
   IncrementalReducer reducer(c.net, c.ports, opts);
   reducer.attach_store(&store);
 
+  obs::MetricsRegistry reg;
   {
-    AsyncUpdater updater(bind_reducer(reducer));
+    AsyncUpdater updater(bind_reducer(reducer), recording_into(reg));
     updater.pause();  // coalesce all three mods into one batch
     const ModStream stream =
         make_mod_stream(c.net, reducer.structure(), 3, 0.3, 1.2, 900);
     for (std::size_t u = 0; u < stream.nets.size(); ++u)
       updater.submit(stream.nets[u], stream.mods[u].dirty_blocks);
     updater.flush();
-
-    const AsyncUpdater::Stats s = updater.stats();
-    const obs::MetricsSnapshot snap = updater.metrics().snapshot();
-    const auto counter = [&snap](const char* name) {
-      const obs::MetricSnapshot* m = snap.find(name);
-      return m ? m->counter : ~std::uint64_t{0};
-    };
-    EXPECT_EQ(counter("er_updater_mods_submitted_total"), s.submitted);
-    EXPECT_EQ(counter("er_updater_mods_applied_total"), s.applied);
-    EXPECT_EQ(counter("er_updater_batches_total"), s.batches);
-    EXPECT_EQ(counter("er_updater_mods_coalesced_total"), s.coalesced);
-    EXPECT_EQ(counter("er_updater_mods_failed_total"), s.failed);
-    EXPECT_EQ(counter("er_updater_blocked_submits_total"),
-              s.blocked_submits);
-    EXPECT_EQ(counter("er_updater_mods_rejected_total"), s.rejected);
-
-    const obs::MetricSnapshot* lat =
-        snap.find("er_updater_publish_latency_seconds");
-    ASSERT_NE(lat, nullptr);
-    EXPECT_EQ(lat->histogram.count, s.batches);
-    EXPECT_DOUBLE_EQ(lat->histogram.sum, s.total_publish_latency_seconds);
-    EXPECT_DOUBLE_EQ(lat->histogram.max, s.max_publish_latency_seconds);
-
-    EXPECT_EQ(snap.find("er_updater_staleness_mods")->gauge, 0);  // flushed
-    EXPECT_EQ(static_cast<std::uint64_t>(
-                  snap.find("er_updater_staleness_mods_high_water")->gauge),
-              s.max_observed_staleness_mods);
-
-    // Default scoping: a second updater gets its *own* registry with a
-    // clean slate — concurrent pipelines never merge by accident.
-    AsyncUpdater other(bind_reducer(reducer));
-    EXPECT_NE(&updater.metrics(), &other.metrics());
-    EXPECT_EQ(other.metrics()
-                  .snapshot()
-                  .find("er_updater_mods_submitted_total")
-                  ->counter,
-              0u);
   }
+  EXPECT_EQ(series_value(reg, "er_updater_mods_submitted_total"), 3);
+  EXPECT_EQ(series_value(reg, "er_updater_mods_applied_total"), 3);
+  EXPECT_EQ(series_value(reg, "er_updater_batches_total"), 1);
+  EXPECT_EQ(series_value(reg, "er_updater_mods_coalesced_total"), 2);
+  EXPECT_EQ(series_value(reg, "er_updater_mods_failed_total"), 0);
+  EXPECT_EQ(series_value(reg, "er_updater_blocked_submits_total"), 0);
+  EXPECT_EQ(series_value(reg, "er_updater_mods_rejected_total"), 0);
+  EXPECT_EQ(series_value(reg, "er_updater_staleness_mods"), 0);  // flushed
+  EXPECT_EQ(series_value(reg, "er_updater_staleness_mods_high_water"), 3);
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::MetricSnapshot* lat =
+      snap.find("er_updater_publish_latency_seconds");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->histogram.count, 1u);
+  EXPECT_GT(lat->histogram.sum, 0.0);
+  EXPECT_EQ(histogram_count(reg, "er_updater_blocked_wait_seconds"), 0u);
 
-  // Opt-in aggregation: an explicit registry receives the series instead
-  // of a private one.
-  obs::MetricsRegistry shared;
+  // Null registry: the series go to the global registry.
+  obs::MetricsRegistry& global = obs::MetricsRegistry::global();
+  const std::int64_t before =
+      series_value(global, "er_updater_mods_submitted_total");
   {
-    AsyncUpdater::Options o;
-    o.registry = &shared;
-    AsyncUpdater updater(bind_reducer(reducer), o);
-    EXPECT_EQ(&updater.metrics(), &shared);
+    AsyncUpdater updater(bind_reducer(reducer));
     updater.submit(c.net, {0});
     updater.flush();
   }
-  EXPECT_EQ(
-      shared.snapshot().find("er_updater_mods_submitted_total")->counter,
-      1u);
-  EXPECT_EQ(shared.snapshot().find("er_updater_batches_total")->counter, 1u);
+  EXPECT_EQ(series_value(global, "er_updater_mods_submitted_total"),
+            std::max<std::int64_t>(before, 0) + 1);
+}
+
+// Two updaters recording into one registry: each bounds and reports only
+// its own modifications. The bound and mods_reflected() never read the
+// shared series.
+TEST(AsyncUpdater, UpdatersSharingARegistryKeepTheirOwnCounts) {
+  obs::MetricsRegistry shared;
+  AsyncUpdater::Options uo;
+  uo.max_staleness_mods = 2;
+  uo.fail_fast = true;
+  uo.registry = &shared;
+  // Trivial model sources, one version counter per updater (each touched
+  // only by its own worker until the flush that hands it back).
+  std::uint64_t version_a = 0, version_b = 0;
+  AsyncUpdater b(
+      [&version_b](const ConductanceNetwork&,
+                   const std::vector<index_t>&) { return ++version_b; },
+      uo);
+  AsyncUpdater a(
+      [&version_a](const ConductanceNetwork&,
+                   const std::vector<index_t>&) { return ++version_a; },
+      uo);
+  const ConductanceNetwork empty_net;
+
+  // B applies one edit, then pauses at its bound with two pending.
+  EXPECT_TRUE(b.submit(empty_net, {}));
+  b.flush();
+  b.pause();
+  EXPECT_TRUE(b.submit(empty_net, {}));
+  EXPECT_TRUE(b.submit(empty_net, {}));
+  EXPECT_FALSE(b.submit(empty_net, {}));  // B itself is at its bound
+
+  // A has nothing unpublished, so its first edit is accepted.
+  EXPECT_TRUE(a.submit(empty_net, {}));
+  a.flush();
+  EXPECT_EQ(version_a, 1u);
+  EXPECT_EQ(a.mods_reflected(version_a), 1u);  // A's edit only
+
+  b.flush();
+  EXPECT_EQ(version_b, 2u);
+  EXPECT_EQ(b.mods_reflected(1), 1u);
+  EXPECT_EQ(b.mods_reflected(version_b), 3u);
+  // The shared series carry both streams.
+  EXPECT_EQ(series_value(shared, "er_updater_mods_submitted_total"), 4);
+  EXPECT_EQ(series_value(shared, "er_updater_mods_applied_total"), 4);
+  EXPECT_EQ(series_value(shared, "er_updater_mods_rejected_total"), 1);
+
+  // Unbounded too: a version of C's reflects C's edits, not D's.
+  obs::MetricsRegistry unbounded;
+  std::uint64_t version_c = 0, version_d = 0;
+  AsyncUpdater c(
+      [&version_c](const ConductanceNetwork&,
+                   const std::vector<index_t>&) { return ++version_c; },
+      recording_into(unbounded));
+  AsyncUpdater d(
+      [&version_d](const ConductanceNetwork&,
+                   const std::vector<index_t>&) { return ++version_d; },
+      recording_into(unbounded));
+  d.submit(empty_net, {});
+  d.submit(empty_net, {});
+  d.flush();
+  c.submit(empty_net, {});
+  c.flush();
+  EXPECT_EQ(c.mods_reflected(version_c), 1u);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 //   * admission overflow and mod-feed back-pressure answer kRetryLater,
 //     and er_net_rejected_total matches the client-observed rejections;
 //   * malformed frames get clean errors and never take the daemon down;
+//   * the connection cap counts a server's own sessions, even when
+//     servers share a registry;
 //   * GET /metrics serves the er_net_* families over HTTP.
 #include <gtest/gtest.h>
 
@@ -91,15 +93,13 @@ TEST(NetDaemon, AnswersMatchDirectCalls) {
   const auto kept = kept_originals(d->stack.reducer().model());
   const auto batch = mixed_batch(kept, 16, 33);
 
-  BatchStats direct_stats;
-  const std::vector<real_t> direct =
-      d->stack.frontend().answer(batch, nullptr, &direct_stats);
+  const Answers direct = d->stack.frontend().answer(batch);
 
   LoopbackClient client(kHost, d->server->port());
   const auto result = client.query(batch);
   EXPECT_FALSE(result.retry_later);
-  EXPECT_EQ(result.snapshot_version, direct_stats.snapshot_version);
-  expect_bitwise_equal(result.answers, direct);
+  EXPECT_EQ(result.snapshot_version, direct.snapshot_version);
+  expect_bitwise_equal(result.answers, direct.values);
 }
 
 TEST(NetDaemon, PortResponseOpcodeForcesResponseKind) {
@@ -110,8 +110,7 @@ TEST(NetDaemon, PortResponseOpcodeForcesResponseKind) {
 
   auto forced = batch;
   for (PortQuery& q : forced) q.kind = QueryKind::kResponse;
-  const std::vector<real_t> direct =
-      d->stack.frontend().answer(forced);
+  const std::vector<real_t> direct = d->stack.frontend().answer(forced).values;
 
   LoopbackClient client(kHost, d->server->port());
   const auto result = client.query(batch, Opcode::kPortResponse);
@@ -198,11 +197,11 @@ TEST(NetDaemon, ConcurrentClientsBitwiseEqualUnderChurn) {
     batch = mixed_batch(kept_originals(ref_reducer.model()), 12, 44);
     stream = make_mod_stream(fixture.net, ref_reducer.structure(), kMods,
                              0.25, 1.2, 77);
-    ref.push_back(ref_frontend.answer(batch));
+    ref.push_back(ref_frontend.answer(batch).values);
     for (int u = 0; u < kMods; ++u) {
       ref_reducer.update(stream.nets[static_cast<std::size_t>(u)],
                          stream.mods[static_cast<std::size_t>(u)].dirty_blocks);
-      ref.push_back(ref_frontend.answer(batch));
+      ref.push_back(ref_frontend.answer(batch).values);
     }
   }
 
@@ -289,8 +288,7 @@ TEST(NetDaemon, GracefulShutdownDrainsAdmittedRequests) {
   auto d = make_daemon(/*dispatchers=*/2, /*capacity=*/16);
   const auto kept = kept_originals(d->stack.reducer().model());
   const auto batch = mixed_batch(kept, 8, 55);
-  const std::vector<real_t> direct =
-      d->stack.frontend().answer(batch);
+  const std::vector<real_t> direct = d->stack.frontend().answer(batch).values;
 
   LoopbackClient client(kHost, d->server->port());
   // Gate the dispatchers, pipeline a burst, then stop() mid-batch: the
@@ -498,8 +496,7 @@ TEST(NetDaemon, SlowLorisPartialWritesStillAnswered) {
   auto d = make_daemon();
   const auto kept = kept_originals(d->stack.reducer().model());
   const auto batch = mixed_batch(kept, 6, 71);
-  const std::vector<real_t> direct =
-      d->stack.frontend().answer(batch);
+  const std::vector<real_t> direct = d->stack.frontend().answer(batch).values;
 
   LoopbackClient client(kHost, d->server->port());
   const auto wire = net::encode_frame(
@@ -534,6 +531,38 @@ TEST(NetDaemon, ConnectionCapRefusesExtraClients) {
                std::runtime_error);
   EXPECT_EQ(first.stats().connections_rejected, 1u);
   EXPECT_EQ(first.stats().connections_accepted, 1u);
+}
+
+TEST(NetDaemon, ConnectionCapCountsOnlyThisServersSessions) {
+  // Two servers on one registry: B holding max_connections sessions must
+  // not make A refuse its first connection.
+  ServerOptions opts;
+  opts.max_connections = 2;
+  auto d = std::make_unique<Daemon>(opts, test_stack_options());
+  ServerOptions b_opts = opts;
+  b_opts.registry = &d->registry;
+  Server b(&d->stack.store(), b_opts);
+  ASSERT_TRUE(b.start());
+  const auto kept = kept_originals(d->stack.reducer().model());
+  const auto batch = mixed_batch(kept, 4, 75);
+
+  LoopbackClient b1(kHost, b.port());
+  LoopbackClient b2(kHost, b.port());
+  (void)b1.query(batch);  // both of B's sessions are registered
+  (void)b2.query(batch);
+
+  LoopbackClient a(kHost, d->server->port());
+  LoopbackClient::QueryResult result;
+  EXPECT_NO_THROW(result = a.query(batch));
+  EXPECT_FALSE(result.retry_later);
+  EXPECT_EQ(result.answers.size(), batch.size());
+  EXPECT_EQ(series_value(d->registry, "er_net_connections_rejected_total"), 0);
+  EXPECT_EQ(series_value(d->registry, "er_net_connections_accepted_total"), 3);
+
+  // B's own cap still holds.
+  LoopbackClient b3(kHost, b.port());
+  EXPECT_THROW((void)b3.query(batch), std::runtime_error);
+  EXPECT_EQ(series_value(d->registry, "er_net_connections_rejected_total"), 1);
 }
 
 TEST(NetDaemon, HttpMetricsEndpoint) {

@@ -37,6 +37,30 @@
 namespace er {
 namespace {
 
+/// Probes a cache counted while `fn` ran, read from its own counters.
+struct Probes {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+};
+
+template <class Fn>
+Probes probes_during(const ResultCache& cache, Fn&& fn) {
+  const std::uint64_t hits = cache.hits();
+  const std::uint64_t misses = cache.misses();
+  fn();
+  return {cache.hits() - hits, cache.misses() - misses};
+}
+
+/// Queries of `batch` with both endpoints kept in `snap`: the ones a
+/// cache is probed for.
+std::uint64_t valid_queries(const ModelSnapshot& snap,
+                            const std::vector<PortQuery>& batch) {
+  return static_cast<std::uint64_t>(
+      std::count_if(batch.begin(), batch.end(), [&snap](const PortQuery& q) {
+        return snap.reduced_id(q.p) >= 0 && snap.reduced_id(q.q) >= 0;
+      }));
+}
+
 // ---------------------------------------------------------------------------
 // (a) cached == uncached, bitwise, across interleavings and thread counts.
 // ---------------------------------------------------------------------------
@@ -72,7 +96,6 @@ TEST(ResultCache, CachedMatchesUncachedBitwiseAcrossInterleavings) {
     // batches revisit earlier keys and genuinely hit.
     Rng rng(static_cast<std::uint64_t>(threads) * 7919 + 5);
     int published = 0;
-    std::size_t hits = 0, misses = 0;
     for (int step = 0; step < kSteps; ++step) {
       if (published < kMods && rng.uniform() < 0.3) {
         const auto u = static_cast<std::size_t>(published++);
@@ -82,11 +105,11 @@ TEST(ResultCache, CachedMatchesUncachedBitwiseAcrossInterleavings) {
       const auto batch = mixed_batch(
           kept, 120, static_cast<std::uint64_t>(700 + step % 3));
       const SnapshotPtr snap = store.acquire();
-      BatchStats cached_stats;
-      const auto cached = QueryFrontEnd::answer_on(
-          *snap, batch, {p, &cached_stats, &reg, cache.get()});
-      const auto uncached =
-          QueryFrontEnd::answer_on(*snap, batch, {p, nullptr, &reg});
+      std::vector<real_t> cached;
+      const Probes probes = probes_during(*cache, [&] {
+        cached = QueryFrontEnd::answer_on(*snap, batch, {p, &reg, cache.get()});
+      });
+      const auto uncached = QueryFrontEnd::answer_on(*snap, batch, {p, &reg});
       ASSERT_EQ(cached.size(), uncached.size());
       for (std::size_t i = 0; i < cached.size(); ++i) {
         // Bitwise comparison that treats the NaN of an invalid query as
@@ -96,23 +119,12 @@ TEST(ResultCache, CachedMatchesUncachedBitwiseAcrossInterleavings) {
         ASSERT_TRUE(cached[i] == uncached[i] || both_nan)
             << "step " << step << " query " << i;
       }
-      EXPECT_EQ(cached_stats.cache_hits + cached_stats.cache_misses,
-                cached_stats.queries - cached_stats.invalid);
-      hits += cached_stats.cache_hits;
-      misses += cached_stats.cache_misses;
+      // One cache probe per valid query.
+      EXPECT_EQ(probes.hits + probes.misses, valid_queries(*snap, batch));
     }
     // The interleaving must have exercised the cache on both sides.
-    EXPECT_GT(hits, 0u);
-    EXPECT_GT(misses, 0u);
-    // The registry counters tell the same story as the per-batch stats.
-    const obs::MetricsSnapshot snap = reg.snapshot();
-    const obs::MetricSnapshot* hits_total = snap.find("er_cache_hits_total");
-    const obs::MetricSnapshot* misses_total =
-        snap.find("er_cache_misses_total");
-    ASSERT_NE(hits_total, nullptr);
-    ASSERT_NE(misses_total, nullptr);
-    EXPECT_EQ(hits_total->counter, hits);
-    EXPECT_EQ(misses_total->counter, misses);
+    EXPECT_GT(cache->hits(), 0u);
+    EXPECT_GT(cache->misses(), 0u);
   }
 }
 
@@ -163,12 +175,10 @@ TEST(ResultCache, ConcurrentReadersStayBitConsistentWithCacheAttached) {
   for (int r = 0; r < kReaders; ++r)
     readers.emplace_back([&] {
       for (int i = 0; i < kBatchesPerReader; ++i) {
-        BatchStats stats;
-        const auto got =
-            frontend.answer(batch, nullptr, &stats);
-        const auto& want = reference.at(stats.snapshot_version);
+        const Answers got = frontend.answer(batch);
+        const auto& want = reference.at(got.snapshot_version);
         for (std::size_t j = 0; j < want.size(); ++j)
-          if (got[j] != want[j]) {
+          if (got.values[j] != want[j]) {
             ++mismatches;
             break;
           }
@@ -208,19 +218,19 @@ TEST(ResultCache, PublishTurnsOverTheVersionScope) {
 
   const auto batch = mixed_batch(kept_originals(reducer.model()), 80, 29);
   const auto answer = [&](const ModelSnapshot& snap) {
-    BatchStats stats;
-    (void)QueryFrontEnd::answer_on(snap, batch,
-                                   {nullptr, &stats, &reg, cache.get()});
-    return stats;
+    return probes_during(*cache, [&] {
+      (void)QueryFrontEnd::answer_on(snap, batch,
+                                     {nullptr, &reg, cache.get()});
+    });
   };
 
   // Warm version 0; a repeat hits every probe.
   const SnapshotPtr snap0 = store.acquire();
-  const BatchStats cold = answer(*snap0);
-  EXPECT_GT(cold.cache_misses, 0u);
-  const BatchStats warm = answer(*snap0);
-  EXPECT_EQ(warm.cache_misses, 0u);
-  EXPECT_EQ(warm.cache_hits, warm.queries - warm.invalid);
+  const Probes cold = answer(*snap0);
+  EXPECT_GT(cold.misses, 0u);
+  const Probes warm = answer(*snap0);
+  EXPECT_EQ(warm.misses, 0u);
+  EXPECT_EQ(warm.hits, valid_queries(*snap0, batch));
   const std::size_t entries_v0 = cache->entries();
   ASSERT_GT(entries_v0, 0u);
 
@@ -233,18 +243,19 @@ TEST(ResultCache, PublishTurnsOverTheVersionScope) {
                  mod.dirty_blocks);
   const SnapshotPtr snap1 = store.acquire();
   ASSERT_NE(snap0->version(), snap1->version());
-  BatchStats fresh;
-  (void)frontend.answer(batch, nullptr, &fresh);
-  EXPECT_EQ(fresh.snapshot_version, snap1->version());
-  EXPECT_EQ(fresh.cache_hits, 0u);
-  EXPECT_GT(fresh.cache_misses, 0u);
+  std::uint64_t fresh_version = 0;
+  const Probes fresh = probes_during(
+      *cache, [&] { fresh_version = frontend.answer(batch).snapshot_version; });
+  EXPECT_EQ(fresh_version, snap1->version());
+  EXPECT_EQ(fresh.hits, 0u);
+  EXPECT_GT(fresh.misses, 0u);
   const std::size_t entries_v1 = cache->entries() - entries_v0;
 
   // The pinned version 0 still resolves within version_cap and keeps
   // hitting its own entries.
-  const BatchStats pinned = answer(*snap0);
-  EXPECT_EQ(pinned.cache_misses, 0u);
-  EXPECT_GT(pinned.cache_hits, 0u);
+  const Probes pinned = answer(*snap0);
+  EXPECT_EQ(pinned.misses, 0u);
+  EXPECT_GT(pinned.hits, 0u);
 
   // A third version ages version 0 out: exactly its entries are swept and
   // the pinned snapshot bypasses the cache (zero probes).
@@ -253,11 +264,11 @@ TEST(ResultCache, PublishTurnsOverTheVersionScope) {
       ModelSnapshot::build(reducer.shared_model(), snap1->version() + 1));
   EXPECT_EQ(cache->invalidations(), invalidated_before + entries_v0);
   EXPECT_EQ(cache->entries(), entries_v1);
-  const BatchStats aged = answer(*snap0);
-  EXPECT_EQ(aged.cache_hits + aged.cache_misses, 0u);
+  const Probes aged = answer(*snap0);
+  EXPECT_EQ(aged.hits + aged.misses, 0u);
   // Version 1 is still within the cap.
-  const BatchStats still = answer(*snap1);
-  EXPECT_EQ(still.cache_misses, 0u);
+  const Probes still = answer(*snap1);
+  EXPECT_EQ(still.misses, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -283,10 +294,9 @@ TEST(ResultCache, TinyCapacityEvictsWithoutEverAnsweringWrong) {
   for (int round = 0; round < 4; ++round) {
     const auto batch = mixed_batch(
         kept, 200, static_cast<std::uint64_t>(1300 + round % 2));
-    const auto cached = QueryFrontEnd::answer_on(
-        *snap, batch, {nullptr, nullptr, &reg, cache.get()});
-    const auto plain =
-        QueryFrontEnd::answer_on(*snap, batch, {nullptr, nullptr, &reg});
+    const auto cached =
+        QueryFrontEnd::answer_on(*snap, batch, {nullptr, &reg, cache.get()});
+    const auto plain = QueryFrontEnd::answer_on(*snap, batch, {nullptr, &reg});
     for (std::size_t i = 0; i < cached.size(); ++i) {
       const bool both_nan = std::isnan(cached[i]) && std::isnan(plain[i]);
       ASSERT_TRUE(cached[i] == plain[i] || both_nan)
@@ -318,29 +328,29 @@ TEST(ResultCache, PinnedVersionsResolveWithinCapAndDegradePastIt) {
   // Pin version 0, warm it, then publish once: {v0, v1} both within the
   // cap, so the pinned snapshot keeps hitting its own scoped entries.
   const SnapshotPtr pinned = store.acquire();
-  BatchStats warm;
-  (void)QueryFrontEnd::answer_on(
-      *pinned, batch,
-      {nullptr, &warm, &reg, cache.get()});
-  EXPECT_GT(warm.cache_misses, 0u);
+  std::vector<real_t> answers;
+  const auto answer_pinned = [&] {
+    return probes_during(*cache, [&] {
+      answers = QueryFrontEnd::answer_on(*pinned, batch,
+                                         {nullptr, &reg, cache.get()});
+    });
+  };
+  const Probes warm = answer_pinned();
+  EXPECT_GT(warm.misses, 0u);
   reducer.update(stream.nets[0], stream.mods[0].dirty_blocks);
-  BatchStats still_cached;
-  const auto hit_answers = QueryFrontEnd::answer_on(
-      *pinned, batch,
-      {nullptr, &still_cached, &reg, cache.get()});
-  EXPECT_GT(still_cached.cache_hits, 0u);
-  EXPECT_EQ(still_cached.cache_misses, 0u);
+  const Probes still_cached = answer_pinned();
+  const std::vector<real_t> hit_answers = answers;
+  EXPECT_GT(still_cached.hits, 0u);
+  EXPECT_EQ(still_cached.misses, 0u);
 
   // Second publish ages v0 past the cap: the pinned snapshot's version no
   // longer resolves, so the cache is bypassed — zero probes, answers
   // still bitwise identical to the warm run.
   reducer.update(stream.nets[1], stream.mods[1].dirty_blocks);
-  BatchStats past_cap;
-  const auto plain_answers = QueryFrontEnd::answer_on(
-      *pinned, batch,
-      {nullptr, &past_cap, &reg, cache.get()});
-  EXPECT_EQ(past_cap.cache_hits, 0u);
-  EXPECT_EQ(past_cap.cache_misses, 0u);
+  const Probes past_cap = answer_pinned();
+  const std::vector<real_t> plain_answers = answers;
+  EXPECT_EQ(past_cap.hits, 0u);
+  EXPECT_EQ(past_cap.misses, 0u);
   ASSERT_EQ(hit_answers.size(), plain_answers.size());
   for (std::size_t i = 0; i < hit_answers.size(); ++i) {
     const bool both_nan =
@@ -403,7 +413,7 @@ TEST(ResultCache, ZipfStreamKeepsHitRateUnderChurn) {
   const ModStream stream =
       make_mod_stream(c.net, reducer.structure(), kMods, 0.1, 1.2, 1500);
   Rng draw_rng(2033);
-  std::size_t hits = 0, misses = 0;
+  std::uint64_t hits = 0, misses = 0;
   for (int u = 0; u < kMods; ++u) {
     const auto& mod = stream.mods[static_cast<std::size_t>(u)];
     EXPECT_EQ(mod.dirty_blocks.size(), 1u);
@@ -413,10 +423,10 @@ TEST(ResultCache, ZipfStreamKeepsHitRateUnderChurn) {
       std::vector<PortQuery> batch;
       for (std::size_t i = 0; i < kBatch; ++i)
         batch.push_back(pool[draw(draw_rng)]);
-      BatchStats stats;
-      (void)frontend.answer(batch, nullptr, &stats);
-      hits += stats.cache_hits;
-      misses += stats.cache_misses;
+      const Probes probes =
+          probes_during(*cache, [&] { (void)frontend.answer(batch); });
+      hits += probes.hits;
+      misses += probes.misses;
     }
   }
   EXPECT_EQ(store.publish_count(), static_cast<std::uint64_t>(kMods) + 1);

@@ -31,6 +31,7 @@
 #include "serve/snapshot.hpp"
 #include "serve_test_util.hpp"
 #include "sparse/dense.hpp"
+#include "util/timer.hpp"
 
 namespace er {
 namespace {
@@ -425,15 +426,15 @@ TEST(QueryFrontEnd, InvalidQueriesAnswerNaN) {
       {QueryKind::kResistance, -5, valid, {}},
       {QueryKind::kResistance, valid, valid, {}},
   };
-  BatchStats stats;
-  const auto out = QueryFrontEnd::answer_on(
-      *snap, batch, {nullptr, &stats});
+  obs::MetricsRegistry reg;
+  const auto out = QueryFrontEnd::answer_on(*snap, batch, {nullptr, &reg});
   EXPECT_TRUE(std::isnan(out[0]));
   EXPECT_TRUE(std::isnan(out[1]));
   EXPECT_TRUE(std::isnan(out[2]));
   EXPECT_EQ(out[3], 0.0);  // same node: zero resistance
-  EXPECT_EQ(stats.invalid, 3u);
-  EXPECT_EQ(stats.queries, 4u);
+  const obs::Labels mode{{"mode", "sharded"}};
+  EXPECT_EQ(series_value(reg, "er_serve_invalid_queries_total", mode), 3);
+  EXPECT_EQ(series_value(reg, "er_serve_queries_total", mode), 4);
 }
 
 // Deadline-expired queries answer NaN with QueryStatus::kDeadlineMiss
@@ -455,18 +456,18 @@ TEST(QueryFrontEnd, ExpiredDeadlinesMissWithoutBlockingTheBatch) {
   }
 
   obs::MetricsRegistry reg;
-  const auto reference = QueryFrontEnd::answer_on(
-      *snap, plain, {nullptr, nullptr, &reg});
+  const auto reference =
+      QueryFrontEnd::answer_on(*snap, plain, {nullptr, &reg});
 
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     std::optional<ThreadPool> pool;
     if (threads > 1) pool.emplace(threads, &reg);
-    BatchStats stats;
+    const std::int64_t missed_before =
+        series_value(reg, "er_policy_deadline_miss_total");
     std::vector<QueryStatus> statuses;
     AnswerContext ctx;
     ctx.pool = pool ? &*pool : nullptr;
-    ctx.stats = &stats;
     ctx.registry = &reg;
     ctx.queue_wait_us = 50;  // injected, not measured: 10 <= 50 expires
     ctx.statuses = &statuses;
@@ -487,16 +488,18 @@ TEST(QueryFrontEnd, ExpiredDeadlinesMissWithoutBlockingTheBatch) {
         EXPECT_NE(statuses[i], QueryStatus::kDeadlineMiss) << "query " << i;
       }
     }
-    EXPECT_EQ(stats.deadline_miss, misses);
+    EXPECT_EQ(series_value(reg, "er_policy_deadline_miss_total"),
+              missed_before + static_cast<std::int64_t>(misses));
   }
 
   // With no queue wait, nothing expires (deadline 10us > wait 0).
-  BatchStats relaxed;
+  const std::int64_t missed_before =
+      series_value(reg, "er_policy_deadline_miss_total");
   AnswerContext relaxed_ctx;
-  relaxed_ctx.stats = &relaxed;
   relaxed_ctx.registry = &reg;
   (void)QueryFrontEnd::answer_on(*snap, batch, relaxed_ctx);
-  EXPECT_EQ(relaxed.deadline_miss, 0u);
+  EXPECT_EQ(series_value(reg, "er_policy_deadline_miss_total"),
+            missed_before);
 }
 
 TEST(ModelStore, PublishPinsInFlightSnapshots) {
@@ -533,9 +536,7 @@ TEST(ModelStore, PublishPinsInFlightSnapshots) {
     ASSERT_EQ(before[i], after[i]) << "query " << i;
 
   // New batches see the new version.
-  BatchStats stats;
-  (void)frontend.answer(batch, nullptr, &stats);
-  EXPECT_EQ(stats.snapshot_version, 1u);
+  EXPECT_EQ(frontend.answer(batch).snapshot_version, 1u);
 }
 
 /// (count, sum) of a global-registry histogram; zeros before it exists.
@@ -586,7 +587,7 @@ TEST(ModelStore, PublishRecordsOrderAndFactorSplit) {
 TEST(ModelStore, VersionAndAgeProbesDisambiguateEmptyStore) {
   // current_version() is optional: version 0 (IncrementalReducer's first
   // revision) is a legitimate published state, distinguishable from an
-  // empty store; the publish log surfaces per-version ages.
+  // empty store; the age restarts at every publish.
   const ServeCase c = make_case(14, 14, 20, 103);
   ReductionOptions opts;
   opts.num_blocks = 4;
@@ -594,7 +595,6 @@ TEST(ModelStore, VersionAndAgeProbesDisambiguateEmptyStore) {
   EXPECT_FALSE(store.has_published());
   EXPECT_FALSE(store.current_version().has_value());
   EXPECT_FALSE(store.current_age_seconds().has_value());
-  EXPECT_FALSE(store.version_age_seconds(0).has_value());
 
   IncrementalReducer reducer(c.net, c.ports, opts);
   reducer.attach_store(&store);
@@ -603,24 +603,21 @@ TEST(ModelStore, VersionAndAgeProbesDisambiguateEmptyStore) {
   EXPECT_EQ(*store.current_version(), 0u);  // serving v0, store not empty
   ASSERT_TRUE(store.current_age_seconds().has_value());
   EXPECT_GE(*store.current_age_seconds(), 0.0);
-  EXPECT_TRUE(store.version_age_seconds(0).has_value());
-  EXPECT_FALSE(store.version_age_seconds(7).has_value());  // never published
 
   const GridModification mod =
       random_modification(reducer.structure().num_blocks, 0.25, 1.4, 107);
   const ConductanceNetwork modified =
       apply_modification(c.net, reducer.structure(), mod);
+  const Timer since_update;
   reducer.update(modified, mod.dirty_blocks);
   ASSERT_TRUE(store.current_version().has_value());
   EXPECT_EQ(*store.current_version(), 1u);
-  // Both versions remain in the bounded publish log; the older one is at
-  // least as old as the current one.
-  const auto age0 = store.version_age_seconds(0);
-  const auto age1 = store.version_age_seconds(1);
-  ASSERT_TRUE(age0.has_value());
-  ASSERT_TRUE(age1.has_value());
-  EXPECT_GE(*age0, *age1);
-  EXPECT_GE(*age1, 0.0);
+  // The age counts from the new publish, which came after the timer
+  // started (read the age first, so the bound is taken later).
+  const auto age = store.current_age_seconds();
+  ASSERT_TRUE(age.has_value());
+  EXPECT_GE(*age, 0.0);
+  EXPECT_LE(*age, since_update.seconds());
 }
 
 TEST(ModelStore, ZeroCopyPublishAliasesTheReducersModel) {
@@ -709,13 +706,11 @@ TEST(Serving, ConcurrentPublishWhileQuerying) {
   for (int r = 0; r < kReaders; ++r)
     readers.emplace_back([&] {
       for (int i = 0; i < kBatchesPerReader; ++i) {
-        BatchStats stats;
-        const auto got =
-            frontend.answer(batch, nullptr, &stats);
-        versions_seen |= std::uint64_t{1} << stats.snapshot_version;
-        const auto& want = reference.at(stats.snapshot_version);
+        const Answers got = frontend.answer(batch);
+        versions_seen |= std::uint64_t{1} << got.snapshot_version;
+        const auto& want = reference.at(got.snapshot_version);
         for (std::size_t j = 0; j < want.size(); ++j)
-          if (got[j] != want[j]) {
+          if (got.values[j] != want[j]) {
             ++mismatches;
             break;
           }
@@ -733,51 +728,49 @@ TEST(Serving, ConcurrentPublishWhileQuerying) {
   EXPECT_NE(versions_seen.load(), 0u);
 }
 
-// The registry series (er_serve_*, er_query_* — DESIGN.md §6) must agree
-// with the legacy per-batch BatchStats view: same events, two windows
-// (per-call vs process-lifetime aggregate). Any drift means one of the
-// two bookkeeping paths missed an event.
-TEST(QueryFrontEnd, RegistryAggregatesMatchBatchStats) {
+// The front-end's figures (er_serve_*, er_query_* — DESIGN.md §6) live
+// only in the registry it was given: every batch, query and per-query
+// latency sample is counted there, and answer() reports the version the
+// batch pinned.
+TEST(QueryFrontEnd, RegistryCountsEveryBatchAndQuery) {
   const ServeCase c = make_case(20, 20, 48, 77);
   ReductionOptions opts;
   opts.num_blocks = 6;
   const ModelPtr model = reduce_network_frozen(c.net, c.ports, opts);
   ModelStore store;
-  store.publish(ModelSnapshot::build(model));
+  store.publish(ModelSnapshot::build(model, 4));
 
   obs::MetricsRegistry reg;
   const QueryFrontEnd frontend(&store, &reg);
   const auto kept = kept_originals(*model);
-  BatchStats s1, s2;
-  (void)frontend.answer(mixed_batch(kept, 150, 5), nullptr, &s1);
-  (void)frontend.answer(mixed_batch(kept, 250, 6), nullptr, &s2);
+  const Timer wall;
+  const Answers a1 = frontend.answer(mixed_batch(kept, 150, 5));
+  const Answers a2 = frontend.answer(mixed_batch(kept, 250, 6));
+  const double wall_seconds = wall.seconds();
+  EXPECT_EQ(a1.values.size(), 150u);
+  EXPECT_EQ(a2.values.size(), 250u);
+  EXPECT_EQ(a1.snapshot_version, 4u);
+  EXPECT_EQ(a2.snapshot_version, 4u);
 
   // The serve families carry one frozen `mode` label value (DESIGN.md §6).
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  const auto counter = [&snap](const char* name) {
-    const obs::MetricSnapshot* m = snap.find(name, {{"mode", "sharded"}});
-    return m ? m->counter : std::uint64_t{0};
-  };
-  EXPECT_EQ(counter("er_serve_batches_total"), 2u);
-  EXPECT_EQ(counter("er_serve_queries_total"), s1.queries + s2.queries);
-  EXPECT_EQ(counter("er_serve_invalid_queries_total"),
-            s1.invalid + s2.invalid);
-  EXPECT_EQ(snap.find("er_serve_cross_block_queries_total",
-                      {{"mode", "sharded"}}),
-            nullptr);  // deleted with the per-block routing
+  const obs::Labels mode{{"mode", "sharded"}};
+  EXPECT_EQ(series_value(reg, "er_serve_batches_total", mode), 2);
+  EXPECT_EQ(series_value(reg, "er_serve_queries_total", mode), 400);
+  // Every endpoint is a kept node.
+  EXPECT_EQ(series_value(reg, "er_serve_invalid_queries_total", mode), 0);
+  EXPECT_EQ(series_value(reg, "er_serve_cross_block_queries_total", mode),
+            -1);  // deleted with the per-block routing
 
   // Every query records exactly one latency sample; every batch exactly
-  // one batch-duration sample whose total tracks BatchStats::seconds.
-  const obs::MetricSnapshot* lat =
-      snap.find("er_query_latency_seconds", {{"mode", "sharded"}});
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->histogram.count, s1.queries + s2.queries);
+  // one batch-duration sample, whose total fits in the wall time of both.
+  EXPECT_EQ(histogram_count(reg, "er_query_latency_seconds", mode), 400u);
+  const obs::MetricsSnapshot snap = reg.snapshot();
   const obs::MetricSnapshot* batch_h =
-      snap.find("er_query_batch_seconds", {{"mode", "sharded"}});
+      snap.find("er_query_batch_seconds", mode);
   ASSERT_NE(batch_h, nullptr);
   EXPECT_EQ(batch_h->histogram.count, 2u);
-  EXPECT_NEAR(batch_h->histogram.sum, s1.seconds + s2.seconds,
-              0.5 * (s1.seconds + s2.seconds) + 1e-6);
+  EXPECT_GT(batch_h->histogram.sum, 0.0);
+  EXPECT_LE(batch_h->histogram.sum, wall_seconds);
 
   // The store instrumented with its own registry reports its publishes.
   obs::MetricsRegistry store_reg;

@@ -14,7 +14,10 @@ pipeline instead of a downstream scrape. Checks:
   * every family carries a # TYPE line matching how it is used,
   * the serve families (er_serve_*, er_query_*) carry their one frozen
     `mode` label value, and the per-block routing counters deleted with
-    the sharded route are gone.
+    the sharded route are gone,
+  * no family exports more label sets than its budget
+    (LABEL_SET_BUDGET), so a label that grows with the data (a block id,
+    a node, a version) fails here instead of in a scraper.
 
 usage: check_metrics_export.py METRICS.prom [core|net]
 
@@ -81,6 +84,20 @@ FROZEN_MODE = "sharded"
 FORBIDDEN = {"er_serve_same_block_queries_total",
              "er_serve_cross_block_queries_total"}
 REQUIRED_SPAN_STAGES = {"reduce", "stitch", "publish"}
+# Label-cardinality budget: the most distinct label sets (`le` excluded) a
+# family may export. Set from the measured `er_served --final-metrics`
+# dump of tools/loopback_smoke.py (16x16 grid, 4 blocks, --warmup 4), in
+# which every family not listed exports exactly one label set. Margin: one
+# label set above the measured count for the labeled families below, none
+# for the others (a label on an unlabeled family is a schema change, made
+# on purpose together with this table).
+LABEL_SET_BUDGET = {
+    "er_net_queue_depth": 2 + 1,              # queue = queries | mods
+    "er_net_requests_total": 4 + 1,           # one per request opcode
+    "er_net_request_latency_seconds": 4 + 1,  # one per request opcode
+    "er_span_seconds": 7 + 1,                 # one per OBS_SPAN stage
+}
+DEFAULT_LABEL_SET_BUDGET = 1
 
 SAMPLE_RE = re.compile(
     r'^(?P<name>[A-Za-z_:][A-Za-z0-9_:]*)'
@@ -154,6 +171,22 @@ def main() -> int:
               f"{sorted(map(str, modes))}, expected only {FROZEN_MODE!r}",
               file=sys.stderr)
         ok = False
+
+    label_sets = {}  # family -> {frozen non-le labels}
+    for name, labels, _ in samples:
+        family = name
+        for suffix in ("_bucket", "_sum", "_count"):
+            stem = name[:-len(suffix)]
+            if name.endswith(suffix) and types.get(stem) == "histogram":
+                family = stem
+        label_sets.setdefault(family, set()).add(tuple(sorted(
+            (k, v) for k, v in labels.items() if k != "le")))
+    for family, sets in sorted(label_sets.items()):
+        budget = LABEL_SET_BUDGET.get(family, DEFAULT_LABEL_SET_BUDGET)
+        if len(sets) > budget:
+            print(f"{path}: family {family!r} exports {len(sets)} label "
+                  f"sets, over its budget of {budget}", file=sys.stderr)
+            ok = False
 
     span_stages = {labels.get("stage")
                    for name, labels, _ in samples
