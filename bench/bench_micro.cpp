@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) backing the §III-C complexity
-// analysis: SpMV, orderings, complete/incomplete factorization (whole grids
-// at 1/2/4 threads, and block-sized ones), Alg. 2 build, the reach-limited
+// analysis: SpMV, orderings, complete factorization (whole grids at 1/2/4
+// threads, and block-sized ones), the min-degree order and incomplete
+// factorization (grids and com-DBLP-like), Alg. 2 build, the reach-limited
 // forward solve, and per-query cost of the three effective-resistance
 // engines.
 #include <benchmark/benchmark.h>
@@ -45,15 +46,26 @@ void BM_SpMV(benchmark::State& state) {
 }
 BENCHMARK(BM_SpMV)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_MinDegOrdering(benchmark::State& state) {
-  const auto side = static_cast<index_t>(state.range(0));
-  const CscMatrix l = grounded_laplacian(bench_graph(side));
+// Inputs of the ICT-side rows (the min-degree order and ichol): a grid, or
+// the com-DBLP-like social graph of perfbench's paper_offline (BA n = 15 000,
+// m = 3). Only the social graph's order ends in the nearly dense hub tail
+// where ichol switches to its dense trailing block.
+CscMatrix grid_input(index_t side) { return grounded_laplacian(bench_graph(side)); }
+CscMatrix social_input(index_t) {
+  return grounded_laplacian(barabasi_albert(15000, 3, WeightKind::kUnit, 101));
+}
+using Input = CscMatrix (*)(index_t);
+
+void BM_MinDegOrdering(benchmark::State& state, Input input, index_t side) {
+  const CscMatrix l = input(side);
   for (auto _ : state) {
     auto perm = mindeg_order(l);
     benchmark::DoNotOptimize(perm.data());
   }
 }
-BENCHMARK(BM_MinDegOrdering)->Arg(64)->Arg(128);
+BENCHMARK_CAPTURE(BM_MinDegOrdering, 64, grid_input, 64);
+BENCHMARK_CAPTURE(BM_MinDegOrdering, 128, grid_input, 128);
+BENCHMARK_CAPTURE(BM_MinDegOrdering, social, social_input, 0);
 
 void BM_AmdOrdering(benchmark::State& state) {
   const auto side = static_cast<index_t>(state.range(0));
@@ -129,9 +141,8 @@ void BM_SparseForward(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseForward)->Arg(128);
 
-void BM_IncompleteCholesky(benchmark::State& state) {
-  const auto side = static_cast<index_t>(state.range(0));
-  const CscMatrix l = grounded_laplacian(bench_graph(side));
+void BM_IncompleteCholesky(benchmark::State& state, Input input, index_t side) {
+  const CscMatrix l = input(side);
   const auto perm = mindeg_order(l);
   IcholOptions opts;  // droptol 1e-3 (paper setting)
   for (auto _ : state) {
@@ -139,7 +150,10 @@ void BM_IncompleteCholesky(benchmark::State& state) {
     benchmark::DoNotOptimize(f.values.data());
   }
 }
-BENCHMARK(BM_IncompleteCholesky)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK_CAPTURE(BM_IncompleteCholesky, 64, grid_input, 64);
+BENCHMARK_CAPTURE(BM_IncompleteCholesky, 128, grid_input, 128);
+BENCHMARK_CAPTURE(BM_IncompleteCholesky, 256, grid_input, 256);
+BENCHMARK_CAPTURE(BM_IncompleteCholesky, social, social_input, 0);
 
 void BM_ApproxInverseBuild(benchmark::State& state) {
   const auto side = static_cast<index_t>(state.range(0));

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <new>
 #include <stdexcept>
-
-#include <sys/mman.h>
 
 #include "parallel/task_heap.hpp"
 #include "util/thread_annotations.hpp"
@@ -232,15 +229,8 @@ class ApproxInverse::ReadyQueue {
 // engines of perfbench's paper_offline three times in one process (4-core
 // host) left 226 MiB resident after the last free; mapped chunks leave
 // 36 MiB, as malloc does when limited to one arena.
-ApproxInverse::Chunk::Chunk(std::size_t cap) : memory(nullptr, Unmap{}), capacity(cap) {
-  if (cap == 0) return;
-  const std::size_t bytes = cap * (sizeof(real_t) + sizeof(index_t));
-  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (p == MAP_FAILED) throw std::bad_alloc();
-  memory = std::unique_ptr<void, Unmap>(p, Unmap{bytes});
-}
-
-void ApproxInverse::Chunk::Unmap::operator()(void* p) const { munmap(p, bytes); }
+ApproxInverse::Chunk::Chunk(std::size_t cap)
+    : memory(map_zeroed(cap * (sizeof(real_t) + sizeof(index_t)))), capacity(cap) {}
 
 ApproxInverse::Column ApproxInverse::place(index_t j, index_t len) {
   const auto ulen = static_cast<std::size_t>(len);

@@ -21,6 +21,7 @@
 #include "chol/factor.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sparse/sparse_vector.hpp"
+#include "util/mapped.hpp"
 #include "util/types.hpp"
 
 namespace er {
@@ -93,15 +94,11 @@ class ApproxInverse {
   /// anonymous memory mapping; the columns in it are never moved.
   struct Chunk {
     explicit Chunk(std::size_t capacity);
-    struct Unmap {
-      std::size_t bytes = 0;
-      void operator()(void* p) const;
-    };
     [[nodiscard]] real_t* vals() const { return static_cast<real_t*>(memory.get()); }
     [[nodiscard]] index_t* rows() const {
       return reinterpret_cast<index_t*>(vals() + capacity);
     }
-    std::unique_ptr<void, Unmap> memory;
+    MappedBytes memory;
     std::size_t capacity = 0;
     std::size_t used = 0;
   };

@@ -2,11 +2,46 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
+
+#include "util/mapped.hpp"
 
 namespace er {
 
 namespace {
+
+// The dense trailing block (see ichol.hpp). ICT switches after the first
+// column j that has at most kDenseMaxRows and at least kDenseMinRows rows
+// below it and kept at least 1/kDenseKeptDivisor of them; columns j+1..n-1
+// then form the block. 2 048 columns are 16.8 MB of packed triangle.
+constexpr index_t kDenseMaxRows = 2048;
+constexpr index_t kDenseMinRows = 64;
+constexpr index_t kDenseKeptDivisor = 4;
+
+/// Columns [c, n) of L as one packed lower triangle: column j holds
+/// L(j..n-1, j) contiguously, diagonal first. The pages come zero-filled
+/// from one anonymous mapping (util/mapped.hpp), so the block's 16.8 MB go
+/// back to the OS when the attempt ends.
+class TrailingBlock {
+ public:
+  TrailingBlock(index_t c, index_t n)
+      : c_(c), m_(static_cast<std::size_t>(n - c)),
+        memory_(map_zeroed(m_ * (m_ + 1) / 2 * sizeof(real_t))) {}
+
+  [[nodiscard]] index_t first() const { return c_; }
+
+  /// L(j, j) of column j >= first(); L(i, j) is col(j)[i - j].
+  [[nodiscard]] real_t* col(index_t j) const {
+    const auto t = static_cast<std::size_t>(j - c_);
+    return static_cast<real_t*>(memory_.get()) + t * (2 * m_ + 1 - t) / 2;
+  }
+
+ private:
+  index_t c_;
+  std::size_t m_;
+  MappedBytes memory_;
+};
 
 /// One left-looking ICT attempt on the permuted matrix. Returns false on
 /// pivot breakdown (caller shifts and retries).
@@ -32,13 +67,16 @@ bool ict_attempt(const CscMatrix& ap, const IcholOptions& opts, real_t shift,
   std::vector<index_t> link_head(static_cast<std::size_t>(n), -1);
   std::vector<index_t> link_next(static_cast<std::size_t>(n), -1);
 
-  // Dense scatter workspace.
+  // Dense scatter workspace. Before the switch, touched[i] == j marks row i
+  // live in column j and `pattern` lists the live rows; inside the block,
+  // every row below j is live and holds +0 until it is updated.
   std::vector<real_t> w(static_cast<std::size_t>(n), 0.0);
   std::vector<index_t> pattern;
   std::vector<char> keep_flags;
   std::vector<index_t> touched(static_cast<std::size_t>(n), -1);
   // Deferred diagonal corrections from dropped branches (compensation).
   std::vector<real_t> diag_corr(static_cast<std::size_t>(n), 0.0);
+  std::unique_ptr<TrailingBlock> block;
 
   auto attach = [&](index_t k, index_t row) {
     link_next[static_cast<std::size_t>(k)] = link_head[static_cast<std::size_t>(row)];
@@ -46,6 +84,7 @@ bool ict_attempt(const CscMatrix& ap, const IcholOptions& opts, real_t shift,
   };
 
   for (index_t j = 0; j < n; ++j) {
+    const bool dense = block != nullptr;
     pattern.clear();
     real_t dj = 0.0;
 
@@ -59,7 +98,7 @@ bool ict_attempt(const CscMatrix& ap, const IcholOptions& opts, real_t shift,
         dj = v * (1.0 + shift);
         continue;
       }
-      if (touched[static_cast<std::size_t>(i)] != j) {
+      if (!dense && touched[static_cast<std::size_t>(i)] != j) {
         touched[static_cast<std::size_t>(i)] = j;
         w[static_cast<std::size_t>(i)] = 0.0;
         pattern.push_back(i);
@@ -67,7 +106,37 @@ bool ict_attempt(const CscMatrix& ap, const IcholOptions& opts, real_t shift,
       w[static_cast<std::size_t>(i)] += v;
     }
 
-    // Apply updates from all columns k < j with L(j,k) != 0.
+    // Apply updates from all columns k < j with L(j,k) != 0, in link-list
+    // order. Inside the block, a column k of the block subtracts its whole
+    // dense copy below j; its zeros leave every nonzero w[i] as it is.
+    // Up to four such columns in a row of the list wait in `fused` and go
+    // in one pass over w: each row still takes one subtraction per column
+    // in list order, but w is loaded and stored once per four columns.
+    const real_t* fused_col[4] = {};
+    real_t fused_ljk[4] = {};
+    int fused = 0;
+    auto subtract_fused = [&] {
+      real_t* wj = w.data() + j + 1;
+      const index_t len = n - j - 1;
+      if (fused == 4) {
+        const real_t *d0 = fused_col[0], *d1 = fused_col[1], *d2 = fused_col[2],
+                     *d3 = fused_col[3];
+        const real_t l0 = fused_ljk[0], l1 = fused_ljk[1], l2 = fused_ljk[2],
+                     l3 = fused_ljk[3];
+        for (index_t t = 0; t < len; ++t) {
+          real_t x = wj[t];
+          x -= d0[t] * l0;
+          x -= d1[t] * l1;
+          x -= d2[t] * l2;
+          x -= d3[t] * l3;
+          wj[t] = x;
+        }
+      } else {
+        for (int q = 0; q < fused; ++q)
+          for (index_t t = 0; t < len; ++t) wj[t] -= fused_col[q][t] * fused_ljk[q];
+      }
+      fused = 0;
+    };
     index_t k = link_head[static_cast<std::size_t>(j)];
     link_head[static_cast<std::size_t>(j)] = -1;
     while (k != -1) {
@@ -78,14 +147,24 @@ bool ict_attempt(const CscMatrix& ap, const IcholOptions& opts, real_t shift,
       const real_t ljk = vk[cur];
 
       dj -= ljk * ljk;
-      for (std::size_t p = cur + 1; p < rk.size(); ++p) {
-        const index_t i = rk[p];
-        if (touched[static_cast<std::size_t>(i)] != j) {
-          touched[static_cast<std::size_t>(i)] = j;
-          w[static_cast<std::size_t>(i)] = 0.0;
-          pattern.push_back(i);
+      if (dense && k >= block->first()) {
+        fused_col[fused] = block->col(k) + (j + 1 - k);
+        fused_ljk[fused++] = ljk;
+        if (fused == 4) subtract_fused();
+      } else if (dense) {
+        subtract_fused();
+        for (std::size_t p = cur + 1; p < rk.size(); ++p)
+          w[static_cast<std::size_t>(rk[p])] -= vk[p] * ljk;
+      } else {
+        for (std::size_t p = cur + 1; p < rk.size(); ++p) {
+          const index_t i = rk[p];
+          if (touched[static_cast<std::size_t>(i)] != j) {
+            touched[static_cast<std::size_t>(i)] = j;
+            w[static_cast<std::size_t>(i)] = 0.0;
+            pattern.push_back(i);
+          }
+          w[static_cast<std::size_t>(i)] -= vk[p] * ljk;
         }
-        w[static_cast<std::size_t>(i)] -= vk[p] * ljk;
       }
 
       // Advance k's cursor to its next off-diagonal row and re-attach.
@@ -95,12 +174,22 @@ bool ict_attempt(const CscMatrix& ap, const IcholOptions& opts, real_t shift,
       }
       k = knext;
     }
+    subtract_fused();
 
     if (opts.diagonal_compensation)
       dj += diag_corr[static_cast<std::size_t>(j)];
     // Breakdown: caller shifts & retries. NaN fails dj > 0, and a
     // non-finite pivot breaks down at every shift.
     if (!(dj > 0.0 && std::isfinite(dj))) return false;
+
+    // The rows to decide on, ascending. Inside the block an exact zero is
+    // left out: the passes below drop it without compensation anyway.
+    if (dense) {
+      for (index_t i = j + 1; i < n; ++i)
+        if (w[static_cast<std::size_t>(i)] != 0.0) pattern.push_back(i);
+    } else {
+      std::sort(pattern.begin(), pattern.end());
+    }
 
     // Threshold dropping (absolute; see header). With compensation, a
     // dropped subdiagonal value w_i (an intermediate-graph branch of
@@ -110,7 +199,6 @@ bool ict_attempt(const CscMatrix& ap, const IcholOptions& opts, real_t shift,
     // pivot below the floor are kept instead.
     auto& rj = lrow[static_cast<std::size_t>(j)];
     auto& vj = lval[static_cast<std::size_t>(j)];
-    std::sort(pattern.begin(), pattern.end());
     const real_t pivot_floor = opts.compensation_pivot_floor * dj;
 
     // First pass: decide drops and apply compensation to d_j.
@@ -144,6 +232,21 @@ bool ict_attempt(const CscMatrix& ap, const IcholOptions& opts, real_t shift,
     }
     if (rj.size() > 1) attach(j, rj[1]);
     cursor[static_cast<std::size_t>(j)] = 1;  // first off-diagonal slot
+
+    if (dense) {
+      // Keep the dense copy of column j and clear its rows of w to +0.
+      real_t* copy = block->col(j);
+      for (std::size_t p = 0; p < rj.size(); ++p) copy[rj[p] - j] = vj[p];
+      std::fill(w.begin() + j + 1, w.end(), 0.0);
+    } else {
+      const index_t below = n - 1 - j;
+      const auto kept = static_cast<index_t>(rj.size()) - 1;
+      if (below <= kDenseMaxRows && below >= kDenseMinRows &&
+          kDenseKeptDivisor * kept >= below) {
+        block = std::make_unique<TrailingBlock>(j + 1, n);
+        std::fill(w.begin() + j + 1, w.end(), 0.0);
+      }
+    }
   }
 
   // Compress into the factor.
@@ -175,7 +278,7 @@ CholFactor ichol(const CscMatrix& a, const std::vector<index_t>& perm,
   const index_t n = a.cols();
   if (perm.size() != static_cast<std::size_t>(n) || !is_permutation(perm))
     throw std::invalid_argument("ichol: invalid permutation");
-  if (opts.droptol < 0.0)
+  if (!(opts.droptol >= 0.0))
     throw std::invalid_argument("ichol: droptol must be >= 0");
 
   const CscMatrix ap = a.permute_symmetric(perm);

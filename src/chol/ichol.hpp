@@ -21,6 +21,18 @@
 // subgraph Laplacian, and a pivot floor guards degenerate columns), but for
 // general SPD inputs a global diagonal shift A + alpha*diag(A) is applied
 // and doubled until the factorization succeeds.
+//
+// Kernel: left-looking by column, serial. On social graphs the min-degree
+// order ends in a nearly dense hub tail, so after the first column that
+// has at most 2 048 and at least 64 rows below it and kept a quarter of
+// them, the remaining columns also keep a dense copy in one packed lower
+// triangle (at most 16.8 MB, returned to the OS when the attempt ends). A
+// column of that trailing block updates later columns by a contiguous
+// axpy, four columns per pass, instead of a sparse scatter. Every entry
+// still gets the same subtractions in the same order, and the drops,
+// compensation, breakdown and shift retry run in the same order, so the
+// factor is bitwise equal to the purely sparse kernel's (DESIGN.md §4
+// "ICT's dense trailing block").
 #pragma once
 
 #include <vector>

@@ -147,10 +147,14 @@ std::vector<index_t> mindeg_order(const CscMatrix& a) {
     bound[static_cast<std::size_t>(p)] = lp;
 
     // AMD external-degree counters: w[e] = |Le \ Lp| for elements adjacent
-    // to Lp members.
+    // to Lp members. The same pass drops the dead elements from elems[i];
+    // p is not in any list yet, and no element dies before the next step.
     for (index_t i : lp) {
-      for (index_t e : elems[static_cast<std::size_t>(i)]) {
-        if (!alive_elem[static_cast<std::size_t>(e)] || e == p) continue;
+      auto& ei = elems[static_cast<std::size_t>(i)];
+      std::size_t we = 0;
+      for (index_t e : ei) {
+        if (!alive_elem[static_cast<std::size_t>(e)]) continue;
+        ei[we++] = e;
         // A live element holds only live variables: pivoting a variable
         // absorbs every element in its list, and that list holds every
         // live element containing it. So bound[e] needs no rescan here.
@@ -161,6 +165,7 @@ std::vector<index_t> mindeg_order(const CscMatrix& a) {
         }
         --ew[static_cast<std::size_t>(e)];
       }
+      ei.resize(we);
     }
 
     const auto lp_size = static_cast<index_t>(lp.size());
@@ -176,17 +181,11 @@ std::vector<index_t> mindeg_order(const CscMatrix& a) {
       }
       ai.resize(w);
 
-      // Prune elems[i] and append p.
+      // elems[i] holds only live elements now; append p.
       auto& ei = elems[static_cast<std::size_t>(i)];
-      std::size_t we = 0;
       index_t elem_deg = 0;
-      for (index_t e : ei) {
-        if (alive_elem[static_cast<std::size_t>(e)] && e != p) {
-          ei[we++] = e;
-          elem_deg += std::max<index_t>(ew[static_cast<std::size_t>(e)], 0);
-        }
-      }
-      ei.resize(we);
+      for (index_t e : ei)
+        elem_deg += std::max<index_t>(ew[static_cast<std::size_t>(e)], 0);
       ei.push_back(p);
 
       index_t d = static_cast<index_t>(ai.size()) + (lp_size - 1) + elem_deg;

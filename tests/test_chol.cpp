@@ -12,6 +12,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chol/cholesky.hpp"
@@ -20,6 +21,7 @@
 #include "graph/laplacian.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/dense.hpp"
 #include "util/rng.hpp"
 
@@ -258,8 +260,273 @@ TEST(Ichol, ThrowsOnNonFinitePivot) {
 TEST(Ichol, RejectsNegativeDroptol) {
   const CscMatrix a = random_sdd(10, 20, 15);
   IcholOptions opts;
-  opts.droptol = -1.0;
-  EXPECT_THROW(ichol(a, Ordering::kNatural, opts), std::invalid_argument);
+  for (real_t bad : {-1.0, std::numeric_limits<real_t>::quiet_NaN()}) {
+    opts.droptol = bad;
+    EXPECT_THROW(ichol(a, Ordering::kNatural, opts), std::invalid_argument);
+  }
+}
+
+// ---- Reference: the sparse left-looking ICT kernel without the dense
+// trailing block, kept here as the oracle the dense block must match bit
+// for bit (same dropping rule, compensation, pivot floor and shift retry).
+
+bool reference_ict_attempt(const CscMatrix& ap, const IcholOptions& opts,
+                           real_t shift, real_t global_scale, CholFactor& f) {
+  const index_t n = ap.cols();
+  const auto& cp = ap.col_ptr();
+  const auto& ri = ap.row_ind();
+  const auto& vv = ap.values();
+  const real_t keep_threshold = opts.droptol * global_scale;
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<std::vector<index_t>> lrow(un);
+  std::vector<std::vector<real_t>> lval(un);
+  std::vector<offset_t> cursor(un, 0);
+  std::vector<index_t> link_head(un, -1);
+  std::vector<index_t> link_next(un, -1);
+  std::vector<real_t> w(un, 0.0);
+  std::vector<index_t> pattern;
+  std::vector<char> keep_flags;
+  std::vector<index_t> touched(un, -1);
+  std::vector<real_t> diag_corr(un, 0.0);
+  auto attach = [&](index_t k, index_t row) {
+    link_next[static_cast<std::size_t>(k)] = link_head[static_cast<std::size_t>(row)];
+    link_head[static_cast<std::size_t>(row)] = k;
+  };
+  auto live = [&](index_t i, index_t j) {
+    if (touched[static_cast<std::size_t>(i)] != j) {
+      touched[static_cast<std::size_t>(i)] = j;
+      w[static_cast<std::size_t>(i)] = 0.0;
+      pattern.push_back(i);
+    }
+  };
+
+  for (index_t j = 0; j < n; ++j) {
+    pattern.clear();
+    real_t dj = 0.0;
+    for (offset_t p = cp[static_cast<std::size_t>(j)];
+         p < cp[static_cast<std::size_t>(j) + 1]; ++p) {
+      const index_t i = ri[static_cast<std::size_t>(p)];
+      if (i < j) continue;
+      const real_t v = vv[static_cast<std::size_t>(p)];
+      if (i == j) {
+        dj = v * (1.0 + shift);
+        continue;
+      }
+      live(i, j);
+      w[static_cast<std::size_t>(i)] += v;
+    }
+    index_t k = link_head[static_cast<std::size_t>(j)];
+    link_head[static_cast<std::size_t>(j)] = -1;
+    while (k != -1) {
+      const index_t knext = link_next[static_cast<std::size_t>(k)];
+      const auto& rk = lrow[static_cast<std::size_t>(k)];
+      const auto& vk = lval[static_cast<std::size_t>(k)];
+      const auto cur = static_cast<std::size_t>(cursor[static_cast<std::size_t>(k)]);
+      const real_t ljk = vk[cur];
+      dj -= ljk * ljk;
+      for (std::size_t p = cur + 1; p < rk.size(); ++p) {
+        live(rk[p], j);
+        w[static_cast<std::size_t>(rk[p])] -= vk[p] * ljk;
+      }
+      if (cur + 1 < rk.size()) {
+        cursor[static_cast<std::size_t>(k)] = static_cast<offset_t>(cur + 1);
+        attach(k, rk[cur + 1]);
+      }
+      k = knext;
+    }
+    if (opts.diagonal_compensation) dj += diag_corr[static_cast<std::size_t>(j)];
+    if (!(dj > 0.0 && std::isfinite(dj))) return false;
+
+    auto& rj = lrow[static_cast<std::size_t>(j)];
+    auto& vj = lval[static_cast<std::size_t>(j)];
+    std::sort(pattern.begin(), pattern.end());
+    const real_t pivot_floor = opts.compensation_pivot_floor * dj;
+    keep_flags.assign(pattern.size(), 1);
+    for (std::size_t pi = 0; pi < pattern.size(); ++pi) {
+      const index_t i = pattern[pi];
+      const real_t v = w[static_cast<std::size_t>(i)];
+      if (!(std::abs(v) < keep_threshold || v == 0.0)) continue;
+      if (opts.diagonal_compensation && v != 0.0) {
+        if (dj + v <= pivot_floor) continue;
+        dj += v;
+        diag_corr[static_cast<std::size_t>(i)] += v;
+      }
+      keep_flags[pi] = 0;
+    }
+    if (!(dj > 0.0 && std::isfinite(dj))) return false;
+    const real_t ljj = std::sqrt(dj);
+    rj.push_back(j);
+    vj.push_back(ljj);
+    for (std::size_t pi = 0; pi < pattern.size(); ++pi) {
+      const real_t v = w[static_cast<std::size_t>(pattern[pi])];
+      if (!keep_flags[pi] || v == 0.0) continue;
+      rj.push_back(pattern[pi]);
+      vj.push_back(v / ljj);
+    }
+    if (rj.size() > 1) attach(j, rj[1]);
+    cursor[static_cast<std::size_t>(j)] = 1;
+  }
+
+  f.col_ptr.assign(un + 1, 0);
+  f.row_ind.clear();
+  f.values.clear();
+  for (index_t j = 0; j < n; ++j) {
+    const auto& rj = lrow[static_cast<std::size_t>(j)];
+    const auto& vj = lval[static_cast<std::size_t>(j)];
+    f.row_ind.insert(f.row_ind.end(), rj.begin(), rj.end());
+    f.values.insert(f.values.end(), vj.begin(), vj.end());
+    f.col_ptr[static_cast<std::size_t>(j) + 1] = static_cast<offset_t>(f.row_ind.size());
+  }
+  return true;
+}
+
+/// The sparse kernel with ichol's global scale and shift retry; the
+/// second member counts the retries.
+std::pair<CholFactor, int> reference_ichol(const CscMatrix& a,
+                                           const std::vector<index_t>& perm,
+                                           const IcholOptions& opts) {
+  const CscMatrix ap = a.permute_symmetric(perm);
+  std::vector<real_t> mags;
+  for (index_t c = 0; c < ap.cols(); ++c)
+    for (offset_t p = ap.col_ptr()[static_cast<std::size_t>(c)];
+         p < ap.col_ptr()[static_cast<std::size_t>(c) + 1]; ++p)
+      if (ap.row_ind()[static_cast<std::size_t>(p)] > c &&
+          ap.values()[static_cast<std::size_t>(p)] != 0.0)
+        mags.push_back(std::abs(ap.values()[static_cast<std::size_t>(p)]));
+  real_t global_scale = 1.0;
+  if (!mags.empty()) {
+    auto mid = mags.begin() + static_cast<std::ptrdiff_t>(mags.size() / 2);
+    std::nth_element(mags.begin(), mid, mags.end());
+    global_scale = *mid;
+  }
+  CholFactor f;
+  f.n = ap.cols();
+  f.perm = perm;
+  f.inv_perm = invert_permutation(perm);
+  real_t shift = 0.0;
+  for (int attempt = 0; attempt <= opts.max_shift_retries; ++attempt) {
+    if (reference_ict_attempt(ap, opts, shift, global_scale, f)) return {f, attempt};
+    shift = shift == 0.0 ? opts.initial_shift : 2.0 * shift;
+  }
+  throw std::runtime_error("reference_ichol: breakdown persisted");
+}
+
+/// Whether ichol's dense trailing block switches on for this factor: some
+/// column has between 64 and 2 048 rows below it and kept a quarter of them.
+bool reaches_dense_block(const CholFactor& f) {
+  for (index_t j = 0; j < f.n; ++j) {
+    const index_t below = f.n - 1 - j;
+    const auto kept = static_cast<index_t>(f.col_ptr[static_cast<std::size_t>(j) + 1] -
+                                           f.col_ptr[static_cast<std::size_t>(j)]) - 1;
+    if (below <= 2048 && below >= 64 && 4 * kept >= below) return true;
+  }
+  return false;
+}
+
+void expect_bitwise_equal(const CholFactor& got, const CholFactor& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.col_ptr, want.col_ptr) << what;
+  ASSERT_EQ(got.row_ind, want.row_ind) << what;
+  ASSERT_EQ(got.values.size(), want.values.size()) << what;
+  EXPECT_EQ(0, std::memcmp(got.values.data(), want.values.data(),
+                           got.values.size() * sizeof(real_t)))
+      << what;
+}
+
+/// Flips the sign of each symmetric off-diagonal pair with probability 1/2
+/// and scales every off-diagonal by `scale`: with scale <= 1 a grounded
+/// Laplacian stays diagonally dominant, so SPD, but is no M-matrix; with
+/// scale > 1 it may be indefinite, so ICT breaks down and shifts.
+CscMatrix perturb_off_diagonals(const CscMatrix& a, real_t scale, std::uint64_t seed) {
+  Rng rng(seed);
+  TripletMatrix t(a.rows(), a.cols());
+  for (index_t c = 0; c < a.cols(); ++c)
+    for (offset_t p = a.col_ptr()[static_cast<std::size_t>(c)];
+         p < a.col_ptr()[static_cast<std::size_t>(c) + 1]; ++p) {
+      const index_t r = a.row_ind()[static_cast<std::size_t>(p)];
+      const real_t v = a.values()[static_cast<std::size_t>(p)];
+      if (r == c) t.add(r, c, v);
+      if (r > c) t.add_symmetric(r, c, (rng.bernoulli(0.5) ? -scale : scale) * v);
+    }
+  return CscMatrix::from_triplets(t);
+}
+
+TEST(Ichol, DenseTrailingBlockBitwiseEqualToSparseKernel) {
+  struct Case {
+    index_t n, m;
+    WeightKind weights;
+    real_t off_scale;  // 0: the grounded Laplacian as it is
+  };
+  const std::vector<Case> cases = {
+      {500, 2, WeightKind::kUnit, 0.0},      {800, 3, WeightKind::kLogUniform, 0.0},
+      {1200, 5, WeightKind::kLogUniform, 0.0}, {1600, 4, WeightKind::kUnit, 0.0},
+      {3000, 2, WeightKind::kUnit, 0.0},     {1000, 2, WeightKind::kLogUniform, 1.0},
+      {1500, 3, WeightKind::kUnit, 1.0},     {700, 3, WeightKind::kUnit, 1.3},
+  };
+  int switched = 0, runs = 0;
+  for (std::size_t ci = 0; ci < cases.size(); ++ci) {
+    const Case& c = cases[ci];
+    CscMatrix a = grounded_laplacian(barabasi_albert(c.n, c.m, c.weights, 40 + ci));
+    if (c.off_scale > 0.0) a = perturb_off_diagonals(a, c.off_scale, 60 + ci);
+    const auto perm = compute_ordering(a, Ordering::kMinDeg);
+    for (real_t droptol : {0.0, 1e-3, 1e-2})
+      for (bool compensation : {true, false}) {
+        if (droptol == 0.0 && !compensation) continue;  // nothing to compensate
+        IcholOptions opts;
+        opts.droptol = droptol;
+        opts.diagonal_compensation = compensation;
+        const auto [want, retries] = reference_ichol(a, perm, opts);
+        const std::string what = "case " + std::to_string(ci) + " droptol " +
+                                 std::to_string(droptol) + " compensation " +
+                                 std::to_string(compensation);
+        expect_bitwise_equal(ichol(a, perm, opts), want, what);
+        switched += reaches_dense_block(want);
+        ++runs;
+      }
+  }
+  // Nearly every social case ends in a dense hub tail.
+  EXPECT_GE(switched, runs - 4);
+}
+
+TEST(Ichol, DenseTrailingBlockBreakdownShiftsAndRetries) {
+  // Natural order: a grounded path 0..p-1, then a hub p adjacent to every
+  // tail node, then a complete tail of m nodes whose diagonal is half its
+  // off-diagonal row sum. The hub column keeps all m rows, so the block
+  // starts right after it; the path and the hub are diagonally dominant,
+  // so the first breakdown falls inside the block, about m/2 pivots in.
+  const index_t p = 300, m = 160, n = p + 1 + m;
+  TripletMatrix t(n, n);
+  for (index_t i = 0; i + 1 < p; ++i) t.stamp_conductance(i, i + 1, 1.0);
+  t.add(0, 0, 1.0);
+  t.stamp_conductance(p - 1, p, 1.0);
+  for (index_t i = p + 1; i < n; ++i) t.stamp_conductance(p, i, 0.5);
+  for (index_t i = p + 1; i < n; ++i) {
+    t.add(i, i, 0.5 * static_cast<real_t>(m - 1));
+    for (index_t k = i + 1; k < n; ++k) t.add_symmetric(i, k, -1.0);
+  }
+  const CscMatrix a = CscMatrix::from_triplets(t);
+  const auto perm = identity_permutation(n);
+  for (real_t droptol : {0.0, 1e-2}) {
+    IcholOptions opts;
+    opts.droptol = droptol;
+    const auto [want, retries] = reference_ichol(a, perm, opts);
+    EXPECT_GT(retries, 0);
+    EXPECT_TRUE(reaches_dense_block(want));
+    expect_bitwise_equal(ichol(a, perm, opts), want, "droptol " + std::to_string(droptol));
+    opts.max_shift_retries = 0;
+    EXPECT_THROW(ichol(a, perm, opts), std::runtime_error);
+  }
+}
+
+TEST(Ichol, GridBelowDenseBlockSizeBitwiseEqualToSparseKernel) {
+  // 49 nodes: no column has 64 rows below it, so the block never starts.
+  const CscMatrix a = grounded_laplacian(grid_2d(7, 7, WeightKind::kLogUniform, 70));
+  const auto perm = compute_ordering(a, Ordering::kMinDeg);
+  IcholOptions opts;
+  const auto [want, retries] = reference_ichol(a, perm, opts);
+  EXPECT_EQ(retries, 0);
+  EXPECT_FALSE(reaches_dense_block(want));
+  expect_bitwise_equal(ichol(a, perm, opts), want, "7x7 grid");
 }
 
 class CholOrderingSweep : public ::testing::TestWithParam<Ordering> {};
