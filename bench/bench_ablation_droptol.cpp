@@ -34,7 +34,6 @@ int main() {
     for (real_t droptol : {0.0, 1e-4, 1e-3, 1e-2, 1e-1}) {
       ApproxCholOptions opts;
       opts.droptol = droptol;
-      opts.complete_factorization = droptol == 0.0;
       opts.parallel.num_threads = 1;  // T(s) is a one-thread time
       Timer t;
       const ApproxCholEffRes engine(c.graph, opts);

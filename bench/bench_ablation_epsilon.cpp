@@ -37,7 +37,6 @@ int main() {
         ApproxCholOptions opts;
         opts.droptol = droptol;
         opts.epsilon = eps;
-        opts.complete_factorization = droptol == 0.0;
         opts.parallel.num_threads = 1;  // T(s) is a one-thread time
         Timer t;
         const ApproxCholEffRes engine(c.graph, opts);

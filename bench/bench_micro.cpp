@@ -19,7 +19,6 @@
 #include "graph/laplacian.hpp"
 #include "order/amd.hpp"
 #include "order/mindeg.hpp"
-#include "order/rcm.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/rng.hpp"
 
@@ -76,16 +75,6 @@ void BM_AmdOrdering(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AmdOrdering)->Arg(64)->Arg(128);
-
-void BM_RcmOrdering(benchmark::State& state) {
-  const auto side = static_cast<index_t>(state.range(0));
-  const CscMatrix l = grounded_laplacian(bench_graph(side));
-  for (auto _ : state) {
-    auto perm = rcm_order(l);
-    benchmark::DoNotOptimize(perm.data());
-  }
-}
-BENCHMARK(BM_RcmOrdering)->Arg(64)->Arg(128);
 
 // Symbolic and numeric factor of a grid Laplacian; the second argument is
 // the pool's thread count (1: the serial pass), so the rows show the
@@ -159,7 +148,7 @@ void BM_ApproxInverseBuild(benchmark::State& state) {
   const auto side = static_cast<index_t>(state.range(0));
   const CscMatrix l = grounded_laplacian(bench_graph(side));
   IcholOptions iopts;
-  const CholFactor f = ichol(l, Ordering::kMinDeg, iopts);
+  const CholFactor f = ichol(l, iopts);
   ThreadPool pool(static_cast<int>(state.range(1)));
   ApproxInverseOptions zopts;
   zopts.pool = &pool;

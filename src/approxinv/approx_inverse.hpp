@@ -13,9 +13,7 @@
 // depth(p) * epsilon. Both are exercised by tests.
 #pragma once
 
-#include <iosfwd>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "chol/factor.hpp"
@@ -31,8 +29,8 @@ struct ApproxInverseOptions {
   real_t epsilon = 1e-3;
   /// Optional pool whose workers build the columns from a ready queue
   /// (null = serial). Every column is computed by the same arithmetic in
-  /// the same order whatever the pool size, so Z's columns and save()
-  /// bytes are bit-identical at any thread count (DESIGN.md §3). A
+  /// the same order whatever the pool size, so Z's columns are
+  /// bit-identical at any thread count (DESIGN.md §3). A
   /// 1-thread pool, or a call from a pool worker, builds serially.
   ThreadPool* pool = nullptr;
 };
@@ -41,9 +39,9 @@ struct ApproxInverseOptions {
 /// coordinates. Each column is written once into a chunk of storage that
 /// is never reallocated, so a column's address is fixed from the moment
 /// it is built. Chunks fill in build order: j descending for a serial
-/// build, completion order (close to j descending) on a pool; a loaded
-/// file is one chunk. Use column(j) / column_rows(j) / column_values(j)
-/// for access. Move-only: the column table points into the chunks.
+/// build, completion order (close to j descending) on a pool. Use
+/// column(j) / column_rows(j) / column_values(j) for access. Move-only:
+/// the column table points into the chunks.
 class ApproxInverse {
  public:
   /// Run Alg. 2 on a (complete or incomplete) Cholesky factor.
@@ -73,15 +71,6 @@ class ApproxInverse {
   /// The permutation of the factor this inverse was built from (new -> old).
   [[nodiscard]] const std::vector<index_t>& perm() const { return perm_; }
   [[nodiscard]] const std::vector<index_t>& inv_perm() const { return inv_perm_; }
-
-  /// Binary serialization: an expensive build can be cached on disk and
-  /// reloaded for query-only sessions ("build once, query many"). save()
-  /// writes the columns in descending j, so its bytes do not depend on
-  /// the layout in memory (or on the thread count of the build).
-  void save(std::ostream& out) const;
-  static ApproxInverse load(std::istream& in);
-  void save_file(const std::string& path) const;
-  static ApproxInverse load_file(const std::string& path);
 
  private:
   /// Where column j lives: `len` rows (ascending) and values.

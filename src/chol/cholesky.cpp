@@ -5,7 +5,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "order/amd.hpp"
 #include "order/etree.hpp"
+#include "order/mindeg.hpp"
 #include "parallel/task_heap.hpp"
 
 namespace er {
@@ -882,8 +884,6 @@ CholFactor cholesky(const CscMatrix& a, const std::vector<index_t>& perm, Thread
   return f;
 }
 
-CholFactor cholesky(const CscMatrix& a, Ordering ordering) {
-  return cholesky(a, compute_ordering(a, ordering));
-}
+CholFactor cholesky(const CscMatrix& a) { return cholesky(a, amd_order(a)); }
 
 }  // namespace er

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "chol/factor.hpp"
-#include "order/mindeg.hpp"
 #include "sparse/csc.hpp"
 #include "util/types.hpp"
 
@@ -29,9 +28,7 @@ class ThreadPool;
 CholFactor cholesky(const CscMatrix& a, const std::vector<index_t>& perm,
                     ThreadPool* pool = nullptr);
 
-/// Convenience overload that computes the ordering first. The default is
-/// AMD, the ordering of every complete factor but ApproxCholEffRes's
-/// (order/amd.hpp).
-CholFactor cholesky(const CscMatrix& a, Ordering ordering = Ordering::kAmd);
+/// The complete factor in AMD order (order/amd.hpp), serially.
+CholFactor cholesky(const CscMatrix& a);
 
 }  // namespace er

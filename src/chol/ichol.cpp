@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "order/mindeg.hpp"
 #include "util/mapped.hpp"
 
 namespace er {
@@ -318,9 +319,8 @@ CholFactor ichol(const CscMatrix& a, const std::vector<index_t>& perm,
   throw std::runtime_error("ichol: breakdown persisted after max shifts");
 }
 
-CholFactor ichol(const CscMatrix& a, Ordering ordering,
-                 const IcholOptions& opts) {
-  return ichol(a, compute_ordering(a, ordering), opts);
+CholFactor ichol(const CscMatrix& a, const IcholOptions& opts) {
+  return ichol(a, mindeg_order(a), opts);
 }
 
 }  // namespace er

@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "chol/factor.hpp"
-#include "order/mindeg.hpp"
 #include "sparse/csc.hpp"
 #include "util/types.hpp"
 
@@ -63,12 +62,10 @@ struct IcholOptions {
 CholFactor ichol(const CscMatrix& a, const std::vector<index_t>& perm,
                  const IcholOptions& opts = {});
 
-/// Convenience overload computing the ordering internally. The default is
-/// min-degree, not the AMD of complete factors: on com-DBLP-like AMD's
-/// pivot order grows the ICT factor from 1.06 M to 2.57 M entries and
-/// ichol from 0.63 to 3.0 s, and Z~ of Alg. 3 from 16.1 M to 28.9 M entries
-/// (order/mindeg.hpp).
-CholFactor ichol(const CscMatrix& a, Ordering ordering = Ordering::kMinDeg,
-                 const IcholOptions& opts = {});
+/// The incomplete factor in min-degree order, not the AMD of complete
+/// factors: on com-DBLP-like AMD's pivot order grows the ICT factor from
+/// 1.06 M to 2.57 M entries and ichol from 0.63 to 3.0 s, and Z~ of Alg. 3
+/// from 16.1 M to 28.9 M entries (order/mindeg.hpp).
+CholFactor ichol(const CscMatrix& a, const IcholOptions& opts = {});
 
 }  // namespace er

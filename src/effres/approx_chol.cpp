@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "approxinv/depth.hpp"
-#include "chol/cholesky.hpp"
 #include "graph/laplacian.hpp"
 #include "util/timer.hpp"
 
@@ -30,13 +29,9 @@ ApproxCholEffRes::ApproxCholEffRes(const Graph& g,
   if (grounds.size() > 1) component_ = std::move(labels);
 
   Timer t;
-  if (opts.complete_factorization) {
-    factor_ = cholesky(lg, opts.ordering);
-  } else {
-    IcholOptions ic;
-    ic.droptol = opts.droptol;
-    factor_ = ichol(lg, opts.ordering, ic);
-  }
+  IcholOptions ic;
+  ic.droptol = opts.droptol;
+  factor_ = ichol(lg, ic);
   stats_.factor_seconds = t.seconds();
   stats_.factor_nnz = factor_.nnz();
   stats_.max_depth = max_filled_graph_depth(factor_);

@@ -1,7 +1,8 @@
 // Algorithm 3 — effective resistances from the sparse approximate inverse
 // of the (incomplete) Cholesky factor. This is the paper's headline method:
 //
-//   1. incomplete Cholesky on the grounded Laplacian (droptol),
+//   1. incomplete Cholesky on the grounded Laplacian (droptol; 0 is the
+//      complete factor), in min-degree order,
 //   2. Alg. 2 sparse approximate inverse Z̃ ≈ L^{-1} (epsilon),
 //   3. per query (p, q): R(p,q) ≈ ||z̃_p - z̃_q||².
 #pragma once
@@ -13,25 +14,15 @@
 #include "chol/ichol.hpp"
 #include "effres/engine.hpp"
 #include "graph/graph.hpp"
-#include "order/mindeg.hpp"
 
 namespace er {
 
 struct ApproxCholOptions {
-  real_t droptol = 1e-3;   // incomplete-Cholesky drop tolerance (paper: 1e-3)
+  /// Incomplete-Cholesky drop tolerance (paper: 1e-3). The factor is ICT in
+  /// min-degree order (chol/ichol.hpp); 0 keeps every fill entry and gives
+  /// the complete factor in that order.
+  real_t droptol = 1e-3;
   real_t epsilon = 1e-3;   // Alg. 2 truncation budget        (paper: 1e-3)
-  /// Min-degree, not AMD, even though the other complete factors use AMD:
-  /// on com-DBLP-like AMD's pivot order grows the ICT factor from 1.06 M to
-  /// 2.57 M entries (ichol 0.63 -> 3.0 s) and Z~ from 16.1 M to 28.9 M
-  /// entries (build 3.0 -> 7.5 s on one thread); order/mindeg.hpp.
-  Ordering ordering = Ordering::kMinDeg;
-  /// Use the complete factorization instead of ICT (small graphs / tests).
-  /// It keeps `ordering` (min-degree by default) rather than AMD, because
-  /// Z~'s size follows the pivot order, not nnz(L): nnz(Z~) min-degree ->
-  /// AMD on one thread is 2.12 M -> 3.53 M on barabasi_albert(5000, 3),
-  /// 0.52 M -> 0.57 M on a 60 x 60 grid and 18.8 M -> 17.7 M on
-  /// G2-circuit-like (195 x 195), with nnz(L) within 1.2 % either way.
-  bool complete_factorization = false;
   /// Optional pool whose workers build Alg. 2's columns from a ready
   /// queue (null = honor `parallel` below). Callers already running on a
   /// pool worker (reduce_block) may pass the same pool: the build then

@@ -8,11 +8,8 @@
 
 namespace er {
 
-ExactEffRes::ExactEffRes(const Graph& g, Ordering ordering)
-    : n_(g.num_nodes()) {
-  const CscMatrix lg = grounded_laplacian(g);
-  factor_ = cholesky(lg, ordering);
-}
+ExactEffRes::ExactEffRes(const Graph& g)
+    : n_(g.num_nodes()), factor_(cholesky(grounded_laplacian(g))) {}
 
 real_t ExactEffRes::resistance(index_t p, index_t q) const {
   if (p < 0 || p >= n_ || q < 0 || q >= n_)

@@ -10,13 +10,12 @@
 #include "chol/factor.hpp"
 #include "effres/engine.hpp"
 #include "graph/graph.hpp"
-#include "order/mindeg.hpp"
 
 namespace er {
 
 class ExactEffRes final : public EffResEngine {
  public:
-  explicit ExactEffRes(const Graph& g, Ordering ordering = Ordering::kAmd);
+  explicit ExactEffRes(const Graph& g);
 
   /// Thread-safe single query: the reach workspace is a thread-local
   /// scratch, so concurrent callers never share state and serial query

@@ -37,7 +37,7 @@ RandomProjectionEffRes::RandomProjectionEffRes(
   if (grounds.size() > 1) component_ = std::move(labels);
   IcholOptions ic;
   ic.droptol = opts.ichol_droptol;
-  const CholFactor precond_factor = ichol(lg, Ordering::kMinDeg, ic);
+  const CholFactor precond_factor = ichol(lg, ic);
   const Preconditioner precond = ichol_preconditioner(precond_factor);
 
   PcgOptions pcg_opts;

@@ -1,11 +1,9 @@
 // Approximate minimum degree ordering (Amestoy, Davis and Duff, SIAM J.
 // Matrix Anal. Appl. 17(4), 1996), in the form of Davis, "Direct Methods
-// for Sparse Linear Systems" (SIAM 2006) §7.1. It is the ordering of the
-// complete Cholesky factors: the served G on each publish, solve_dc, the
-// transient solve, the per-block Schur factors and ExactEffRes. The one
-// exception is ApproxCholEffRes with complete_factorization, which keeps
-// its min-degree default because AMD's pivot order grows Z~ on social
-// graphs (effres/approx_chol.hpp).
+// for Sparse Linear Systems" (SIAM 2006) §7.1. It is the one ordering of
+// the complete Cholesky factors (cholesky(a) applies it): the served G on
+// each publish, solve_dc, the transient solve, the per-block Schur factors
+// and ExactEffRes.
 //
 // Compared with mindeg_order it adds the parts of AMD that make it fast and
 // keep its fill low:

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "order/amd.hpp"
-#include "order/rcm.hpp"
-
 namespace er {
 
 namespace {
@@ -195,20 +192,6 @@ std::vector<index_t> mindeg_order(const CscMatrix& a) {
     }
   }
   return perm;
-}
-
-std::vector<index_t> compute_ordering(const CscMatrix& a, Ordering kind) {
-  switch (kind) {
-    case Ordering::kNatural:
-      return identity_permutation(a.cols());
-    case Ordering::kRcm:
-      return rcm_order(a);
-    case Ordering::kMinDeg:
-      return mindeg_order(a);
-    case Ordering::kAmd:
-      return amd_order(a);
-  }
-  return identity_permutation(a.cols());
 }
 
 std::vector<index_t> identity_permutation(index_t n) {

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "chol/cholesky.hpp"
+#include "order/amd.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -17,7 +18,7 @@ namespace {
 /// (the rule ApproxCholEffRes follows for its Alg. 2 build); the factor is
 /// bitwise equal to the serial one.
 CholFactor factor_system(const CscMatrix& g) {
-  return cholesky(g, compute_ordering(g, Ordering::kAmd), transient_pool(0).get());
+  return cholesky(g, amd_order(g), transient_pool(0).get());
 }
 
 }  // namespace

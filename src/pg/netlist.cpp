@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -13,6 +14,14 @@ namespace {
 [[noreturn]] void fail(std::size_t line_no, const std::string& why) {
   throw std::runtime_error("netlist line " + std::to_string(line_no) + ": " +
                            why);
+}
+
+/// A node id read from the file: in [0, INT32_MAX - 1], so that the node
+/// count, max id + 1, fits an index_t (read_edge_list checks the same).
+index_t node_id(long long v, std::size_t line_no) {
+  if (v < 0 || v > std::numeric_limits<index_t>::max() - 1)
+    fail(line_no, "node id out of range");
+  return static_cast<index_t>(v);
 }
 
 }  // namespace
@@ -45,11 +54,10 @@ PowerGrid read_netlist(std::istream& in) {
         if (!(ls >> a >> b >> value)) fail(line_no, "malformed resistor");
         if (a == b) fail(line_no, "resistor endpoints equal");
         if (value <= 0.0) fail(line_no, "resistance must be positive");
-        pg.resistors.push_back({static_cast<index_t>(a),
-                                static_cast<index_t>(b),
+        pg.resistors.push_back({node_id(a, line_no), node_id(b, line_no),
                                 static_cast<real_t>(value)});
-        track(static_cast<index_t>(a));
-        track(static_cast<index_t>(b));
+        track(pg.resistors.back().a);
+        track(pg.resistors.back().b);
         break;
       }
       case 'c': {
@@ -58,9 +66,8 @@ PowerGrid read_netlist(std::istream& in) {
         if (!(ls >> node >> gnd >> value)) fail(line_no, "malformed capacitor");
         if (gnd != 0) fail(line_no, "capacitors must connect to ground (0)");
         if (value < 0.0) fail(line_no, "capacitance must be nonnegative");
-        pg.capacitors.push_back(
-            {static_cast<index_t>(node), static_cast<real_t>(value)});
-        track(static_cast<index_t>(node));
+        pg.capacitors.push_back({node_id(node, line_no), static_cast<real_t>(value)});
+        track(pg.capacitors.back().node);
         break;
       }
       case 'i': {
@@ -69,7 +76,7 @@ PowerGrid read_netlist(std::istream& in) {
         if (!(ls >> node >> gnd >> dc)) fail(line_no, "malformed load");
         if (gnd != 0) fail(line_no, "loads must connect to ground (0)");
         CurrentLoad load;
-        load.node = static_cast<index_t>(node);
+        load.node = node_id(node, line_no);
         load.dc = static_cast<real_t>(dc);
         double pulse = 0.0, period = 0.0, duty = 0.0;
         if (ls >> pulse >> period >> duty) {
@@ -87,7 +94,7 @@ PowerGrid read_netlist(std::istream& in) {
         if (!(ls >> node >> gnd >> vdd)) fail(line_no, "malformed pad");
         if (gnd != 0) fail(line_no, "pads must reference ground (0)");
         Pad pad;
-        pad.node = static_cast<index_t>(node);
+        pad.node = node_id(node, line_no);
         double conductance = 0.0;
         if (ls >> conductance) {
           if (conductance <= 0.0) fail(line_no, "pad conductance must be > 0");

@@ -28,7 +28,7 @@ SchurResult schur_complement(const CscMatrix& a,
   const CscMatrix a_ek = a.extract(elim, keep);  // ne x nk
   const CscMatrix a_ee = a.extract(elim, elim);
 
-  const CholFactor f = cholesky(a_ee, Ordering::kAmd);
+  const CholFactor f = cholesky(a_ee);
 
   // S column by column: s_j = a_kk(:,j) - a_ek^T * (a_ee^{-1} a_ek(:,j)).
   TripletMatrix t(nk, nk);

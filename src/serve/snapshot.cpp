@@ -7,6 +7,7 @@
 #endif
 
 #include "chol/cholesky.hpp"
+#include "order/amd.hpp"
 #include "util/timer.hpp"
 
 namespace er {
@@ -76,7 +77,7 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::build(
   snap->num_boundary_nodes_ = count_boundary_nodes(*snap->model_);
   const CscMatrix g = snap->model_->network.system_matrix();
   Timer phase;
-  const std::vector<index_t> perm = compute_ordering(g, Ordering::kAmd);
+  const std::vector<index_t> perm = amd_order(g);
   snap->order_seconds_ = phase.seconds();
   phase.reset();
   snap->factor_ = cholesky(g, perm, pool);

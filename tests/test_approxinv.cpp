@@ -1,21 +1,21 @@
 // Tests for approxinv: depth (Eq. 11) vs brute force, Lemma 1
 // (nonnegativity of Z), exactness at epsilon=0, Theorem 1 error bound,
 // truncation semantics, log-n floor, and the pool-scheduled build:
-// bitwise equal to a serial full-sort reference, with identical bytes at
-// every thread count, on 1-thread pools, from pool workers and across
-// storage chunks.
+// bitwise equal to a serial full-sort reference and to itself at every
+// thread count, on 1-thread pools, from pool workers and across storage
+// chunks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
-#include <sstream>
+#include <utility>
 
 #include "approxinv/approx_inverse.hpp"
 #include "approxinv/depth.hpp"
 #include "chol/cholesky.hpp"
 #include "chol/ichol.hpp"
+#include "factor_test_util.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
 #include "obs/metrics.hpp"
@@ -86,7 +86,7 @@ TEST(Depth, MatchesBruteForceOnSmallGraphs) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const Graph g = erdos_renyi(30, 70, WeightKind::kUniform, seed);
     const CscMatrix lg = grounded_laplacian(g);
-    const CholFactor f = cholesky(lg, Ordering::kMinDeg);
+    const CholFactor f = cholesky(lg, mindeg_order(lg));
     const auto fast = filled_graph_depths(f);
     const auto ref = depth_reference(f);
     for (index_t v = 0; v < f.n; ++v)
@@ -110,7 +110,7 @@ TEST(Depth, PathGraphNaturalOrderIsLinear) {
 TEST(Depth, LastColumnIsZero) {
   const Graph g = barabasi_albert(60, 2, WeightKind::kUniform, 5);
   const CscMatrix lg = grounded_laplacian(g);
-  const CholFactor f = cholesky(lg, Ordering::kMinDeg);
+  const CholFactor f = cholesky(lg, mindeg_order(lg));
   const auto d = filled_graph_depths(f);
   EXPECT_EQ(d.back(), 0);
 }
@@ -118,7 +118,7 @@ TEST(Depth, LastColumnIsZero) {
 TEST(ApproxInverse, ExactWhenEpsilonZero) {
   const Graph g = erdos_renyi(40, 90, WeightKind::kUniform, 6);
   const CscMatrix lg = grounded_laplacian(g);
-  const CholFactor f = cholesky(lg, Ordering::kMinDeg);
+  const CholFactor f = cholesky(lg, mindeg_order(lg));
   ApproxInverseOptions opts;
   opts.epsilon = 0.0;
   const ApproxInverse z = ApproxInverse::build(f, opts);
@@ -131,8 +131,7 @@ TEST(ApproxInverse, ExactWhenEpsilonZero) {
 }
 
 TEST(ApproxInverse, RejectsNegativeOrNanEpsilon) {
-  const CholFactor f =
-      cholesky(grounded_laplacian(grid_2d(4, 4, WeightKind::kUnit, 5)), Ordering::kMinDeg);
+  const CholFactor f = cholesky(grounded_laplacian(grid_2d(4, 4, WeightKind::kUnit, 5)));
   for (real_t eps : {-1e-3, std::nan("")}) {
     ApproxInverseOptions opts;
     opts.epsilon = eps;
@@ -146,7 +145,7 @@ TEST(ApproxInverse, Lemma1Nonnegativity) {
   for (std::uint64_t seed = 7; seed <= 9; ++seed) {
     const Graph g = barabasi_albert(120, 3, WeightKind::kLogUniform, seed);
     const CscMatrix lg = grounded_laplacian(g);
-    const CholFactor f = cholesky(lg, Ordering::kMinDeg);
+    const CholFactor f = cholesky(lg, mindeg_order(lg));
     ApproxInverseOptions opts;
     opts.epsilon = 1e-2;
     const ApproxInverse z = ApproxInverse::build(f, opts);
@@ -159,7 +158,7 @@ TEST(ApproxInverse, Theorem1ErrorBound) {
   // ||z_p - z̃_p||_1 <= depth(p) * epsilon * ||z_p||_1.
   const Graph g = grid_2d(7, 7, WeightKind::kUniform, 10);
   const CscMatrix lg = grounded_laplacian(g);
-  const CholFactor f = cholesky(lg, Ordering::kMinDeg);
+  const CholFactor f = cholesky(lg, mindeg_order(lg));
   const auto depths = filled_graph_depths(f);
   const DenseMatrix ref = inverse_of_factor(f);
 
@@ -190,7 +189,7 @@ TEST(ApproxInverse, TruncationRespectsColumnBudget) {
   // column's 1-norm differs from the eps=0 column by at most depth*eps.
   const Graph g = watts_strogatz(64, 3, 0.15, WeightKind::kUniform, 11);
   const CscMatrix lg = grounded_laplacian(g);
-  const CholFactor f = cholesky(lg, Ordering::kMinDeg);
+  const CholFactor f = cholesky(lg, mindeg_order(lg));
   ApproxInverseOptions exact_opts;
   exact_opts.epsilon = 0.0;
   const ApproxInverse z0 = ApproxInverse::build(f, exact_opts);
@@ -212,7 +211,7 @@ TEST(ApproxInverse, SmallColumnsNeverTruncated) {
   // (Alg. 2 line 3). The last column z_n = e_n / L_nn always qualifies.
   const Graph g = grid_2d(10, 10, WeightKind::kUnit, 12);
   const CscMatrix lg = grounded_laplacian(g);
-  const CholFactor f = cholesky(lg, Ordering::kMinDeg);
+  const CholFactor f = cholesky(lg, mindeg_order(lg));
   ApproxInverseOptions opts;
   opts.epsilon = 0.9;  // absurdly aggressive truncation
   const ApproxInverse z = ApproxInverse::build(f, opts);
@@ -225,7 +224,7 @@ TEST(ApproxInverse, SmallColumnsNeverTruncated) {
 TEST(ApproxInverse, SparsityGrowsAsEpsilonShrinks) {
   const Graph g = grid_2d(16, 16, WeightKind::kUniform, 13);
   const CscMatrix lg = grounded_laplacian(g);
-  const CholFactor f = cholesky(lg, Ordering::kMinDeg);
+  const CholFactor f = cholesky(lg, mindeg_order(lg));
   offset_t prev = 0;
   for (real_t eps : {1e-1, 1e-2, 1e-3, 0.0}) {
     ApproxInverseOptions opts;
@@ -243,7 +242,7 @@ TEST(ApproxInverse, WorksOnIncompleteFactor) {
   const CscMatrix lg = grounded_laplacian(g);
   IcholOptions ic;
   ic.droptol = 1e-3;
-  const CholFactor f = ichol(lg, Ordering::kMinDeg, ic);
+  const CholFactor f = ichol(lg, ic);
   ApproxInverseOptions opts;
   opts.epsilon = 1e-3;
   const ApproxInverse z = ApproxInverse::build(f, opts);
@@ -257,7 +256,7 @@ TEST(ApproxInverse, WorksOnIncompleteFactor) {
 TEST(ApproxInverse, ColumnDistanceMatchesSparseVectorDistance) {
   const Graph g = grid_2d(9, 9, WeightKind::kUniform, 15);
   const CscMatrix lg = grounded_laplacian(g);
-  const CholFactor f = cholesky(lg, Ordering::kMinDeg);
+  const CholFactor f = cholesky(lg, mindeg_order(lg));
   const ApproxInverse z = ApproxInverse::build(f);
   for (index_t p = 0; p < 10; ++p) {
     const index_t q = (p * 7 + 3) % f.n;
@@ -273,7 +272,7 @@ TEST_P(EpsilonScaling, ColumnErrorsScaleRoughlyLinearly) {
   const real_t eps = GetParam();
   const Graph g = grid_2d(12, 12, WeightKind::kUniform, 16);
   const CscMatrix lg = grounded_laplacian(g);
-  const CholFactor f = cholesky(lg, Ordering::kMinDeg);
+  const CholFactor f = cholesky(lg, mindeg_order(lg));
   const DenseMatrix ref = inverse_of_factor(f);
   ApproxInverseOptions opts;
   opts.epsilon = eps;
@@ -379,28 +378,6 @@ std::vector<SparseVector> reference_build(const CholFactor& factor,
   return cols;
 }
 
-std::string save_bytes(const ApproxInverse& z) {
-  std::ostringstream out;
-  z.save(out);
-  return out.str();
-}
-
-void expect_columns_bitwise(const ApproxInverse& z,
-                            const std::vector<SparseVector>& ref) {
-  for (index_t j = 0; j < z.dimension(); ++j) {
-    const auto rows = z.column_rows(j);
-    const auto vals = z.column_values(j);
-    const SparseVector& want = ref[static_cast<std::size_t>(j)];
-    ASSERT_EQ(rows.size(), want.idx.size()) << "column " << j;
-    ASSERT_TRUE(std::equal(rows.begin(), rows.end(), want.idx.begin()))
-        << "column " << j;
-    ASSERT_EQ(std::memcmp(vals.data(), want.val.data(),
-                          vals.size() * sizeof(real_t)),
-              0)
-        << "column " << j;  // bitwise, not approximately
-  }
-}
-
 struct LevelCase {
   std::string name;
   CholFactor factor;
@@ -408,12 +385,12 @@ struct LevelCase {
 };
 
 /// Builds the case at 1/2/3/4/8 threads: every column must equal the
-/// serial reference bit for bit and every build must save the same bytes.
+/// serial reference bit for bit, and every build the 1-thread one.
 /// Returns the pool tasks the multi-thread builds submitted.
 std::uint64_t expect_level_build_matches_reference(const LevelCase& c) {
   SCOPED_TRACE(c.name);
   const std::vector<SparseVector> ref = reference_build(c.factor, c.epsilon);
-  std::string bytes_1;
+  ApproxInverse z_1;
   std::uint64_t tasks = 0;
   for (int threads : {1, 2, 3, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -422,7 +399,7 @@ std::uint64_t expect_level_build_matches_reference(const LevelCase& c) {
     ApproxInverseOptions opts;
     opts.epsilon = c.epsilon;
     opts.pool = &pool;
-    const ApproxInverse z = ApproxInverse::build(c.factor, opts);
+    ApproxInverse z = ApproxInverse::build(c.factor, opts);
     tasks += reg.counter("er_pool_tasks_total").value();
     EXPECT_EQ(z.nnz(), std::accumulate(ref.begin(), ref.end(), offset_t{0},
                                        [](offset_t acc, const SparseVector& v) {
@@ -430,11 +407,10 @@ std::uint64_t expect_level_build_matches_reference(const LevelCase& c) {
                                        }));
     expect_columns_bitwise(z, ref);
     if (::testing::Test::HasFatalFailure()) return tasks;
-    const std::string bytes = save_bytes(z);
     if (threads == 1)
-      bytes_1 = bytes;
+      z_1 = std::move(z);
     else
-      EXPECT_TRUE(bytes == bytes_1) << "save() bytes differ from 1 thread";
+      expect_columns_bitwise(z, z_1);
   }
   return tasks;
 }
@@ -442,7 +418,7 @@ std::uint64_t expect_level_build_matches_reference(const LevelCase& c) {
 CholFactor ict_factor(const Graph& g, real_t droptol) {
   IcholOptions ic;
   ic.droptol = droptol;
-  return ichol(grounded_laplacian(g), Ordering::kMinDeg, ic);
+  return ichol(grounded_laplacian(g), ic);
 }
 
 TEST(LevelSchedule, BaHubsDeepChainMatchesReference) {
@@ -521,15 +497,6 @@ TEST(LevelSchedule, EpsilonZeroMatchesReference) {
   expect_level_build_matches_reference(c);
 }
 
-/// Bitwise equality of two builds, column by column.
-void expect_same_columns(const ApproxInverse& a, const ApproxInverse& b) {
-  ASSERT_EQ(a.dimension(), b.dimension());
-  ASSERT_EQ(a.nnz(), b.nnz());
-  std::vector<SparseVector> cols(static_cast<std::size_t>(b.dimension()));
-  for (index_t j = 0; j < b.dimension(); ++j) cols[static_cast<std::size_t>(j)] = b.column(j);
-  expect_columns_bitwise(a, cols);
-}
-
 TEST(LevelSchedule, OneThreadPoolBuildsSeriallyAndMatchesReference) {
   const CholFactor f =
       ict_factor(grid_2d(30, 30, WeightKind::kLogUniform, 46), 1e-3);
@@ -549,12 +516,9 @@ TEST(LevelSchedule, RepeatedBuildsOnOnePoolAreBitwiseEqual) {
   ApproxInverseOptions opts;
   opts.pool = &pool;
   const ApproxInverse first = ApproxInverse::build(f, opts);
-  const std::string bytes = save_bytes(first);
   for (int rep = 0; rep < 4; ++rep) {
     SCOPED_TRACE("rep=" + std::to_string(rep));
-    const ApproxInverse again = ApproxInverse::build(f, opts);
-    expect_same_columns(again, first);
-    EXPECT_TRUE(save_bytes(again) == bytes);
+    expect_columns_bitwise(ApproxInverse::build(f, opts), first);
   }
 }
 
@@ -573,8 +537,7 @@ TEST(LevelSchedule, BuildFromPoolWorkerRunsInlineAndMatchesSerial) {
       .get();
   // Only the outer task ran on the pool: the build submitted none.
   EXPECT_EQ(reg.counter("er_pool_tasks_total").value(), 1u);
-  expect_same_columns(on_worker, serial);
-  EXPECT_TRUE(save_bytes(on_worker) == save_bytes(serial));
+  expect_columns_bitwise(on_worker, serial);
 }
 
 TEST(LevelSchedule, ColumnsAcrossSeveralChunksMatchReference) {
@@ -584,7 +547,6 @@ TEST(LevelSchedule, ColumnsAcrossSeveralChunksMatchReference) {
       "chunks",
       ict_factor(barabasi_albert(1500, 3, WeightKind::kUnit, 49), 1e-3), 1e-3};
   const std::vector<SparseVector> ref = reference_build(c.factor, c.epsilon);
-  std::string bytes_1;
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ThreadPool pool(threads);
@@ -594,19 +556,6 @@ TEST(LevelSchedule, ColumnsAcrossSeveralChunksMatchReference) {
     const ApproxInverse z = ApproxInverse::build(c.factor, opts);
     EXPECT_GT(z.num_chunks(), 1u);
     expect_columns_bitwise(z, ref);
-    if (::testing::Test::HasFatalFailure()) return;
-    // save() does not depend on the chunks: a reload (one chunk) saves
-    // the same bytes.
-    const std::string bytes = save_bytes(z);
-    std::istringstream in(bytes);
-    const ApproxInverse reloaded = ApproxInverse::load(in);
-    EXPECT_EQ(reloaded.num_chunks(), 1u);
-    expect_columns_bitwise(reloaded, ref);
-    EXPECT_TRUE(save_bytes(reloaded) == bytes);
-    if (threads == 1)
-      bytes_1 = bytes;
-    else
-      EXPECT_TRUE(bytes == bytes_1);
   }
 }
 

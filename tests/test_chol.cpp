@@ -17,6 +17,7 @@
 
 #include "chol/cholesky.hpp"
 #include "chol/ichol.hpp"
+#include "factor_test_util.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
 #include "obs/metrics.hpp"
@@ -53,11 +54,10 @@ real_t factor_residual(const CscMatrix& a, const CholFactor& f) {
 
 TEST(Cholesky, FactorsSmallSddMatrix) {
   const CscMatrix a = random_sdd(25, 60, 1);
-  for (auto ord : {Ordering::kNatural, Ordering::kRcm, Ordering::kMinDeg,
-                   Ordering::kAmd}) {
-    const CholFactor f = cholesky(a, ord);
-    EXPECT_TRUE(f.check_invariants());
-    EXPECT_LT(factor_residual(a, f), 1e-10);
+  for (const auto& [name, perm] : sweep_orderings(a)) {
+    const CholFactor f = cholesky(a, perm);
+    EXPECT_TRUE(f.check_invariants()) << name;
+    EXPECT_LT(factor_residual(a, f), 1e-10) << name;
   }
 }
 
@@ -78,7 +78,7 @@ TEST(Cholesky, SolveRecoversKnownSolution) {
   std::vector<real_t> x_true(static_cast<std::size_t>(a.cols()));
   for (auto& v : x_true) v = rng.uniform(-2, 2);
   const auto b = a.multiply(x_true);
-  const CholFactor f = cholesky(a, Ordering::kMinDeg);
+  const CholFactor f = cholesky(a, mindeg_order(a));
   const auto x = f.solve(b);
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(x[i], x_true[i], 1e-8);
@@ -89,7 +89,7 @@ TEST(Cholesky, ThrowsOnIndefinite) {
   t.add(0, 0, 1.0);
   t.add(1, 1, -1.0);
   const CscMatrix a = CscMatrix::from_triplets(t);
-  EXPECT_THROW(cholesky(a, Ordering::kNatural), std::runtime_error);
+  EXPECT_THROW(cholesky(a, identity_permutation(a.cols())), std::runtime_error);
 }
 
 /// Small symmetric matrices with a non-finite diagonal: a NaN one, an
@@ -120,13 +120,13 @@ std::vector<CscMatrix> non_finite_matrices() {
 
 TEST(Cholesky, ThrowsOnNonFinitePivot) {
   for (const CscMatrix& a : non_finite_matrices())
-    EXPECT_THROW(cholesky(a, Ordering::kNatural), std::runtime_error);
+    EXPECT_THROW(cholesky(a, identity_permutation(a.cols())), std::runtime_error);
   // A NaN off-diagonal reaches a later pivot as -NaN^2.
   TripletMatrix t(3, 3);
   for (index_t i = 0; i < 3; ++i) t.add(i, i, 4.0);
   t.add(2, 0, std::numeric_limits<real_t>::quiet_NaN());
   t.add(0, 2, std::numeric_limits<real_t>::quiet_NaN());
-  EXPECT_THROW(cholesky(CscMatrix::from_triplets(t), Ordering::kNatural),
+  EXPECT_THROW(cholesky(CscMatrix::from_triplets(t), identity_permutation(3)),
                std::runtime_error);
 }
 
@@ -138,7 +138,7 @@ TEST(Cholesky, ThrowsOnBadPermutation) {
 
 TEST(Cholesky, TriangularSolvesInvertEachOther) {
   const CscMatrix a = random_sdd(50, 140, 6);
-  const CholFactor f = cholesky(a, Ordering::kMinDeg);
+  const CholFactor f = cholesky(a, mindeg_order(a));
   Rng rng(7);
   std::vector<real_t> x(static_cast<std::size_t>(a.cols()));
   for (auto& v : x) v = rng.uniform(-1, 1);
@@ -161,7 +161,7 @@ TEST(Cholesky, LaplacianFactorSignStructure) {
   // off-diagonals ([19]; the property Lemma 1 builds on).
   const Graph g = grid_2d(8, 8, WeightKind::kUniform, 8);
   const CscMatrix lg = grounded_laplacian(g);
-  const CholFactor f = cholesky(lg, Ordering::kMinDeg);
+  const CholFactor f = cholesky(lg, mindeg_order(lg));
   for (index_t j = 0; j < f.n; ++j) {
     const offset_t b = f.col_ptr[static_cast<std::size_t>(j)];
     const offset_t e = f.col_ptr[static_cast<std::size_t>(j) + 1];
@@ -171,23 +171,10 @@ TEST(Cholesky, LaplacianFactorSignStructure) {
   }
 }
 
-TEST(Ichol, ZeroDroptolEqualsCompleteFactor) {
-  const CscMatrix a = random_sdd(40, 110, 9);
-  const auto perm = compute_ordering(a, Ordering::kMinDeg);
-  const CholFactor full = cholesky(a, perm);
-  IcholOptions opts;
-  opts.droptol = 0.0;
-  const CholFactor inc = ichol(a, perm, opts);
-  ASSERT_EQ(full.nnz(), inc.nnz());
-  const auto lf = full.to_csc().to_dense();
-  const auto li = inc.to_csc().to_dense();
-  for (std::size_t i = 0; i < lf.size(); ++i) EXPECT_NEAR(lf[i], li[i], 1e-10);
-}
-
 TEST(Ichol, DroppingReducesFill) {
   const Graph g = grid_2d(20, 20, WeightKind::kUniform, 10);
   const CscMatrix lg = grounded_laplacian(g);
-  const auto perm = compute_ordering(lg, Ordering::kMinDeg);
+  const auto perm = mindeg_order(lg);
   IcholOptions loose, tight;
   loose.droptol = 1e-1;
   tight.droptol = 0.0;
@@ -199,7 +186,7 @@ TEST(Ichol, DroppingReducesFill) {
 TEST(Ichol, PreconditionerQualityImprovesWithSmallerDroptol) {
   // Residual of M^{-1}A applied to a vector should shrink as droptol -> 0.
   const CscMatrix a = random_sdd(100, 280, 11);
-  const auto perm = compute_ordering(a, Ordering::kMinDeg);
+  const auto perm = mindeg_order(a);
   Rng rng(12);
   std::vector<real_t> b(static_cast<std::size_t>(a.cols()));
   for (auto& v : b) v = rng.uniform(-1, 1);
@@ -224,7 +211,7 @@ TEST(Ichol, MMatrixNeverNeedsShift) {
   // droptol; validate invariants across a droptol sweep.
   const Graph g = barabasi_albert(150, 3, WeightKind::kUniform, 13);
   const CscMatrix lg = grounded_laplacian(g);
-  const auto perm = compute_ordering(lg, Ordering::kMinDeg);
+  const auto perm = mindeg_order(lg);
   for (real_t droptol : {0.0, 1e-4, 1e-3, 1e-2, 1e-1}) {
     IcholOptions opts;
     opts.droptol = droptol;
@@ -238,7 +225,7 @@ TEST(Ichol, FactorSignStructureOnLaplacian) {
   const CscMatrix lg = grounded_laplacian(g);
   IcholOptions opts;
   opts.droptol = 1e-3;
-  const CholFactor f = ichol(lg, Ordering::kMinDeg, opts);
+  const CholFactor f = ichol(lg, opts);
   for (index_t j = 0; j < f.n; ++j) {
     const offset_t b = f.col_ptr[static_cast<std::size_t>(j)];
     const offset_t e = f.col_ptr[static_cast<std::size_t>(j) + 1];
@@ -254,7 +241,7 @@ TEST(Ichol, ThrowsOnNonFinitePivot) {
   IcholOptions opts;
   opts.max_shift_retries = 3;
   for (const CscMatrix& a : non_finite_matrices())
-    EXPECT_THROW(ichol(a, Ordering::kNatural, opts), std::runtime_error);
+    EXPECT_THROW(ichol(a, identity_permutation(a.cols()), opts), std::runtime_error);
 }
 
 TEST(Ichol, RejectsNegativeDroptol) {
@@ -262,7 +249,7 @@ TEST(Ichol, RejectsNegativeDroptol) {
   IcholOptions opts;
   for (real_t bad : {-1.0, std::numeric_limits<real_t>::quiet_NaN()}) {
     opts.droptol = bad;
-    EXPECT_THROW(ichol(a, Ordering::kNatural, opts), std::invalid_argument);
+    EXPECT_THROW(ichol(a, identity_permutation(a.cols()), opts), std::invalid_argument);
   }
 }
 
@@ -468,7 +455,7 @@ TEST(Ichol, DenseTrailingBlockBitwiseEqualToSparseKernel) {
     const Case& c = cases[ci];
     CscMatrix a = grounded_laplacian(barabasi_albert(c.n, c.m, c.weights, 40 + ci));
     if (c.off_scale > 0.0) a = perturb_off_diagonals(a, c.off_scale, 60 + ci);
-    const auto perm = compute_ordering(a, Ordering::kMinDeg);
+    const auto perm = mindeg_order(a);
     for (real_t droptol : {0.0, 1e-3, 1e-2})
       for (bool compensation : {true, false}) {
         if (droptol == 0.0 && !compensation) continue;  // nothing to compensate
@@ -521,7 +508,7 @@ TEST(Ichol, DenseTrailingBlockBreakdownShiftsAndRetries) {
 TEST(Ichol, GridBelowDenseBlockSizeBitwiseEqualToSparseKernel) {
   // 49 nodes: no column has 64 rows below it, so the block never starts.
   const CscMatrix a = grounded_laplacian(grid_2d(7, 7, WeightKind::kLogUniform, 70));
-  const auto perm = compute_ordering(a, Ordering::kMinDeg);
+  const auto perm = mindeg_order(a);
   IcholOptions opts;
   const auto [want, retries] = reference_ichol(a, perm, opts);
   EXPECT_EQ(retries, 0);
@@ -529,10 +516,35 @@ TEST(Ichol, GridBelowDenseBlockSizeBitwiseEqualToSparseKernel) {
   expect_bitwise_equal(ichol(a, perm, opts), want, "7x7 grid");
 }
 
-class CholOrderingSweep : public ::testing::TestWithParam<Ordering> {};
+TEST(Ichol, ZeroDroptolEqualsCompleteFactor) {
+  // droptol 0 keeps every fill entry, so it is how Alg. 3 gets a complete
+  // factor: same pattern as cholesky() in the same order, and the same
+  // values up to rounding. BA(2000, 3) reaches ICT's dense trailing block.
+  const std::vector<std::pair<const char*, CscMatrix>> cases = {
+      {"random_sdd", random_sdd(40, 110, 9)},
+      {"barabasi_albert",
+       grounded_laplacian(barabasi_albert(2000, 3, WeightKind::kUnit, 16))},
+      {"grid_logU", grounded_laplacian(grid_2d(30, 30, WeightKind::kLogUniform, 17))},
+  };
+  IcholOptions opts;
+  opts.droptol = 0.0;
+  for (const auto& [name, a] : cases) {
+    const auto perm = mindeg_order(a);
+    const CholFactor inc = ichol(a, perm, opts);
+    if (std::string(name) == "barabasi_albert") {
+      EXPECT_TRUE(reaches_dense_block(inc));
+    }
+    const CscMatrix li = inc.to_csc();
+    const CscMatrix lf = cholesky(a, perm).to_csc();
+    ASSERT_EQ(lf.nnz(), li.nnz()) << name;
+    ASSERT_EQ(lf.col_ptr(), li.col_ptr()) << name;
+    ASSERT_EQ(lf.row_ind(), li.row_ind()) << name;
+    for (std::size_t k = 0; k < lf.values().size(); ++k)
+      ASSERT_NEAR(lf.values()[k], li.values()[k], 1e-10) << name << " entry " << k;
+  }
+}
 
-TEST_P(CholOrderingSweep, SolveAccuracyAcrossGraphFamilies) {
-  const Ordering ord = GetParam();
+TEST(CholOrderingSweep, SolveAccuracyAcrossGraphFamilies) {
   const std::vector<Graph> graphs = {
       grid_2d(9, 7, WeightKind::kUniform, 21),
       grid_3d(4, 4, 4, WeightKind::kUniform, 22),
@@ -545,16 +557,13 @@ TEST_P(CholOrderingSweep, SolveAccuracyAcrossGraphFamilies) {
     std::vector<real_t> x_true(static_cast<std::size_t>(lg.cols()));
     for (auto& v : x_true) v = rng.uniform(-1, 1);
     const auto b = lg.multiply(x_true);
-    const CholFactor f = cholesky(lg, ord);
-    const auto x = f.solve(b);
-    for (std::size_t i = 0; i < x.size(); ++i)
-      EXPECT_NEAR(x[i], x_true[i], 1e-7);
+    for (const auto& [name, perm] : sweep_orderings(lg)) {
+      const auto x = cholesky(lg, perm).solve(b);
+      for (std::size_t i = 0; i < x.size(); ++i)
+        EXPECT_NEAR(x[i], x_true[i], 1e-7) << name;
+    }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(AllOrderings, CholOrderingSweep,
-                         ::testing::Values(Ordering::kNatural, Ordering::kRcm,
-                                           Ordering::kMinDeg, Ordering::kAmd));
 
 /// Laplacian of `g` plus a shunt of random conductance on every
 /// `stride`-th node — SPD as long as each component gets a shunt.
@@ -646,19 +655,19 @@ std::vector<OracleCase> oracle_cases() {
   }
   {  // Two shunted grid components: an etree forest.
     const CscMatrix a = laplacian_plus_shunts(grid_forest(2, 5), 7, 72);
-    cases.push_back({"forest", a, compute_ordering(a, Ordering::kMinDeg)});
+    cases.push_back({"forest", a, mindeg_order(a)});
   }
   {
     const CscMatrix a = random_sdd(60, 200, 73);
-    cases.push_back({"random_sdd", a, compute_ordering(a, Ordering::kMinDeg)});
+    cases.push_back({"random_sdd", a, mindeg_order(a)});
   }
   {
     const CscMatrix a = grounded_laplacian(grid_2d(9, 8, WeightKind::kUniform, 74));
-    cases.push_back({"grid_mindeg", a, compute_ordering(a, Ordering::kMinDeg)});
+    cases.push_back({"grid_mindeg", a, mindeg_order(a)});
   }
   {  // AMD's postorder: fundamental supernodes of several columns.
     const CscMatrix a = grounded_laplacian(grid_2d(9, 8, WeightKind::kUniform, 75));
-    cases.push_back({"grid_amd", a, compute_ordering(a, Ordering::kAmd)});
+    cases.push_back({"grid_amd", a, amd_order(a)});
   }
   return cases;
 }
@@ -798,10 +807,9 @@ TEST(SparseForward, BitwiseEqualToForwardSolveOnReach) {
       grid_forest(3, 6),
   };
   for (const Graph& g : graphs) {
-    for (const Ordering ord :
-         {Ordering::kNatural, Ordering::kMinDeg, Ordering::kAmd}) {
-      const CscMatrix a = laplacian_plus_shunts(g, 7, 34);
-      const CholFactor f = cholesky(a, ord);
+    const CscMatrix a = laplacian_plus_shunts(g, 7, 34);
+    for (const auto& [name, perm] : sweep_orderings(a)) {
+      const CholFactor f = cholesky(a, perm);
       ASSERT_EQ(f.parent.size(), static_cast<std::size_t>(f.n));
       ReachWorkspace ws;
       Rng rng(35);
@@ -956,9 +964,9 @@ index_t widest_supernode(const CholFactor& f) {
 std::vector<OracleCase> split_cases() {
   std::vector<OracleCase> cases;
   const CscMatrix grid = grounded_laplacian(grid_2d(44, 40, WeightKind::kLogUniform, 81));
-  cases.push_back({"grid", grid, compute_ordering(grid, Ordering::kAmd)});
+  cases.push_back({"grid", grid, amd_order(grid)});
   const CscMatrix forest = laplacian_plus_shunts(grid_forest(2, 40), 13, 82);
-  cases.push_back({"forest", forest, compute_ordering(forest, Ordering::kAmd)});
+  cases.push_back({"forest", forest, amd_order(forest)});
   return cases;
 }
 

@@ -67,7 +67,7 @@ TEST(IctCompensation, PreservesRowSums) {
   const CscMatrix a = grounded_laplacian(g);
   IcholOptions opts;
   opts.droptol = 1e-2;  // aggressive dropping to exercise compensation
-  const CholFactor f = ichol(a, Ordering::kMinDeg, opts);
+  const CholFactor f = ichol(a, opts);
 
   // Row sums of L L^T via y = L (L^T 1).
   const index_t n = a.cols();
@@ -92,7 +92,7 @@ TEST(IctCompensation, WithoutItRowSumsGrow) {
   IcholOptions opts;
   opts.droptol = 1e-2;
   opts.diagonal_compensation = false;
-  const CholFactor f = ichol(a, Ordering::kMinDeg, opts);
+  const CholFactor f = ichol(a, opts);
 
   const index_t n = a.cols();
   std::vector<real_t> ones(static_cast<std::size_t>(n), 1.0);
@@ -123,7 +123,7 @@ TEST(IctCompensation, LongRangeAccuracyBenefits) {
     ic.droptol = 1e-3;
     ic.diagonal_compensation = compensated;
     const CscMatrix lg = grounded_laplacian(g);
-    const CholFactor f = ichol(lg, Ordering::kMinDeg, ic);
+    const CholFactor f = ichol(lg, ic);
     const ApproxInverse z = ApproxInverse::build(f, {1e-3});
     real_t worst = 0.0;
     for (index_t k = 0; k < 10; ++k) {

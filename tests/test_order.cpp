@@ -1,6 +1,6 @@
 // Tests for order: elimination tree on known matrices, postorder validity,
-// permutation utilities, RCM, minimum-degree and AMD quality/sanity, and a
-// dense symbolic-elimination oracle for the fill of every ordering.
+// permutation utilities, minimum-degree and AMD quality/sanity, and a
+// dense symbolic-elimination oracle for the fill of every swept ordering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,12 +9,12 @@
 #include <utility>
 
 #include "chol/cholesky.hpp"
+#include "factor_test_util.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
 #include "order/amd.hpp"
 #include "order/etree.hpp"
 #include "order/mindeg.hpp"
-#include "order/rcm.hpp"
 #include "util/rng.hpp"
 
 namespace er {
@@ -168,40 +168,6 @@ TEST(Permutations, DetectsInvalid) {
   EXPECT_TRUE(is_permutation({}));
 }
 
-TEST(Rcm, ProducesValidPermutation) {
-  const Graph g = random_geometric(300, 0.1, WeightKind::kUnit, 7);
-  const CscMatrix l = grounded_laplacian(g);
-  const auto perm = rcm_order(l);
-  EXPECT_TRUE(is_permutation(perm));
-}
-
-TEST(Rcm, ReducesBandwidthOnShuffledGrid) {
-  // Take a 2D grid, shuffle it, and check RCM restores a small bandwidth.
-  const Graph g = grid_2d(12, 12);
-  CscMatrix l = grounded_laplacian(g);
-  Rng rng(9);
-  std::vector<index_t> shuffle = identity_permutation(l.cols());
-  for (index_t i = l.cols(); i-- > 1;)
-    std::swap(shuffle[static_cast<std::size_t>(i)],
-              shuffle[static_cast<std::size_t>(rng.uniform_int(i + 1))]);
-  l = l.permute_symmetric(shuffle);
-
-  auto bandwidth = [](const CscMatrix& m) {
-    index_t b = 0;
-    for (index_t c = 0; c < m.cols(); ++c)
-      for (offset_t k = m.col_ptr()[static_cast<std::size_t>(c)];
-           k < m.col_ptr()[static_cast<std::size_t>(c) + 1]; ++k)
-        b = std::max(b, static_cast<index_t>(std::abs(
-                            m.row_ind()[static_cast<std::size_t>(k)] - c)));
-    return b;
-  };
-
-  const auto perm = rcm_order(l);
-  const CscMatrix lp = l.permute_symmetric(perm);
-  EXPECT_LT(bandwidth(lp), bandwidth(l) / 2);
-  EXPECT_LE(bandwidth(lp), 30);  // grid bandwidth should be ~nx
-}
-
 TEST(MinDeg, ProducesValidPermutation) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const Graph g = erdos_renyi(120, 400, WeightKind::kUnit, seed);
@@ -256,16 +222,6 @@ TEST(MinDeg, PermutationPinnedOnGridAndBarabasiAlbert) {
   EXPECT_EQ(mindeg_order(grounded_laplacian(
                 barabasi_albert(60, 2, WeightKind::kUnit, 7))),
             ba);
-}
-
-TEST(Rcm, PermutationPinnedOnEqualDegrees) {
-  // A grid's interior nodes all share one degree, so each BFS level is
-  // ordered by (degree, index), never by how std::sort leaves ties.
-  const std::vector<index_t> expected = {
-      41, 40, 34, 33, 39, 27, 32, 26, 38, 20, 31, 25, 19, 37,
-      13, 30, 24, 18, 12, 36, 6,  29, 23, 17, 11, 5,  35, 22,
-      16, 10, 28, 4,  15, 9,  21, 3,  8,  14, 2,  7,  1,  0};
-  EXPECT_EQ(rcm_order(grounded_laplacian(grid_2d(7, 6))), expected);
 }
 
 TEST(Amd, EmptySingleAndDiagonalMatrices) {
@@ -342,27 +298,12 @@ TEST(FillOracle, CholeskyNnzMatchesDenseEliminationForEveryOrdering) {
   };
   for (const auto& [name, g] : graphs) {
     const CscMatrix l = grounded_laplacian(g);
-    for (auto kind : {Ordering::kNatural, Ordering::kRcm, Ordering::kMinDeg,
-                      Ordering::kAmd}) {
-      const auto perm = compute_ordering(l, kind);
+    for (const auto& [kind, perm] : sweep_orderings(l)) {
       ASSERT_TRUE(is_permutation(perm));
       EXPECT_EQ(cholesky(l, perm).nnz(), fill_count(l, perm))
-          << name << " ordering " << static_cast<int>(kind);
+          << name << " ordering " << kind;
     }
   }
-}
-
-TEST(ComputeOrdering, DispatchesAllKinds) {
-  const Graph g = grid_2d(5, 5);
-  const CscMatrix l = grounded_laplacian(g);
-  for (auto kind : {Ordering::kNatural, Ordering::kRcm, Ordering::kMinDeg,
-                    Ordering::kAmd}) {
-    const auto perm = compute_ordering(l, kind);
-    EXPECT_TRUE(is_permutation(perm));
-  }
-  const auto nat = compute_ordering(l, Ordering::kNatural);
-  for (index_t i = 0; i < l.cols(); ++i)
-    EXPECT_EQ(nat[static_cast<std::size_t>(i)], i);
 }
 
 }  // namespace

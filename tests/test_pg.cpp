@@ -136,6 +136,12 @@ TEST(Netlist, RejectsMalformedInput) {
   EXPECT_THROW(read_netlist(bad2), std::runtime_error);
   std::stringstream bad3("X1 0 1 1.0\n");
   EXPECT_THROW(read_netlist(bad3), std::runtime_error);
+  // Valid but for the first node id: 2^32 + 1 would narrow to node 1, and
+  // 2^31 - 1 would overflow max id + 1.
+  std::stringstream wide("R0 4294967297 2 1.0\nV0 1 0 1.0\n");
+  EXPECT_THROW(read_netlist(wide), std::runtime_error);
+  std::stringstream top("R0 2147483647 2 1.0\nV0 1 0 1.0\n");
+  EXPECT_THROW(read_netlist(top), std::runtime_error);
 }
 
 TEST(DcAnalysis, TwoResistorDivider) {
@@ -245,8 +251,7 @@ TEST(Transient, ProbeSeriesBitwiseEqualToSolveLoop) {
   for (index_t v = 0; v < n; ++v)
     if (caps[static_cast<std::size_t>(v)] != 0.0)
       diag.add(v, v, caps[static_cast<std::size_t>(v)] / topts.step);
-  const CholFactor f =
-      cholesky(net.system_matrix().add(CscMatrix::from_triplets(diag)), Ordering::kAmd);
+  const CholFactor f = cholesky(net.system_matrix().add(CscMatrix::from_triplets(diag)));
   std::vector<real_t> d(static_cast<std::size_t>(n), 0.0);
   std::vector<real_t> rhs(static_cast<std::size_t>(n));
   ASSERT_EQ(res.series.size(), probes.size());

@@ -10,6 +10,7 @@
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
+#include "order/mindeg.hpp"
 #include "reduction/network.hpp"
 #include "reduction/pipeline.hpp"
 #include "reduction/port_merge.hpp"
@@ -69,13 +70,13 @@ TEST(Schur, PreservesPortResponseExactly) {
   std::vector<real_t> b(36, 0.0);
   for (index_t k : keep) b[static_cast<std::size_t>(k)] = rng.uniform(-1, 1);
 
-  const CholFactor full = cholesky(a, Ordering::kMinDeg);
+  const CholFactor full = cholesky(a, mindeg_order(a));
   const auto x_full = full.solve(b);
 
   std::vector<real_t> bs(keep.size());
   for (std::size_t i = 0; i < keep.size(); ++i)
     bs[i] = b[static_cast<std::size_t>(keep[i])];
-  const CholFactor red = cholesky(s.matrix, Ordering::kMinDeg);
+  const CholFactor red = cholesky(s.matrix, mindeg_order(s.matrix));
   const auto x_red = red.solve(bs);
 
   for (std::size_t i = 0; i < keep.size(); ++i)
@@ -251,14 +252,14 @@ real_t port_response_error(const PipelineCase& c, const ReducedModel& m) {
   for (index_t p : c.port_nodes)
     b[static_cast<std::size_t>(p)] = rng.uniform(0.0, 1.0);
 
-  const CholFactor full = cholesky(c.net.system_matrix(), Ordering::kMinDeg);
+  const CholFactor full = cholesky(c.net.system_matrix());
   const auto x_full = full.solve(b);
 
   std::vector<real_t> br(static_cast<std::size_t>(m.network.num_nodes()), 0.0);
   for (index_t p : c.port_nodes)
     br[static_cast<std::size_t>(m.node_map[static_cast<std::size_t>(p)])] +=
         b[static_cast<std::size_t>(p)];
-  const CholFactor red = cholesky(m.network.system_matrix(), Ordering::kMinDeg);
+  const CholFactor red = cholesky(m.network.system_matrix());
   const auto x_red = red.solve(br);
 
   real_t err = 0.0, scale = 0.0;

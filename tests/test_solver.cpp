@@ -49,7 +49,7 @@ TEST(Pcg, IcholPreconditionerConverges) {
       make_problem(barabasi_albert(300, 3, WeightKind::kUniform, 5), 6);
   IcholOptions opts;
   opts.droptol = 1e-2;
-  const CholFactor f = ichol(p.a, Ordering::kMinDeg, opts);
+  const CholFactor f = ichol(p.a, opts);
   const PcgResult r = pcg_solve(p.a, p.b, ichol_preconditioner(f));
   ASSERT_TRUE(r.converged);
   for (std::size_t i = 0; i < p.x_true.size(); ++i)
@@ -66,7 +66,7 @@ TEST(Pcg, IcholBeatsJacobiBeatsIdentityInIterations) {
   const PcgResult jac = pcg_solve(p.a, p.b, jacobi_preconditioner(p.a), opts);
   IcholOptions ic;
   ic.droptol = 1e-3;
-  const CholFactor f = ichol(p.a, Ordering::kMinDeg, ic);
+  const CholFactor f = ichol(p.a, ic);
   const PcgResult icg = pcg_solve(p.a, p.b, ichol_preconditioner(f), opts);
 
   ASSERT_TRUE(plain.converged);
@@ -124,7 +124,7 @@ TEST_P(PcgGraphSweep, ConvergesOnAllFamilies) {
   const Problem p = make_problem(g, 25);
   IcholOptions ic;
   ic.droptol = 1e-3;
-  const CholFactor f = ichol(p.a, Ordering::kMinDeg, ic);
+  const CholFactor f = ichol(p.a, ic);
   const PcgResult r = pcg_solve(p.a, p.b, ichol_preconditioner(f));
   ASSERT_TRUE(r.converged) << "family " << which;
   for (std::size_t i = 0; i < p.x_true.size(); ++i)
