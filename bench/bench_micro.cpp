@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) backing the §III-C complexity
 // analysis: SpMV, orderings, complete factorization (whole grids at 1/2/4
 // threads, and block-sized ones), the min-degree order and incomplete
-// factorization (grids and com-DBLP-like), Alg. 2 build, the reach-limited
+// factorization (grids and com-DBLP-like), Alg. 2 build (grids and
+// com-DBLP-like, at 1/2/4 threads), the reach-limited
 // forward solve, and per-query cost of the three effective-resistance
 // engines.
 #include <benchmark/benchmark.h>
@@ -48,7 +49,8 @@ BENCHMARK(BM_SpMV)->Arg(64)->Arg(128)->Arg(256);
 // Inputs of the ICT-side rows (the min-degree order and ichol): a grid, or
 // the com-DBLP-like social graph of perfbench's paper_offline (BA n = 15 000,
 // m = 3). Only the social graph's order ends in the nearly dense hub tail
-// where ichol switches to its dense trailing block.
+// where ichol switches to its dense trailing block (and Alg. 2 to its
+// dense tail).
 CscMatrix grid_input(index_t side) { return grounded_laplacian(bench_graph(side)); }
 CscMatrix social_input(index_t) {
   return grounded_laplacian(barabasi_albert(15000, 3, WeightKind::kUnit, 101));
@@ -144,12 +146,13 @@ BENCHMARK_CAPTURE(BM_IncompleteCholesky, 128, grid_input, 128);
 BENCHMARK_CAPTURE(BM_IncompleteCholesky, 256, grid_input, 256);
 BENCHMARK_CAPTURE(BM_IncompleteCholesky, social, social_input, 0);
 
-void BM_ApproxInverseBuild(benchmark::State& state) {
-  const auto side = static_cast<index_t>(state.range(0));
-  const CscMatrix l = grounded_laplacian(bench_graph(side));
+// Alg. 2 on the ICT factor of a grid or of com-DBLP-like at 1/2/4 pool
+// threads (`threads:T`). Only the social factor ends in the dense hub tail
+// that Alg. 2 builds from a packed triangle (~2 000 columns, ~16 MB).
+void BM_ApproxInverseBuild(benchmark::State& state, Input input, index_t side) {
   IcholOptions iopts;
-  const CholFactor f = ichol(l, iopts);
-  ThreadPool pool(static_cast<int>(state.range(1)));
+  const CholFactor f = ichol(input(side), iopts);
+  ThreadPool pool(static_cast<int>(state.range(0)));
   ApproxInverseOptions zopts;
   zopts.pool = &pool;
   for (auto _ : state) {
@@ -157,10 +160,13 @@ void BM_ApproxInverseBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(z.nnz());
   }
 }
-BENCHMARK(BM_ApproxInverseBuild)
-    ->ArgNames({"side", "threads"})
-    ->ArgsProduct({{64, 128, 256}, {1, 2, 4}})
-    ->UseRealTime();
+void thread_rows(benchmark::internal::Benchmark* b) {
+  b->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+}
+BENCHMARK_CAPTURE(BM_ApproxInverseBuild, 64, grid_input, 64)->Apply(thread_rows);
+BENCHMARK_CAPTURE(BM_ApproxInverseBuild, 128, grid_input, 128)->Apply(thread_rows);
+BENCHMARK_CAPTURE(BM_ApproxInverseBuild, 256, grid_input, 256)->Apply(thread_rows);
+BENCHMARK_CAPTURE(BM_ApproxInverseBuild, social, social_input, 0)->Apply(thread_rows);
 
 void BM_QueryAlg3(benchmark::State& state) {
   const auto side = static_cast<index_t>(state.range(0));

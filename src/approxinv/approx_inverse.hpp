@@ -9,6 +9,17 @@
 // largest value keeping the relative 1-norm error below epsilon (Eq. (10));
 // columns with at most log2(n) entries are never truncated (Alg. 2 line 3).
 //
+// The column kernel: a column scatters its inputs through stamps, except in
+// the factor's nearly dense hub tail (the rule of chol/dense_tail.hpp,
+// which ICT shares). There the columns keep a dense copy in one packed
+// triangle and a row bitset each: the first-touch row order comes from the
+// bitsets and the values from fused axpys, four inputs per pass. The
+// triangle is freed when the tail's last column is done. The truncation
+// sorts only the magnitudes below a binade bound that the ascending sum
+// cannot pass (approxinv/truncation.hpp), and a sparse column's rows are
+// ordered by a two-pass radix sort. Z~ is bitwise equal to a stamp-scatter,
+// full-sort build (DESIGN.md §4 "Alg. 2's dense tail").
+//
 // Lemma 1 guarantees Z is nonnegative; Theorem 1 bounds the column error by
 // depth(p) * epsilon. Both are exercised by tests.
 #pragma once
@@ -25,7 +36,8 @@
 namespace er {
 
 struct ApproxInverseOptions {
-  /// Relative 1-norm truncation budget per column (paper's epsilon = 1e-3).
+  /// Relative 1-norm truncation budget per column (paper's epsilon = 1e-3),
+  /// in [0, 1): build() throws std::invalid_argument otherwise.
   real_t epsilon = 1e-3;
   /// Optional pool whose workers build the columns from a ready queue
   /// (null = serial). Every column is computed by the same arithmetic in

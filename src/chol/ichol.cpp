@@ -5,44 +5,12 @@
 #include <memory>
 #include <stdexcept>
 
+#include "chol/dense_tail.hpp"
 #include "order/mindeg.hpp"
-#include "util/mapped.hpp"
 
 namespace er {
 
 namespace {
-
-// The dense trailing block (see ichol.hpp). ICT switches after the first
-// column j that has at most kDenseMaxRows and at least kDenseMinRows rows
-// below it and kept at least 1/kDenseKeptDivisor of them; columns j+1..n-1
-// then form the block. 2 048 columns are 16.8 MB of packed triangle.
-constexpr index_t kDenseMaxRows = 2048;
-constexpr index_t kDenseMinRows = 64;
-constexpr index_t kDenseKeptDivisor = 4;
-
-/// Columns [c, n) of L as one packed lower triangle: column j holds
-/// L(j..n-1, j) contiguously, diagonal first. The pages come zero-filled
-/// from one anonymous mapping (util/mapped.hpp), so the block's 16.8 MB go
-/// back to the OS when the attempt ends.
-class TrailingBlock {
- public:
-  TrailingBlock(index_t c, index_t n)
-      : c_(c), m_(static_cast<std::size_t>(n - c)),
-        memory_(map_zeroed(m_ * (m_ + 1) / 2 * sizeof(real_t))) {}
-
-  [[nodiscard]] index_t first() const { return c_; }
-
-  /// L(j, j) of column j >= first(); L(i, j) is col(j)[i - j].
-  [[nodiscard]] real_t* col(index_t j) const {
-    const auto t = static_cast<std::size_t>(j - c_);
-    return static_cast<real_t*>(memory_.get()) + t * (2 * m_ + 1 - t) / 2;
-  }
-
- private:
-  index_t c_;
-  std::size_t m_;
-  MappedBytes memory_;
-};
 
 /// One left-looking ICT attempt on the permuted matrix. Returns false on
 /// pivot breakdown (caller shifts and retries).
@@ -77,7 +45,7 @@ bool ict_attempt(const CscMatrix& ap, const IcholOptions& opts, real_t shift,
   std::vector<index_t> touched(static_cast<std::size_t>(n), -1);
   // Deferred diagonal corrections from dropped branches (compensation).
   std::vector<real_t> diag_corr(static_cast<std::size_t>(n), 0.0);
-  std::unique_ptr<TrailingBlock> block;
+  std::unique_ptr<PackedTriangle> block;  // the dense trailing block
 
   auto attach = [&](index_t k, index_t row) {
     link_next[static_cast<std::size_t>(k)] = link_head[static_cast<std::size_t>(row)];
@@ -242,9 +210,8 @@ bool ict_attempt(const CscMatrix& ap, const IcholOptions& opts, real_t shift,
     } else {
       const index_t below = n - 1 - j;
       const auto kept = static_cast<index_t>(rj.size()) - 1;
-      if (below <= kDenseMaxRows && below >= kDenseMinRows &&
-          kDenseKeptDivisor * kept >= below) {
-        block = std::make_unique<TrailingBlock>(j + 1, n);
+      if (is_last_sparse_column(below, kept)) {
+        block = std::make_unique<PackedTriangle>(j + 1, n);
         std::fill(w.begin() + j + 1, w.end(), 0.0);
       }
     }
@@ -279,8 +246,9 @@ CholFactor ichol(const CscMatrix& a, const std::vector<index_t>& perm,
   const index_t n = a.cols();
   if (perm.size() != static_cast<std::size_t>(n) || !is_permutation(perm))
     throw std::invalid_argument("ichol: invalid permutation");
-  if (!(opts.droptol >= 0.0))
-    throw std::invalid_argument("ichol: droptol must be >= 0");
+  // +inf would drop every off-diagonal, leaving a diagonal "factor".
+  if (!(opts.droptol >= 0.0 && std::isfinite(opts.droptol)))
+    throw std::invalid_argument("ichol: droptol must be finite and >= 0");
 
   const CscMatrix ap = a.permute_symmetric(perm);
 

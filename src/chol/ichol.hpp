@@ -25,8 +25,9 @@
 // Kernel: left-looking by column, serial. On social graphs the min-degree
 // order ends in a nearly dense hub tail, so after the first column that
 // has at most 2 048 and at least 64 rows below it and kept a quarter of
-// them, the remaining columns also keep a dense copy in one packed lower
-// triangle (at most 16.8 MB, returned to the OS when the attempt ends). A
+// them (the rule of chol/dense_tail.hpp, which Alg. 2 shares), the
+// remaining columns also keep a dense copy in one packed lower triangle
+// (at most 16.8 MB, returned to the OS when the attempt ends). A
 // column of that trailing block updates later columns by a contiguous
 // axpy, four columns per pass, instead of a sparse scatter. Every entry
 // still gets the same subtractions in the same order, and the drops,

@@ -1,19 +1,24 @@
 // Tests for approxinv: depth (Eq. 11) vs brute force, Lemma 1
 // (nonnegativity of Z), exactness at epsilon=0, Theorem 1 error bound,
-// truncation semantics, log-n floor, and the pool-scheduled build:
-// bitwise equal to a serial full-sort reference and to itself at every
-// thread count, on 1-thread pools, from pool workers and across storage
-// chunks.
+// truncation semantics, log-n floor, the pool-scheduled build (bitwise
+// equal to a serial full-sort reference and to itself at every thread
+// count, on 1-thread pools, from pool workers and across storage chunks),
+// the dense hub tail against the same reference, and the binade-bounded
+// truncation cut against a full sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <numeric>
 #include <utility>
 
 #include "approxinv/approx_inverse.hpp"
 #include "approxinv/depth.hpp"
+#include "approxinv/truncation.hpp"
 #include "chol/cholesky.hpp"
+#include "chol/dense_tail.hpp"
 #include "chol/ichol.hpp"
 #include "factor_test_util.hpp"
 #include "graph/generators.hpp"
@@ -21,6 +26,7 @@
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sparse/dense.hpp"
+#include "util/rng.hpp"
 
 namespace er {
 namespace {
@@ -131,12 +137,18 @@ TEST(ApproxInverse, ExactWhenEpsilonZero) {
 }
 
 TEST(ApproxInverse, RejectsNegativeOrNanEpsilon) {
-  const CholFactor f = cholesky(grounded_laplacian(grid_2d(4, 4, WeightKind::kUnit, 5)));
-  for (real_t eps : {-1e-3, std::nan("")}) {
+  // At epsilon >= 1 the budget covers the whole column, so the truncation
+  // would empty every column above the log n floor; such an epsilon, like
+  // a negative or NaN one, is rejected. Just below 1 is still accepted.
+  const CholFactor f = cholesky(grounded_laplacian(grid_2d(20, 20, WeightKind::kUnit, 5)));
+  for (real_t eps : {-1e-3, std::nan(""), 1.0, 2.0, std::numeric_limits<real_t>::infinity()}) {
     ApproxInverseOptions opts;
     opts.epsilon = eps;
-    EXPECT_THROW(ApproxInverse::build(f, opts), std::invalid_argument);
+    EXPECT_THROW(ApproxInverse::build(f, opts), std::invalid_argument) << eps;
   }
+  ApproxInverseOptions opts;
+  opts.epsilon = std::nextafter(1.0, 0.0);
+  EXPECT_NO_THROW(ApproxInverse::build(f, opts));
 }
 
 TEST(ApproxInverse, Lemma1Nonnegativity) {
@@ -385,11 +397,11 @@ struct LevelCase {
 };
 
 /// Builds the case at 1/2/3/4/8 threads: every column must equal the
-/// serial reference bit for bit, and every build the 1-thread one.
+/// serial reference `ref` bit for bit, and every build the 1-thread one.
 /// Returns the pool tasks the multi-thread builds submitted.
-std::uint64_t expect_level_build_matches_reference(const LevelCase& c) {
+std::uint64_t expect_level_build_matches_reference(const LevelCase& c,
+                                                   const std::vector<SparseVector>& ref) {
   SCOPED_TRACE(c.name);
-  const std::vector<SparseVector> ref = reference_build(c.factor, c.epsilon);
   ApproxInverse z_1;
   std::uint64_t tasks = 0;
   for (int threads : {1, 2, 3, 4, 8}) {
@@ -413,6 +425,10 @@ std::uint64_t expect_level_build_matches_reference(const LevelCase& c) {
       expect_columns_bitwise(z, z_1);
   }
   return tasks;
+}
+
+std::uint64_t expect_level_build_matches_reference(const LevelCase& c) {
+  return expect_level_build_matches_reference(c, reference_build(c.factor, c.epsilon));
 }
 
 CholFactor ict_factor(const Graph& g, real_t droptol) {
@@ -557,6 +573,217 @@ TEST(LevelSchedule, ColumnsAcrossSeveralChunksMatchReference) {
     EXPECT_GT(z.num_chunks(), 1u);
     expect_columns_bitwise(z, ref);
   }
+}
+
+// ---------------- the Eq. (10) cut and Alg. 2's dense tail ----------------
+
+/// The cut of reference_build: a sort of every magnitude, then the
+/// ascending loop.
+TruncationCut full_sort_cut(std::vector<real_t> mags, real_t epsilon) {
+  real_t norm1 = 0.0;
+  for (real_t m : mags) norm1 += m;
+  const real_t budget = epsilon * norm1;
+  std::sort(mags.begin(), mags.end());
+  TruncationCut c;
+  real_t dropped = 0.0;
+  while (c.dropped < mags.size() && dropped + mags[c.dropped] <= budget) dropped += mags[c.dropped++];
+  if (c.dropped > 0) {
+    c.cut = mags[c.dropped - 1];
+    c.ties = static_cast<std::size_t>(
+        std::count(mags.begin(), mags.begin() + static_cast<std::ptrdiff_t>(c.dropped), c.cut));
+  }
+  return c;
+}
+
+/// truncation_cut of `mags` (pattern order) equals the full sort's cut,
+/// leaves its scratch zeroed, and stops inside the candidates whenever the
+/// binade bound left out magnitudes within the budget.
+TruncationCut expect_cut_matches_full_sort(const std::vector<real_t>& mags, real_t epsilon) {
+  auto scratch = std::make_unique<TruncationScratch>();
+  const TruncationCut got = truncation_cut({mags.data(), mags.size()}, epsilon, *scratch);
+  const TruncationCut want = full_sort_cut(mags, epsilon);
+  EXPECT_EQ(got.dropped, want.dropped);
+  EXPECT_EQ(got.cut, want.cut);
+  EXPECT_EQ(got.ties, want.ties);
+  EXPECT_LE(got.candidates, got.within_budget);
+  if (got.candidates < got.within_budget) {
+    EXPECT_TRUE(got.broke);
+  }
+  EXPECT_TRUE(std::all_of(scratch->binade_sum.begin(), scratch->binade_sum.end(),
+                          [](real_t v) { return v == 0.0; }));
+  return got;
+}
+
+TEST(Truncation, BinadeBoundCutsCandidates) {
+  // 4 000 magnitudes of 2^-12 (sum 0.98) then 200 of 2^-4 (sum 12.5); at
+  // epsilon 0.05 the budget is 0.67, so every magnitude is within it, but
+  // the ascending sum passes it inside the first binade.
+  std::vector<real_t> mags(4000, 0x1p-12);
+  mags.insert(mags.end(), 200, 0x1p-4);
+  const TruncationCut cut = expect_cut_matches_full_sort(mags, 0.05);
+  EXPECT_EQ(cut.within_budget, 4200u);
+  EXPECT_EQ(cut.candidates, 4000u);
+  EXPECT_TRUE(cut.broke);
+  EXPECT_EQ(cut.cut, 0x1p-12);
+  EXPECT_EQ(cut.ties, cut.dropped);  // the cut splits the run of 2^-12
+}
+
+TEST(Truncation, EveryMagnitudeWithinBudget) {
+  // 1..100 in a scrambled order at epsilon 0.9: the budget (4 545) is
+  // above every magnitude and the bound keeps all of them.
+  std::vector<real_t> mags;
+  for (int k = 0; k < 100; ++k) mags.push_back(static_cast<real_t>((37 * k) % 100 + 1));
+  TruncationCut cut = expect_cut_matches_full_sort(mags, 0.9);
+  EXPECT_EQ(cut.within_budget, 100u);
+  EXPECT_EQ(cut.candidates, 100u);
+  EXPECT_GT(cut.dropped, 80u);
+  // A run of equal magnitudes: the cut lands inside it.
+  cut = expect_cut_matches_full_sort(std::vector<real_t>(100, 1.0), 0.1);
+  EXPECT_EQ(cut.within_budget, 100u);
+  EXPECT_EQ(cut.dropped, 10u);
+  EXPECT_EQ(cut.ties, 10u);
+  EXPECT_TRUE(cut.broke);
+}
+
+TEST(Truncation, RandomColumnsMatchFullSort) {
+  // Log-uniform magnitudes over 40 binades with zeros and runs of ties.
+  Rng rng(71);
+  int bound_cuts = 0;
+  for (int col = 0; col < 400; ++col) {
+    const auto len = static_cast<std::size_t>(1 + rng.uniform_int(3000));
+    std::vector<real_t> mags(len);
+    for (real_t& m : mags) {
+      const real_t u = rng.uniform();
+      m = u < 0.05 ? 0.0 : u < 0.3 ? 0x1p-20 : std::exp2(-40.0 * rng.uniform());
+    }
+    const real_t eps[] = {1e-4, 1e-3, 1e-2, 0.1, 0.5};
+    const TruncationCut cut = expect_cut_matches_full_sort(mags, eps[col % 5]);
+    bound_cuts += cut.candidates < cut.within_budget;
+  }
+  EXPECT_GT(bound_cuts, 100);
+}
+
+/// What replaying the truncations of f's dense tail saw.
+struct TailCuts {
+  int columns = 0;    // tail columns past the log n floor
+  int bound_cuts = 0;  // ... whose binade bound left out magnitudes within the budget
+  int tie_splits = 0;  // ... whose cut kept part of a run of equal magnitudes
+  int order_splits = 0;  // ... where dropping the lowest rows of that run, not
+                         // the first touched, would keep other rows
+};
+
+/// Replays Alg. 2's truncation of every dense-tail column of `f` from the
+/// oracle's columns `ref`: z*_j (Eq. (8) before the truncation, rows in
+/// first-touch order) goes through expect_cut_matches_full_sort.
+TailCuts replay_tail_cuts(const CholFactor& f, const std::vector<SparseVector>& ref,
+                          real_t epsilon) {
+  const index_t n = f.n;
+  const auto floor = static_cast<std::size_t>(
+      std::max(1.0, std::log2(static_cast<double>(std::max<index_t>(n, 2)))));
+  TailCuts out;
+  std::vector<real_t> w(static_cast<std::size_t>(n));
+  std::vector<index_t> stamp(static_cast<std::size_t>(n), -1);
+  for (index_t j = dense_tail_first(f); j < n && epsilon > 0.0; ++j) {
+    const offset_t cb = f.col_ptr[static_cast<std::size_t>(j)];
+    const real_t inv_ljj = 1.0 / f.values[static_cast<std::size_t>(cb)];
+    std::vector<index_t> rows{j};
+    w[static_cast<std::size_t>(j)] = inv_ljj;
+    stamp[static_cast<std::size_t>(j)] = j;
+    for (offset_t p = cb + 1; p < f.col_ptr[static_cast<std::size_t>(j) + 1]; ++p) {
+      const real_t coef = -f.values[static_cast<std::size_t>(p)] * inv_ljj;
+      if (coef == 0.0) continue;
+      const SparseVector& zi = ref[static_cast<std::size_t>(f.row_ind[static_cast<std::size_t>(p)])];
+      for (std::size_t k = 0; k < zi.idx.size(); ++k) {
+        const auto r = static_cast<std::size_t>(zi.idx[k]);
+        if (stamp[r] != j) {
+          stamp[r] = j;
+          w[r] = 0.0;
+          rows.push_back(zi.idx[k]);
+        }
+        w[r] += coef * zi.val[k];
+      }
+    }
+    if (rows.size() <= floor) continue;
+    std::vector<real_t> mags;
+    for (index_t r : rows) mags.push_back(std::abs(w[static_cast<std::size_t>(r)]));
+    const TruncationCut cut = expect_cut_matches_full_sort(mags, epsilon);
+    ++out.columns;
+    out.bound_cuts += cut.candidates < cut.within_budget;
+    std::vector<index_t> tied;  // rows at the cut, first-touch order
+    for (std::size_t t = 0; t < rows.size(); ++t)
+      if (cut.dropped > 0 && mags[t] == cut.cut) tied.push_back(rows[t]);
+    if (tied.size() <= cut.ties) continue;
+    ++out.tie_splits;
+    std::vector<index_t> first_touched(tied.begin(), tied.begin() + static_cast<std::ptrdiff_t>(cut.ties));
+    std::sort(first_touched.begin(), first_touched.end());
+    std::sort(tied.begin(), tied.end());
+    tied.resize(cut.ties);
+    out.order_splits += first_touched != tied;
+  }
+  return out;
+}
+
+TEST(LevelSchedule, DenseTailMatchesReference) {
+  // ICT factors of BA graphs end in a dense hub tail (chol/dense_tail.hpp),
+  // which Alg. 2 builds from packed dense copies; every case reaches it.
+  struct Case {
+    index_t n, m;
+    WeightKind weights;
+    real_t epsilon;
+  };
+  const std::vector<Case> cases = {
+      {500, 2, WeightKind::kUnit, 0.1},        {800, 3, WeightKind::kLogUniform, 1e-2},
+      {1200, 5, WeightKind::kLogUniform, 1e-4}, {1600, 4, WeightKind::kUnit, 1e-3},
+      {3000, 2, WeightKind::kUnit, 1e-3},      {2000, 3, WeightKind::kLogUniform, 0.1},
+  };
+  int bound_cuts = 0;
+  for (std::size_t ci = 0; ci < cases.size(); ++ci) {
+    const Case& k = cases[ci];
+    const LevelCase c{"ba-tail-" + std::to_string(ci),
+                      ict_factor(barabasi_albert(k.n, k.m, k.weights, 80 + ci), 1e-3),
+                      k.epsilon};
+    const index_t first = dense_tail_first(c.factor);
+    EXPECT_LE(first + kDenseMinRows, c.factor.n) << c.name;
+    const std::vector<SparseVector> ref = reference_build(c.factor, c.epsilon);
+    const TailCuts cuts = replay_tail_cuts(c.factor, ref, c.epsilon);
+    EXPECT_GT(cuts.columns, 0) << c.name;
+    bound_cuts += cuts.bound_cuts;
+    expect_level_build_matches_reference(c, ref);
+  }
+  EXPECT_GT(bound_cuts, 0);
+}
+
+TEST(LevelSchedule, DenseTailTiesAtCutMatchReference) {
+  // Natural order. Node 0 is adjacent to every other node, so its column of
+  // L is full and the tail starts at column 1. Node 1 is a hub over the 12
+  // nodes 2..13, and each of those over 15 leaves, interleaved: leaf
+  // 14 + t hangs off node 2 + t % 12. ICT drops the small fill, and
+  // without compensation the twelve subtrees are alike bit for bit, so
+  // z*_1 holds a run of 180 equal leaf entries. It touches them subtree by
+  // subtree, not ascending, and the cut lands inside the run: which leaves
+  // go follows the first-touch order.
+  const index_t mids = 12, leaves_per_mid = 15, n = 2 + mids * (1 + leaves_per_mid);
+  Graph g(n);
+  for (index_t v = 1; v < n; ++v) g.add_edge(0, v, 1.0);
+  for (index_t m = 2; m < 2 + mids; ++m) g.add_edge(1, m, 1.0);
+  for (index_t t = 0; t < mids * leaves_per_mid; ++t) g.add_edge(2 + t % mids, 2 + mids + t, 1.0);
+  IcholOptions ic;
+  ic.droptol = 0.1;
+  ic.diagonal_compensation = false;
+  const LevelCase c{"tail-ties", ichol(grounded_laplacian(g), identity_permutation(n), ic), 2e-2};
+  ASSERT_EQ(dense_tail_first(c.factor), 1);
+  const std::vector<SparseVector> ref = reference_build(c.factor, c.epsilon);
+  const TailCuts cuts = replay_tail_cuts(c.factor, ref, c.epsilon);
+  EXPECT_GT(cuts.order_splits, 0);
+  expect_level_build_matches_reference(c, ref);
+}
+
+TEST(LevelSchedule, GridBelowDenseTailSizeMatchesReference) {
+  // 49 nodes: no column has kDenseMinRows rows below it, so no tail.
+  const LevelCase c{"grid-7x7",
+                    ict_factor(grid_2d(7, 7, WeightKind::kLogUniform, 90), 1e-3), 1e-2};
+  EXPECT_EQ(dense_tail_first(c.factor), c.factor.n);
+  expect_level_build_matches_reference(c);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "chol/cholesky.hpp"
+#include "chol/dense_tail.hpp"
 #include "chol/ichol.hpp"
 #include "factor_test_util.hpp"
 #include "graph/generators.hpp"
@@ -247,7 +248,8 @@ TEST(Ichol, ThrowsOnNonFinitePivot) {
 TEST(Ichol, RejectsNegativeDroptol) {
   const CscMatrix a = random_sdd(10, 20, 15);
   IcholOptions opts;
-  for (real_t bad : {-1.0, std::numeric_limits<real_t>::quiet_NaN()}) {
+  for (real_t bad : {-1.0, std::numeric_limits<real_t>::quiet_NaN(),
+                     std::numeric_limits<real_t>::infinity()}) {
     opts.droptol = bad;
     EXPECT_THROW(ichol(a, identity_permutation(a.cols()), opts), std::invalid_argument);
   }
@@ -400,15 +402,7 @@ std::pair<CholFactor, int> reference_ichol(const CscMatrix& a,
 
 /// Whether ichol's dense trailing block switches on for this factor: some
 /// column has between 64 and 2 048 rows below it and kept a quarter of them.
-bool reaches_dense_block(const CholFactor& f) {
-  for (index_t j = 0; j < f.n; ++j) {
-    const index_t below = f.n - 1 - j;
-    const auto kept = static_cast<index_t>(f.col_ptr[static_cast<std::size_t>(j) + 1] -
-                                           f.col_ptr[static_cast<std::size_t>(j)]) - 1;
-    if (below <= 2048 && below >= 64 && 4 * kept >= below) return true;
-  }
-  return false;
-}
+bool reaches_dense_block(const CholFactor& f) { return dense_tail_first(f) < f.n; }
 
 void expect_bitwise_equal(const CholFactor& got, const CholFactor& want,
                           const std::string& what) {
