@@ -162,8 +162,8 @@ class BenchJson {
 /// `*_cpu_seconds` are per-block phase timings summed over blocks that may
 /// run concurrently, so they can exceed the wall-clock totals in
 /// multi-thread runs — they measure work, not elapsed time (see the
-/// single-block caveat on ReductionStats: a lone block's nested queries
-/// fan out across the pool, understating its CPU-seconds).
+/// caveat on ReductionStats: a block's nested work takes in idle workers,
+/// understating its CPU-seconds).
 inline void set_reduction_stats(BenchJson::Row& row, const ReductionStats& s) {
   row.set("partition_wall_seconds", s.partition_seconds)
       .set("reduce_wall_seconds", s.reduce_seconds)

@@ -277,9 +277,9 @@ std::size_t nnz_floor(index_t n) {
       std::max(1.0, std::log2(static_cast<double>(std::max<index_t>(n, 2)))));
 }
 
-/// One build's column kernel, shared by the serial loop and the pool's
-/// workers. Every column runs the same arithmetic in the same order
-/// whichever path and worker builds it (DESIGN.md §3).
+/// One build's column kernel, shared by the serial loop and the ready
+/// queue. Every column runs the same arithmetic in the same order
+/// whichever path and thread builds it (DESIGN.md §3).
 struct ColumnKernel {
   ColumnKernel(const CholFactor& f, const ApproxInverse& zz, real_t eps)
       : factor(f), z(zz), epsilon(eps), kept_floor(nnz_floor(f.n)),
@@ -321,8 +321,9 @@ struct ColumnKernel {
 
 /// Alg. 2 on a pool: column j is ready once every column i of its L
 /// pattern is done. A TaskHeap runs the ready columns, largest j first
-/// (the order of a serial build); each worker builds its columns in its
-/// own workspace and places them in the shared chunks.
+/// (the order of a serial build), on the calling thread and the pool's
+/// idle workers; each slot builds its columns in its own workspace and
+/// places them in the shared chunks.
 class ApproxInverse::ReadyQueue {
  public:
   ReadyQueue(ColumnKernel& kernel, ApproxInverse& z, int threads) : kernel_(kernel), z_(z) {
@@ -352,12 +353,12 @@ class ApproxInverse::ReadyQueue {
     for (int t = 0; t < threads; ++t) workspaces_.emplace_back(n);
   }
 
-  /// Builds every column on `pool`'s workers; rethrows the first error
-  /// once every worker has stopped.
+  /// Builds every column on the calling thread and `pool`'s idle workers;
+  /// rethrows the first error once every slot has stopped.
   void run(ThreadPool& pool) {
     TaskHeap(
         std::move(ready_),
-        [this](index_t j, int worker) { build(j, workspaces_[static_cast<std::size_t>(worker)]); },
+        [this](index_t j, int slot) { build(j, workspaces_[static_cast<std::size_t>(slot)]); },
         [this](index_t j, std::vector<index_t>& ready) { release(j, ready); })
         .run(pool);
   }
@@ -389,7 +390,7 @@ class ApproxInverse::ReadyQueue {
   std::vector<index_t> consumers_;
   std::vector<index_t> pending_;  // inputs not done (release() only)
   std::vector<index_t> ready_;    // columns with no inputs, the first tasks
-  std::vector<Workspace> workspaces_;  // one per worker
+  std::vector<Workspace> workspaces_;  // one per TaskHeap slot
   util::Mutex place_mutex_;
 };
 
@@ -434,7 +435,7 @@ ApproxInverse ApproxInverse::build(const CholFactor& factor,
   z.cols_.assign(static_cast<std::size_t>(n), Column{});
 
   ColumnKernel kernel(factor, z, opts.epsilon);
-  if (fans_out(opts.pool)) {
+  if (opts.pool != nullptr && opts.pool->num_threads() > 1) {
     ReadyQueue(kernel, z, opts.pool->num_threads()).run(*opts.pool);
     return z;
   }

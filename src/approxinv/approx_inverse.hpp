@@ -39,11 +39,11 @@ struct ApproxInverseOptions {
   /// Relative 1-norm truncation budget per column (paper's epsilon = 1e-3),
   /// in [0, 1): build() throws std::invalid_argument otherwise.
   real_t epsilon = 1e-3;
-  /// Optional pool whose workers build the columns from a ready queue
-  /// (null = serial). Every column is computed by the same arithmetic in
-  /// the same order whatever the pool size, so Z's columns are
-  /// bit-identical at any thread count (DESIGN.md §3). A
-  /// 1-thread pool, or a call from a pool worker, builds serially.
+  /// Optional pool: the calling thread and the pool's idle workers build
+  /// the columns from a ready queue (null = serial). Every column is
+  /// computed by the same arithmetic in the same order whatever the pool
+  /// size, so Z's columns are bit-identical at any thread count
+  /// (DESIGN.md §3). A 1-thread pool builds serially.
   ThreadPool* pool = nullptr;
 };
 

@@ -500,9 +500,9 @@ constexpr index_t kChunksPerThread = 2;
 /// all its children are done. A wide one then splits: its gather by
 /// target columns, and each panel into the diagonal block and row blocks
 /// below it, one step after the other. A TaskHeap runs the ready tasks,
-/// longest path to the root first; the calling thread waits. Every task
-/// runs NumericPass steps, so the factor is bitwise equal to the serial
-/// one whichever worker runs what.
+/// longest path to the root first, on the calling thread and the pool's
+/// idle workers. Every task runs NumericPass steps, so the factor is
+/// bitwise equal to the serial one whichever thread runs what.
 class ScheduledNumeric {
  public:
   ScheduledNumeric(const NumericPass& pass, const std::vector<index_t>& super_parent,
@@ -637,13 +637,14 @@ class ScheduledNumeric {
     for (int t = 0; t < threads_; ++t) scratch_.push_back(pass_.make_scratch());
   }
 
-  /// Factor on `pool`'s workers; rethrows the first task error (a pivot
-  /// that is not positive) once every worker has stopped.
+  /// Factor on the calling thread and `pool`'s idle workers; rethrows the
+  /// first task error (a pivot that is not positive) once every slot has
+  /// stopped.
   void run(ThreadPool& pool) {
     TaskHeap(
         std::move(ready_),
-        [this](const Task& task, int worker) {
-          execute(task, scratch_[static_cast<std::size_t>(worker)]);
+        [this](const Task& task, int slot) {
+          execute(task, scratch_[static_cast<std::size_t>(slot)]);
         },
         [this](const Task& task, std::vector<Task>& ready) { complete(task, ready); })
         .run(pool);
@@ -769,7 +770,7 @@ class ScheduledNumeric {
   std::vector<index_t> bundle_members_;
   std::vector<index_t> cut_ptr_;  // wide sn: gather chunk c is columns cuts_[ptr[sn] + c ..+ 1]
   std::vector<index_t> cuts_;
-  std::vector<NumericScratch> scratch_;  // one per worker
+  std::vector<NumericScratch> scratch_;  // one per TaskHeap slot
   std::vector<Task> ready_;              // the first tasks
   // Changed in complete() only.
   std::vector<index_t> pending_;    // children not done
@@ -874,7 +875,7 @@ CholFactor cholesky(const CscMatrix& a, const std::vector<index_t>& perm, Thread
   // --- Numeric pass: serially in supernode order, or scheduled on the
   // pool with the same steps. ---
   const NumericPass pass(f, lower, super_ptr, upd_ptr, upd);
-  if (fans_out(pool)) {
+  if (pool != nullptr && pool->num_threads() > 1) {
     ScheduledNumeric(pass, super_parent, pool->num_threads()).run(*pool);
   } else {
     NumericScratch scratch = pass.make_scratch();

@@ -19,12 +19,12 @@ class ThreadPool;
 /// `perm` maps new -> old; throws std::runtime_error if A is not SPD.
 ///
 /// With a `pool` of more than one thread the numeric pass runs on the
-/// pool's workers while the caller waits: independent subtrees of the
-/// supernodal etree side by side, and each wide supernode's gather and
-/// dense panels split by target columns and row blocks. The factor is
-/// bitwise equal to the serial one at every thread count, and a matrix
-/// that is not SPD throws the same error. A null or 1-thread pool, or a
-/// call from a pool worker, runs the serial pass on the calling thread.
+/// calling thread and the pool's idle workers (from any thread, a worker
+/// of the same pool included): independent subtrees of the supernodal
+/// etree side by side, and each wide supernode's gather and dense panels
+/// split by target columns and row blocks. The factor is bitwise equal to
+/// the serial one at every thread count, and a matrix that is not SPD
+/// throws the same error. A null or 1-thread pool runs the serial pass.
 CholFactor cholesky(const CscMatrix& a, const std::vector<index_t>& perm,
                     ThreadPool* pool = nullptr);
 

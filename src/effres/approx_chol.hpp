@@ -23,15 +23,14 @@ struct ApproxCholOptions {
   /// the complete factor in that order.
   real_t droptol = 1e-3;
   real_t epsilon = 1e-3;   // Alg. 2 truncation budget        (paper: 1e-3)
-  /// Optional pool whose workers build Alg. 2's columns from a ready
-  /// queue (null = honor `parallel` below). Callers already running on a
-  /// pool worker (reduce_block) may pass the same pool: the build then
-  /// runs serially on the caller. Z is bit-identical at any thread count
-  /// (DESIGN.md §3).
+  /// Optional pool whose idle workers join the calling thread in building
+  /// Alg. 2's columns from a ready queue (null = honor `parallel` below).
+  /// Any thread may pass it, a worker of the same pool included
+  /// (reduce_block). Z is bit-identical at any thread count (DESIGN.md §3).
   ThreadPool* pool = nullptr;
   /// When `pool` is null: threads for the Alg. 2 build (0 = all cores).
   /// The constructor starts a pool for the build only when this asks for
-  /// > 1 thread and it is not already running on a pool worker.
+  /// > 1 thread.
   ParallelOptions parallel{0};
 };
 

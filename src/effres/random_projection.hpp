@@ -34,9 +34,9 @@ struct RandomProjectionOptions {
   /// Optional pool for the k per-row solves during construction (null =
   /// serial). Row r draws its projection vector from its own stream
   /// mix_seed(seed, r), so the embedding is bit-identical at any thread
-  /// count (DESIGN.md §3). Callers already running on a pool worker
-  /// (reduce_block) may pass the same pool: the row loop then runs
-  /// inline, which is the intended nesting behavior.
+  /// count (DESIGN.md §3). Any thread may pass it, a worker of the same
+  /// pool included (reduce_block): the calling thread runs rows while
+  /// idle workers join in.
   ThreadPool* pool = nullptr;
 };
 

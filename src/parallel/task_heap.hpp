@@ -1,14 +1,13 @@
 // Ready-task executor for the dependency-driven kernels (the supernodal
 // Cholesky numeric pass and the Alg. 2 column build): one max-heap of
-// ready tasks drained by a pool's workers. The kernel keeps its own
-// dependency rules; the executor owns the scheduling protocol, the
-// wake-ups and the error latch (DESIGN.md §3 "Parallel sites").
+// ready tasks drained by the calling thread and a pool's idle workers.
+// The kernel keeps its own dependency rules; the executor owns the
+// scheduling protocol, the wake-ups and the error latch (DESIGN.md §3 "Parallel sites").
 #pragma once
 
 #include <algorithm>
 #include <condition_variable>
 #include <exception>
-#include <future>
 #include <utility>
 #include <vector>
 
@@ -17,19 +16,22 @@
 
 namespace er {
 
-/// Runs a task graph on a pool's workers. `Task` is a small value ordered
-/// by `operator<`; the top of the heap (the greatest task) runs first.
-/// Each worker w in [0, pool.num_threads()) loops:
-///   * pop the top ready task;
-///   * `execute(task, w)` outside the lock (per-worker scratch is the
-///     kernel's, indexed by w);
+/// Runs a task graph on the calling thread and a pool's idle workers
+/// (run_with_helpers). The caller runs the loop below in slot 0 and up to
+/// pool.num_threads() - 1 helpers in slots 1.., so per-worker scratch of
+/// pool.num_threads() entries covers every slot. Each loop:
+///   * pops the top ready task;
+///   * `execute(task, slot)` outside the lock (per-worker scratch is the
+///     kernel's, indexed by slot);
 ///   * `complete(task, ready)` under the lock: the kernel releases the
 ///     tasks that depended on `task` and appends those now ready to
 ///     `ready`. Calls to `complete` never overlap, so the kernel's
 ///     dependency counters need no lock of their own.
 /// The run ends when no task is ready or running, or at the first error a
-/// task throws (no further task starts). run() waits for every worker and
-/// only then rethrows that error.
+/// task throws (no further task starts). The caller alone can finish the
+/// graph, so run() is safe from any thread, a worker of the same pool
+/// included. It returns once every started loop has returned and only
+/// then rethrows that error.
 template <class Task, class Execute, class Complete>
 class TaskHeap {
  public:
@@ -44,17 +46,13 @@ class TaskHeap {
       util::MutexLock lock(&mutex_);
       if (heap_.empty()) return;
     }
-    std::vector<std::future<void>> workers;
-    workers.reserve(static_cast<std::size_t>(pool.num_threads()));
-    for (int w = 0; w < pool.num_threads(); ++w)
-      workers.push_back(pool.submit([this, w] { work_loop(w); }));
-    wait_all(workers);
+    run_with_helpers(pool, [this](int slot) { work_loop(slot); });
     util::MutexLock lock(&mutex_);
     if (error_) std::rethrow_exception(error_);
   }
 
  private:
-  void work_loop(int worker) ER_EXCLUDES(mutex_) {
+  void work_loop(int slot) ER_EXCLUDES(mutex_) {
     util::UniqueLock lock(&mutex_);
     for (;;) {
       while (heap_.empty() && running_ > 0 && !error_) cv_.wait(lock.native());
@@ -66,7 +64,7 @@ class TaskHeap {
       lock.unlock();
       std::exception_ptr error;
       try {
-        execute_(task, worker);
+        execute_(task, slot);
       } catch (...) {
         error = std::current_exception();
       }
@@ -91,7 +89,7 @@ class TaskHeap {
         cv_.notify_all();
         return;
       }
-      // This worker takes one of the new tasks itself.
+      // This loop takes one of the new tasks itself.
       for (std::size_t k = queued + 1; k < heap_.size(); ++k) cv_.notify_one();
     }
   }

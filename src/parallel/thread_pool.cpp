@@ -1,6 +1,7 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
@@ -9,8 +10,6 @@
 namespace er {
 
 namespace {
-thread_local bool t_on_worker = false;
-
 double seconds_between(std::chrono::steady_clock::time_point a,
                        std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -79,10 +78,7 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   return fut;
 }
 
-bool ThreadPool::on_worker_thread() { return t_on_worker; }
-
 void ThreadPool::worker_loop() {
-  t_on_worker = true;
   for (;;) {
     QueuedTask queued;
     {
@@ -106,25 +102,65 @@ void ThreadPool::worker_loop() {
   }
 }
 
-bool fans_out(const ThreadPool* pool) {
-  return pool != nullptr && pool->num_threads() > 1 && !ThreadPool::on_worker_thread();
-}
-
 std::unique_ptr<ThreadPool> transient_pool(int num_threads) {
-  if (ThreadPool::on_worker_thread() || resolve_num_threads(num_threads) <= 1) return nullptr;
+  if (resolve_num_threads(num_threads) <= 1) return nullptr;
   return std::make_unique<ThreadPool>(num_threads);
 }
 
-void wait_all(std::vector<std::future<void>>& futures) {
-  std::exception_ptr first;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
+namespace {
+/// What a run_with_helpers call shares with its helpers. A helper holds it
+/// by shared_ptr, so one that starts after the call has returned reads
+/// only this, never the caller's frame.
+struct HelperGate {
+  explicit HelperGate(const std::function<void(int)>* w) : work(w) {}
+
+  util::Mutex mutex;
+  std::condition_variable cv;
+  /// The caller's work while the call runs; null once the gate is closed.
+  const std::function<void(int)>* work ER_GUARDED_BY(mutex);
+  int started ER_GUARDED_BY(mutex) = 0;  // helpers that took a slot
+  int running ER_GUARDED_BY(mutex) = 0;  // of those, not yet returned
+  std::exception_ptr error ER_GUARDED_BY(mutex);  // the first one thrown
+};
+
+std::exception_ptr call(const std::function<void(int)>& work, int slot) {
+  try {
+    work(slot);
+  } catch (...) {
+    return std::current_exception();
   }
-  if (first) std::rethrow_exception(first);
+  return nullptr;
+}
+}  // namespace
+
+void run_with_helpers(ThreadPool& pool, const std::function<void(int)>& work) {
+  const auto gate = std::make_shared<HelperGate>(&work);
+  HelperGate& g = *gate;
+  for (int h = 1; h < pool.num_threads(); ++h) {
+    // The future is dropped: a helper reports through the gate.
+    pool.submit([gate] {
+      HelperGate& hg = *gate;
+      const std::function<void(int)>* helper_work = nullptr;
+      int slot = 0;
+      {
+        util::MutexLock lock(&hg.mutex);
+        if (hg.work == nullptr) return;  // late: the call is over
+        helper_work = hg.work;
+        slot = ++hg.started;
+        ++hg.running;
+      }
+      std::exception_ptr error = call(*helper_work, slot);
+      util::MutexLock lock(&hg.mutex);
+      if (error && !hg.error) hg.error = error;
+      if (--hg.running == 0) hg.cv.notify_all();
+    });
+  }
+  std::exception_ptr error = call(work, 0);
+  util::UniqueLock lock(&g.mutex);
+  if (error && !g.error) g.error = error;
+  g.work = nullptr;
+  while (g.running > 0) g.cv.wait(lock.native());
+  if (g.error) std::rethrow_exception(g.error);
 }
 
 void parallel_for(ThreadPool* pool, index_t begin, index_t end, index_t grain,
@@ -132,26 +168,24 @@ void parallel_for(ThreadPool* pool, index_t begin, index_t end, index_t grain,
   if (end <= begin) return;
   if (grain < 1) grain = 1;
   const index_t n = end - begin;
-  if (n <= grain || !fans_out(pool)) {
+  if (n <= grain || pool == nullptr || pool->num_threads() == 1) {
     body(begin, end);
     return;
   }
 
   // Cap chunk count at a small multiple of the worker count: enough slack
-  // for load balancing without swamping the queue.
-  const index_t by_grain = (n + grain - 1) / grain;
-  const index_t max_chunks =
-      static_cast<index_t>(pool->num_threads()) * 4;
-  const index_t chunks = std::min(by_grain, std::max<index_t>(1, max_chunks));
-  const index_t step = (n + chunks - 1) / chunks;
-
-  std::vector<std::future<void>> futures;
-  futures.reserve(static_cast<std::size_t>(chunks));
-  for (index_t lo = begin; lo < end; lo += step) {
-    const index_t hi = std::min<index_t>(lo + step, end);
-    futures.push_back(pool->submit([&body, lo, hi] { body(lo, hi); }));
-  }
-  wait_all(futures);
+  // for load balancing without too many claims.
+  const index_t wanted =
+      std::min((n + grain - 1) / grain, static_cast<index_t>(pool->num_threads()) * 4);
+  const index_t step = (n + wanted - 1) / wanted;
+  const index_t chunks = (n + step - 1) / step;
+  std::atomic<index_t> next{0};
+  run_with_helpers(*pool, [&](int) {
+    for (index_t c; (c = next++) < chunks;) {
+      const index_t lo = begin + c * step;
+      body(lo, std::min<index_t>(lo + step, end));
+    }
+  });
 }
 
 }  // namespace er

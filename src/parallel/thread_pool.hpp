@@ -6,11 +6,14 @@
 //   * Determinism is owned by the callers: every parallel site derives its
 //     RNG stream as mix_seed(seed, stream_id), so results are bit-identical
 //     at any thread count, including 1.
-//   * parallel_for called from inside a pool worker runs the body inline
-//     (serially). This makes nested parallelism — reduce_block on a worker
-//     issuing a batched ER query — deadlock-free by construction.
+//   * A caller that waits on pool work runs it (run_with_helpers): the
+//     calling thread works while idle workers join in as helpers, and it
+//     never waits for a helper that has not started. So a call behaves the
+//     same from any thread, a pool worker included (reduce_block on a
+//     worker issuing a batched ER query), and progress never needs a free
+//     worker.
 //   * Tasks may throw; the first exception is rethrown on the calling
-//     thread after all chunks finish.
+//     thread once every helper that started has returned.
 #pragma once
 
 #include <chrono>
@@ -38,8 +41,7 @@ class Histogram;
 /// bench flags). Results are bit-identical at any setting; the defaults
 /// differ by site: ReductionOptions keeps 1 (the caller opts in to a
 /// pool), ApproxCholOptions uses 0 (its transient pool only lives for the
-/// Alg. 2 build and is skipped when the caller passes a pool or is on a
-/// pool worker).
+/// Alg. 2 build and is skipped when the caller passes a pool).
 struct ParallelOptions {
   /// 0 = auto (hardware concurrency), 1 = serial, n = exactly n threads.
   int num_threads = 1;
@@ -81,10 +83,6 @@ class ThreadPool {
   /// exception the task raised. Never blocks (safe to call from a worker).
   std::future<void> submit(std::function<void()> task) ER_EXCLUDES(mutex_);
 
-  /// True when the calling thread is a worker of *any* ThreadPool. Used by
-  /// parallel_for to fall back to inline execution for nested parallelism.
-  static bool on_worker_thread();
-
  private:
   /// A queued task plus its enqueue instant (the queue-wait anchor).
   struct QueuedTask {
@@ -109,26 +107,27 @@ class ThreadPool {
   obs::Histogram* run_hist_;
 };
 
-/// True when work handed to `pool` runs on other threads: the pool has
-/// more than one thread and the caller is not a pool worker (nested
-/// parallelism runs inline, so it cannot deadlock).
-bool fans_out(const ThreadPool* pool);
-
-/// A pool for a parallel step whose caller passed none: off a pool
-/// worker, with more than one thread requested (ParallelOptions
-/// convention), a new pool of that many threads; otherwise null.
+/// A pool for a parallel step whose caller passed none: with more than
+/// one thread requested (ParallelOptions convention), a new pool of that
+/// many threads; otherwise null.
 std::unique_ptr<ThreadPool> transient_pool(int num_threads);
 
-/// Waits for every future, then rethrows the first exception among them,
-/// so no task outlives the caller's stack frame.
-void wait_all(std::vector<std::future<void>>& futures);
+/// Runs `work(0)` on the calling thread and queues num_threads() - 1
+/// helpers on `pool`; each helper that starts while the caller's call is
+/// still running runs `work(slot)` with its own slot in
+/// [1, num_threads()). Returns once the caller's call and every started
+/// helper have returned; a helper that starts later returns at once
+/// without touching `work`. `work` must finish the job from slot 0 alone.
+/// Rethrows the first exception a call raised.
+void run_with_helpers(ThreadPool& pool, const std::function<void(int)>& work);
 
 /// Split [begin, end) into chunks of at least `grain` iterations and run
-/// `body(chunk_begin, chunk_end)` across the pool, blocking until all chunks
-/// complete. Runs inline (one chunk, calling thread) when the pool does
-/// not fan out (see fans_out) or the range is within one grain. The first
-/// exception thrown by any chunk is rethrown here after all chunks have
-/// finished.
+/// `body(chunk_begin, chunk_end)` on the calling thread and the pool's
+/// idle workers (run_with_helpers), blocking until all chunks complete.
+/// Runs inline (one chunk) with a null or 1-thread pool or a range within
+/// one grain. The first exception thrown by any chunk is rethrown here
+/// after every chunk that started has finished; a thread whose chunk
+/// threw claims no further chunk.
 void parallel_for(ThreadPool* pool, index_t begin, index_t end, index_t grain,
                   const std::function<void(index_t, index_t)>& body);
 

@@ -136,7 +136,7 @@ class IncrementalReducer {
   ReductionOptions opts_;
   /// Kept across updates so repeated incremental re-reductions reuse the
   /// same workers (transient_pool(opts.parallel.num_threads): none for a
-  /// single thread or a constructor running on a pool worker).
+  /// single thread).
   std::unique_ptr<ThreadPool> pool_;
   /// Freeze `next` as the new current model version (warming the graph's
   /// lazy CSR cache first so concurrent readers of the shared version never

@@ -54,8 +54,8 @@ std::unique_ptr<EffResEngine> make_engine(const Graph& g,
       RandomProjectionOptions rp;
       rp.auto_scale = opts.projection_scale;
       rp.seed = block_stream_seed(opts.seed, kEngineStreamTag, block);
-      // Row solves chunk across the same pool as the block dispatch; when
-      // this block already runs on a worker the rows fall back inline.
+      // Row solves chunk across the same pool as the block dispatch: the
+      // thread reducing this block runs them, and idle workers join in.
       rp.pool = pool;
       return std::make_unique<RandomProjectionEffRes>(g, rp);
     }
@@ -63,9 +63,9 @@ std::unique_ptr<EffResEngine> make_engine(const Graph& g,
       ApproxCholOptions ac;
       ac.droptol = opts.droptol;
       ac.epsilon = opts.epsilon;
-      // Alg. 2's columns fan out over the same pool as the block
-      // dispatch; when this block already runs on a worker, or the pool
-      // is null (serial reduction), the build runs serially.
+      // Alg. 2's columns run on the thread reducing this block and the
+      // idle workers of the block dispatch's pool; with no pool (serial
+      // reduction) the build runs serially.
       ac.pool = pool;
       ac.parallel.num_threads = 1;
       return std::make_unique<ApproxCholEffRes>(g, ac);

@@ -69,11 +69,11 @@ struct ReductionStats {
   /// summed over blocks that may run concurrently. These measure work
   /// (approximately CPU-seconds), not elapsed time, and can exceed
   /// total_seconds in multi-thread runs; compare against the wall-clock
-  /// fields above to see how well a stage parallelized. Caveat: when a
-  /// block runs from the main thread (one block, or one dirty block in an
-  /// incremental update) its nested ER/RP queries fan out across the pool,
-  /// so that block's contribution is multi-thread wall time and
-  /// *understates* CPU-seconds by up to the thread count.
+  /// fields above to see how well a stage parallelized. Caveat: a block's
+  /// Alg. 2 build and ER/RP queries take in the pool's idle workers (one
+  /// block, or the last blocks of a dispatch), so that block's
+  /// contribution is multi-thread wall time and *understates* CPU-seconds
+  /// by up to the thread count.
   double schur_cpu_seconds = 0.0;     ///< step 2 aggregate over blocks
   double er_cpu_seconds = 0.0;        ///< step 3 aggregate over blocks
   double sparsify_cpu_seconds = 0.0;  ///< step 4 aggregate over blocks
@@ -137,9 +137,9 @@ BlockStructure build_block_structure(const ConductanceNetwork& input,
                                      ThreadPool* pool = nullptr);
 
 /// Steps 2-4 for one block. `pool` (optional) parallelizes the block's
-/// batched ER queries; when reduce_block itself runs on a pool worker the
-/// queries fall back to inline execution, so passing the same pool the
-/// block dispatch uses is always safe.
+/// Alg. 2 build and batched ER queries over the calling thread and the
+/// pool's idle workers, so passing the same pool the block dispatch uses
+/// is safe.
 BlockReduced reduce_block(const ConductanceNetwork& input,
                           const std::vector<char>& is_port,
                           const BlockStructure& structure, index_t block,

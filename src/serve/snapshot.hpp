@@ -47,9 +47,10 @@ class ModelSnapshot {
   /// `model`. The model must never be mutated after this call (the
   /// pipeline's ModelPtr producers guarantee that by construction). Throws
   /// std::runtime_error if the stitched system is not SPD (a connected
-  /// component without any shunt). A `pool` runs the numeric factor on its
-  /// workers (IncrementalReducer passes its own); the factor is bitwise
-  /// equal to the serial one at any thread count.
+  /// component without any shunt). A `pool` runs the numeric factor on the
+  /// calling thread and its idle workers (IncrementalReducer passes its
+  /// own); the factor is bitwise equal to the serial one at any thread
+  /// count.
   static std::shared_ptr<const ModelSnapshot> build(ModelPtr model,
                                                     std::uint64_t version = 0,
                                                     ThreadPool* pool = nullptr);

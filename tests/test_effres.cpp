@@ -1,8 +1,8 @@
 // Tests for effres: closed-form effective resistances (path, cycle,
 // complete graph, series/parallel), agreement between engines, metric
 // axioms, Rayleigh monotonicity, Foster's theorem, error-measurement
-// harness, and the Alg. 3 build's thread handling (transient pool on the
-// main thread, inline on a pool worker, bit-identical either way).
+// harness, and the Alg. 3 build's thread handling (a transient pool when
+// given none; the reduction's pool, bit-identical to a serial run).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -247,47 +247,24 @@ std::uint64_t global_count(const char* name) {
   return obs::MetricsRegistry::global().counter(name).value();
 }
 
-TEST(ApproxCholParallel, NestedBuildRunsInlineAndMatchesMainThread) {
+TEST(ApproxCholParallel, BuildWithoutAPoolStartsATransientOne) {
+  // With no pool given, the build starts a transient 4-thread pool and
+  // fans Alg. 2's columns out over it (test_parallel pins the same build
+  // on pool workers bitwise).
   const Graph g = barabasi_albert(3000, 3, WeightKind::kUnit, 17);
   ApproxCholOptions opts;
   opts.parallel.num_threads = 4;
-
-  // From the main thread the build starts a transient 4-thread pool and
-  // fans the wide levels of Alg. 2 out over it.
   const std::uint64_t started0 = global_count("er_pool_threads_started_total");
   const std::uint64_t tasks0 = global_count("er_pool_tasks_total");
-  const ApproxCholEffRes main_build(g, opts);
+  const ApproxCholEffRes build(g, opts);
   EXPECT_EQ(global_count("er_pool_threads_started_total") - started0, 4u);
   EXPECT_GT(global_count("er_pool_tasks_total"), tasks0);
-
-  // On a worker of another pool the same build runs inline: no pool is
-  // started and no task submitted. The outer pool reports to a private
-  // registry, so the global counters see only the nested builds.
-  obs::MetricsRegistry outer_registry;
-  ThreadPool outer(4, &outer_registry);
-  std::vector<std::unique_ptr<ApproxCholEffRes>> got(4);
-  std::vector<char> on_worker(4, 0);
-  const std::uint64_t started1 = global_count("er_pool_threads_started_total");
-  const std::uint64_t tasks1 = global_count("er_pool_tasks_total");
-  parallel_for(&outer, 0, 4, 1, [&](index_t lo, index_t hi) {
-    for (index_t i = lo; i < hi; ++i) {
-      on_worker[static_cast<std::size_t>(i)] = ThreadPool::on_worker_thread();
-      got[static_cast<std::size_t>(i)] = std::make_unique<ApproxCholEffRes>(g, opts);
-    }
-  });
-  EXPECT_EQ(global_count("er_pool_threads_started_total"), started1);
-  EXPECT_EQ(global_count("er_pool_tasks_total"), tasks1);
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    SCOPED_TRACE("build " + std::to_string(i));
-    EXPECT_TRUE(on_worker[i]);
-    expect_columns_bitwise(got[i]->approximate_inverse(),
-                           main_build.approximate_inverse());
-  }
 }
 
 TEST(ApproxCholParallel, ReductionBitIdenticalAtOneAndFourThreads) {
   // One block: its engine builds on the calling thread over the
-  // reduction's pool. 32 blocks: the engines build inline on the workers.
+  // reduction's pool. 32 blocks: the engines build on the workers, and
+  // take in the idle ones, over the same pool.
   ConductanceNetwork net;
   net.graph = grid_2d(40, 40, WeightKind::kUniform, 18);
   const index_t n = net.graph.num_nodes();

@@ -1,9 +1,12 @@
 // Tests for the parallel subsystem: thread-pool task completion, exception
-// propagation, nested (reentrant) parallel_for, the TaskHeap executor
-// (ordering, dependencies, errors), batched ER queries across a pool, and
-// the determinism guarantee — the partitioner, stitch, RP row solves, and
-// the whole reduce_network pipeline must produce bit-identical results at
-// any thread count.
+// propagation, the TaskHeap executor (ordering, dependencies, errors),
+// nested calls (a caller that waits on pool work runs it, from any thread:
+// runs from busy workers of the same pool, parallel_for three deep, helpers
+// that start after their run is over, a nested Alg. 3 build), batched ER
+// queries across a pool, and the determinism guarantee — the partitioner,
+// stitch, RP row solves, and the whole reduce_network pipeline (incremental
+// updates included) must produce bit-identical results at any thread
+// count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +28,7 @@
 #include "pg/incremental.hpp"
 #include "reduction/pipeline.hpp"
 #include "util/rng.hpp"
+#include "factor_test_util.hpp"
 
 namespace er {
 namespace {
@@ -99,37 +103,28 @@ TEST(ParallelFor, PropagatesFirstException) {
       std::runtime_error);
 }
 
-TEST(ParallelFor, ReentrantFromWorkerRunsInline) {
+TEST(ParallelFor, NestedThreeDeepOnTwoThreads) {
+  // Every level's caller works its own chunks, so the innermost calls
+  // finish even while both workers are inside outer chunks.
   ThreadPool pool(2);
-  std::atomic<int> total{0};
-  parallel_for(&pool, 0, 8, 1, [&](index_t lo, index_t hi) {
-    // Nested call from a worker thread: must complete without deadlock.
-    parallel_for(&pool, 0, (hi - lo) * 10, 1, [&](index_t a, index_t b) {
-      total += b - a;
-    });
+  std::vector<std::atomic<int>> hits(8 * 8 * 10);
+  parallel_for(&pool, 0, 8, 1, [&](index_t a0, index_t a1) {
+    for (index_t a = a0; a < a1; ++a)
+      parallel_for(&pool, 0, 8, 1, [&](index_t b0, index_t b1) {
+        for (index_t b = b0; b < b1; ++b)
+          parallel_for(&pool, 0, 10, 1, [&](index_t c0, index_t c1) {
+            for (index_t c = c0; c < c1; ++c) ++hits[static_cast<std::size_t>((a * 8 + b) * 10 + c)];
+          });
+      });
   });
-  EXPECT_EQ(total.load(), 80);
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
-TEST(FansOut, OnlyForMultiThreadPoolsOffAWorker) {
-  ThreadPool one(1);
-  ThreadPool two(2);
-  EXPECT_FALSE(fans_out(nullptr));
-  EXPECT_FALSE(fans_out(&one));
-  EXPECT_TRUE(fans_out(&two));
-  bool on_worker = true;
-  two.submit([&] { on_worker = fans_out(&two); }).get();
-  EXPECT_FALSE(on_worker);
-}
-
-TEST(TransientPool, StartsOnlyOffAWorkerForMoreThanOneThread) {
+TEST(TransientPool, StartsForMoreThanOneThread) {
   EXPECT_EQ(transient_pool(1), nullptr);
   const std::unique_ptr<ThreadPool> pool = transient_pool(2);
   ASSERT_NE(pool, nullptr);
   EXPECT_EQ(pool->num_threads(), 2);
-  bool started = true;
-  pool->submit([&] { started = transient_pool(2) != nullptr; }).get();
-  EXPECT_FALSE(started);
 }
 
 // ---------------- TaskHeap ----------------
@@ -165,43 +160,49 @@ RandomDag random_dag(int n, std::uint64_t seed) {
   return dag;
 }
 
+/// Runs `dag` on `pool` and checks that every task ran once, after its
+/// inputs, in a slot below pool.num_threads().
+void expect_dag_runs(const RandomDag& dag, ThreadPool& pool) {
+  const auto n = static_cast<int>(dag.inputs.size());
+  std::vector<std::atomic<int>> runs(static_cast<std::size_t>(n));
+  std::vector<std::atomic<bool>> done(static_cast<std::size_t>(n));
+  std::atomic<int> inputs_missing{0};
+  std::atomic<int> bad_worker{0};
+  std::vector<int> pending(static_cast<std::size_t>(n));
+  std::vector<int> ready;
+  for (int j = 0; j < n; ++j) {
+    pending[static_cast<std::size_t>(j)] =
+        static_cast<int>(dag.inputs[static_cast<std::size_t>(j)].size());
+    if (pending[static_cast<std::size_t>(j)] == 0) ready.push_back(j);
+  }
+  int completes = 0;  // complete() calls never overlap, so no atomic
+  TaskHeap(
+      std::move(ready),
+      [&](int j, int worker) {
+        if (worker < 0 || worker >= pool.num_threads()) ++bad_worker;
+        for (int i : dag.inputs[static_cast<std::size_t>(j)])
+          if (!done[static_cast<std::size_t>(i)]) ++inputs_missing;
+        ++runs[static_cast<std::size_t>(j)];
+        done[static_cast<std::size_t>(j)] = true;
+      },
+      [&](int j, std::vector<int>& next) {
+        ++completes;
+        for (int c : dag.consumers[static_cast<std::size_t>(j)])
+          if (--pending[static_cast<std::size_t>(c)] == 0) next.push_back(c);
+      })
+      .run(pool);
+  EXPECT_EQ(completes, n);
+  EXPECT_EQ(inputs_missing.load(), 0);
+  EXPECT_EQ(bad_worker.load(), 0);
+  for (int j = 0; j < n; ++j) EXPECT_EQ(runs[static_cast<std::size_t>(j)].load(), 1) << j;
+}
+
 TEST(TaskHeap, RandomDagRunsEveryTaskOnceAfterItsInputs) {
-  const int n = 600;
-  const RandomDag dag = random_dag(n, 71);
+  const RandomDag dag = random_dag(600, 71);
   for (int threads : {1, 2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ThreadPool pool(threads);
-    std::vector<std::atomic<int>> runs(static_cast<std::size_t>(n));
-    std::vector<std::atomic<bool>> done(static_cast<std::size_t>(n));
-    std::atomic<int> inputs_missing{0};
-    std::atomic<int> bad_worker{0};
-    std::vector<int> pending(static_cast<std::size_t>(n));
-    std::vector<int> ready;
-    for (int j = 0; j < n; ++j) {
-      pending[static_cast<std::size_t>(j)] =
-          static_cast<int>(dag.inputs[static_cast<std::size_t>(j)].size());
-      if (pending[static_cast<std::size_t>(j)] == 0) ready.push_back(j);
-    }
-    int completes = 0;  // complete() calls never overlap, so no atomic
-    TaskHeap(
-        std::move(ready),
-        [&](int j, int worker) {
-          if (worker < 0 || worker >= threads) ++bad_worker;
-          for (int i : dag.inputs[static_cast<std::size_t>(j)])
-            if (!done[static_cast<std::size_t>(i)]) ++inputs_missing;
-          ++runs[static_cast<std::size_t>(j)];
-          done[static_cast<std::size_t>(j)] = true;
-        },
-        [&](int j, std::vector<int>& next) {
-          ++completes;
-          for (int c : dag.consumers[static_cast<std::size_t>(j)])
-            if (--pending[static_cast<std::size_t>(c)] == 0) next.push_back(c);
-        })
-        .run(pool);
-    EXPECT_EQ(completes, n);
-    EXPECT_EQ(inputs_missing.load(), 0);
-    EXPECT_EQ(bad_worker.load(), 0);
-    for (int j = 0; j < n; ++j) EXPECT_EQ(runs[static_cast<std::size_t>(j)].load(), 1) << j;
+    expect_dag_runs(dag, pool);
   }
 }
 
@@ -278,6 +279,96 @@ TEST(TaskHeap, ErrorReachesCallerAfterEveryWorkerAndStopsDependents) {
   std::atomic<int> count{0};
   parallel_for(&pool, 0, 64, 1, [&](index_t lo, index_t hi) { count += static_cast<int>(hi - lo); });
   EXPECT_EQ(count.load(), 64);
+}
+
+TEST(TaskHeap, RunFromEveryBusyWorkerOfTheSamePool) {
+  // Every worker is inside a task that runs a graph on its own pool, so
+  // no helper can start until some run is over: each caller must finish
+  // its graph alone.
+  const RandomDag dag = random_dag(300, 73);
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(threads);
+    std::atomic<int> arrived{0};
+    std::vector<std::future<void>> outer;
+    for (int w = 0; w < threads; ++w)
+      outer.push_back(pool.submit([&] {
+        ++arrived;
+        while (arrived.load() < threads) std::this_thread::yield();
+        expect_dag_runs(dag, pool);
+      }));
+    for (auto& f : outer) f.get();
+  }
+}
+
+TEST(TaskHeap, HelpersThatStartAfterTheirRunTouchNothing) {
+  // Runs and loops issued back to back from one worker of a 2-thread pool
+  // while the other worker is held: each caller does all of its work in
+  // slot 0 and its objects are gone before its helper starts. Then the
+  // same from the main thread of a free 4-thread pool, where helpers race
+  // the next run.
+  obs::MetricsRegistry reg;
+  ThreadPool held(2, &reg);
+  std::atomic<bool> release{false};
+  std::future<void> hold = held.submit([&] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  const RandomDag dag = random_dag(40, 74);
+  auto short_runs = [&dag](ThreadPool& pool, int rounds, std::atomic<int>& helper_slots) {
+    for (int r = 0; r < rounds; ++r) {
+      std::vector<int> hits(16, 0);
+      parallel_for(&pool, 0, 16, 1, [&hits](index_t lo, index_t hi) {
+        for (index_t i = lo; i < hi; ++i) ++hits[static_cast<std::size_t>(i)];
+      });
+      EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 16);
+      std::vector<int> ready;
+      for (int j = 0; j < static_cast<int>(dag.inputs.size()); ++j)
+        if (dag.inputs[static_cast<std::size_t>(j)].empty()) ready.push_back(j);
+      std::vector<int> pending;
+      for (const auto& in : dag.inputs) pending.push_back(static_cast<int>(in.size()));
+      TaskHeap(
+          std::move(ready), [&helper_slots](int, int slot) { helper_slots += slot > 0; },
+          [&](int j, std::vector<int>& next) {
+            for (int c : dag.consumers[static_cast<std::size_t>(j)])
+              if (--pending[static_cast<std::size_t>(c)] == 0) next.push_back(c);
+          })
+          .run(pool);
+    }
+  };
+  std::atomic<int> held_helper_slots{0};
+  held.submit([&] { short_runs(held, 200, held_helper_slots); }).get();
+  EXPECT_EQ(held_helper_slots.load(), 0);
+  // The held and outer tasks plus one queued helper per call.
+  EXPECT_EQ(reg.counter("er_pool_tasks_total").value(), 2u + 200u * 2u);
+  release = true;
+  hold.get();
+
+  ThreadPool free_pool(4);
+  std::atomic<int> free_helper_slots{0};
+  short_runs(free_pool, 500, free_helper_slots);
+}
+
+TEST(ApproxCholParallel, BuildOnWorkersOfItsOwnPoolMatchesMainThread) {
+  // The engines build on the workers of the pool they are given, as a
+  // block's engine does under reduce_network, and with a transient pool
+  // of their own; Z~ is bitwise equal to the main thread's build.
+  const Graph g = barabasi_albert(3000, 3, WeightKind::kUnit, 17);
+  ApproxCholOptions opts;
+  opts.parallel.num_threads = 4;
+  const ApproxCholEffRes main_build(g, opts);
+  ThreadPool pool(4);
+  std::vector<std::unique_ptr<ApproxCholEffRes>> got(6);
+  parallel_for(&pool, 0, 6, 1, [&](index_t lo, index_t hi) {
+    for (index_t i = lo; i < hi; ++i) {
+      ApproxCholOptions nested = opts;
+      nested.pool = i % 2 == 0 ? &pool : nullptr;
+      got[static_cast<std::size_t>(i)] = std::make_unique<ApproxCholEffRes>(g, nested);
+    }
+  });
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("build " + std::to_string(i));
+    expect_columns_bitwise(got[i]->approximate_inverse(), main_build.approximate_inverse());
+  }
 }
 
 // ---------------- Batched ER queries ----------------
@@ -392,23 +483,37 @@ TEST(ParallelReduction, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelReduction, IncrementalUpdateBitIdentical) {
+  // One to five dirty blocks on 1-8 threads: with fewer dirty blocks than
+  // threads, or the last ones of a round, a block's Alg. 2 build, row
+  // solves and queries take in the idle workers.
   const PipelineCase c = make_case(32, 32, 64, 33);
-  ReductionOptions serial_opts, par_opts;
-  serial_opts.num_blocks = par_opts.num_blocks = 16;
-  serial_opts.parallel.num_threads = 1;
-  par_opts.parallel.num_threads = 4;
-
-  IncrementalReducer serial(c.net, c.ports, serial_opts);
-  IncrementalReducer parallel(c.net, c.ports, par_opts);
-  expect_identical_models(serial.model(), parallel.model());
-
-  const GridModification mod =
-      random_modification(serial.structure().num_blocks, 0.2, 1.5, 5);
-  const ConductanceNetwork modified =
-      apply_modification(c.net, serial.structure(), mod);
-  const ReducedModel& ms = serial.update(modified, mod.dirty_blocks);
-  const ReducedModel& mp = parallel.update(modified, mod.dirty_blocks);
-  expect_identical_models(ms, mp);
+  for (ErBackend backend : {ErBackend::kApproxChol, ErBackend::kRandomProjection}) {
+    ReductionOptions opts;
+    opts.num_blocks = 16;
+    opts.backend = backend;
+    const std::vector<int> thread_counts{1, 2, 4, 8};
+    std::vector<std::unique_ptr<IncrementalReducer>> reducers;
+    for (int threads : thread_counts) {
+      opts.parallel.num_threads = threads;
+      reducers.push_back(std::make_unique<IncrementalReducer>(c.net, c.ports, opts));
+    }
+    for (std::size_t r = 1; r < reducers.size(); ++r)
+      expect_identical_models(reducers.front()->model(), reducers[r]->model());
+    const BlockStructure& structure = reducers.front()->structure();
+    ConductanceNetwork modified = c.net;
+    for (int dirty = 1; dirty <= 5; ++dirty) {
+      const GridModification mod = random_modification(
+          structure.num_blocks, dirty / 16.0, 1.5, static_cast<std::uint64_t>(dirty));
+      ASSERT_EQ(mod.dirty_blocks.size(), static_cast<std::size_t>(dirty));
+      modified = apply_modification(modified, structure, mod);
+      const ReducedModel& serial = reducers.front()->update(modified, mod.dirty_blocks);
+      for (std::size_t r = 1; r < reducers.size(); ++r) {
+        SCOPED_TRACE(std::string(to_string(backend)) + " dirty=" + std::to_string(dirty) +
+                     " threads=" + std::to_string(thread_counts[r]));
+        expect_identical_models(serial, reducers[r]->update(modified, mod.dirty_blocks));
+      }
+    }
+  }
 }
 
 TEST(ParallelReduction, IncrementalUpdateToleratesDuplicateDirtyBlocks) {

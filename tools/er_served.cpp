@@ -12,6 +12,8 @@
 //   curl -s http://127.0.0.1:7422/metrics | grep er_net_
 //   kill -TERM <pid>    # graceful drain + final metrics dump
 
+#include <cctype>
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -63,7 +65,27 @@ void usage() {
          "          [--final-metrics PATH]\n";
 }
 
+/// Parses `text` as a decimal integer in [lo, hi]; anything else (a sign,
+/// trailing characters, overflow, out of range) prints why and exits 2.
+std::uint64_t parse_count(const std::string& flag, const char* text,
+                          std::uint64_t lo, std::uint64_t hi) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(text[0])) == 0 || *end != '\0' ||
+      errno == ERANGE || v < lo || v > hi) {
+    std::cerr << "er_served: " << flag << " expects an integer in [" << lo
+              << ", " << hi << "], got '" << text << "'\n";
+    std::exit(2);
+  }
+  return v;
+}
+
 bool parse_flags(int argc, char** argv, Flags* flags) {
+  // A side of at most 2^15 keeps nx * ny within index_t.
+  constexpr std::uint64_t kMaxSide = 1 << 15;
+  constexpr std::uint64_t kMaxNodes = kMaxSide * kMaxSide;
+  constexpr std::uint64_t kMaxCount = 1 << 20;
   auto next_value = [&](int* i) -> const char* {
     if (*i + 1 >= argc) return nullptr;
     return argv[++*i];
@@ -80,31 +102,31 @@ bool parse_flags(int argc, char** argv, Flags* flags) {
       std::cerr << "er_served: " << arg << " needs a value\n";
       return false;
     } else if (arg == "--port") {
-      flags->port = std::atoi(value);
+      flags->port = static_cast<int>(parse_count(arg, value, 0, 65535));
     } else if (arg == "--metrics-port") {
-      flags->metrics_port = std::atoi(value);
+      flags->metrics_port = static_cast<int>(parse_count(arg, value, 0, 65535));
     } else if (arg == "--nx") {
-      flags->nx = std::atoi(value);
+      flags->nx = static_cast<er::index_t>(parse_count(arg, value, 1, kMaxSide));
     } else if (arg == "--ny") {
-      flags->ny = std::atoi(value);
+      flags->ny = static_cast<er::index_t>(parse_count(arg, value, 1, kMaxSide));
     } else if (arg == "--ports") {
-      flags->ports = std::atoi(value);
+      flags->ports = static_cast<er::index_t>(parse_count(arg, value, 1, kMaxNodes));
     } else if (arg == "--blocks") {
-      flags->blocks = std::atoi(value);
+      flags->blocks = static_cast<er::index_t>(parse_count(arg, value, 0, kMaxNodes));
     } else if (arg == "--threads") {
-      flags->threads = std::atoi(value);
+      flags->threads = static_cast<int>(parse_count(arg, value, 0, 4096));
     } else if (arg == "--dispatchers") {
-      flags->dispatchers = std::atoi(value);
+      flags->dispatchers = static_cast<int>(parse_count(arg, value, 1, 4096));
     } else if (arg == "--queue-cap") {
-      flags->queue_cap = static_cast<std::size_t>(std::atoll(value));
+      flags->queue_cap = parse_count(arg, value, 1, kMaxCount);
     } else if (arg == "--max-conn") {
-      flags->max_conn = static_cast<std::size_t>(std::atoll(value));
+      flags->max_conn = parse_count(arg, value, 1, kMaxCount);
     } else if (arg == "--staleness") {
-      flags->staleness = static_cast<std::uint64_t>(std::atoll(value));
+      flags->staleness = parse_count(arg, value, 0, UINT64_MAX);
     } else if (arg == "--seed") {
-      flags->seed = static_cast<std::uint64_t>(std::atoll(value));
+      flags->seed = parse_count(arg, value, 0, UINT64_MAX);
     } else if (arg == "--warmup") {
-      flags->warmup = std::atoi(value);
+      flags->warmup = static_cast<int>(parse_count(arg, value, 0, kMaxCount));
     } else if (arg == "--final-metrics") {
       flags->final_metrics = value;
     } else {
@@ -112,6 +134,12 @@ bool parse_flags(int argc, char** argv, Flags* flags) {
       usage();
       return false;
     }
+  }
+  // make_grid places --ports distinct nodes: more than nx * ny never ends.
+  if (flags->ports > flags->nx * flags->ny) {
+    std::cerr << "er_served: --ports expects at most nx * ny = "
+              << flags->nx * flags->ny << " ports, got " << flags->ports << "\n";
+    return false;
   }
   return true;
 }
