@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "chol/cholesky.hpp"
 #include "effres/exact.hpp"
@@ -367,6 +369,72 @@ INSTANTIATE_TEST_SUITE_P(Backends, PipelineBackends,
                          ::testing::Values(ErBackend::kExact,
                                            ErBackend::kRandomProjection,
                                            ErBackend::kApproxChol));
+
+// ---------------- Pinned reduction bits ----------------
+
+/// FNV-1a over the bytes of a trivially copyable value.
+template <typename T>
+void fnv_mix(std::uint64_t& h, const T& value) {
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  for (const unsigned char b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+/// Hash of what a reduction hands its consumers: the stitched edges and
+/// weights, the shunts, and the original-to-reduced node map.
+std::uint64_t model_hash(const ReducedModel& m) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  fnv_mix(h, m.network.num_nodes());
+  for (const Edge& e : m.network.graph.edges()) {
+    fnv_mix(h, e.u);
+    fnv_mix(h, e.v);
+    fnv_mix(h, e.weight);
+  }
+  for (const real_t s : m.network.shunts) fnv_mix(h, s);
+  for (const index_t v : m.node_map) fnv_mix(h, v);
+  return h;
+}
+
+struct PinnedReduction {
+  ErBackend backend;
+  real_t merge_threshold;
+  index_t reduced_nodes;
+  std::uint64_t hash;
+};
+
+// Hashes recorded before the no-merge path of reduce_block reused the
+// edge ERs for the merged graph: every backend at merging off, at a
+// threshold no edge falls below (0.02: the same nodes survive as with
+// merging off) and at one that merges. A change to any of these bits
+// — a reordered sum, a new skip — shows up here first.
+TEST(Pipeline, ReductionBitsArePinned) {
+  const PinnedReduction pinned[] = {
+      {ErBackend::kExact, 0.0, 102, 0x4b6ec25bf083baf9ULL},
+      {ErBackend::kExact, 0.02, 102, 0x4b6ec25bf083baf9ULL},
+      {ErBackend::kExact, 0.5, 44, 0xeca0a6fe69e5bbdfULL},
+      {ErBackend::kRandomProjection, 0.0, 102, 0x3b11374c020c4329ULL},
+      {ErBackend::kRandomProjection, 0.02, 102, 0x3b11374c020c4329ULL},
+      {ErBackend::kRandomProjection, 0.5, 44, 0x961c5b1135f4b4acULL},
+      {ErBackend::kApproxChol, 0.0, 102, 0xcd6368ed46045352ULL},
+      {ErBackend::kApproxChol, 0.02, 102, 0xcd6368ed46045352ULL},
+      {ErBackend::kApproxChol, 0.5, 44, 0x2e74962cd548ae0dULL},
+  };
+  const PipelineCase c = make_case(16, 16, 20, 16);
+  for (const PinnedReduction& want : pinned) {
+    ReductionOptions opts;
+    opts.num_blocks = 4;
+    opts.backend = want.backend;
+    opts.merge_threshold = want.merge_threshold;
+    const ModelPtr m = reduce_network_frozen(c.net, c.ports, opts);
+    EXPECT_EQ(m->stats.reduced_nodes, want.reduced_nodes)
+        << to_string(want.backend) << " at " << want.merge_threshold;
+    EXPECT_EQ(model_hash(*m), want.hash)
+        << to_string(want.backend) << " at " << want.merge_threshold;
+  }
+}
 
 }  // namespace
 }  // namespace er
