@@ -118,23 +118,64 @@ void CholFactor::sparse_forward(const index_t* idx, const real_t* val, int k,
     }
     // Columns j..super_last[j] are all in the reach (each is the etree
     // parent of the one before) and share column j's rows: gather those
-    // rows into ws.dense, run the columns as contiguous axpys — the same
-    // per-entry updates in the same order — and scatter the rows below the
+    // rows into ws.dense, run the columns over them — the same per-entry
+    // updates in the same order — and scatter the rows below the
     // supernode back.
     if (ws.dense.size() < static_cast<std::size_t>(m))
       ws.dense.resize(static_cast<std::size_t>(m), 0.0);
     real_t* xd = ws.dense.data();
     for (index_t i = 0; i < m; ++i) xd[i] = ws.x[static_cast<std::size_t>(rows[i])];
-    for (index_t c = 0; c < width; ++c, ++t) {
+    // Column j + c holds rows[c..m): L(rows[i], j + c) = lv(c)[i].
+    const auto lv = [&](index_t c) {
+      return values.data() + col_ptr[static_cast<std::size_t>(j + c)] - c;
+    };
+    const auto solve_column = [&](index_t c) {
       const auto uc = static_cast<std::size_t>(j + c);
-      // Column j + c holds rows[c..m): L(rows[i], j + c) = lv[i].
-      const real_t* lv = values.data() + col_ptr[uc] - c;
       ws.mark[uc] = 0;
       ws.x[uc] = 0.0;
-      const real_t xc = xd[c] / lv[c];
-      ws.y[t] = xc;
+      const real_t xc = xd[c] / lv(c)[c];
+      ws.y[t++] = xc;
+      return xc;
+    };
+    index_t c = 0;
+    // Four columns per pass. The panel's 4x4 triangle goes first; then each
+    // row below the panel takes its four subtractions in column order in
+    // one visit, so every entry sees forward_solve's sequence of updates
+    // for a quarter of the loads and stores of xd. A zero column is
+    // skipped, as forward_solve skips it.
+    for (; c + 4 <= width; c += 4) {
+      const real_t* l[4];
+      real_t xs[4];
+      int live = 0;
+      for (index_t a = 0; a < 4; ++a) {
+        const real_t xc = solve_column(c + a);
+        if (xc == 0.0) continue;
+        const real_t* la = lv(c + a);
+        for (index_t i = c + a + 1; i < c + 4; ++i) xd[i] -= la[i] * xc;
+        l[live] = la;
+        xs[live++] = xc;
+      }
+      if (live == 4) {
+        const real_t x0 = xs[0], x1 = xs[1], x2 = xs[2], x3 = xs[3];
+        const real_t *l0 = l[0], *l1 = l[1], *l2 = l[2], *l3 = l[3];
+        for (index_t i = c + 4; i < m; ++i) {
+          real_t v = xd[i];
+          v -= l0[i] * x0;
+          v -= l1[i] * x1;
+          v -= l2[i] * x2;
+          v -= l3[i] * x3;
+          xd[i] = v;
+        }
+      } else {
+        for (int a = 0; a < live; ++a)
+          for (index_t i = c + 4; i < m; ++i) xd[i] -= l[a][i] * xs[a];
+      }
+    }
+    for (; c < width; ++c) {
+      const real_t xc = solve_column(c);
       if (xc == 0.0) continue;
-      for (index_t i = c + 1; i < m; ++i) xd[i] -= lv[i] * xc;
+      const real_t* la = lv(c);
+      for (index_t i = c + 1; i < m; ++i) xd[i] -= la[i] * xc;
     }
     for (index_t i = width; i < m; ++i) ws.x[static_cast<std::size_t>(rows[i])] = xd[i];
     std::fill(xd, xd + m, 0.0);

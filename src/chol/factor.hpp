@@ -85,8 +85,12 @@ struct CholFactor {
   /// space; duplicate indices add up). Only the etree paths from the k rhs
   /// indices to their roots can be nonzero in y; they are visited in
   /// ascending order with forward_solve's column update, one supernode at
-  /// a time (a reach that enters a supernode holds the rest of it), so
-  /// ws.y is bitwise equal to forward_solve on ws.reach. The cost is the
+  /// a time (a reach that enters a supernode holds the rest of it). A
+  /// supernode's columns go four per pass over its gathered rows: the
+  /// panel's 4x4 triangle, then one fused loop that gives each row below
+  /// the panel its four subtractions in column order, skipping a column
+  /// whose value is +-0 as forward_solve does. So ws.y is bitwise equal to
+  /// forward_solve on ws.reach. The cost is the
   /// factor entries of the reach's columns. A workspace pays one O(n)
   /// sizing on its first call for a factor of this n; after that a call
   /// makes no O(n) pass, and allocates only while ws.reach / ws.y /

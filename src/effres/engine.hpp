@@ -21,9 +21,10 @@ class ThreadPool;
 /// A (p, q) node pair whose effective resistance is requested.
 using ResistanceQuery = std::pair<index_t, index_t>;
 
-/// Chunk size for batched queries: large enough to amortize dispatch,
-/// small enough to load-balance uneven query costs. Shared by every
-/// engine's batch path so the grain is tuned in one place.
+/// Chunk size for the engines' batched queries (Alg. 3, random projection
+/// and exact edge batches): large enough to amortize dispatch, small
+/// enough to load-balance uneven query costs. QueryFrontEnd does not use
+/// it: a served batch runs one task per reach solve (DESIGN.md §4).
 inline constexpr index_t kBatchQueryGrain = 64;
 
 /// Common interface of the three effective-resistance engines.

@@ -211,7 +211,21 @@ BlockReduced reduce_block(const ConductanceNetwork& input,
       rep_s[static_cast<std::size_t>(mid)] = s;
   }
   std::vector<real_t> merged_er(merge.merged.num_edges(), 0.0);
-  if (engine && merge.merged.num_edges() > 0) {
+  if (merge.merged_count == ns) {
+    // Nothing merged: the merged graph is net_b's edges sorted by (u, v),
+    // with the same weights and identity representatives, so its ERs are
+    // edge_er permuted. network_from_matrix emits the edges column by
+    // column (v ascending, u < v), so a stable counting sort on u yields
+    // the (u, v) order.
+    std::vector<std::size_t> slot(static_cast<std::size_t>(ns) + 1, 0);
+    for (const Edge& ed : net_b.graph.edges())
+      ++slot[static_cast<std::size_t>(ed.u) + 1];
+    for (std::size_t u = 0; u < static_cast<std::size_t>(ns); ++u)
+      slot[u + 1] += slot[u];
+    for (std::size_t e = 0; e < edge_er.size(); ++e)
+      merged_er[slot[static_cast<std::size_t>(net_b.graph.edges()[e].u)]++] =
+          edge_er[e];
+  } else if (engine && merge.merged.num_edges() > 0) {
     std::vector<ResistanceQuery> merged_queries;
     merged_queries.reserve(merge.merged.num_edges());
     for (const Edge& ed : merge.merged.edges())

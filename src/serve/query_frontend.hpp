@@ -3,9 +3,10 @@
 ///
 /// Accepts batches of port-response / effective-resistance queries in
 /// *original* node ids, pins the store's current snapshot once per batch,
-/// maps each endpoint to its reduced id, and fans the batch out across a
-/// ThreadPool. Answers land in per-query slots, so a batch is
-/// bit-identical at any thread count.
+/// maps each endpoint to its reduced id, probes the cache, and runs each
+/// reach solve of a miss as its own task on a ThreadPool. Answers land in
+/// per-query slots, so a batch is bit-identical at any thread count and
+/// each answer is the one its query gets alone.
 #pragma once
 
 #include <cstdint>

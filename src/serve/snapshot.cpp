@@ -34,32 +34,6 @@ index_t count_boundary_nodes(const ReducedModel& model) {
   return count;
 }
 
-/// Sum of squares of a reach solve: b^T (L L^T)^{-1} b = ||L^{-1} b||^2.
-real_t squared_norm(const ReachWorkspace& rw) {
-  real_t s = 0.0;
-  for (const real_t y : rw.y) s += y * y;
-  return s;
-}
-
-/// Dot product of two reach solves over the intersection of their
-/// (ascending) reaches — outside it one of the two factors is zero.
-real_t reach_dot(const std::vector<index_t>& ra, const std::vector<real_t>& ya,
-                 const ReachWorkspace& b) {
-  real_t s = 0.0;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < ra.size() && j < b.reach.size()) {
-    if (ra[i] < b.reach[j]) {
-      ++i;
-    } else if (b.reach[j] < ra[i]) {
-      ++j;
-    } else {
-      s += ya[i++] * b.y[j++];
-    }
-  }
-  return s;
-}
-
 }  // namespace
 
 std::shared_ptr<const ModelSnapshot> ModelSnapshot::build(
@@ -110,28 +84,59 @@ index_t ModelSnapshot::reduced_id(index_t original) const {
   return model_->node_map[static_cast<std::size_t>(original)];
 }
 
+real_t squared_norm(const ReachWorkspace& rw) {
+  real_t s = 0.0;
+  for (const real_t y : rw.y) s += y * y;
+  return s;
+}
+
+real_t reach_dot(const std::vector<index_t>& ra, const std::vector<real_t>& ya,
+                 const std::vector<index_t>& rb, const std::vector<real_t>& yb) {
+  real_t s = 0.0;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < ra.size() && j < rb.size()) {
+    if (ra[i] < rb[j]) {
+      ++i;
+    } else if (rb[j] < ra[i]) {
+      ++j;
+    } else {
+      s += ya[i++] * yb[j++];
+    }
+  }
+  return s;
+}
+
 // With G = P^T L L^T P: a^T G^{-1} b = (L^{-1} P a) . (L^{-1} P b), and each
 // factor is a forward-only reach solve.
 
 real_t ModelSnapshot::response(index_t p, index_t q, Workspace& ws) const {
-  const real_t one = 1.0;
-  const index_t pp = factor_.inv_perm[static_cast<std::size_t>(p)];
-  const index_t qq = factor_.inv_perm[static_cast<std::size_t>(q)];
-  factor_.sparse_forward(&pp, &one, 1, ws.reach);
+  unit_solve(p, ws.reach);
   // Keep the first solve while the workspace runs the second one.
   ws.first_reach.assign(ws.reach.reach.begin(), ws.reach.reach.end());
   ws.first_y.assign(ws.reach.y.begin(), ws.reach.y.end());
-  factor_.sparse_forward(&qq, &one, 1, ws.reach);
-  return reach_dot(ws.first_reach, ws.first_y, ws.reach);
+  unit_solve(q, ws.reach);
+  return reach_dot(ws.first_reach, ws.first_y, ws.reach.reach, ws.reach.y);
 }
 
 real_t ModelSnapshot::resistance(index_t p, index_t q, Workspace& ws) const {
   if (p == q) return 0.0;
+  difference_solve(p, q, ws.reach);
+  return squared_norm(ws.reach);
+}
+
+void ModelSnapshot::unit_solve(index_t p, ReachWorkspace& ws) const {
+  const real_t one = 1.0;
+  const index_t pp = factor_.inv_perm[static_cast<std::size_t>(p)];
+  factor_.sparse_forward(&pp, &one, 1, ws);
+}
+
+void ModelSnapshot::difference_solve(index_t p, index_t q,
+                                     ReachWorkspace& ws) const {
   const index_t idx[2] = {factor_.inv_perm[static_cast<std::size_t>(p)],
                           factor_.inv_perm[static_cast<std::size_t>(q)]};
   const real_t vals[2] = {1.0, -1.0};
-  factor_.sparse_forward(idx, vals, 2, ws.reach);
-  return squared_norm(ws.reach);
+  factor_.sparse_forward(idx, vals, 2, ws);
 }
 
 }  // namespace er

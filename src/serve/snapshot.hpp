@@ -6,10 +6,12 @@
 /// system G = L(reduced graph) + diag(shunts). Every member is resident,
 /// read-only state shared by any number of concurrent query threads.
 ///
-/// A query runs no backward solve: it is a forward-only reach solve
+/// A query runs no backward solve: it is made of forward-only reach solves
 /// (CholFactor::sparse_forward) along the factor's elimination tree.
 /// R(p, q) = ||L^{-1} P (e_p - e_q)||^2 is one solve, and Z(p, q) is the
-/// dot product of the solves of e_p and e_q (DESIGN.md §4).
+/// dot product of the solves of e_p and e_q (DESIGN.md §4). The snapshot
+/// exposes the solves rather than whole answers, so the front-end can run
+/// a response's two solves on different threads.
 ///
 /// Every publish is a full build: one fresh factorization of G. The
 /// stitched model itself is never copied — the snapshot aliases the
@@ -27,15 +29,26 @@ namespace er {
 
 class ThreadPool;
 
+/// Sum of squares of a reach solve: b^T (L L^T)^{-1} b = ||L^{-1} b||^2.
+[[nodiscard]] real_t squared_norm(const ReachWorkspace& rw);
+
+/// Dot product of two reach solves over the intersection of their
+/// ascending reaches (outside it one of the two is zero), summed in
+/// ascending row order.
+[[nodiscard]] real_t reach_dot(const std::vector<index_t>& ra,
+                               const std::vector<real_t>& ya,
+                               const std::vector<index_t>& rb,
+                               const std::vector<real_t>& yb);
+
 /// Read-only serving state for one published model version. Every method is
 /// const and thread-safe; per-query scratch lives in a caller-owned
-/// Workspace so concurrent callers never share mutable state.
+/// workspace so concurrent callers never share mutable state.
 class ModelSnapshot {
  public:
-  /// Per-caller scratch for the solve paths. Reuse one instance across
-  /// queries (every query leaves it reusable); never share one across
-  /// threads. The reach solve's O(n) sizing is paid once per workspace and
-  /// factor size.
+  /// Per-caller scratch of response() and resistance(). Reuse one instance
+  /// across queries (every query leaves it reusable); never share one
+  /// across threads. The reach solve's O(n) sizing is paid once per
+  /// workspace and factor size.
   struct Workspace {
     ReachWorkspace reach;
     std::vector<index_t> first_reach;  ///< a response's first reach solve
@@ -94,12 +107,20 @@ class ModelSnapshot {
   [[nodiscard]] index_t reduced_id(index_t original) const;
 
   /// Port response Z(p, q) = e_q^T G^{-1} e_p: voltage-drop response at q
-  /// to a unit current injected at p (reduced node ids).
+  /// to a unit current injected at p (reduced node ids). It is reach_dot
+  /// of the unit solves of p and q, p's first.
   [[nodiscard]] real_t response(index_t p, index_t q, Workspace& ws) const;
   /// Effective resistance (e_p - e_q)^T G^{-1} (e_p - e_q) of the stitched
   /// system (shunts included — the pad-grounded impedance, not the
-  /// shunt-free graph ER). Exactly 0 when p == q.
+  /// shunt-free graph ER): the squared_norm of the difference solve.
+  /// Exactly 0, with no solve, when p == q.
   [[nodiscard]] real_t resistance(index_t p, index_t q, Workspace& ws) const;
+
+  /// The solves behind those answers, for callers that schedule them
+  /// separately (QueryFrontEnd runs a response's two on two threads):
+  /// ws holds L^{-1} P e_p, or L^{-1} P (e_p - e_q) for p != q.
+  void unit_solve(index_t p, ReachWorkspace& ws) const;
+  void difference_solve(index_t p, index_t q, ReachWorkspace& ws) const;
 
  private:
   ModelSnapshot() = default;

@@ -763,6 +763,49 @@ bool same_bits(real_t a, real_t b) {
   return std::memcmp(&a, &b, sizeof(real_t)) == 0;
 }
 
+/// A factor with one fundamental supernode of each width 1..max_width,
+/// each followed in its etree by a dense top supernode of `top` columns.
+struct PanelFactor {
+  CholFactor factor;
+  std::vector<index_t> first_columns;  ///< of the width-1..max_width supernodes
+};
+
+/// In identity order, block w is a clique of w nodes, each joined to the
+/// `top` last nodes (a clique too): block w's columns form one supernode
+/// of width w with `top` rows below it. A lone node sits between the last
+/// block and the top, so that block's last column, whose parent is the
+/// top's first, is not next to it. Shunts of 5 keep every pivot, and so
+/// every L(j, j)^2, at 5 or more.
+PanelFactor panel_factor(index_t max_width, index_t top) {
+  const index_t n = max_width * (max_width + 1) / 2 + 1 + top;
+  TripletMatrix t(n, n);
+  Rng rng(40);
+  const auto join = [&](index_t u, index_t v) {
+    t.stamp_conductance(u, v, rng.uniform(0.5, 2.0));
+  };
+  PanelFactor out;
+  index_t s = 0;
+  for (index_t w = 1; w <= max_width; s += w++) {
+    out.first_columns.push_back(s);
+    for (index_t u = s; u < s + w; ++u) {
+      for (index_t v = u + 1; v < s + w; ++v) join(u, v);
+      for (index_t v = n - top; v < n; ++v) join(u, v);
+    }
+  }
+  for (index_t u = n - top; u < n; ++u)
+    for (index_t v = u + 1; v < n; ++v) join(u, v);
+  for (index_t v = 0; v < n; ++v) t.add(v, v, 5.0);
+  out.factor = cholesky(CscMatrix::from_triplets(t), identity_permutation(n));
+  const CholFactor& f = out.factor;
+  for (index_t w = 1; w <= max_width; ++w) {
+    const auto f0 = static_cast<std::size_t>(out.first_columns[static_cast<std::size_t>(w - 1)]);
+    EXPECT_EQ(f.super_last[f0], static_cast<index_t>(f0) + w - 1) << "width " << w;
+    EXPECT_EQ(f.col_ptr[f0 + 1] - f.col_ptr[f0], w + top) << "width " << w;
+  }
+  EXPECT_EQ(f.super_last[static_cast<std::size_t>(n - top)], n - 1);
+  return out;
+}
+
 /// sparse_forward against forward_solve of the same rhs accumulated densely
 /// in the same order: bitwise equal on the (strictly ascending) reach, and
 /// forward_solve is exactly zero off it.
@@ -848,6 +891,34 @@ TEST(SparseForward, BitwiseEqualToForwardSolveOnReach) {
       }
     }
   }
+
+  // The four-column pass: one supernode of each width 1..9 (full panels
+  // and remainders), each with rows below it, entered at every column, and
+  // panel values of exactly +0 and -0, alone and beside nonzero ones.
+  const PanelFactor pf = panel_factor(9, 6);
+  const CholFactor& f = pf.factor;
+  ReachWorkspace ws;
+  const real_t tiny = std::numeric_limits<real_t>::denorm_min();
+  bool saw_negative_zero = false;
+  for (const index_t f0 : pf.first_columns) {
+    const index_t last = f.super_last[static_cast<std::size_t>(f0)];
+    for (index_t c = f0; c <= last; ++c) {
+      expect_matches_forward_solve(f, {c}, {1.0}, ws);
+      expect_matches_forward_solve(f, {c, c}, {1.0, -1.0}, ws);  // y_c = +0
+      // -tiny / L(c, c) rounds to -0: the diagonal is above 2.
+      expect_matches_forward_solve(f, {c}, {-tiny}, ws);
+      saw_negative_zero = saw_negative_zero || std::signbit(ws.y.front());
+      if (c == last) continue;
+      expect_matches_forward_solve(f, {c, c, c + 1}, {1.0, -1.0, 1.0}, ws);
+      // b(c + 1) = L(c + 1, c) y_c cancels column c's update exactly: a
+      // +0 inside the panel, after a nonzero.
+      const auto uc = static_cast<std::size_t>(f.col_ptr[static_cast<std::size_t>(c)]);
+      const real_t yc = 1.0 / f.values[uc];
+      expect_matches_forward_solve(f, {c, c + 1}, {1.0, f.values[uc + 1] * yc}, ws);
+      EXPECT_TRUE(same_bits(ws.y[1], 0.0)) << "column " << c + 1;
+    }
+  }
+  EXPECT_TRUE(saw_negative_zero);
 }
 
 TEST(SparseForward, ForestCountsTreesPerComponent) {

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -28,6 +29,7 @@
 #include "reduction/pipeline.hpp"
 #include "serve/model_store.hpp"
 #include "serve/query_frontend.hpp"
+#include "serve/result_cache.hpp"
 #include "serve/snapshot.hpp"
 #include "serve_test_util.hpp"
 #include "sparse/dense.hpp"
@@ -500,6 +502,104 @@ TEST(QueryFrontEnd, ExpiredDeadlinesMissWithoutBlockingTheBatch) {
   (void)QueryFrontEnd::answer_on(*snap, batch, relaxed_ctx);
   EXPECT_EQ(series_value(reg, "er_policy_deadline_miss_total"),
             missed_before);
+}
+
+// Each answer is a function of its own query alone, however the batch
+// around it is split into probes and pool tasks: a batch that mixes
+// resistances and responses, cache hits and misses, invalid endpoints,
+// expired deadlines and p == q answers every query bitwise as the same
+// query answered alone, at every pool size, with the cache attached and
+// detached.
+TEST(QueryFrontEnd, AnswerDoesNotDependOnBatchMates) {
+  const ServeCase c = make_case(20, 20, 48, 433);
+  ReductionOptions opts;
+  opts.num_blocks = 6;
+  const ModelPtr model = reduce_network_frozen(c.net, c.ports, opts);
+  const auto snap = ModelSnapshot::build(model, 3);
+  const auto kept = kept_originals(*model);
+  const auto eliminated = static_cast<index_t>(
+      std::find(model->node_map.begin(), model->node_map.end(), -1) -
+      model->node_map.begin());
+  ASSERT_LT(static_cast<std::size_t>(eliminated), model->node_map.size());
+
+  std::vector<PortQuery> batch = mixed_batch(kept, 48, 29);
+  for (std::size_t i = 0; i < batch.size(); i += 5)
+    batch[i].policy.deadline_us = 10;  // expires: the queue wait is 50
+  const index_t a = kept.front();
+  const index_t b = kept.back();
+  const std::vector<PortQuery> extra{
+      {QueryKind::kResistance, a, a, {}},
+      {QueryKind::kResponse, b, b, {}},
+      {QueryKind::kResistance, eliminated, a, {}},
+      {QueryKind::kResponse, a, eliminated, {}},
+      {QueryKind::kResponse, -3, b, {}},
+      {QueryKind::kResponse, a, b, {}},
+      {QueryKind::kResponse, a, b, {}},  // the same miss twice
+      {QueryKind::kResistance, b, a, {}},
+  };
+  batch.insert(batch.begin() + 7, extra.begin(), extra.end());
+  // Every third query is answered once before the batch, so with the
+  // cache attached it hits.
+  std::vector<PortQuery> warm;
+  for (std::size_t i = 0; i < batch.size(); i += 3) warm.push_back(batch[i]);
+
+  const auto answer_alone = [&](const PortQuery& query, QueryStatus* status) {
+    std::vector<QueryStatus> statuses;
+    AnswerContext ctx;
+    ctx.queue_wait_us = 50;
+    ctx.statuses = &statuses;
+    const real_t value = QueryFrontEnd::answer_on(*snap, {query}, ctx).front();
+    *status = statuses.front();
+    return value;
+  };
+  std::vector<real_t> alone(batch.size());
+  std::vector<QueryStatus> alone_status(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    alone[i] = answer_alone(batch[i], &alone_status[i]);
+  EXPECT_EQ(std::count(alone_status.begin(), alone_status.end(),
+                       QueryStatus::kInvalid), 3);
+  EXPECT_GT(std::count(alone_status.begin(), alone_status.end(),
+                       QueryStatus::kDeadlineMiss), 0);
+
+  const obs::Labels mode{{"mode", "sharded"}};
+  for (const int threads : {1, 2, 4}) {
+    for (const bool cached : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (cached ? " cached" : " uncached"));
+      obs::MetricsRegistry reg;
+      obs::MetricsRegistry cache_reg;
+      ResultCache cache(ResultCacheOptions{}, &cache_reg);
+      cache.on_publish(snap->version());
+      ThreadPool pool(threads);
+      AnswerContext ctx;
+      ctx.pool = &pool;
+      ctx.registry = &reg;
+      ctx.queue_wait_us = 50;
+      if (cached) {
+        ctx.cache = &cache;
+        (void)QueryFrontEnd::answer_on(*snap, warm, ctx);
+      }
+      const std::uint64_t warm_samples =
+          histogram_count(reg, "er_query_latency_seconds", mode);
+      const std::uint64_t hits_before = cache.hits();
+      std::vector<QueryStatus> statuses;
+      ctx.statuses = &statuses;
+      const auto got = QueryFrontEnd::answer_on(*snap, batch, ctx);
+      ASSERT_EQ(got.size(), batch.size());
+      ASSERT_EQ(statuses.size(), batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(std::memcmp(&got[i], &alone[i], sizeof(real_t)), 0)
+            << "query " << i << ": " << got[i] << " vs " << alone[i];
+        EXPECT_EQ(statuses[i], alone_status[i]) << "query " << i;
+      }
+      if (cached) {
+        EXPECT_GT(cache.hits(), hits_before);
+      }
+      // One latency sample per query of the batch.
+      EXPECT_EQ(histogram_count(reg, "er_query_latency_seconds", mode),
+                warm_samples + batch.size());
+    }
+  }
 }
 
 TEST(ModelStore, PublishPinsInFlightSnapshots) {
